@@ -8,7 +8,6 @@ the smallest singular value over a k grid and refining local minima.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -91,21 +90,8 @@ def assemble_secular(graph: MetricGraph, k: float) -> SecularSystem:
     _check_spectral_input(graph)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    eo, et, ln, vix = _edge_arrays(graph)
-    ne, nv = len(graph.edges), len(graph.vertices)
-    dim = 2 * ne + nv
-    a = np.zeros((dim, dim))
-    if k == 0.0:
-        for i, e in enumerate(graph.edges):
-            a[2 * i, 2 * i] = 1.0
-            a[2 * i, 2 * ne + eo[i]] = -1.0
-            a[2 * i + 1, 2 * i] = 1.0
-            a[2 * i + 1, 2 * i + 1] = ln[i]
-            a[2 * i + 1, 2 * ne + et[i]] = -1.0
-            a[2 * ne + et[i], 2 * i + 1] += 1.0
-            a[2 * ne + eo[i], 2 * i + 1] -= 1.0
-    else:
-        kernels.assemble_real(eo, et, ln, nv, k, a)
+    eo, et, ln, _ = _edge_arrays(graph)
+    a = kernels.assemble_real(eo, et, ln, len(graph.vertices), [k])[0]
     rows = []
     for e in graph.edges:
         rows.append(f"value@origin[{e.id}]")
@@ -118,62 +104,31 @@ def assemble_secular(graph: MetricGraph, k: float) -> SecularSystem:
     return SecularSystem(k, a, tuple(rows), tuple(cols))
 
 
-def assemble_secular_complex(graph: MetricGraph, mu: complex) -> np.ndarray:
-    """Complex secular matrix at spectral parameter mu (k = sqrt(mu)).
+def _golden_min(f, lo, hi, tol) -> np.ndarray:
+    """Golden-section minimum of f on every bracket [lo[i], hi[i]] at once.
 
-    Uses the bounded exponential basis exp(ikx), exp(ik(L-x)) with
-    Im k >= 0, so entries stay O(1) even deep on the negative real axis
-    where cos/sin would overflow.  Derivative-balance rows are the actual
-    balance expressions, so a unit right-hand side there means a unit
-    derivative balance.
+    f maps an array of points to an array of values.  Each bracket shrinks
+    by the scalar rule until its width is at most tol[i]; all brackets still
+    open are stepped together, so each step is one call of f.
     """
-    _check_spectral_input(graph)
-    eo, et, ln, _ = _edge_arrays(graph)
-    ne, nv = len(graph.edges), len(graph.vertices)
-    k = cmath.sqrt(mu)
-    if k.imag < 0:
-        k = -k
-    if k == 0:
-        raise ValueError("mu = 0 needs the affine assembly")
-    dim = 2 * ne + nv
-    a = np.zeros((dim, dim), dtype=complex)
-    ik = 1j * k
-    for i in range(ne):
-        g = cmath.exp(ik * ln[i])      # |g| <= 1
-        a[2 * i, 2 * i] = 1.0
-        a[2 * i, 2 * i + 1] = g
-        a[2 * i, 2 * ne + eo[i]] = -1.0
-        a[2 * i + 1, 2 * i] = g
-        a[2 * i + 1, 2 * i + 1] = 1.0
-        a[2 * i + 1, 2 * ne + et[i]] = -1.0
-        # f'(L) = ik*(alpha*g - beta); f'(0) = ik*(alpha - beta*g)
-        a[2 * ne + et[i], 2 * i] += ik * g
-        a[2 * ne + et[i], 2 * i + 1] += -ik
-        a[2 * ne + eo[i], 2 * i] -= ik
-        a[2 * ne + eo[i], 2 * i + 1] -= -ik * g
-    return a
-
-
-def _sigma_min_at(graph_arrays, k: float) -> float:
-    eo, et, ln, nv = graph_arrays
-    return float(kernels.scan_sigma_min(eo, et, ln, nv, np.array([k]))[0])
-
-
-def _golden_min(f, lo: float, hi: float, tol: float) -> float:
     invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    tol = np.asarray(tol, dtype=float)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+    fc, fd = np.split(f(np.concatenate([c, d])), 2)
+    open_ = np.flatnonzero((b - a) > tol)
+    while open_.size:
+        left = fc[open_] < fd[open_]
+        i, j = open_[left], open_[~left]
+        b[i], d[i], fd[i] = d[i], c[i], fc[i]
+        c[i] = b[i] - invphi * (b[i] - a[i])
+        a[j], c[j], fc[j] = c[j], d[j], fd[j]
+        d[j] = a[j] + invphi * (b[j] - a[j])
+        fx = f(np.where(left, c[open_], d[open_]))
+        fc[i], fd[j] = fx[left], fx[~left]
+        open_ = open_[(b[open_] - a[open_]) > tol[open_]]
     return (a + b) / 2
 
 
@@ -191,7 +146,6 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float,
         opts = SolverOptions()
     eo, et, ln, _ = _edge_arrays(graph)
     nv = len(graph.vertices)
-    arrays = (eo, et, ln, nv)
     l_total = float(np.sum(ln))
     h = opts.scan_factor * math.pi / (2.0 * l_total)
     kmax = math.sqrt(lambda_max) + k_margin
@@ -208,11 +162,13 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float,
 
     warnings: list[str] = []
     hits: list[EigenvalueHit] = []
-    for i in cand:
-        lo = ks[max(i - 1, 0)]
-        hi = ks[min(i + 1, len(ks) - 1)]
-        tol = opts.refine_tol * max(1.0, ks[i])
-        kstar = _golden_min(lambda k: _sigma_min_at(arrays, k), lo, hi, tol)
+    idx = np.array(cand, dtype=int)
+    lo = ks[np.maximum(idx - 1, 0)]
+    hi = ks[np.minimum(idx + 1, len(ks) - 1)]
+    tols = opts.refine_tol * np.maximum(1.0, ks[idx])
+    kstars = _golden_min(lambda x: kernels.scan_sigma_min(eo, et, ln, nv, x),
+                         lo, hi, tols)
+    for kstar, tol in zip(kstars.tolist(), tols.tolist()):
         sys_ = assemble_secular(graph, kstar)
         s = np.linalg.svd(sys_.matrix, compute_uv=False)
         thresh = opts.nullity_tol * s[0]

@@ -9,18 +9,18 @@ eigenspace is visible from the vertex data.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from . import kernels
 from .graphs import MetricGraph, betti_graph, core_decomposition
 from .lengths import candidate_steps
 from .resonance import ResonanceReport, resonance_dimension
-from .spectral import (SolverOptions, Spectrum, assemble_secular_complex,
-                       eigenvalues_in)
+from .spectral import (SolverOptions, Spectrum, _check_spectral_input,
+                       _edge_arrays, eigenvalues_in)
 
 
 class NearSpectrumError(RuntimeError):
@@ -64,28 +64,52 @@ def select_vertices(graph: MetricGraph, mode: str = "auto",
 
 @dataclass(frozen=True)
 class TWSample:
-    mu: complex
+    mu: complex | np.ndarray      # one mu, or an array of them
     vertices: tuple[str, ...]
-    matrix: np.ndarray
+    matrix: np.ndarray            # shape mu.shape + (m, m)
 
 
-def ntd_matrix(graph: MetricGraph, selection: VertexSelection, mu: complex,
-               cond_max: float = 1e12) -> TWSample:
-    """Sample the Neumann-to-Dirichlet matrix at mu (off the spectrum)."""
-    a = assemble_secular_complex(graph, mu)
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > cond_max:
-        raise NearSpectrumError(
-            f"system at mu={mu!r} has condition {cond:.3g} > {cond_max:.3g}")
-    ne = len(graph.edges)
-    vix = {v: i for i, v in enumerate(graph.vertices)}
-    m = len(selection.vertices)
-    rhs = np.zeros((a.shape[0], m), dtype=complex)
-    for l, v in enumerate(selection.vertices):
-        rhs[2 * ne + vix[v], l] = 1.0
-    sol = np.linalg.solve(a, rhs)
+def _check_condition(a: np.ndarray, mus: np.ndarray, nodes, cond_max: float):
+    """Raise NearSpectrumError at the first of `nodes` whose exact condition
+    number exceeds cond_max."""
+    for i in nodes:
+        cond = np.linalg.cond(a[i])
+        if not np.isfinite(cond) or cond > cond_max:
+            raise NearSpectrumError(
+                f"system at mu={complex(mus[i])!r} has condition {cond:.3g} > {cond_max:.3g}")
+
+
+def ntd_matrix(graph: MetricGraph, selection: VertexSelection,
+               mu: complex | np.ndarray, cond_max: float = 1e12) -> TWSample:
+    """Sample the Neumann-to-Dirichlet matrix at mu, or at every entry of an
+    array of mu, all off the spectrum.
+
+    M_B is a block of the inverse of the complex secular matrix A.  Every
+    node must have cond_2(A) <= cond_max.  ||A||_F ||A^-1||_F bounds
+    cond_2(A) from above, so a node within that bound passes; any other
+    node, and every node of a chunk whose inversion fails, is checked with
+    the exact np.linalg.cond.
+    """
+    _check_spectral_input(graph)
+    eo, et, ln, vix = _edge_arrays(graph)
+    ne, nv = len(graph.edges), len(graph.vertices)
+    dim = 2 * ne + nv
     rows = [2 * ne + vix[v] for v in selection.vertices]
-    return TWSample(mu, selection.vertices, sol[rows, :].copy())
+    shape = np.shape(mu)
+    mus = np.asarray(mu, dtype=complex).reshape(-1)
+    out = np.empty((mus.shape[0], len(rows), len(rows)), dtype=complex)
+    for sl in kernels.chunks(mus.shape[0], 16 * dim * dim):
+        a = kernels.assemble_complex(eo, et, ln, nv, mus[sl])
+        try:
+            inv = np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            _check_condition(a, mus[sl], range(a.shape[0]), cond_max)
+            raise
+        bound = np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
+        _check_condition(a, mus[sl], np.flatnonzero(~(bound <= cond_max)), cond_max)
+        out[sl] = inv[:, rows][:, :, rows]
+    return TWSample(mus.reshape(shape) if shape else mu, selection.vertices,
+                    out.reshape(shape + out.shape[1:]))
 
 
 @dataclass
@@ -123,29 +147,27 @@ def residue(graph: MetricGraph, selection: VertexSelection, lam: float,
     if r <= 0 or not math.isfinite(r):
         raise ResidueError(f"spectral gap {gap!r} too small for a contour")
 
-    def sample(mu: complex) -> np.ndarray:
+    def sample(mu: np.ndarray) -> np.ndarray:
         return ntd_matrix(graph, selection, mu).matrix
 
-    # contour: trapezoidal rule on |mu - lam| = r, exponentially convergent
+    # contour: trapezoidal rule on |mu - lam| = r, exponentially convergent.
+    # Doubling the node count keeps every old node, so each level samples
+    # only the new odd ones (Trefethen & Weideman, SIAM Rev. 56, 2014).
     n = opts.nodes
-    prev = None
-    while True:
-        thetas = 2 * math.pi * np.arange(n) / n
-        acc = np.zeros((len(selection.vertices),) * 2, dtype=complex)
-        for t in thetas:
-            w = cmath.exp(1j * t)
-            acc += sample(lam + r * w) * w
-        est = acc * (r / n)
-        if prev is not None:
-            scale = max(np.linalg.norm(est), 1e-300)
-            if np.linalg.norm(est - prev) <= opts.quad_rel_tol * scale:
-                break
-        if n >= opts.max_nodes:
-            break
-        prev = est
+    w = np.exp(1j * (2 * math.pi * np.arange(n) / n))
+    first = sample(lam + r * w)
+    ref_norm = float(np.linalg.norm(first[0], 2))     # theta = 0: mu = lam + r
+    acc = np.tensordot(w, first, axes=1)
+    est = acc * (r / n)
+    while n < opts.max_nodes:
+        w = np.exp(1j * (2 * math.pi * np.arange(1, 2 * n, 2) / (2 * n)))
+        acc = acc + np.tensordot(w, sample(lam + r * w), axes=1)
         n *= 2
+        prev, est = est, acc * (r / n)
+        scale = max(np.linalg.norm(est), 1e-300)
+        if np.linalg.norm(est - prev) <= opts.quad_rel_tol * scale:
+            break
 
-    ref_norm = float(np.linalg.norm(sample(lam + r), 2))
     abs_floor = opts.abs_floor_factor * ref_norm
 
     def rank_of(mat: np.ndarray) -> tuple[int, np.ndarray]:
@@ -157,18 +179,12 @@ def residue(graph: MetricGraph, selection: VertexSelection, lam: float,
     # the radius and extrapolated to zero.  The angle average cancels all
     # Taylor terms except powers divisible by the angle count, so the radii
     # stay well inside the contour.
-    radii = [r / 2, r / 4, r / 8]
-    averages = []
-    for rho in radii:
-        acc = np.zeros_like(est)
-        for j in range(opts.limit_angles):
-            t = 2 * math.pi * (j + 0.5) / opts.limit_angles
-            mu = lam + rho * cmath.exp(1j * t)
-            acc += (mu - lam) * sample(mu)
-        averages.append(acc / opts.limit_angles)
-    vand = np.vander(np.array(radii), 3, increasing=True)  # [1, rho, rho^2]
-    stack = np.array([a.ravel() for a in averages])
-    coef, *_ = np.linalg.lstsq(vand, stack, rcond=None)
+    radii = np.array([r / 2, r / 4, r / 8])
+    angles = 2 * math.pi * (np.arange(opts.limit_angles) + 0.5) / opts.limit_angles
+    mus = lam + np.multiply.outer(radii, np.exp(1j * angles))
+    averages = np.einsum("ij,ijkl->ikl", mus - lam, sample(mus)) / opts.limit_angles
+    vand = np.vander(radii, 3, increasing=True)  # [1, rho, rho^2]
+    coef, *_ = np.linalg.lstsq(vand, averages.reshape(3, -1), rcond=None)
     limit_est = coef[0].reshape(est.shape)
 
     rank_c, sv_c = rank_of(est)

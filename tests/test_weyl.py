@@ -93,6 +93,17 @@ def test_near_spectrum_rejected():
         ntd_matrix(g, sel, math.pi ** 2 + 1e-13)
 
 
+def test_ntd_matrix_over_array_matches_per_mu(dumbbell):
+    sel = select_vertices(dumbbell)
+    # 40 nodes of a circle: more than one chunk of dumbbell matrices
+    mus = 4.0 + 3.0 * np.exp(1j * (2 * math.pi * np.arange(40) / 40 + 0.1))
+    sample = ntd_matrix(dumbbell, sel, mus)
+    assert sample.matrix.shape == (40, 7, 7)
+    for mu, m in zip(mus, sample.matrix):
+        one = ntd_matrix(dumbbell, sel, mu).matrix
+        assert np.linalg.norm(m - one) <= 1e-13 * np.linalg.norm(one)
+
+
 # ---------------------------------------------------------------------------
 # residues
 
@@ -127,6 +138,34 @@ def test_residue_at_zero_counts_components():
     sel = select_vertices(two)
     est = residue(two, sel, 0.0, gap=math.pi ** 2)
     assert est.rank == 2
+
+
+def test_residue_contour_node_on_eigenvalue_rejected(interval_pi):
+    # the contour |mu - 3.5| = 0.5 passes through the eigenvalue 4, where the
+    # system has condition 1.8e16: the Frobenius bound fails there and the
+    # exact check must reject the node
+    with pytest.raises(NearSpectrumError):
+        residue(interval_pi, select_vertices(interval_pi), 3.5, gap=1.0)
+
+
+@pytest.mark.parametrize("lam, gap, nodes", [
+    (0.6096491875282599, 0.6096491875282599, 128),        # visible
+    (4 * math.pi ** 2, 4 * math.pi ** 2 - 36.8180306641, 1024),   # invisible
+])
+def test_residue_reuses_contour_nodes(loop_pendant, lam, gap, nodes):
+    # the doubled contour reuses the nodes already sampled; the result must be
+    # the plain trapezoid sum over all res.nodes nodes, sampled one at a time
+    sel = select_vertices(loop_pendant)
+    res = residue(loop_pendant, sel, lam, gap)
+    assert res.nodes == nodes
+    r = res.radius
+    w = np.exp(1j * (2 * math.pi * np.arange(nodes) / nodes))
+    terms = [x * ntd_matrix(loop_pendant, sel, lam + r * x).matrix for x in w]
+    fresh = sum(terms) * (r / nodes)
+    # relative to the size of the terms: at an invisible eigenvalue the sum
+    # itself cancels to rounding level
+    scale = sum(np.linalg.norm(t) for t in terms) * (r / nodes)
+    assert np.linalg.norm(res.matrix - fresh) <= 1e-12 * scale
 
 
 def test_residue_requires_positive_gap(interval_pi):
