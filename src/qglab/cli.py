@@ -19,7 +19,6 @@ import sys
 from fractions import Fraction
 
 from .graphfile import GraphFileError, parse_graph
-from .graphs import CycleBudgetExceeded
 from .lengths import Step, candidate_steps, resonance_floor
 from .resonance import resonance_dimension
 from .spectral import SolverOptions, eigenvalues_in
@@ -113,12 +112,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_resonances(args) -> int:
     graph = _load(args.graph)
-    try:
-        cands = candidate_steps(graph, args.lambda_max)
-        floor = resonance_floor(graph, budget=args.cycle_budget)
-    except CycleBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ERROR
+    cands = candidate_steps(graph, args.lambda_max)
+    floor = resonance_floor(graph)
     rows = []
     for c in cands:
         rep = resonance_dimension(graph, c.step)
@@ -132,8 +127,7 @@ def cmd_resonances(args) -> int:
         })
     meta = {"command": "resonances", "graph": args.graph,
             "lambda_max": args.lambda_max,
-            "lambda_floor": None if math.isinf(floor.lam) else floor.lam,
-            "cycle_budget": args.cycle_budget}
+            "lambda_floor": None if math.isinf(floor.lam) else floor.lam}
     return _finish(args, rows, meta, [])
 
 
@@ -239,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resonances", help="exact resonance table")
     _add_common(p)
     p.add_argument("--lambda-max", type=float, required=True)
-    p.add_argument("--cycle-budget", type=int, default=10 ** 6)
     p.set_defaults(func=cmd_resonances)
 
     p = sub.add_parser("visibility", help="per-eigenvalue visibility table")

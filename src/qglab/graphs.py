@@ -8,7 +8,7 @@ locking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -87,12 +87,6 @@ class MetricGraph:
         if not isinstance(units, UnitTable):
             units = UnitTable.of(units)
         return cls(tuple(vertices), tuple(edges), units)
-
-    def edge(self, edge_id: str) -> Edge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise KeyError(f"unknown edge {edge_id!r}")
 
     def degree(self, v: str) -> int:
         d = 0
@@ -186,9 +180,6 @@ class CoreDecomposition:
     core_vertices: tuple[str, ...]
     boundary_vertices: tuple[str, ...]      # degree one in the full graph
     proper_core_vertices: tuple[str, ...]   # all incident edges in the core
-    pendant_root: dict[str, str | None] = field(default_factory=dict)
-    # pendant_root: non-core edge id -> vertex where its pendant tree meets the
-    # core (None when the whole component is a tree and has no core).
 
 
 def core_decomposition(graph: MetricGraph) -> CoreDecomposition:
@@ -216,30 +207,7 @@ def core_decomposition(graph: MetricGraph) -> CoreDecomposition:
         v for v in core_vertices
         if all(e.id in alive_e for e in graph.edges if v in (e.origin, e.terminus))
     )
-
-    # Assign each pendant (non-core) edge to the core vertex its tree hangs
-    # from, by BFS from the core over non-core edges.
-    pendant_edges = [e for e in graph.edges if e.id not in alive_e]
-    root: dict[str, str | None] = {e.id: None for e in pendant_edges}
-    vert_root: dict[str, str] = {v: v for v in core_vertices}
-    frontier = list(core_vertices)
-    adj: dict[str, list[Edge]] = {v: [] for v in graph.vertices}
-    for e in pendant_edges:
-        adj[e.origin].append(e)
-        adj[e.terminus].append(e)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for e in adj[v]:
-                if root[e.id] is not None:
-                    continue
-                root[e.id] = vert_root[v]
-                w = e.terminus if e.origin == v else e.origin
-                if w not in vert_root:
-                    vert_root[w] = vert_root[v]
-                    nxt.append(w)
-        frontier = nxt
-    return CoreDecomposition(core_edges, core_vertices, boundary, proper, root)
+    return CoreDecomposition(core_edges, core_vertices, boundary, proper)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +238,6 @@ class CycleWalk:
             if u == v:
                 return CycleWalk(v, self.steps[i:] + self.steps[:i])
         raise ValueError(f"vertex {v!r} not on cycle")
-
-    def reversed_(self) -> "CycleWalk":
-        steps = tuple((eid, -d) for eid, d in reversed(self.steps))
-        return CycleWalk(self.start, steps)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graphs import CycleWalk, Edge, MetricGraph, simple_cycles
+from .graphs import CycleWalk, Edge, MetricGraph, betti, cycle_system
+# Not called here.  The benchmark tracer (perfbench/spans.py) looks this name
+# up in this module; drop the import together with that target.
+from .graphs import simple_cycles  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -77,33 +80,6 @@ def build_lambda_subgraph(graph: MetricGraph, step: Step) -> LambdaSubgraph:
     return LambdaSubgraph(step, tuple(members), verts)
 
 
-def build_lambda_subgraph_numeric(graph: MetricGraph, lam: float,
-                                  rel_tol: float = 1e-9) -> tuple[LambdaSubgraph, list[str]]:
-    """Tolerance-based fallback for a user-supplied floating lambda.
-
-    Not certified: membership uses the unit approximations.  Returns the
-    subgraph together with warnings; when a matching exact candidate step
-    exists, prefer `build_lambda_subgraph`.
-    """
-    warnings = [f"numeric subgraph membership at lambda={lam!r} "
-                f"(rel_tol={rel_tol}); result is not certified"]
-    s = math.pi / math.sqrt(lam)
-    members = []
-    step: Optional[Step] = None
-    for e in graph.edges:
-        ln = e.length.value(graph.units)
-        n = round(ln / s)
-        if n >= 1 and abs(ln - n * s) <= rel_tol * max(1.0, ln):
-            members.append((e, n))
-            if step is None:
-                step = Step(e.length.coeff / n, e.length.unit)
-    if step is None:
-        step = Step(Fraction(1), graph.units.tokens()[0])
-    verts = tuple(v for v in graph.vertices
-                  if any(v in (e.origin, e.terminus) for e, _ in members))
-    return LambdaSubgraph(step, tuple(members), verts), warnings
-
-
 @dataclass(frozen=True)
 class CandidateStep:
     step: Step
@@ -146,6 +122,11 @@ def fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(num, den)
 
 
+def _divisors(m: int) -> set[int]:
+    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    return {*small, *(m // d for d in small)}
+
+
 @dataclass(frozen=True)
 class ResonanceFloor:
     """Lower bound below which no resonance exists, with its witness cycle."""
@@ -155,29 +136,42 @@ class ResonanceFloor:
     cycle: Optional[CycleWalk]
 
 
-def resonance_floor(graph: MetricGraph, budget: int = 10 ** 6) -> ResonanceFloor:
+def resonance_floor(graph: MetricGraph) -> ResonanceFloor:
     """inf of pi^2/u_C^2 over cycles C with commensurate edges.
 
     A cycle is commensurate iff all its edges carry the same unit token
     (units are declared pairwise incommensurable); u_C is the gcd of the
     rational coefficients times that unit.
+
+    No cycle is enumerated.  Within one unit, let s* be the largest u_C.
+    If the step subgraph G_s has a cycle C, every edge of C is a multiple
+    of s, so u_C is a multiple of s and s <= s*; conversely the cycle
+    attaining s* lies in G_{s*}.  So s* is the largest step s with
+    beta1(G_s) > 0.  With g the gcd of the unit's coefficients and
+    L(e) = m_e*g, every u_C is k*g for a divisor k of some m_e, so only
+    those steps are tried, in descending order.  Any cycle of G_{s*} has
+    u_C a multiple of s* and at most s*, so a fundamental cycle of G_{s*}
+    is a witness whose gcd is exactly s*.  Units are compared by
+    `Step.value`.
     """
-    edges_by_id = {e.id: e for e in graph.edges}
-    best_val = -math.inf
     best: Optional[tuple[Step, CycleWalk]] = None
-    for cyc in simple_cycles(graph.vertices, graph.edges, budget=budget):
-        units = {edges_by_id[eid].length.unit for eid in cyc.edge_ids()}
-        if len(units) != 1:
+    best_val = -math.inf
+    for unit in graph.units.tokens():
+        edges = [e for e in graph.edges if e.length.unit == unit]
+        if betti(graph.vertices, edges).beta1 == 0:
             continue
-        unit = units.pop()
         g = Fraction(0)
-        for eid in cyc.edge_ids():
-            g = fraction_gcd(g, edges_by_id[eid].length.coeff) if g else edges_by_id[eid].length.coeff
-        u = Step(g, unit)
-        val = u.value(graph)
-        if val > best_val:
-            best_val = val
-            best = (u, cyc)
+        for e in edges:
+            g = fraction_gcd(g, e.length.coeff)
+        mult = [int(e.length.coeff / g) for e in edges]
+        for k in sorted(set().union(*map(_divisors, mult)), reverse=True):
+            sub = [e for e, m in zip(edges, mult) if m % k == 0]
+            if betti(graph.vertices, sub).beta1 > 0:
+                u = Step(k * g, unit)
+                if u.value(graph) > best_val:
+                    best_val = u.value(graph)
+                    best = (u, cycle_system(graph.vertices, sub).cycles[0])
+                break
     if best is None:
         return ResonanceFloor(math.inf, None, None)
     u, cyc = best

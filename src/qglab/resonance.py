@@ -330,24 +330,24 @@ def _verify_basis(graph: MetricGraph, sub: LambdaSubgraph, basis, dim: int):
     if len(basis) != dim:
         raise BasisConstructionError(
             f"constructed {len(basis)} functions, expected {dim}")
-    n_of = {e.id: n for e, n in sub.members}
-    member_ids = set(n_of)
+    members = {e.id: (e, n) for e, n in sub.members}
+    member_ids = set(members)
     for f in basis:
-        if not f.support():
+        support = f.support()
+        if not support:
             raise BasisConstructionError("trivial basis function")
-        if not f.support() <= member_ids:
+        if not support <= member_ids:
             raise BasisConstructionError("basis function leaves the subgraph")
-        for v in graph.vertices:
-            bal = 0
-            for e in sub.edges:
-                b = f.coefficients.get(e.id, 0)
-                if e.terminus == v:
-                    bal += b * (1 if n_of[e.id] % 2 == 0 else -1)
-                if e.origin == v:
-                    bal -= b
-            if bal != 0:
-                raise BasisConstructionError(
-                    f"Kirchhoff balance violated at vertex {v}")
+        bal: dict[str, int] = {}
+        for eid in support:
+            e, n = members[eid]
+            b = f.coefficients[eid]
+            bal[e.terminus] = bal.get(e.terminus, 0) + b * (1 if n % 2 == 0 else -1)
+            bal[e.origin] = bal.get(e.origin, 0) - b
+        if any(bal.values()):
+            v = next(v for v in graph.vertices if bal.get(v))
+            raise BasisConstructionError(
+                f"Kirchhoff balance violated at vertex {v}")
     cols = sorted(member_ids)
     mat = [[f.coefficients.get(c, 0) for c in cols] for f in basis]
     if integer_matrix_rank(mat) != dim:

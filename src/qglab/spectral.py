@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .graphs import MetricGraph, betti_graph, connected_components
+from .graphs import MetricGraph, betti_graph
 
 
 @dataclass
@@ -45,8 +45,6 @@ class EdgeFunction:
 class SecularSystem:
     k: float
     matrix: np.ndarray
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
 
     def nullity(self, tol: float = 1e-8) -> int:
         s = np.linalg.svd(self.matrix, compute_uv=False)
@@ -92,16 +90,7 @@ def assemble_secular(graph: MetricGraph, k: float) -> SecularSystem:
         raise ValueError("k must be nonnegative")
     eo, et, ln, _ = _edge_arrays(graph)
     a = kernels.assemble_real(eo, et, ln, len(graph.vertices), [k])[0]
-    rows = []
-    for e in graph.edges:
-        rows.append(f"value@origin[{e.id}]")
-        rows.append(f"value@terminus[{e.id}]")
-    rows += [f"balance[{v}]" for v in graph.vertices]
-    cols = []
-    for e in graph.edges:
-        cols += [f"a[{e.id}]", f"b[{e.id}]"]
-    cols += [f"c[{v}]" for v in graph.vertices]
-    return SecularSystem(k, a, tuple(rows), tuple(cols))
+    return SecularSystem(k, a)
 
 
 def _golden_min(f, lo, hi, tol) -> np.ndarray:
@@ -223,15 +212,3 @@ def eigenspace(graph: MetricGraph, lam: float,
         funcs.append(f)
     return funcs, flags
 
-
-def constant_eigenspace(graph: MetricGraph) -> list[EdgeFunction]:
-    """lambda = 0 eigenfunctions: indicator constants per component."""
-    comps = connected_components(graph.vertices, graph.edges)
-    out = []
-    for verts, edges in comps:
-        scale = 1.0 / math.sqrt(sum(e.length.value(graph.units) for e in edges) or 1.0)
-        coeffs = {e.id: ((scale if e.origin in verts else 0.0), 0.0)
-                  for e in graph.edges}
-        vvals = {v: (scale if v in verts else 0.0) for v in graph.vertices}
-        out.append(EdgeFunction(k=0.0, coeffs=coeffs, vertex_values=vvals))
-    return out

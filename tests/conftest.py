@@ -14,6 +14,19 @@ def mk(vertices, edge_spec, units):
     return MetricGraph.build(vertices, edges, units)
 
 
+def unit_grid(n):
+    """n x n square grid with unit edges."""
+    vid = lambda i, j: f"g{i}_{j}"
+    spec = []
+    for i in range(n):
+        for j in range(n):
+            if j + 1 < n:
+                spec.append((f"h{i}_{j}", vid(i, j), vid(i, j + 1), 1, "one"))
+            if i + 1 < n:
+                spec.append((f"v{i}_{j}", vid(i, j), vid(i + 1, j), 1, "one"))
+    return mk([vid(i, j) for i in range(n) for j in range(n)], spec, {"one": 1.0})
+
+
 @pytest.fixture(scope="session")
 def dumbbell():
     return parse_graph(qglab.bundled_graph_path("dumbbell.qg"))

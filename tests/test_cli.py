@@ -5,7 +5,10 @@ import math
 import pytest
 
 import qglab
+from qglab import serialize_graph
 from qglab.cli import ERROR, OK, WARNINGS, main
+
+from conftest import unit_grid
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +84,19 @@ def test_resonances_dumbbell_table(paths, capsys, tmp_path):
     got = [(r["step"], r["dim_R"], r["resonance"]) for r in doc["rows"]]
     assert got == [("1*sqrt3", 0, "no"), ("1/2*pi", 0, "no"),
                    ("1*one", 1, "yes"), ("1/2*sqrt3", 2, "yes")]
+
+
+def test_resonances_unit_grid_6x6(capsys, tmp_path):
+    # the floor of a 36-vertex grid must not depend on its cycle count
+    g = tmp_path / "grid6.qg"
+    g.write_text(serialize_graph(unit_grid(6)))
+    code, out, _ = run(capsys, ["resonances", str(g), "--lambda-max", "200",
+                                "--format", "json"])
+    assert code == OK
+    doc = json.loads(out)
+    assert doc["meta"]["lambda_floor"] == pytest.approx(math.pi ** 2, rel=1e-12)
+    assert "cycle_budget" not in doc["meta"]
+    assert doc["rows"][0]["step"] == "1*one"
 
 
 def test_resonances_tree_empty(capsys, tmp_path):

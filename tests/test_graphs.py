@@ -75,7 +75,6 @@ def test_core_loop_pendant(loop_pendant):
     assert cd.boundary_vertices == ("v",)
     # the loop vertex carries the pendant edge, so it is not proper
     assert cd.proper_core_vertices == ()
-    assert cd.pendant_root["e1"] == "w"
 
 
 def test_core_dumbbell(dumbbell):

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from qglab import MetricGraph, Step, build_lambda_subgraph, candidate_steps, resonance_floor
+import qglab
+from qglab import (MetricGraph, Step, build_lambda_subgraph, candidate_steps,
+                   parse_graph, resonance_floor, simple_cycles)
 from qglab.lengths import fraction_gcd
 
-from conftest import mk
+from conftest import mk, unit_grid
 from randgraphs import all_steps, random_graph
 
 
@@ -149,3 +151,84 @@ def test_floor_incommensurate_cycle():
             ("e3", "c", "a", 1, "u2")],
            {"u1": 1.0, "u2": 1.4142135623730951})
     assert math.isinf(resonance_floor(g).lam)
+
+
+BUNDLED = ("dumbbell.qg", "loop-pendant.qg", "triangle.qg", "tree.qg",
+           "interval-pi.qg")
+
+
+def floor_by_enumeration(graph):
+    """Brute-force floor: largest common step over same-unit simple cycles."""
+    edges = {e.id: e for e in graph.edges}
+    best = None
+    for cyc in simple_cycles(graph.vertices, graph.edges):
+        units = {edges[eid].length.unit for eid in cyc.edge_ids()}
+        if len(units) != 1:
+            continue
+        g = Fraction(0)
+        for eid in cyc.edge_ids():
+            g = fraction_gcd(g, edges[eid].length.coeff)
+        step = Step(g, units.pop())
+        if best is None or step.value(graph) > best.value(graph):
+            best = step
+    return best, (math.inf if best is None else best.lambda_value(graph))
+
+
+def assert_witness(graph, floor):
+    """The witness is a closed walk on one unit whose gcd is the floor step."""
+    edges = {e.id: e for e in graph.edges}
+    v = floor.cycle.start
+    for eid, d in floor.cycle.steps:
+        e = edges[eid]
+        tail, head = (e.origin, e.terminus) if d > 0 else (e.terminus, e.origin)
+        assert tail == v
+        v = head
+    assert v == floor.cycle.start
+    assert {edges[eid].length.unit for eid in floor.cycle.edge_ids()} == \
+        {floor.unit_length.unit}
+    g = Fraction(0)
+    for eid in floor.cycle.edge_ids():
+        g = fraction_gcd(g, edges[eid].length.coeff)
+    assert g == floor.unit_length.coeff
+
+
+def test_floor_matches_cycle_enumeration():
+    graphs = [parse_graph(qglab.bundled_graph_path(n)) for n in BUNDLED]
+    for seed in (3, 7):
+        rng = random.Random(seed)
+        graphs += [random_graph(rng) for _ in range(120)]
+    with_floor = 0
+    for g in graphs:
+        floor = resonance_floor(g)
+        step, lam = floor_by_enumeration(g)
+        assert floor.unit_length == step
+        if step is None:
+            assert math.isinf(floor.lam) and floor.cycle is None
+            continue
+        with_floor += 1
+        assert floor.lam == pytest.approx(lam, rel=1e-12)
+        assert_witness(g, floor)
+    assert with_floor > 100
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_floor_unit_grid(n):
+    g = unit_grid(n)
+    floor = resonance_floor(g)
+    assert floor.lam == pytest.approx(math.pi ** 2, rel=1e-12)
+    assert floor.unit_length == Step(Fraction(1), "one")
+    assert_witness(g, floor)
+
+
+def test_floor_triangle_strip_is_infinite():
+    # 19 triangles sharing edges; edge j carries unit j mod 4, so every
+    # triangle mixes units and no cycle is commensurate
+    m = 19
+    units = {"one": 1.0, "sqrt2": math.sqrt(2), "sqrt3": math.sqrt(3),
+             "sqrt5": math.sqrt(5)}
+    pairs = [(i, i + 1) for i in range(m + 1)] + [(i, i + 2) for i in range(m)]
+    spec = [(f"t{a}_{b}", f"c{a}", f"c{b}", 1, list(units)[j % 4])
+            for j, (a, b) in enumerate(pairs)]
+    floor = resonance_floor(mk([f"c{i}" for i in range(m + 2)], spec, units))
+    assert math.isinf(floor.lam)
+    assert floor.unit_length is None and floor.cycle is None

@@ -6,7 +6,8 @@ import pytest
 from qglab import (Step, build_lambda_subgraph, parity_report,
                    resonance_dimension, resonance_dimension_oracle,
                    resonance_floor)
-from qglab.resonance import integer_matrix_rank
+from qglab.resonance import (BasisConstructionError, ResonanceBasisFunction,
+                             _verify_basis, integer_matrix_rank)
 
 from conftest import mk
 from randgraphs import all_steps, random_graph
@@ -277,3 +278,25 @@ def test_dumbbell_floor_not_attained(dumbbell):
     rep = resonance_dimension(dumbbell, Step(Fraction(1), "sqrt3"))
     assert rep.lam == pytest.approx(floor.lam, rel=1e-12)
     assert rep.dim == 0
+
+
+def test_verify_basis_rejects_corrupted_bases(dumbbell):
+    step = Step(Fraction(1, 2), "sqrt3")
+    sub = build_lambda_subgraph(dumbbell, step)
+    rep = resonance_dimension(dumbbell, step, with_basis=True)
+    f0, f1 = rep.basis
+    _verify_basis(dumbbell, sub, rep.basis, rep.dim)
+
+    changed = dict(f0.coefficients)
+    eid = min(changed)
+    changed[eid] += 1
+    outside = dict(f1.coefficients, d1=1)       # d1 is not in G_s
+    corrupted = {
+        "balance": (ResonanceBasisFunction(changed), f1),
+        "expected 2": (f0,),
+        "leaves the subgraph": (f0, ResonanceBasisFunction(outside)),
+        "rank deficient": (f0, f0),
+    }
+    for message, basis in corrupted.items():
+        with pytest.raises(BasisConstructionError, match=message):
+            _verify_basis(dumbbell, sub, basis, rep.dim)

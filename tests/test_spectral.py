@@ -6,7 +6,6 @@ import pytest
 
 from qglab import (Edge, ExactLength, MetricGraph, SolverOptions,
                    assemble_secular, betti_graph, eigenspace, eigenvalues_in)
-from qglab.spectral import constant_eigenspace
 
 from conftest import mk
 
@@ -41,7 +40,6 @@ def test_system_dimensions(dumbbell):
     sys_ = assemble_secular(dumbbell, 1.0)
     n = 2 * len(dumbbell.edges) + len(dumbbell.vertices)
     assert sys_.matrix.shape == (n, n)
-    assert len(sys_.row_labels) == len(sys_.col_labels) == n
 
 
 def test_isolated_vertex_rejected():
@@ -125,16 +123,6 @@ def test_reported_lambda_matches_nullity(loop_pendant):
 
 # ---------------------------------------------------------------------------
 # eigenspace extraction
-
-
-def test_constant_eigenspace_per_component():
-    two = mk(["a", "b", "c", "d"],
-             [("e1", "a", "b", 1, "u"), ("e2", "c", "d", 1, "u")], {"u": 1.0})
-    funcs = constant_eigenspace(two)
-    assert len(funcs) == 2
-    for f in funcs:
-        vals = set(f.vertex_values.values())
-        assert 0.0 in vals and len(vals) == 2
 
 
 def test_eigenspace_at_zero(path3):
