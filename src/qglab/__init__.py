@@ -11,8 +11,8 @@ from .lengths import (CandidateStep, LambdaSubgraph, Step,
                       build_lambda_subgraph, candidate_steps, resonance_floor)
 from .resonance import (ParityReport, ResonanceReport, parity_report,
                         resonance_dimension, resonance_dimension_oracle)
-from .spectral import (EdgeFunction, SolverOptions, Spectrum,
-                       assemble_secular, eigenspace, eigenvalues_in)
+from .spectral import (EdgeFunction, Spectrum, assemble_secular, eigenspace,
+                       eigenvalues_in)
 from .weyl import (ResidueEstimate, ResidueOptions, TWSample, VertexSelection,
                    ntd_matrix, residue, select_vertices, visibility_report)
 from .graphfile import parse_graph, parse_graph_text, serialize_graph

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .graphfile import GraphFileError, parse_graph
 from .lengths import Step, candidate_steps, resonance_floor
 from .resonance import resonance_dimension
-from .spectral import SolverOptions, eigenvalues_in
+from .spectral import eigenvalues_in
 from .weyl import (NearSpectrumError, ResidueError, ResidueOptions, ntd_matrix,
                    select_vertices, visibility_report)
 
@@ -60,22 +60,10 @@ def _load(path: str):
         raise SystemExit(ERROR)
 
 
-def _solver_opts(args) -> SolverOptions:
-    return SolverOptions(scan_factor=args.scan_factor,
-                         nullity_tol=args.nullity_tol)
-
-
 def _add_common(p):
     p.add_argument("graph", help="graph file (.qg)")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.add_argument("--output", "-o", default=None, help="write to file instead of stdout")
-
-
-def _add_solver_flags(p):
-    p.add_argument("--scan-factor", type=float, default=0.1,
-                   help="grid step factor relative to pi/(2 L_total)")
-    p.add_argument("--nullity-tol", type=float, default=1e-8,
-                   help="relative singular-value threshold for nullity")
 
 
 def _finish(args, rows, meta, warnings) -> int:
@@ -92,21 +80,13 @@ def _finish(args, rows, meta, warnings) -> int:
 
 def cmd_spectrum(args) -> int:
     graph = _load(args.graph)
-    trace = [] if args.emit_scan else None
-    spec = eigenvalues_in(graph, args.lambda_max, _solver_opts(args),
-                          scan_trace=trace)
-    if args.emit_scan:
-        with open(args.emit_scan, "w") as fh:
-            w = csv.writer(fh)
-            w.writerow(["k", "sigma_min"])
-            w.writerows(trace)
+    spec = eigenvalues_in(graph, args.lambda_max)
     rows = [{"lambda": f"{h.lam:.12g}", "k": f"{h.k:.12g}",
              "multiplicity": h.multiplicity,
              "sigma_min": f"{h.sigma_min:.3g}"}
             for h in spec.eigenvalues]
     meta = {"command": "spectrum", "graph": args.graph,
-            "lambda_max": args.lambda_max, "scan_factor": args.scan_factor,
-            "nullity_tol": args.nullity_tol}
+            "lambda_max": args.lambda_max}
     return _finish(args, rows, meta, spec.warnings)
 
 
@@ -139,7 +119,6 @@ def cmd_visibility(args) -> int:
         sel = select_vertices(graph, "explicit", args.vertices.split(","))
     try:
         rep = visibility_report(graph, sel, args.lambda_max,
-                                solver_opts=_solver_opts(args),
                                 residue_opts=ResidueOptions(rank_tol=args.rank_tol))
     except (ResidueError, NearSpectrumError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -159,8 +138,7 @@ def cmd_visibility(args) -> int:
         rows.append(row)
     meta = {"command": "visibility", "graph": args.graph,
             "lambda_max": args.lambda_max, "vertices": list(sel.vertices),
-            "mode": sel.mode, "scan_factor": args.scan_factor,
-            "nullity_tol": args.nullity_tol, "rank_tol": args.rank_tol}
+            "mode": sel.mode, "rank_tol": args.rank_tol}
     return _finish(args, rows, meta, rep.warnings)
 
 
@@ -224,10 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="eigenvalues up to a cutoff")
     _add_common(p)
-    _add_solver_flags(p)
     p.add_argument("--lambda-max", type=float, required=True)
-    p.add_argument("--emit-scan", default=None,
-                   help="write the (k, sigma_min) scan trace as CSV")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("resonances", help="exact resonance table")
@@ -237,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("visibility", help="per-eigenvalue visibility table")
     _add_common(p)
-    _add_solver_flags(p)
     p.add_argument("--lambda-max", type=float, required=True)
     p.add_argument("--vertices", default=None,
                    help="'auto' (default) or comma-separated vertex ids")

@@ -140,24 +140,21 @@ def connected_components(vertices: Sequence[str],
     for e in edges:
         adj[e.origin].append(e.terminus)
         adj[e.terminus].append(e.origin)
-    seen: set[str] = set()
-    comps = []
+    comps: list[tuple[list[str], list[Edge]]] = []
+    label: dict[str, int] = {}
     for v in vertices:
-        if v in seen:
-            continue
-        stack, comp = [v], set()
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            comp.add(u)
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        cvs = tuple(u for u in vertices if u in comp)
-        ces = tuple(e for e in edges if e.origin in comp)
-        comps.append((cvs, ces))
-    return comps
+        if v not in label:
+            stack, label[v] = [v], len(comps)
+            comps.append(([], []))
+            while stack:
+                for w in adj[stack.pop()]:
+                    if w not in label:
+                        label[w] = label[v]
+                        stack.append(w)
+        comps[label[v]][0].append(v)
+    for e in edges:
+        comps[label[e.origin]][1].append(e)
+    return [(tuple(cvs), tuple(ces)) for cvs, ces in comps]
 
 
 def betti(vertices: Sequence[str], edges: Sequence[Edge]) -> BettiData:

@@ -1,5 +1,6 @@
 """Hot numeric kernels: the secular matrices stacked over many spectral
-parameters, and the smallest singular value of the real one on a k grid.
+parameters, the smallest singular value of the real one, and the Kirchhoff
+eigenphase count, each at many parameters per call.
 
 Unknown layout: a_e = col 2e, b_e = col 2e+1, c_v = col 2*nE + v.  Rows:
 value at origin, value at terminus per edge; derivative balance per vertex.
@@ -96,3 +97,35 @@ def scan_sigma_min(eo, et, lengths, n_vertices, ks) -> np.ndarray:
         a = assemble_real(eo, et, lengths, n_vertices, ks[sl])
         out[sl] = np.linalg.svd(a, compute_uv=False)[:, -1]
     return out
+
+
+def eigenphase_count(eo, et, lengths, n_vertices, ks) -> tuple[np.ndarray, np.ndarray]:
+    """Uncalibrated eigenvalue count and the signed eigenphase nearest 0 at
+    each k in ks.
+
+    On the 2E directed bonds (bond 2e runs origin -> terminus of edge e,
+    bond 2e+1 back) the Kirchhoff scattering matrix S[b', b] = 2/deg(v) -
+    delta(b', reverse b), for b ending and b' starting at v, does not depend
+    on k, and the eigenphases w_j of U(k) S, U = diag(exp(i k L_b)), increase
+    with k.  So (2 L_tot k - sum_j w_j) / 2 pi, with w_j in [0, 2 pi), is the
+    number of eigenvalues lambda = kappa^2 with 0 < kappa <= k plus a
+    constant (Kottos & Smilansky, Ann. Phys. 274, 1999; Berkolaiko &
+    Kuchment, Introduction to Quantum Graphs, 2013, section 2.1).
+    """
+    ks = np.asarray(ks, dtype=float)
+    b = np.arange(2 * eo.shape[0])
+    tail = np.stack([eo, et], axis=1).reshape(-1)
+    head = tail[b ^ 1]
+    deg = np.bincount(tail, minlength=n_vertices)
+    s = np.where(tail[:, None] == head, 2.0 / deg[head], 0.0)
+    s[b ^ 1, b] -= 1.0
+    bond_lengths = np.repeat(lengths, 2)
+    count = np.empty(ks.shape[0])
+    nearest = np.empty(ks.shape[0])
+    for sl in chunks(ks.shape[0], 16 * s.size):
+        u = np.exp(1j * np.multiply.outer(ks[sl], bond_lengths))
+        w = np.angle(np.linalg.eigvals(u[:, :, None] * s))      # (-pi, pi]
+        count[sl] = (ks[sl] * np.sum(bond_lengths)
+                     - np.sum(np.mod(w, 2 * np.pi), axis=1)) / (2 * np.pi)
+        nearest[sl] = w[np.arange(w.shape[0]), np.argmin(np.abs(w), axis=1)]
+    return count, nearest

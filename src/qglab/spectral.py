@@ -2,15 +2,15 @@
 
 The secular system couples the per-edge trigonometric coefficients (a_e, b_e)
 with explicit vertex values c_v; its nullity at wavenumber k > 0 equals the
-eigenspace dimension at lambda = k^2.  Eigenvalues are located by scanning
-the smallest singular value over a k grid and refining local minima.
+eigenspace dimension at lambda = k^2.  Eigenvalues are located by the
+integer Kirchhoff eigenphase count, which brackets each one together with
+its multiplicity; the secular system is the independent check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,12 +18,8 @@ from . import kernels
 from .graphs import MetricGraph, betti_graph
 
 
-@dataclass
-class SolverOptions:
-    scan_factor: float = 0.1          # grid step = scan_factor * pi/(2 L_total)
-    nullity_tol: float = 1e-8         # relative to the matrix norm
-    refine_tol: float = 1e-12         # |dk| <= refine_tol * max(1, k)
-    cluster_factor: float = 10.0      # warn when accepted k's this close
+REFINE_TOL = 1e-12     # a bracket is done at width <= REFINE_TOL * max(1, k)
+COUNT_TOL = 1e-6       # largest distance of an eigenphase count from an integer
 
 
 @dataclass(frozen=True)
@@ -57,16 +53,12 @@ class EigenvalueHit:
     multiplicity: int
     k: float
     sigma_min: float
-    diagnostics: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class Spectrum:
     eigenvalues: tuple[EigenvalueHit, ...]
     warnings: tuple[str, ...] = ()
-
-    def lambdas(self) -> list[float]:
-        return [h.lam for h in self.eigenvalues]
 
 
 def _check_spectral_input(graph: MetricGraph):
@@ -93,91 +85,95 @@ def assemble_secular(graph: MetricGraph, k: float) -> SecularSystem:
     return SecularSystem(k, a)
 
 
-def _golden_min(f, lo, hi, tol) -> np.ndarray:
-    """Golden-section minimum of f on every bracket [lo[i], hi[i]] at once.
-
-    f maps an array of points to an array of values.  Each bracket shrinks
-    by the scalar rule until its width is at most tol[i]; all brackets still
-    open are stepped together, so each step is one call of f.
-    """
-    invphi = (math.sqrt(5) - 1) / 2
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
-    tol = np.asarray(tol, dtype=float)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = np.split(f(np.concatenate([c, d])), 2)
-    open_ = np.flatnonzero((b - a) > tol)
-    while open_.size:
-        left = fc[open_] < fd[open_]
-        i, j = open_[left], open_[~left]
-        b[i], d[i], fd[i] = d[i], c[i], fc[i]
-        c[i] = b[i] - invphi * (b[i] - a[i])
-        a[j], c[j], fc[j] = c[j], d[j], fd[j]
-        d[j] = a[j] + invphi * (b[j] - a[j])
-        fx = f(np.where(left, c[open_], d[open_]))
-        fc[i], fd[j] = fx[left], fx[~left]
-        open_ = open_[(b[open_] - a[open_]) > tol[open_]]
-    return (a + b) / 2
-
-
 def eigenvalues_in(graph: MetricGraph, lambda_max: float,
-                   opts: Optional[SolverOptions] = None,
-                   scan_trace: Optional[list] = None,
                    k_margin: float = 0.0) -> Spectrum:
     """Locate all eigenvalues with 0 < lambda <= lambda_max (plus those up to
     (sqrt(lambda_max)+k_margin)^2 when a margin is requested), prepending
-    lambda = 0 with multiplicity beta0."""
+    lambda = 0 with multiplicity beta0.
+
+    N(k), the number of eigenvalues kappa^2 with 0 < kappa <= k, is the
+    eigenphase count of `kernels.eigenphase_count` shifted to N(k0) = 0 at
+    k0 = pi/(2 L_tot).  No eigenvalue lies in (0, k0]: a component of total
+    length L has lambda_1 >= pi^2/L^2 (Nicaise) >= pi^2/L_tot^2.  The brackets
+    [lo, hi] with N(hi) > N(lo) are split in lockstep, one stacked count per
+    step, until each is at most REFINE_TOL*max(1, hi) wide; touching ones
+    merge into one hit whose multiplicity is the jump of N across it.  A
+    count off an integer by more than COUNT_TOL is a warning.
+    """
     if lambda_max <= 0:
         raise ValueError("lambda_max must be positive")
     _check_spectral_input(graph)
-    if opts is None:
-        opts = SolverOptions()
     eo, et, ln, _ = _edge_arrays(graph)
     nv = len(graph.vertices)
-    l_total = float(np.sum(ln))
-    h = opts.scan_factor * math.pi / (2.0 * l_total)
+    k0 = math.pi / (2.0 * float(np.sum(ln)))
     kmax = math.sqrt(lambda_max) + k_margin
-    ks = np.arange(h, kmax + h, h)
-    sigmas = np.asarray(kernels.scan_sigma_min(eo, et, ln, nv, ks))
-    if scan_trace is not None:
-        scan_trace.extend(zip(ks.tolist(), sigmas.tolist()))
+    off_integer: list[tuple[float, float]] = []
 
-    # local minima (interior, plus the right boundary)
-    cand = [i for i in range(1, len(ks) - 1)
-            if sigmas[i] <= sigmas[i - 1] and sigmas[i] <= sigmas[i + 1]]
-    if len(ks) >= 2 and sigmas[-1] < sigmas[-2]:
-        cand.append(len(ks) - 1)
+    def count(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        raw, phase = kernels.eigenphase_count(eo, et, ln, nv, ks)
+        n = raw + shift
+        off = np.abs(n - np.round(n)) > COUNT_TOL
+        off_integer.extend(zip(ks[off].tolist(), n[off].tolist()))
+        return np.round(n).astype(np.int64), phase
 
-    warnings: list[str] = []
-    hits: list[EigenvalueHit] = []
-    idx = np.array(cand, dtype=int)
-    lo = ks[np.maximum(idx - 1, 0)]
-    hi = ks[np.minimum(idx + 1, len(ks) - 1)]
-    tols = opts.refine_tol * np.maximum(1.0, ks[idx])
-    kstars = _golden_min(lambda x: kernels.scan_sigma_min(eo, et, ln, nv, x),
-                         lo, hi, tols)
-    for kstar, tol in zip(kstars.tolist(), tols.tolist()):
-        sys_ = assemble_secular(graph, kstar)
-        s = np.linalg.svd(sys_.matrix, compute_uv=False)
-        thresh = opts.nullity_tol * s[0]
-        if s[-1] >= thresh:
-            continue
-        mult = int(np.sum(s < thresh))
-        if hits and abs(kstar - hits[-1].k) <= 1e-8 * max(1.0, kstar):
-            continue  # same minimum found from two grid points
-        if hits and abs(kstar - hits[-1].k) < opts.cluster_factor * tol:
-            warnings.append(
-                f"eigenvalue cluster near k={kstar:.12g}: possible missed splitting")
-        hits.append(EigenvalueHit(
-            lam=kstar ** 2, multiplicity=mult, k=kstar, sigma_min=float(s[-1]),
-            diagnostics={"matrix_norm": float(s[0]), "threshold": float(thresh)}))
+    shift = -kernels.eigenphase_count(eo, et, ln, nv, [k0])[0][0]
+    # one column per open bracket; row 0 its lower end, row 1 its upper end
+    k = np.array([[k0], [max(kmax, k0)]])
+    n, p = (x.reshape(2, 1) for x in count(k.ravel()))
+    forced = np.zeros(1, dtype=bool)
+    done: list[tuple[float, float, int]] = []
+    while True:
+        tol = REFINE_TOL * np.maximum(1.0, k[1])
+        jump = n[1] - n[0]
+        fin = (jump != 0) & (k[1] - k[0] <= tol)
+        done.extend(zip(k[0, fin].tolist(), k[1, fin].tolist(), jump[fin].tolist()))
+        go = (jump != 0) & ~fin
+        if not go.any():
+            break
+        k, n, p, forced, tol = k[:, go], n[:, go], p[:, go], forced[go], tol[go]
+        # The secant root of the eigenphase nearest 0, when it crosses 0 in
+        # the bracket, is evaluated with a point tol away, so a bracket whose
+        # root it hits closes now; otherwise, and after a secant step that
+        # did not halve the bracket, the midpoint.
+        lo, hi = k
+        sec = ~forced & (p[0] < 0) & (p[1] > 0)
+        root = lo - p[0] * (hi - lo) / np.where(sec, p[1] - p[0], 1.0)
+        x = np.where(sec, np.clip(root, lo + tol / 2, hi - tol / 2), (lo + hi) / 2)
+        a, b = np.where(sec, x - tol / 2, x), np.where(sec, x + tol / 2, x)
+        n_x, p_x = count(np.concatenate([a, b[sec]]))
+        at_b = np.arange(lo.size)
+        at_b[sec] = lo.size + np.arange(np.count_nonzero(sec))
+        ends = (np.stack([lo, a, b, hi]),
+                np.stack([n[0], n_x[:lo.size], n_x[at_b], n[1]]),
+                np.stack([p[0], p_x[:lo.size], p_x[at_b], p[1]]))
+        # children [lo, a], [a, b], [b, hi]; [a, b] is empty after a midpoint
+        k, n, p = (np.stack([e[:-1].ravel(), e[1:].ravel()]) for e in ends)
+        forced = np.tile(sec, 3) & (k[1] - k[0] > np.tile(hi - lo, 3) / 2)
 
-    b0 = betti_graph(graph).beta0
-    out = [EigenvalueHit(lam=0.0, multiplicity=b0, k=0.0, sigma_min=0.0,
-                         diagnostics={"source": "constant eigenfunctions"})]
-    out.extend(hits)
+    merged: list[list] = []
+    for a, b, jump in sorted(done):
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = b
+            merged[-1][2] += jump
+        else:
+            merged.append([a, b, jump])
+    ks = np.array([(a + b) / 2 for a, b, _ in merged])
+    sigmas = kernels.scan_sigma_min(eo, et, ln, nv, ks)
+    warnings = []
+    if off_integer:
+        k_off, n_off = off_integer[0]
+        warnings.append(f"eigenphase count is not an integer at {len(off_integer)} "
+                        f"points, e.g. N({k_off:.12g}) = {n_off!r}: eigenvalues may be missed")
+    out = [EigenvalueHit(lam=0.0, multiplicity=betti_graph(graph).beta0, k=0.0,
+                         sigma_min=0.0)]
+    out.extend(EigenvalueHit(lam=k ** 2, multiplicity=m, k=k, sigma_min=sg)
+               for k, (_, _, m), sg in zip(ks.tolist(), merged, sigmas.tolist()))
     return Spectrum(tuple(out), tuple(warnings))
+
+
+# Nothing calls this name; the benchmark tracer (perfbench/spans.py) wraps it
+# as its "spectral.refine" span.  Drop it together with that target.
+_golden_min = kernels.eigenphase_count
 
 
 def eigenspace(graph: MetricGraph, lam: float,

@@ -19,8 +19,7 @@ from . import kernels
 from .graphs import MetricGraph, betti_graph, core_decomposition
 from .lengths import candidate_steps
 from .resonance import ResonanceReport, resonance_dimension
-from .spectral import (SolverOptions, Spectrum, _check_spectral_input,
-                       _edge_arrays, eigenvalues_in)
+from .spectral import Spectrum, _check_spectral_input, _edge_arrays, eigenvalues_in
 
 
 class NearSpectrumError(RuntimeError):
@@ -157,18 +156,19 @@ def residue(graph: MetricGraph, selection: VertexSelection, lam: float,
     w = np.exp(1j * (2 * math.pi * np.arange(n) / n))
     first = sample(lam + r * w)
     ref_norm = float(np.linalg.norm(first[0], 2))     # theta = 0: mu = lam + r
+    abs_floor = opts.abs_floor_factor * ref_norm
     acc = np.tensordot(w, first, axes=1)
     est = acc * (r / n)
+    # An invisible eigenvalue's residue is 0, which no relative test accepts;
+    # the rank threshold is at least abs_floor, so smaller changes are noise.
     while n < opts.max_nodes:
         w = np.exp(1j * (2 * math.pi * np.arange(1, 2 * n, 2) / (2 * n)))
         acc = acc + np.tensordot(w, sample(lam + r * w), axes=1)
         n *= 2
         prev, est = est, acc * (r / n)
-        scale = max(np.linalg.norm(est), 1e-300)
-        if np.linalg.norm(est - prev) <= opts.quad_rel_tol * scale:
+        if np.linalg.norm(est - prev) <= max(opts.quad_rel_tol * np.linalg.norm(est),
+                                             abs_floor):
             break
-
-    abs_floor = opts.abs_floor_factor * ref_norm
 
     def rank_of(mat: np.ndarray) -> tuple[int, np.ndarray]:
         sv = np.linalg.svd(mat, compute_uv=False)
@@ -241,13 +241,12 @@ def _classify(dim_ker: int, rank: int) -> str:
 
 def visibility_report(graph: MetricGraph, selection: VertexSelection,
                       lambda_max: float,
-                      solver_opts: Optional[SolverOptions] = None,
                       residue_opts: Optional[ResidueOptions] = None,
                       step_match_tol: float = 1e-6) -> VisibilityReport:
     """Classify every eigenvalue <= lambda_max by its visibility for M_B."""
     l_total = graph.total_length()
     margin = math.pi / l_total
-    spec = eigenvalues_in(graph, lambda_max, solver_opts, k_margin=margin)
+    spec = eigenvalues_in(graph, lambda_max, k_margin=margin)
     warnings = list(spec.warnings) + list(selection.warnings)
 
     hits = list(spec.eigenvalues)

@@ -1,13 +1,15 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qglab import (Edge, ExactLength, MetricGraph, SolverOptions,
-                   assemble_secular, betti_graph, eigenspace, eigenvalues_in)
+from qglab import (Edge, ExactLength, MetricGraph, assemble_secular, betti_graph,
+                   eigenspace, eigenvalues_in, kernels)
 
-from conftest import mk
+from conftest import mk, unit_grid
+from randgraphs import random_graph
 
 
 def nullity(graph, k, tol=1e-8):
@@ -104,21 +106,75 @@ def test_scan_deterministic(interval_pi):
     assert a == b
 
 
-def test_scan_trace_emitted(interval_pi):
-    trace = []
-    eigenvalues_in(interval_pi, 10, scan_trace=trace)
-    assert trace
-    ks = [k for k, _ in trace]
-    assert ks == sorted(ks)
-    assert all(s >= 0 for _, s in trace)
+def _spectral_graphs(seed, count):
+    """`count` random multigraphs without the isolated vertices that the
+    spectral operations reject."""
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        g = random_graph(rng)
+        if all(g.degree(v) for v in g.vertices):
+            graphs.append(g)
+    return graphs
 
 
-def test_reported_lambda_matches_nullity(loop_pendant):
-    spec = eigenvalues_in(loop_pendant, 45)
-    for h in spec.eigenvalues:
-        if h.lam == 0:
-            continue
-        assert nullity(loop_pendant, h.k) == h.multiplicity
+def test_reported_lambda_matches_nullity(loop_pendant, dumbbell):
+    graphs = [(loop_pendant, 45), (dumbbell, 200)]
+    graphs += [(g, 60) for seed in (3, 7) for g in _spectral_graphs(seed, 50)]
+    for g, lambda_max in graphs:
+        spec = eigenvalues_in(g, lambda_max)
+        assert not spec.warnings
+        for h in spec.eigenvalues[1:]:
+            assert nullity(g, h.k) == h.multiplicity, (g, h)
+
+
+def test_dumbbell_finds_close_eigenvalues(dumbbell):
+    # 6.28761 lies 0.0044 from the eigenvalue at 2 pi
+    spec = eigenvalues_in(dumbbell, 200)
+    assert sum(h.multiplicity for h in spec.eigenvalues[1:]) == 77
+    for k in (6.28761, 8.44234, 9.20392):
+        assert any(abs(h.k - k) < 1e-4 for h in spec.eigenvalues), k
+
+
+def test_no_hit_above_lambda_max():
+    # strip of 8 triangles, edge j of unit j mod 4 of {1, sqrt2, sqrt3, sqrt5};
+    # the next eigenvalue, 25.0064, lies just above the cut
+    units = {"one": 1.0, "sqrt2": math.sqrt(2), "sqrt3": math.sqrt(3),
+             "sqrt5": math.sqrt(5)}
+    pairs = [(i, i + 1) for i in range(9)] + [(i, i + 2) for i in range(8)]
+    strip = mk([f"c{i}" for i in range(10)],
+               [(f"t{a}_{b}", f"c{a}", f"c{b}", 1, list(units)[j % 4])
+                for j, (a, b) in enumerate(pairs)], units)
+    spec = eigenvalues_in(strip, 25)
+    assert spec.eigenvalues[-1].lam > 20
+    assert all(h.lam <= 25 for h in spec.eigenvalues)
+
+
+def test_short_loop_has_only_zero_below_cutoff():
+    # the first positive eigenvalue of a loop of length 1/6 is (12 pi)^2
+    loop = mk(["w"], [("e", "w", "w", Fraction(1, 6), "one")], {"one": 1.0})
+    spec = eigenvalues_in(loop, 60)
+    assert [(h.lam, h.multiplicity) for h in spec.eigenvalues] == [(0.0, 1)]
+
+
+def test_grid_multiplicity_at_half_pi():
+    spec = eigenvalues_in(unit_grid(4), 15)
+    hit = min(spec.eigenvalues, key=lambda h: abs(h.k - math.pi / 2))
+    assert hit.k == pytest.approx(math.pi / 2, abs=1e-10)
+    assert hit.multiplicity == 4
+
+
+def test_count_off_integer_warns(interval_pi, monkeypatch):
+    # a count that leaves the integers must show, not be rounded away
+    exact = kernels.eigenphase_count
+
+    def drifting(*args):
+        count, phase = exact(*args)
+        return count + 0.25 * (np.asarray(args[4]) > 2.0), phase
+
+    monkeypatch.setattr(kernels, "eigenphase_count", drifting)
+    spec = eigenvalues_in(interval_pi, 10)
+    assert any("not an integer" in w for w in spec.warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +223,3 @@ def test_triangle_resonance_eigenfunction(unit_triangle):
                    for f in funcs])
     rank = np.linalg.matrix_rank(vv, tol=1e-8)
     assert len(funcs) - rank == 1
-
-
-# ---------------------------------------------------------------------------
-# options
-
-
-def test_coarse_scan_can_be_configured(interval_pi):
-    opts = SolverOptions(scan_factor=0.05)
-    spec = eigenvalues_in(interval_pi, 10, opts)
-    assert len(spec.eigenvalues) == 4

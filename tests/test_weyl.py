@@ -150,7 +150,7 @@ def test_residue_contour_node_on_eigenvalue_rejected(interval_pi):
 
 @pytest.mark.parametrize("lam, gap, nodes", [
     (0.6096491875282599, 0.6096491875282599, 128),        # visible
-    (4 * math.pi ** 2, 4 * math.pi ** 2 - 36.8180306641, 1024),   # invisible
+    (4 * math.pi ** 2, 4 * math.pi ** 2 - 36.8180306641, 128),    # invisible
 ])
 def test_residue_reuses_contour_nodes(loop_pendant, lam, gap, nodes):
     # the doubled contour reuses the nodes already sampled; the result must be
