@@ -22,8 +22,7 @@ from .graphfile import GraphFileError, parse_graph
 from .lengths import Step, candidate_steps, resonance_floor
 from .resonance import resonance_dimension
 from .spectral import eigenvalues_in
-from .weyl import (NearSpectrumError, ResidueError, ResidueOptions, ntd_matrix,
-                   select_vertices, visibility_report)
+from .weyl import NearSpectrumError, ntd_matrix, select_vertices, visibility_report
 
 OK, ERROR, WARNINGS = 0, 1, 2
 
@@ -117,24 +116,17 @@ def cmd_visibility(args) -> int:
         sel = select_vertices(graph, "auto")
     else:
         sel = select_vertices(graph, "explicit", args.vertices.split(","))
-    try:
-        rep = visibility_report(graph, sel, args.lambda_max,
-                                residue_opts=ResidueOptions(rank_tol=args.rank_tol))
-    except (ResidueError, NearSpectrumError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ERROR
+    rep = visibility_report(graph, sel, args.lambda_max, rank_tol=args.rank_tol)
     rows = []
     for r in rep.rows:
         row = {"lambda": f"{r.lam:.12g}", "dim_ker": r.dim_ker,
                "rank_residue": r.rank_residue, "dim_R": r.dim_resonance,
                "step": r.step or "-", "identity": "ok" if r.identity_ok else "VIOLATED",
                "class": r.classification}
-        if args.format == "json" and r.residue is not None:
+        if args.format == "json":
             row["residue_diagnostics"] = {
-                "radius": r.residue.radius, "nodes": r.residue.nodes,
                 "singular_values": [float(s) for s in r.residue.singular_values],
-                "reference_norm": r.residue.reference_norm,
-                **r.residue.diagnostics}
+                "separation": r.residue.separation}
         rows.append(row)
     meta = {"command": "visibility", "graph": args.graph,
             "lambda_max": args.lambda_max, "vertices": list(sel.vertices),

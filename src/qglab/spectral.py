@@ -20,6 +20,7 @@ from .graphs import MetricGraph, betti_graph
 
 REFINE_TOL = 1e-12     # a bracket is done at width <= REFINE_TOL * max(1, k)
 COUNT_TOL = 1e-6       # largest distance of an eigenphase count from an integer
+SEPARATION_TOL = 1e-6  # largest sigma_{n-m+1}/sigma_{n-m} of an m-fold eigenvalue
 
 
 @dataclass(frozen=True)
@@ -85,10 +86,8 @@ def assemble_secular(graph: MetricGraph, k: float) -> SecularSystem:
     return SecularSystem(k, a)
 
 
-def eigenvalues_in(graph: MetricGraph, lambda_max: float,
-                   k_margin: float = 0.0) -> Spectrum:
-    """Locate all eigenvalues with 0 < lambda <= lambda_max (plus those up to
-    (sqrt(lambda_max)+k_margin)^2 when a margin is requested), prepending
+def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
+    """Locate all eigenvalues with 0 < lambda <= lambda_max, prepending
     lambda = 0 with multiplicity beta0.
 
     N(k), the number of eigenvalues kappa^2 with 0 < kappa <= k, is the
@@ -106,7 +105,7 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float,
     eo, et, ln, _ = _edge_arrays(graph)
     nv = len(graph.vertices)
     k0 = math.pi / (2.0 * float(np.sum(ln)))
-    kmax = math.sqrt(lambda_max) + k_margin
+    kmax = math.sqrt(lambda_max)
     off_integer: list[tuple[float, float]] = []
 
     def count(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,35 +175,42 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float,
 _golden_min = kernels.eigenphase_count
 
 
-def eigenspace(graph: MetricGraph, lam: float,
-               tol: float = 1e-8) -> tuple[list[EdgeFunction], list[str]]:
-    """Orthonormal nullspace basis of the secular system at sqrt(lam),
-    mapped to per-edge trigonometric coefficient functions."""
-    _check_spectral_input(graph)
-    flags: list[str] = []
+def _null_vectors(graph: MetricGraph, lam: float,
+                  multiplicity: int) -> tuple[SecularSystem, np.ndarray, float]:
+    """The secular system at sqrt(lam), its `multiplicity` right singular
+    vectors of smallest singular value as columns, and their separation
+    sigma_{n-m+1}/sigma_{n-m} from the other singular values."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    k = math.sqrt(lam)
-    sys_ = assemble_secular(graph, k)
-    u, s, vt = np.linalg.svd(sys_.matrix)
-    thresh = tol * max(s[0], 1e-300)
-    null_ix = [i for i in range(len(s)) if s[i] < thresh]
-    straddle = [i for i in range(len(s))
-                if thresh <= s[i] < 10 * thresh or thresh / 10 < s[i] < thresh]
-    if straddle:
-        flags.append("tolerance ambiguity: singular values straddle the "
-                     "nullity threshold within a factor 10")
+    sys_ = assemble_secular(graph, math.sqrt(lam))
+    n = sys_.matrix.shape[0]
+    if not 0 < multiplicity < n:
+        raise ValueError(f"multiplicity must lie in 1..{n - 1}")
+    _, s, vt = np.linalg.svd(sys_.matrix)
+    last = s[n - multiplicity - 1]
+    separation = float(s[n - multiplicity] / last) if last > 0 else math.inf
+    return sys_, vt[n - multiplicity:].T, separation
+
+
+def eigenspace(graph: MetricGraph, lam: float,
+               multiplicity: int) -> tuple[list[EdgeFunction], list[str]]:
+    """Orthonormal basis of the `multiplicity`-dimensional nullspace of the
+    secular system at sqrt(lam), mapped to per-edge trigonometric coefficient
+    functions.  A separation above SEPARATION_TOL is flagged: then lam is not
+    an eigenvalue of that multiplicity."""
+    sys_, w, separation = _null_vectors(graph, lam, multiplicity)
+    flags: list[str] = []
+    if not separation <= SEPARATION_TOL:
+        flags.append(f"nullspace not separated: sigma ratio {separation:.3g} "
+                     f"> {SEPARATION_TOL:g}")
     ne = len(graph.edges)
     funcs = []
-    for i in null_ix:
-        vec = vt[i]
+    for i, vec in enumerate(w.T):
         coeffs = {e.id: (float(vec[2 * j]), float(vec[2 * j + 1]))
                   for j, e in enumerate(graph.edges)}
         vvals = {v: float(vec[2 * ne + j]) for j, v in enumerate(graph.vertices)}
-        f = EdgeFunction(k=k, coeffs=coeffs, vertex_values=vvals)
+        funcs.append(EdgeFunction(k=sys_.k, coeffs=coeffs, vertex_values=vvals))
         resid = float(np.max(np.abs(sys_.matrix @ vec)))
         if resid > 1e-10:
             flags.append(f"residual {resid:.3g} above 1e-10 for nullvector {i}")
-        funcs.append(f)
     return funcs, flags
-

@@ -9,8 +9,7 @@ eigenspace is visible from the vertex data.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,15 +18,15 @@ from . import kernels
 from .graphs import MetricGraph, betti_graph, core_decomposition
 from .lengths import candidate_steps
 from .resonance import ResonanceReport, resonance_dimension
-from .spectral import Spectrum, _check_spectral_input, _edge_arrays, eigenvalues_in
+from .spectral import (SEPARATION_TOL, Spectrum, _check_spectral_input, _edge_arrays,
+                       _null_vectors, eigenvalues_in)
+
+STEP_MATCH_TOL = 1e-6    # relative distance of an eigenvalue from its candidate step
+RESIDUE_FLOOR = 1e-12    # residue rank floor, relative to ||G^-1||_2
 
 
 class NearSpectrumError(RuntimeError):
     """mu is too close to the spectrum for a reliable solve."""
-
-
-class ResidueError(RuntimeError):
-    """Residue estimation failed (tiny gap or method disagreement)."""
 
 
 @dataclass(frozen=True)
@@ -111,93 +110,57 @@ def ntd_matrix(graph: MetricGraph, selection: VertexSelection,
                     out.reshape(shape + out.shape[1:]))
 
 
-@dataclass
+# The benchmark tracer (perfbench/spans.py) still reads the deleted contour's
+# ResidueOptions().max_nodes and ResidueEstimate.nodes; these class attributes
+# keep its contour figures at 0.  Drop them together with that hook.
 class ResidueOptions:
-    r_max: float = 0.5
-    nodes: int = 64               # initial contour nodes, doubled to converge
-    max_nodes: int = 1024
-    quad_rel_tol: float = 1e-10
-    rank_tol: float = 1e-8
-    abs_floor_factor: float = 1e-12
-    limit_angles: int = 24
+    max_nodes = 1
 
 
 @dataclass(frozen=True)
 class ResidueEstimate:
     lam: float
-    matrix: np.ndarray            # contour-method residue (authoritative)
+    matrix: np.ndarray            # Res_lam M_B, real symmetric
     rank: int
     singular_values: np.ndarray
-    radius: float
-    nodes: int
-    limit_matrix: np.ndarray
-    limit_rank: int
-    reference_norm: float         # ||M_B(lam + r)||
-    diagnostics: dict = field(default_factory=dict)
+    separation: float             # of the eigenspace, see spectral._null_vectors
+    nodes = 0                     # not a field: see ResidueOptions
 
 
 def residue(graph: MetricGraph, selection: VertexSelection, lam: float,
-            gap: float, opts: Optional[ResidueOptions] = None) -> ResidueEstimate:
-    """Residue of M_B at lam by contour quadrature, cross-checked against a
-    radius-shrink limit fit; ranks must agree."""
-    if opts is None:
-        opts = ResidueOptions()
-    r = min(gap / 2.0, opts.r_max)
-    if r <= 0 or not math.isfinite(r):
-        raise ResidueError(f"spectral gap {gap!r} too small for a contour")
+            multiplicity: int, rank_tol: float = 1e-8) -> ResidueEstimate:
+    """Residue of M_B at the eigenvalue lam of the given multiplicity, in
+    closed form from its eigenspace.
 
-    def sample(mu: np.ndarray) -> np.ndarray:
-        return ntd_matrix(graph, selection, mu).matrix
-
-    # contour: trapezoidal rule on |mu - lam| = r, exponentially convergent.
-    # Doubling the node count keeps every old node, so each level samples
-    # only the new odd ones (Trefethen & Weideman, SIAM Rev. 56, 2014).
-    n = opts.nodes
-    w = np.exp(1j * (2 * math.pi * np.arange(n) / n))
-    first = sample(lam + r * w)
-    ref_norm = float(np.linalg.norm(first[0], 2))     # theta = 0: mu = lam + r
-    abs_floor = opts.abs_floor_factor * ref_norm
-    acc = np.tensordot(w, first, axes=1)
-    est = acc * (r / n)
-    # An invisible eigenvalue's residue is 0, which no relative test accepts;
-    # the rank threshold is at least abs_floor, so smaller changes are noise.
-    while n < opts.max_nodes:
-        w = np.exp(1j * (2 * math.pi * np.arange(1, 2 * n, 2) / (2 * n)))
-        acc = acc + np.tensordot(w, sample(lam + r * w), axes=1)
-        n *= 2
-        prev, est = est, acc * (r / n)
-        if np.linalg.norm(est - prev) <= max(opts.quad_rel_tol * np.linalg.norm(est),
-                                             abs_floor):
-            break
-
-    def rank_of(mat: np.ndarray) -> tuple[int, np.ndarray]:
-        sv = np.linalg.svd(mat, compute_uv=False)
-        thresh = max(opts.rank_tol * (sv[0] if len(sv) else 0.0), abs_floor)
-        return int(np.sum(sv > thresh)), sv
-
-    # limit method: angle-averaged (mu-lam)*M at shrinking radii, fitted in
-    # the radius and extrapolated to zero.  The angle average cancels all
-    # Taylor terms except powers divisible by the angle count, so the radii
-    # stay well inside the contour.
-    radii = np.array([r / 2, r / 4, r / 8])
-    angles = 2 * math.pi * (np.arange(opts.limit_angles) + 0.5) / opts.limit_angles
-    mus = lam + np.multiply.outer(radii, np.exp(1j * angles))
-    averages = np.einsum("ij,ijkl->ikl", mus - lam, sample(mus)) / opts.limit_angles
-    vand = np.vander(radii, 3, increasing=True)  # [1, rho, rho^2]
-    coef, *_ = np.linalg.lstsq(vand, averages.reshape(3, -1), rcond=None)
-    limit_est = coef[0].reshape(est.shape)
-
-    rank_c, sv_c = rank_of(est)
-    rank_l, _ = rank_of(limit_est)
-    if rank_c != rank_l:
-        raise ResidueError(
-            f"residue rank disagreement at lambda={lam!r}: "
-            f"contour {rank_c} vs limit {rank_l}")
-    return ResidueEstimate(
-        lam=lam, matrix=est, rank=rank_c, singular_values=sv_c, radius=r,
-        nodes=n, limit_matrix=limit_est, limit_rank=rank_l,
-        reference_norm=ref_norm,
-        diagnostics={"abs_floor": abs_floor, "rank_tol": opts.rank_tol})
+    With W the m secular null vectors, C_B their vertex values on B and G
+    their L2 Gram matrix, the eigenfunctions W G^{-1/2} are orthonormal, so
+    the spectral expansion M_B(mu) = -sum_n phi_n(B) phi_n(B)^T / (mu - lam_n)
+    gives Res_lam M_B = -C_B G^{-1} C_B^T.  Its rank counts the singular
+    values above max(rank_tol * sigma_1, RESIDUE_FLOOR * ||G^-1||_2): the
+    floor is the size the residue would have with vertex values as large as
+    the null vectors' entries.
+    """
+    sys_, w, separation = _null_vectors(graph, lam, multiplicity)
+    k = sys_.k
+    _, _, ln, vix = _edge_arrays(graph)
+    ne = len(graph.edges)
+    # integrals over [0, L] of cos^2, sin*cos, sin^2; of 1, x, x^2 at k = 0
+    if k == 0.0:
+        icc, ics, iss = ln, ln ** 2 / 2, ln ** 3 / 3
+    else:
+        half = np.sin(2 * k * ln) / (4 * k)
+        icc, ics, iss = ln / 2 + half, np.sin(k * ln) ** 2 / (2 * k), ln / 2 - half
+    wa, wb = w[0:2 * ne:2], w[1:2 * ne:2]
+    cross = wa.T @ (ics[:, None] * wb)
+    gram = wa.T @ (icc[:, None] * wa) + wb.T @ (iss[:, None] * wb) + cross + cross.T
+    ginv = np.linalg.inv(gram)
+    c = w[[2 * ne + vix[v] for v in selection.vertices]]
+    mat = -c @ ginv @ c.T
+    sv = np.linalg.svd(mat, compute_uv=False)
+    thresh = max(rank_tol * (sv[0] if len(sv) else 0.0),
+                 RESIDUE_FLOOR * np.linalg.norm(ginv, 2))
+    return ResidueEstimate(lam=lam, matrix=mat, rank=int(np.sum(sv > thresh)),
+                           singular_values=sv, separation=separation)
 
 
 # ---------------------------------------------------------------------------
@@ -240,30 +203,14 @@ def _classify(dim_ker: int, rank: int) -> str:
 
 
 def visibility_report(graph: MetricGraph, selection: VertexSelection,
-                      lambda_max: float,
-                      residue_opts: Optional[ResidueOptions] = None,
-                      step_match_tol: float = 1e-6) -> VisibilityReport:
+                      lambda_max: float, rank_tol: float = 1e-8) -> VisibilityReport:
     """Classify every eigenvalue <= lambda_max by its visibility for M_B."""
-    l_total = graph.total_length()
-    margin = math.pi / l_total
-    spec = eigenvalues_in(graph, lambda_max, k_margin=margin)
+    spec = eigenvalues_in(graph, lambda_max)
     warnings = list(spec.warnings) + list(selection.warnings)
-
-    hits = list(spec.eigenvalues)
-    lams = [h.lam for h in hits]
-    cands = candidate_steps(graph, (math.sqrt(lambda_max) + margin) ** 2 * 1.01)
+    cands = candidate_steps(graph, lambda_max + STEP_MATCH_TOL * max(1.0, lambda_max))
 
     rows = []
-    for i, hit in enumerate(hits):
-        if hit.lam > lambda_max * (1 + 1e-12):
-            continue
-        gaps = []
-        if i > 0:
-            gaps.append(hit.lam - lams[i - 1])
-        if i + 1 < len(lams):
-            gaps.append(lams[i + 1] - hit.lam)
-        gap = min(gaps) if gaps else math.inf
-
+    for hit in spec.eigenvalues:
         notes: list[str] = []
         if hit.lam == 0.0:
             dim_res = 0
@@ -271,7 +218,7 @@ def visibility_report(graph: MetricGraph, selection: VertexSelection,
             res_rep = None
         else:
             match = next((c for c in cands
-                          if abs(hit.lam - c.lam) <= step_match_tol * max(1.0, hit.lam)),
+                          if abs(hit.lam - c.lam) <= STEP_MATCH_TOL * max(1.0, hit.lam)),
                          None)
             if match is None:
                 dim_res = 0
@@ -283,8 +230,11 @@ def visibility_report(graph: MetricGraph, selection: VertexSelection,
                 dim_res = res_rep.dim
                 step_str = str(match.step)
 
-        res = residue(graph, selection, hit.lam, gap,
-                      residue_opts)
+        res = residue(graph, selection, hit.lam, hit.multiplicity, rank_tol=rank_tol)
+        if not res.separation <= SEPARATION_TOL:
+            warnings.append(
+                f"eigenspace at lambda={hit.lam:.12g} not separated: sigma ratio "
+                f"{res.separation:.3g} > {SEPARATION_TOL:g}, residue rank unreliable")
         identity_ok = hit.multiplicity == res.rank + dim_res
         if not identity_ok:
             warnings.append(

@@ -73,14 +73,14 @@ def test_criterion_2_loop_pendant_end_to_end(loop_pendant):
         assert rep.dim == 1
 
         below = max(h.lam for h in spec.eigenvalues if h.lam < lam - 1e-6)
-        gap = lam - below
+        r = min((lam - below) / 2, 0.5)
         for sel in (select_vertices(loop_pendant, "explicit", ["v"]),
                     select_vertices(loop_pendant, "explicit", ["v", "w"]),
                     select_vertices(loop_pendant)):
-            est = residue(loop_pendant, sel, lam, gap)
-            assert est.rank == 0 and est.limit_rank == 0
-            assert np.linalg.norm(est.matrix) <= 1e-8 * est.reference_norm
-            assert np.linalg.norm(est.limit_matrix) <= 1e-8 * est.reference_norm
+            est = residue(loop_pendant, sel, lam, hit.multiplicity)
+            assert est.rank == 0
+            reference = np.linalg.norm(ntd_matrix(loop_pendant, sel, lam + r).matrix, 2)
+            assert np.linalg.norm(est.matrix) <= 1e-8 * reference
 
         vis = visibility_report(loop_pendant, select_vertices(loop_pendant), 45)
         row = min(vis.rows, key=lambda r: abs(r.lam - lam))

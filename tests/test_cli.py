@@ -111,7 +111,7 @@ def test_visibility_json_has_diagnostics(paths, capsys, tmp_path):
     assert row["class"] == "invisible"
     assert row["identity"] == "ok"
     assert "residue_diagnostics" in row
-    assert row["residue_diagnostics"]["nodes"] >= 64
+    assert row["residue_diagnostics"]["separation"] <= 1e-6
 
 
 def test_visibility_dumbbell_readme_command(paths, capsys):
@@ -127,6 +127,26 @@ def test_visibility_explicit_subset_warns(paths, capsys):
                                 "--lambda-max", "2", "--vertices", "x"])
     assert code == WARNINGS
     assert "warning:" in err
+
+
+def test_visibility_warns_on_unseparated_eigenspace(paths, capsys, monkeypatch):
+    # a hit off the spectrum has no nullspace to take the residue from: the
+    # self-check must warn and the command exit 2
+    import qglab.weyl
+    from qglab.spectral import EigenvalueHit, Spectrum
+    exact = qglab.weyl.eigenvalues_in
+
+    def with_false_hit(graph, lambda_max):
+        spec = exact(graph, lambda_max)
+        false = EigenvalueHit(lam=2.5, multiplicity=1, k=math.sqrt(2.5), sigma_min=0.0)
+        return Spectrum(tuple(sorted(spec.eigenvalues + (false,), key=lambda h: h.lam)),
+                        spec.warnings)
+
+    monkeypatch.setattr(qglab.weyl, "eigenvalues_in", with_false_hit)
+    code, out, err = run(capsys, ["visibility", paths["interval-pi"], "--lambda-max", "3"])
+    assert code == WARNINGS
+    assert "lambda=2.5 not separated" in err
+    assert len(out.splitlines()) == 4        # header, 0, 1, 2.5
 
 
 # ---------------------------------------------------------------------------

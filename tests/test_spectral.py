@@ -182,7 +182,7 @@ def test_count_off_integer_warns(interval_pi, monkeypatch):
 
 
 def test_eigenspace_at_zero(path3):
-    funcs, flags = eigenspace(path3, 0.0)
+    funcs, flags = eigenspace(path3, 0.0, 1)
     assert len(funcs) == 1
     # constant: no slope anywhere
     for a, b in funcs[0].coeffs.values():
@@ -190,7 +190,7 @@ def test_eigenspace_at_zero(path3):
 
 
 def test_eigenspace_loop_pendant_scar(loop_pendant):
-    funcs, flags = eigenspace(loop_pendant, 4 * math.pi ** 2)
+    funcs, flags = eigenspace(loop_pendant, 4 * math.pi ** 2, 1)
     assert len(funcs) == 1
     f = funcs[0]
     a1, b1 = f.coeffs["e1"]
@@ -203,19 +203,23 @@ def test_eigenspace_loop_pendant_scar(loop_pendant):
 
 
 def test_eigenspace_residuals_small(interval_pi):
-    funcs, flags = eigenspace(interval_pi, 4.0)
+    funcs, flags = eigenspace(interval_pi, 4.0, 1)
     assert len(funcs) == 1
     assert not any("residual" in fl for fl in flags)
 
 
 def test_eigenspace_empty_off_spectrum(interval_pi):
-    funcs, _ = eigenspace(interval_pi, 2.5)
-    assert funcs == []
+    # 2.5 is no eigenvalue: the vector asked for is not separated from the rest
+    funcs, flags = eigenspace(interval_pi, 2.5, 1)
+    assert len(funcs) == 1
+    assert any("not separated" in fl for fl in flags)
 
 
 def test_triangle_resonance_eigenfunction(unit_triangle):
-    # at lambda = 4 pi^2 the triangle carries one scar (six half-waves)
-    funcs, _ = eigenspace(unit_triangle, 4 * math.pi ** 2)
+    # at lambda = 4 pi^2 the triangle (a circle of length 3) has a
+    # 2-dimensional eigenspace carrying one scar (six half-waves)
+    funcs, flags = eigenspace(unit_triangle, 4 * math.pi ** 2, 2)
+    assert flags == []
     from qglab import Step, resonance_dimension_oracle
     assert resonance_dimension_oracle(unit_triangle, Step(Fraction(1, 2), "one")) == 1
     # the scar lives in the span: vertex-value matrix must be rank deficient

@@ -4,10 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from qglab import (ntd_matrix, residue, select_vertices, visibility_report)
-from qglab.weyl import NearSpectrumError, ResidueError
+from qglab import (eigenvalues_in, ntd_matrix, residue, select_vertices,
+                   visibility_report)
+from qglab.weyl import NearSpectrumError
 
-from conftest import mk
+from conftest import mk, unit_grid
 from randgraphs import random_graph
 
 
@@ -108,70 +109,98 @@ def test_ntd_matrix_over_array_matches_per_mu(dumbbell):
 # residues
 
 
+def contour_residue(graph, selection, lam, radius, nodes=64):
+    """Reference residue: the trapezoid sum of M_B over |mu - lam| = radius,
+    and the rank it has above max(1e-8 sigma_1, 1e-12 ||M_B(lam + radius)||)."""
+    w = np.exp(1j * (2 * math.pi * np.arange(nodes) / nodes))
+    samples = ntd_matrix(graph, selection, lam + radius * w).matrix
+    mat = np.tensordot(w, samples, axes=1) * (radius / nodes)
+    sv = np.linalg.svd(mat, compute_uv=False)
+    floor = 1e-12 * np.linalg.norm(samples[0], 2)      # w[0] = 1
+    return mat, int(np.sum(sv > max(1e-8 * (sv[0] if len(sv) else 0.0), floor)))
+
+
 def test_residue_zero_at_invisible_eigenvalue(loop_pendant):
     lam = 4 * math.pi ** 2
-    gap = lam - 36.8180306641
+    r = min((lam - 36.8180306641) / 2, 0.5)
     for vertices in (["v"], ["v", "w"], None):
         sel = (select_vertices(loop_pendant) if vertices is None
                else select_vertices(loop_pendant, "explicit", vertices))
-        est = residue(loop_pendant, sel, lam, gap)
+        est = residue(loop_pendant, sel, lam, 1)
         assert est.rank == 0
-        assert est.limit_rank == 0
-        assert np.linalg.norm(est.matrix) <= 1e-8 * est.reference_norm
-        assert np.linalg.norm(est.limit_matrix) <= 1e-8 * est.reference_norm
+        assert est.separation <= 1e-6
+        reference = np.linalg.norm(ntd_matrix(loop_pendant, sel, lam + r).matrix, 2)
+        assert np.linalg.norm(est.matrix) <= 1e-8 * reference
 
 
 def test_residue_rank_one_simple_eigenvalue(interval_pi):
     sel = select_vertices(interval_pi)
-    est = residue(interval_pi, sel, 1.0, gap=1.0)
+    est = residue(interval_pi, sel, 1.0, 1)
     assert est.rank == 1
     # Neumann interval of length pi: Res_1 M = -(2/pi) * outer(phi, phi)
     # with phi = (cos 0, cos pi) = (1, -1)
     want = -(2 / math.pi) * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    assert np.allclose(est.matrix.real, want, atol=1e-8)
-    assert np.linalg.norm(est.matrix.imag) < 1e-10
+    assert np.allclose(est.matrix, want, atol=1e-8)
 
 
 def test_residue_at_zero_counts_components():
     two = mk(["a", "b", "c", "d"],
              [("e1", "a", "b", 1, "u"), ("e2", "c", "d", 1, "u")], {"u": 1.0})
     sel = select_vertices(two)
-    est = residue(two, sel, 0.0, gap=math.pi ** 2)
+    est = residue(two, sel, 0.0, 2)
     assert est.rank == 2
+    # constants normalised per component: -1/L on each component's block
+    assert np.allclose(est.matrix, -np.kron(np.eye(2), np.ones((2, 2))), atol=1e-12)
 
 
 def test_residue_contour_node_on_eigenvalue_rejected(interval_pi):
-    # the contour |mu - 3.5| = 0.5 passes through the eigenvalue 4, where the
+    # the 64 nodes of |mu - 3.5| = 0.5 include the eigenvalue 4, where the
     # system has condition 1.8e16: the Frobenius bound fails there and the
     # exact check must reject the node
+    mus = 3.5 + 0.5 * np.exp(1j * (2 * math.pi * np.arange(64) / 64))
     with pytest.raises(NearSpectrumError):
-        residue(interval_pi, select_vertices(interval_pi), 3.5, gap=1.0)
+        ntd_matrix(interval_pi, select_vertices(interval_pi), mus)
 
 
-@pytest.mark.parametrize("lam, gap, nodes", [
-    (0.6096491875282599, 0.6096491875282599, 128),        # visible
-    (4 * math.pi ** 2, 4 * math.pi ** 2 - 36.8180306641, 128),    # invisible
-])
-def test_residue_reuses_contour_nodes(loop_pendant, lam, gap, nodes):
-    # the doubled contour reuses the nodes already sampled; the result must be
-    # the plain trapezoid sum over all res.nodes nodes, sampled one at a time
-    sel = select_vertices(loop_pendant)
-    res = residue(loop_pendant, sel, lam, gap)
-    assert res.nodes == nodes
-    r = res.radius
-    w = np.exp(1j * (2 * math.pi * np.arange(nodes) / nodes))
-    terms = [x * ntd_matrix(loop_pendant, sel, lam + r * x).matrix for x in w]
-    fresh = sum(terms) * (r / nodes)
-    # relative to the size of the terms: at an invisible eigenvalue the sum
-    # itself cancels to rounding level
-    scale = sum(np.linalg.norm(t) for t in terms) * (r / nodes)
-    assert np.linalg.norm(res.matrix - fresh) <= 1e-12 * scale
+def residue_rows(graph, lambda_max):
+    """(closed-form residue, contour residue, contour rank) at every
+    eigenvalue <= lambda_max; each contour's radius is at most half the
+    distance to the neighbouring eigenvalues."""
+    sel = select_vertices(graph)
+    cutoff = lambda_max + 1          # no eigenvalue in (last hit, cutoff]
+    hits = eigenvalues_in(graph, cutoff).eigenvalues
+    lams = [h.lam for h in hits] + [cutoff]
+    for i, hit in enumerate(hits):
+        if hit.lam > lambda_max:
+            break
+        gap = min(lams[i + 1] - hit.lam, hit.lam - lams[i - 1] if i else math.inf)
+        yield (residue(graph, sel, hit.lam, hit.multiplicity),
+               *contour_residue(graph, sel, hit.lam, min(gap / 2, 0.5)))
 
 
-def test_residue_requires_positive_gap(interval_pi):
-    sel = select_vertices(interval_pi)
-    with pytest.raises(ResidueError):
-        residue(interval_pi, sel, 1.0, gap=0.0)
+def test_closed_form_residue_matches_contour(dumbbell, loop_pendant, interval_pi,
+                                             unit_triangle, path3):
+    graphs = [(g, 45.0) for g in (dumbbell, loop_pendant, interval_pi,
+                                   unit_triangle, path3)]
+    for seed in (3, 7):
+        rng = random.Random(seed)
+        drawn = 0
+        while drawn < 50:
+            g = random_graph(rng)
+            if any(g.degree(v) == 0 for v in g.vertices):
+                continue
+            graphs.append((g, 30.0))
+            drawn += 1
+    rows = visible = 0
+    for g, lambda_max in graphs:
+        for est, ref, ref_rank in residue_rows(g, lambda_max):
+            assert est.rank == ref_rank, (g, est.lam)
+            assert est.separation <= 1e-6
+            if ref_rank:
+                assert np.linalg.norm(est.matrix - ref) <= 1e-8 * np.linalg.norm(ref)
+                visible += 1
+            rows += 1
+    assert rows > 1000 and visible > 500
 
 
 def test_pole_order_one(interval_pi):
@@ -223,6 +252,18 @@ def test_visibility_identity_random_small():
         rep = visibility_report(g, select_vertices(g), 30.0)
         assert rep.all_identities_hold
         done += 1
+
+
+def test_visibility_unit_grid_6x6():
+    # multiplicities up to 26: degenerate residues, full rank and partial
+    g = unit_grid(6)
+    rep = visibility_report(g, select_vertices(g), 12.0)
+    assert rep.all_identities_hold and not rep.warnings
+    assert any(r.dim_ker == 6 and r.rank_residue == 6 for r in rep.rows)
+    top = rep.rows[-1]
+    assert top.lam == pytest.approx(math.pi ** 2, rel=1e-12)
+    assert (top.dim_ker, top.rank_residue, top.dim_resonance) == (26, 1, 25)
+    assert top.classification == "partially-visible"
 
 
 def test_visibility_explicit_subset_flagged(dumbbell):
