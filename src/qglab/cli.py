@@ -1,9 +1,8 @@
 """Command-line front end.
 
 One binary, subcommands ``spectrum``, ``resonances``, ``visibility``,
-``basis`` and ``ntd``; every numerical knob is a flag with the library
-default, and JSON output records the knobs actually used so runs can be
-reproduced from the command line alone.
+``basis`` and ``ntd``.  JSON output records the command's inputs under
+``meta``.
 
 Exit codes: 0 clean, 1 usage/parse errors, 2 completed but with
 numerical-confidence warnings.
@@ -116,7 +115,7 @@ def cmd_visibility(args) -> int:
         sel = select_vertices(graph, "auto")
     else:
         sel = select_vertices(graph, "explicit", args.vertices.split(","))
-    rep = visibility_report(graph, sel, args.lambda_max, rank_tol=args.rank_tol)
+    rep = visibility_report(graph, sel, args.lambda_max)
     rows = []
     for r in rep.rows:
         row = {"lambda": f"{r.lam:.12g}", "dim_ker": r.dim_ker,
@@ -130,7 +129,7 @@ def cmd_visibility(args) -> int:
         rows.append(row)
     meta = {"command": "visibility", "graph": args.graph,
             "lambda_max": args.lambda_max, "vertices": list(sel.vertices),
-            "mode": sel.mode, "rank_tol": args.rank_tol}
+            "mode": sel.mode}
     return _finish(args, rows, meta, rep.warnings)
 
 
@@ -169,7 +168,7 @@ def cmd_ntd(args) -> int:
         sel = select_vertices(graph, "explicit", args.vertices.split(","))
     mu = complex(args.mu_re, args.mu_im)
     try:
-        sample = ntd_matrix(graph, sel, mu, cond_max=args.cond_max)
+        sample = ntd_matrix(graph, sel, mu)
     except NearSpectrumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
@@ -181,7 +180,7 @@ def cmd_ntd(args) -> int:
             row[w] = f"{z.real:.12g}{z.imag:+.12g}j"
         rows.append(row)
     meta = {"command": "ntd", "graph": args.graph, "mu": str(mu),
-            "vertices": list(sel.vertices), "cond_max": args.cond_max}
+            "vertices": list(sel.vertices)}
     return _finish(args, rows, meta, sel.warnings)
 
 
@@ -207,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-max", type=float, required=True)
     p.add_argument("--vertices", default=None,
                    help="'auto' (default) or comma-separated vertex ids")
-    p.add_argument("--rank-tol", type=float, default=1e-8)
     p.set_defaults(func=cmd_visibility)
 
     p = sub.add_parser("basis", help="resonance eigenfunction coefficients (JSON)")
@@ -221,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu-re", type=float, required=True)
     p.add_argument("--mu-im", type=float, default=0.0)
     p.add_argument("--vertices", default=None)
-    p.add_argument("--cond-max", type=float, default=1e12)
     p.set_defaults(func=cmd_ntd)
     return ap
 

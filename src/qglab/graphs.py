@@ -94,9 +94,6 @@ class MetricGraph:
             d += (e.origin == v) + (e.terminus == v)
         return d
 
-    def total_length(self) -> float:
-        return sum(e.length.value(self.units) for e in self.edges)
-
 
 def validate(graph: MetricGraph) -> list[str]:
     """Check the MetricGraph invariants; returns a list of violations."""
@@ -133,34 +130,11 @@ class BettiData:
     beta1: int
 
 
-def connected_components(vertices: Sequence[str],
-                         edges: Sequence[Edge]) -> list[tuple[tuple[str, ...], tuple[Edge, ...]]]:
-    """Components as (vertex tuple, edge tuple), deterministic by vertex order."""
-    adj: dict[str, list[str]] = {v: [] for v in vertices}
-    for e in edges:
-        adj[e.origin].append(e.terminus)
-        adj[e.terminus].append(e.origin)
-    comps: list[tuple[list[str], list[Edge]]] = []
-    label: dict[str, int] = {}
-    for v in vertices:
-        if v not in label:
-            stack, label[v] = [v], len(comps)
-            comps.append(([], []))
-            while stack:
-                for w in adj[stack.pop()]:
-                    if w not in label:
-                        label[w] = label[v]
-                        stack.append(w)
-        comps[label[v]][0].append(v)
-    for e in edges:
-        comps[label[e.origin]][1].append(e)
-    return [(tuple(cvs), tuple(ces)) for cvs, ces in comps]
-
-
 def betti(vertices: Sequence[str], edges: Sequence[Edge]) -> BettiData:
-    beta0 = len(connected_components(vertices, edges))
-    beta1 = len(edges) - len(vertices) + beta0
-    return BettiData(beta0=beta0, beta1=beta1)
+    """Trees and chords of a spanning forest."""
+    forest = cycle_system(vertices, edges)
+    return BettiData(beta0=len(vertices) - len(forest.tree_edges),
+                     beta1=len(forest.chords))
 
 
 def betti_graph(graph: MetricGraph) -> BettiData:
@@ -239,73 +213,88 @@ class CycleWalk:
 
 @dataclass(frozen=True)
 class CycleSystem:
+    """Spanning forest of a graph, with one fundamental cycle per chord.
+
+    Each tree is rooted at its first vertex in input order.  `up` maps every
+    other vertex to (parent, tree edge id, +1 if that edge runs from the
+    parent to the vertex, else -1); `depth` counts the tree edges to the root.
+    """
+
     tree_edges: tuple[str, ...]
     chords: tuple[str, ...]
     cycles: tuple[CycleWalk, ...]   # one fundamental cycle per chord
+    root: Mapping[str, str]
+    up: Mapping[str, tuple[str, str, int]]
+    depth: Mapping[str, int]
+
+    def path(self, a: str, b: str) -> tuple[tuple[str, int], ...]:
+        """Oriented steps of the unique forest path from a to b, found by
+        climbing from both ends to their common ancestor."""
+        if self.root[a] != self.root[b]:
+            raise ValueError(f"{a!r} and {b!r} lie in different trees")
+        return _climb(self.up, self.depth, a, b)
+
+
+def _climb(up, depth, a: str, b: str) -> tuple[tuple[str, int], ...]:
+    """CycleSystem.path for two vertices known to share a tree."""
+    rise: list[tuple[str, int]] = []
+    fall: list[tuple[str, int]] = []
+    while a != b:
+        if depth[a] >= depth[b]:
+            a, eid, d = up[a]
+            rise.append((eid, -d))
+        else:
+            b, eid, d = up[b]
+            fall.append((eid, d))
+    return tuple(rise + fall[::-1])
 
 
 def cycle_system(vertices: Sequence[str], edges: Sequence[Edge]) -> CycleSystem:
     """Spanning forest plus one fundamental cycle per chord.
 
     Deterministic: edges are considered in sorted id order, so the forest is
-    the lexicographically smallest one; each cycle starts at the chord.
+    the lexicographically smallest one; each cycle is its chord, taken
+    forward from the chord's origin, closed by the forest path back.
     """
-    edges_by_id = {e.id: e for e in edges}
-    parent: dict[str, str] = {v: v for v in vertices}
+    leader: dict[str, str] = {v: v for v in vertices}
 
     def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
+        while leader[v] != v:
+            leader[v] = leader[leader[v]]
+            v = leader[v]
         return v
 
     tree: list[str] = []
-    chords: list[str] = []
-    tree_adj: dict[str, list[Edge]] = {v: [] for v in vertices}
+    chords: list[Edge] = []
+    adj: dict[str, list[tuple[str, str, int]]] = {v: [] for v in vertices}
     for e in sorted(edges, key=lambda e: e.id):
         ro, rt = find(e.origin), find(e.terminus)
         if ro == rt:
-            chords.append(e.id)
+            chords.append(e)
         else:
-            parent[ro] = rt
+            leader[ro] = rt
             tree.append(e.id)
-            tree_adj[e.origin].append(e)
-            tree_adj[e.terminus].append(e)
+            adj[e.origin].append((e.terminus, e.id, 1))
+            adj[e.terminus].append((e.origin, e.id, -1))
 
-    def tree_path(a: str, b: str) -> list[tuple[str, int]]:
-        """Oriented steps from a to b along forest edges (BFS, unique path)."""
-        if a == b:
-            return []
-        prev: dict[str, tuple[str, Edge]] = {}
-        seen = {a}
-        frontier = [a]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for e in tree_adj[u]:
-                    w = e.terminus if e.origin == u else e.origin
-                    if w not in seen:
-                        seen.add(w)
-                        prev[w] = (u, e)
-                        nxt.append(w)
-            if b in seen:
-                break
-            frontier = nxt
-        steps = []
-        v = b
-        while v != a:
-            u, e = prev[v]
-            steps.append((e.id, 1 if (e.origin == u and e.terminus == v) else -1))
-            v = u
-        steps.reverse()
-        return steps
+    root: dict[str, str] = {}
+    up: dict[str, tuple[str, str, int]] = {}
+    depth: dict[str, int] = {}
+    for r in vertices:
+        if r in root:
+            continue
+        root[r], depth[r] = r, 0
+        stack = [r]
+        while stack:
+            u = stack.pop()
+            for w, eid, d in adj[u]:
+                if w not in root:
+                    root[w], up[w], depth[w] = r, (u, eid, d), depth[u] + 1
+                    stack.append(w)
 
-    cycles = []
-    for cid in sorted(chords):
-        e = edges_by_id[cid]
-        steps = [(e.id, 1)] + tree_path(e.terminus, e.origin)
-        cycles.append(CycleWalk(e.origin, tuple(steps)))
-    return CycleSystem(tuple(sorted(tree)), tuple(sorted(chords)), tuple(cycles))
+    cycles = tuple(CycleWalk(e.origin, ((e.id, 1),) + _climb(up, depth, e.terminus, e.origin))
+                   for e in chords)
+    return CycleSystem(tuple(tree), tuple(e.id for e in chords), cycles, root, up, depth)
 
 
 # ---------------------------------------------------------------------------

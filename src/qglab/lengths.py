@@ -166,11 +166,12 @@ def resonance_floor(graph: MetricGraph) -> ResonanceFloor:
         mult = [int(e.length.coeff / g) for e in edges]
         for k in sorted(set().union(*map(_divisors, mult)), reverse=True):
             sub = [e for e, m in zip(edges, mult) if m % k == 0]
-            if betti(graph.vertices, sub).beta1 > 0:
+            forest = cycle_system(graph.vertices, sub)
+            if forest.chords:
                 u = Step(k * g, unit)
                 if u.value(graph) > best_val:
                     best_val = u.value(graph)
-                    best = (u, cycle_system(graph.vertices, sub).cycles[0])
+                    best = (u, forest.cycles[0])
                 break
     if best is None:
         return ResonanceFloor(math.inf, None, None)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import CycleWalk, Edge, MetricGraph, betti, connected_components, cycle_system
+from .graphs import CycleSystem, CycleWalk, Edge, MetricGraph, cycle_system
 from .lengths import LambdaSubgraph, Step, build_lambda_subgraph
 
 
@@ -28,9 +28,18 @@ class BasisConstructionError(RuntimeError):
 class ParityComponent:
     vertices: tuple[str, ...]
     edge_ids: tuple[str, ...]
-    beta1: int
-    is_odd: bool                    # contains a cycle of odd total step count
-    odd_witness: Optional[CycleWalk]
+    cycles: tuple[CycleWalk, ...]   # fundamental cycles, by chord id
+    odd_witness: Optional[CycleWalk]  # the first odd one of them
+    system: CycleSystem             # forest of the whole step subgraph
+
+    @property
+    def beta1(self) -> int:
+        return len(self.cycles)
+
+    @property
+    def is_odd(self) -> bool:
+        """Whether the component contains a cycle of odd total step count."""
+        return self.odd_witness is not None
 
 
 @dataclass(frozen=True)
@@ -46,85 +55,35 @@ class ParityReport:
         return sum(1 for c in self.components if c.is_odd)
 
 
+def _walk_parity(walk: CycleWalk, n_of) -> int:
+    return sum(n_of[eid] for eid, _ in walk.steps) % 2
+
+
 def parity_report(sub: LambdaSubgraph) -> ParityReport:
     """Per-component cycle count and oddness of the step subgraph.
 
-    Oddness is decided by a parity labeling on n_e mod 2: a component has an
-    odd cycle iff the labeling admits no consistent vertex 2-coloring.  The
-    witness is the conflicting edge plus the BFS-tree path between its
-    endpoints (or an odd loop).
+    The fundamental cycles of a spanning forest form a basis of the cycle
+    space over GF(2), and the parity of a cycle (its total step count mod 2)
+    is linear on that space.  So a component contains an odd cycle exactly
+    when one of its fundamental cycles is odd.  Its beta1 is its chord count
+    and its witness is its first odd fundamental cycle in chord-id order.
     """
+    edges = sub.edges
+    system = cycle_system(sub.vertices, edges)
+    n_of = {e.id: n for e, n in sub.members}
+    parts = {system.root[v]: ([], [], []) for v in sub.vertices}
+    for v in sub.vertices:
+        parts[system.root[v]][0].append(v)
+    for e in edges:
+        parts[system.root[e.origin]][1].append(e.id)
+    for c in system.cycles:
+        parts[system.root[c.start]][2].append(c)
     comps = []
-    for verts, edges in connected_components(sub.vertices, sub.edges):
-        n_of = {e.id: sub.multiplicity(e.id) for e in edges}
-        b = betti(verts, edges)
-        witness = _odd_cycle_witness(verts, edges, n_of)
-        comps.append(ParityComponent(verts, tuple(e.id for e in edges),
-                                     b.beta1, witness is not None, witness))
+    for verts, eids, cycles in parts.values():
+        witness = next((c for c in cycles if _walk_parity(c, n_of)), None)
+        comps.append(ParityComponent(tuple(verts), tuple(eids), tuple(cycles),
+                                     witness, system))
     return ParityReport(tuple(comps))
-
-
-def _odd_cycle_witness(vertices, edges, n_of) -> Optional[CycleWalk]:
-    """Parity-BFS 2-coloring; returns an odd closed walk on conflict."""
-    for e in edges:
-        if e.is_loop and n_of[e.id] % 2 == 1:
-            return CycleWalk(e.origin, ((e.id, 1),))
-    color: dict[str, int] = {}
-    # BFS-tree bookkeeping for witness reconstruction
-    prev: dict[str, tuple[str, Edge]] = {}
-    adj: dict[str, list[Edge]] = {v: [] for v in vertices}
-    for e in edges:
-        if not e.is_loop:
-            adj[e.origin].append(e)
-            adj[e.terminus].append(e)
-    for start in vertices:
-        if start in color:
-            continue
-        color[start] = 0
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for e in adj[u]:
-                    w = e.terminus if e.origin == u else e.origin
-                    want = (color[u] + n_of[e.id]) % 2
-                    if w not in color:
-                        color[w] = want
-                        prev[w] = (u, e)
-                        nxt.append(w)
-                    elif color[w] != want:
-                        return _conflict_cycle(u, w, e, prev)
-            frontier = nxt
-    return None
-
-
-def _conflict_cycle(u: str, w: str, e: Edge, prev) -> CycleWalk:
-    """Tree path u->w (via common ancestor) closed by the conflict edge."""
-    anc_u = {u}
-    x = u
-    while x in prev:
-        x = prev[x][0]
-        anc_u.add(x)
-    x = w
-    while x not in anc_u:
-        x = prev[x][0]
-    meet = x
-    # walk u -e-> w, then w -> meet, then meet -> u (all along the BFS tree)
-    w_to_meet = []
-    x = w
-    while x != meet:
-        p, pe = prev[x]
-        w_to_meet.append((pe.id, 1 if pe.terminus == p else -1))
-        x = p
-    meet_to_u = []
-    x = u
-    while x != meet:
-        p, pe = prev[x]
-        meet_to_u.append((pe.id, 1 if pe.terminus == x else -1))
-        x = p
-    meet_to_u.reverse()
-    steps = [(e.id, 1 if e.origin == u else -1)] + w_to_meet + meet_to_u
-    return CycleWalk(u, tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +124,7 @@ def resonance_dimension(graph: MetricGraph, step: Step,
     dim = rep.beta1 - rep.beta0_odd
     basis = None
     if with_basis:
-        basis = tuple(_construct_basis(graph, sub, rep))
+        basis = tuple(_construct_basis(sub, rep))
         _verify_basis(graph, sub, basis, dim)
     return ResonanceReport(step, step.lambda_value(graph), rep.beta1,
                            rep.beta0_odd, dim, rep, basis)
@@ -197,43 +156,25 @@ def _spool(walk_steps, n_of) -> dict[str, int]:
     return b
 
 
-def _walk_parity(walk: CycleWalk, n_of) -> int:
-    return sum(n_of[eid] for eid in walk.edge_ids()) % 2
-
-
-def _construct_basis(graph: MetricGraph, sub: LambdaSubgraph,
-                     rep: ParityReport):
+def _construct_basis(sub: LambdaSubgraph, rep: ParityReport):
+    """One function per fundamental cycle, except the odd witness (anchor) of
+    an odd component: even cycles are spooled as they are, and each other
+    odd cycle is made even by combining it with the anchor."""
     edges_by_id = {e.id: e for e in sub.edges}
     n_of = {e.id: n for e, n in sub.members}
     out = []
     for comp in rep.components:
-        cedges = [edges_by_id[i] for i in comp.edge_ids]
-        cs = cycle_system(comp.vertices, cedges)
-        if not cs.chords:
-            continue
-        cycles = dict(zip(cs.chords, cs.cycles))
-        if not comp.is_odd:
-            for chord in cs.chords:
-                out.append(ResonanceBasisFunction(_spool(cycles[chord].steps, n_of)))
-            continue
-        odd_chords = [c for c in cs.chords if _walk_parity(cycles[c], n_of) == 1]
-        if not odd_chords:
-            raise BasisConstructionError(
-                "odd component without odd fundamental cycle")
-        anchor = odd_chords[0]          # smallest chord id among the odd ones
-        c_anchor = cycles[anchor]
-        for chord in cs.chords:
-            if chord == anchor:
+        anchor = comp.odd_witness       # smallest chord id among the odd ones
+        for cj in comp.cycles:
+            if cj is anchor:
                 continue
-            cj = cycles[chord]
             if _walk_parity(cj, n_of) == 0:
-                out.append(ResonanceBasisFunction(_spool(cj.steps, n_of)))
-            elif set(cj.edge_ids()) & set(c_anchor.edge_ids()):
-                walk = _symmetric_difference_cycle(cj, c_anchor, edges_by_id)
-                out.append(ResonanceBasisFunction(_spool(walk.steps, n_of)))
+                steps = cj.steps
+            elif set(cj.edge_ids()) & set(anchor.edge_ids()):
+                steps = _symmetric_difference_cycle(cj, anchor, edges_by_id).steps
             else:
-                steps = _joined_walk(cj, c_anchor, cs, edges_by_id, comp.vertices)
-                out.append(ResonanceBasisFunction(_spool(steps, n_of)))
+                steps = _joined_walk(cj, anchor, comp.system, edges_by_id)
+            out.append(ResonanceBasisFunction(_spool(steps, n_of)))
     return out
 
 
@@ -243,7 +184,7 @@ def _symmetric_difference_cycle(c1: CycleWalk, c2: CycleWalk,
     fundamental cycles that share at least one edge."""
     eids = set(c1.edge_ids()) ^ set(c2.edge_ids())
     adj: dict[str, list[Edge]] = {}
-    for eid in eids:
+    for eid in sorted(eids):
         e = edges_by_id[eid]
         adj.setdefault(e.origin, []).append(e)
         adj.setdefault(e.terminus, []).append(e)
@@ -270,59 +211,34 @@ def _symmetric_difference_cycle(c1: CycleWalk, c2: CycleWalk,
     return CycleWalk(start, tuple(steps))
 
 
-def _joined_walk(cj: CycleWalk, cb: CycleWalk, cs, edges_by_id,
-                 vertices) -> tuple:
-    """Closed walk: cj, connecting tree path, cb, path reversed."""
+def _joined_walk(cj: CycleWalk, cb: CycleWalk, forest: CycleSystem,
+                 edges_by_id) -> tuple:
+    """Closed walk: cj, a bridge to cb, cb, the bridge reversed.
+
+    Cycles that share a vertex need no bridge.  Otherwise the vertices of
+    each fundamental cycle span a subtree of the forest, so the forest path
+    from cj to cb leaves cj once and enters cb once; the part in between is
+    the unique shortest bridge.
+    """
     cj_verts = set(cj.vertex_sequence(edges_by_id))
     cb_verts = set(cb.vertex_sequence(edges_by_id))
     shared = sorted(cj_verts & cb_verts)
     if shared:
         a = b = shared[0]
-        path: list[tuple[str, int]] = []
+        path: tuple[tuple[str, int], ...] = ()
     else:
-        a, b, path = _tree_path_between(cj_verts, cb_verts, cs, edges_by_id, vertices)
+        path = forest.path(cj.start, cb.start)
+        seq = [cj.start]
+        for eid, d in path:
+            e = edges_by_id[eid]
+            seq.append(e.terminus if d > 0 else e.origin)
+        i = max(k for k, v in enumerate(seq) if v in cj_verts)
+        j = min(k for k, v in enumerate(seq) if v in cb_verts)
+        a, b, path = seq[i], seq[j], path[i:j]
     w1 = cj.rotated_to(a, edges_by_id)
     w2 = cb.rotated_to(b, edges_by_id)
-    rev = [(eid, -d) for eid, d in reversed(path)]
-    return tuple(w1.steps) + tuple(path) + tuple(w2.steps) + tuple(rev)
-
-
-def _tree_path_between(src: set, dst: set, cs, edges_by_id, vertices):
-    tree_adj: dict[str, list[Edge]] = {v: [] for v in vertices}
-    for eid in cs.tree_edges:
-        e = edges_by_id[eid]
-        tree_adj[e.origin].append(e)
-        tree_adj[e.terminus].append(e)
-    prev: dict[str, tuple[str, Edge]] = {}
-    seen = set(src)
-    frontier = sorted(src)
-    target = None
-    while frontier and target is None:
-        nxt = []
-        for u in frontier:
-            for e in tree_adj[u]:
-                w = e.terminus if e.origin == u else e.origin
-                if w in seen:
-                    continue
-                seen.add(w)
-                prev[w] = (u, e)
-                if w in dst:
-                    target = w
-                    break
-                nxt.append(w)
-            if target:
-                break
-        frontier = nxt
-    if target is None:
-        raise BasisConstructionError("cycles not connected within component")
-    steps = []
-    x = target
-    while x not in src:
-        u, e = prev[x]
-        steps.append((e.id, 1 if e.terminus == x else -1))
-        x = u
-    steps.reverse()
-    return x, target, steps
+    rev = tuple((eid, -d) for eid, d in reversed(path))
+    return w1.steps + path + w2.steps + rev
 
 
 def _verify_basis(graph: MetricGraph, sub: LambdaSubgraph, basis, dim: int):

@@ -31,12 +31,6 @@ class EdgeFunction:
     coeffs: dict        # edge id -> (a, b)
     vertex_values: dict  # vertex id -> value
 
-    def value(self, graph: MetricGraph, edge_id: str, x: float):
-        a, b = self.coeffs[edge_id]
-        if self.k == 0.0:
-            return a + b * x
-        return a * math.cos(self.k * x) + b * math.sin(self.k * x)
-
 
 @dataclass(frozen=True)
 class SecularSystem:

@@ -23,6 +23,8 @@ from .spectral import (SEPARATION_TOL, Spectrum, _check_spectral_input, _edge_ar
 
 STEP_MATCH_TOL = 1e-6    # relative distance of an eigenvalue from its candidate step
 RESIDUE_FLOOR = 1e-12    # residue rank floor, relative to ||G^-1||_2
+RANK_TOL = 1e-8          # residue rank threshold, relative to its sigma_1
+COND_MAX = 1e12          # largest condition number of a secular system at an NtD node
 
 
 class NearSpectrumError(RuntimeError):
@@ -67,23 +69,23 @@ class TWSample:
     matrix: np.ndarray            # shape mu.shape + (m, m)
 
 
-def _check_condition(a: np.ndarray, mus: np.ndarray, nodes, cond_max: float):
+def _check_condition(a: np.ndarray, mus: np.ndarray, nodes):
     """Raise NearSpectrumError at the first of `nodes` whose exact condition
-    number exceeds cond_max."""
+    number exceeds COND_MAX."""
     for i in nodes:
         cond = np.linalg.cond(a[i])
-        if not np.isfinite(cond) or cond > cond_max:
+        if not np.isfinite(cond) or cond > COND_MAX:
             raise NearSpectrumError(
-                f"system at mu={complex(mus[i])!r} has condition {cond:.3g} > {cond_max:.3g}")
+                f"system at mu={complex(mus[i])!r} has condition {cond:.3g} > {COND_MAX:.3g}")
 
 
 def ntd_matrix(graph: MetricGraph, selection: VertexSelection,
-               mu: complex | np.ndarray, cond_max: float = 1e12) -> TWSample:
+               mu: complex | np.ndarray) -> TWSample:
     """Sample the Neumann-to-Dirichlet matrix at mu, or at every entry of an
     array of mu, all off the spectrum.
 
     M_B is a block of the inverse of the complex secular matrix A.  Every
-    node must have cond_2(A) <= cond_max.  ||A||_F ||A^-1||_F bounds
+    node must have cond_2(A) <= COND_MAX.  ||A||_F ||A^-1||_F bounds
     cond_2(A) from above, so a node within that bound passes; any other
     node, and every node of a chunk whose inversion fails, is checked with
     the exact np.linalg.cond.
@@ -101,10 +103,10 @@ def ntd_matrix(graph: MetricGraph, selection: VertexSelection,
         try:
             inv = np.linalg.inv(a)
         except np.linalg.LinAlgError:
-            _check_condition(a, mus[sl], range(a.shape[0]), cond_max)
+            _check_condition(a, mus[sl], range(a.shape[0]))
             raise
         bound = np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
-        _check_condition(a, mus[sl], np.flatnonzero(~(bound <= cond_max)), cond_max)
+        _check_condition(a, mus[sl], np.flatnonzero(~(bound <= COND_MAX)))
         out[sl] = inv[:, rows][:, :, rows]
     return TWSample(mus.reshape(shape) if shape else mu, selection.vertices,
                     out.reshape(shape + out.shape[1:]))
@@ -128,7 +130,7 @@ class ResidueEstimate:
 
 
 def residue(graph: MetricGraph, selection: VertexSelection, lam: float,
-            multiplicity: int, rank_tol: float = 1e-8) -> ResidueEstimate:
+            multiplicity: int) -> ResidueEstimate:
     """Residue of M_B at the eigenvalue lam of the given multiplicity, in
     closed form from its eigenspace.
 
@@ -136,7 +138,7 @@ def residue(graph: MetricGraph, selection: VertexSelection, lam: float,
     their L2 Gram matrix, the eigenfunctions W G^{-1/2} are orthonormal, so
     the spectral expansion M_B(mu) = -sum_n phi_n(B) phi_n(B)^T / (mu - lam_n)
     gives Res_lam M_B = -C_B G^{-1} C_B^T.  Its rank counts the singular
-    values above max(rank_tol * sigma_1, RESIDUE_FLOOR * ||G^-1||_2): the
+    values above max(RANK_TOL * sigma_1, RESIDUE_FLOOR * ||G^-1||_2): the
     floor is the size the residue would have with vertex values as large as
     the null vectors' entries.
     """
@@ -157,7 +159,7 @@ def residue(graph: MetricGraph, selection: VertexSelection, lam: float,
     c = w[[2 * ne + vix[v] for v in selection.vertices]]
     mat = -c @ ginv @ c.T
     sv = np.linalg.svd(mat, compute_uv=False)
-    thresh = max(rank_tol * (sv[0] if len(sv) else 0.0),
+    thresh = max(RANK_TOL * (sv[0] if len(sv) else 0.0),
                  RESIDUE_FLOOR * np.linalg.norm(ginv, 2))
     return ResidueEstimate(lam=lam, matrix=mat, rank=int(np.sum(sv > thresh)),
                            singular_values=sv, separation=separation)
@@ -203,7 +205,7 @@ def _classify(dim_ker: int, rank: int) -> str:
 
 
 def visibility_report(graph: MetricGraph, selection: VertexSelection,
-                      lambda_max: float, rank_tol: float = 1e-8) -> VisibilityReport:
+                      lambda_max: float) -> VisibilityReport:
     """Classify every eigenvalue <= lambda_max by its visibility for M_B."""
     spec = eigenvalues_in(graph, lambda_max)
     warnings = list(spec.warnings) + list(selection.warnings)
@@ -230,7 +232,7 @@ def visibility_report(graph: MetricGraph, selection: VertexSelection,
                 dim_res = res_rep.dim
                 step_str = str(match.step)
 
-        res = residue(graph, selection, hit.lam, hit.multiplicity, rank_tol=rank_tol)
+        res = residue(graph, selection, hit.lam, hit.multiplicity)
         if not res.separation <= SEPARATION_TOL:
             warnings.append(
                 f"eigenspace at lambda={hit.lam:.12g} not separated: sigma ratio "

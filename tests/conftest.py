@@ -14,6 +14,18 @@ def mk(vertices, edge_spec, units):
     return MetricGraph.build(vertices, edges, units)
 
 
+def walk_end(start, steps, edges_by_id):
+    """End vertex of an oriented edge walk; fails if a step does not leave
+    from the vertex the walk has reached."""
+    v = start
+    for eid, d in steps:
+        e = edges_by_id[eid]
+        tail, head = (e.origin, e.terminus) if d > 0 else (e.terminus, e.origin)
+        assert tail == v, (start, steps)
+        v = head
+    return v
+
+
 def unit_grid(n):
     """n x n square grid with unit edges."""
     vid = lambda i, j: f"g{i}_{j}"

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +12,7 @@ import qglab
 from qglab import serialize_graph
 from qglab.cli import ERROR, OK, WARNINGS, main
 
-from conftest import unit_grid
+from conftest import mk, unit_grid
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +110,7 @@ def test_visibility_json_has_diagnostics(paths, capsys, tmp_path):
     assert code == OK
     doc = json.loads(out.read_text())
     assert doc["meta"]["vertices"] == ["v"]
-    assert doc["meta"]["rank_tol"] == 1e-8
+    assert "rank_tol" not in doc["meta"]
     row = min(doc["rows"], key=lambda r: abs(float(r["lambda"]) - 4 * math.pi ** 2))
     assert row["class"] == "invisible"
     assert row["identity"] == "ok"
@@ -169,6 +173,27 @@ def test_basis_unknown_unit_fails(paths, capsys):
                                 "--step", "1", "nope"])
     assert code == ERROR
     assert "error:" in err
+
+
+def test_basis_output_independent_of_hash_seed(tmp_path):
+    # two triangles sharing an edge: the basis function is spooled along the
+    # symmetric difference of their fundamental cycles
+    g = mk(["a", "b", "c", "d"],
+           [("e1", "a", "b", 1, "u"), ("e2", "b", "c", 1, "u"),
+            ("e3", "c", "a", 1, "u"), ("e4", "b", "d", 1, "u"),
+            ("e5", "d", "c", 1, "u")],
+           {"u": 1.0})
+    path = tmp_path / "g.qg"
+    path.write_text(serialize_graph(g))
+    env = dict(os.environ, PYTHONPATH=str(Path(qglab.__file__).parents[1]))
+    outs = set()
+    for seed in range(8):
+        env["PYTHONHASHSEED"] = str(seed)
+        proc = subprocess.run([sys.executable, "-m", "qglab.cli", "basis", str(path),
+                               "--step", "1", "u"],
+                              capture_output=True, text=True, env=env, check=True)
+        outs.add(proc.stdout)
+    assert len(outs) == 1
 
 
 # ---------------------------------------------------------------------------

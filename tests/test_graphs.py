@@ -7,7 +7,7 @@ from qglab import (betti, betti_graph, core_decomposition, cycle_system,
                    simple_cycles, validate)
 from qglab.graphs import CycleBudgetExceeded
 
-from conftest import mk
+from conftest import mk, walk_end
 from randgraphs import random_graph
 
 
@@ -126,6 +126,30 @@ def test_cycle_walks_are_closed(dumbbell):
     for cyc in cs.cycles:
         seq = cyc.vertex_sequence(edges_by_id)
         assert seq[0] == seq[-1] == cyc.start
+
+
+def test_fundamental_cycles_and_forest_paths_random():
+    rng = random.Random(31)
+    for _ in range(100):
+        g = random_graph(rng)
+        edges_by_id = {e.id: e for e in g.edges}
+        cs = cycle_system(g.vertices, g.edges)
+        tree = set(cs.tree_edges)
+        for chord, cyc in zip(cs.chords, cs.cycles):
+            ids = cyc.edge_ids()
+            assert ids[0] == chord and set(ids[1:]) <= tree
+            assert len(set(ids)) == len(ids)
+            assert walk_end(cyc.start, cyc.steps, edges_by_id) == cyc.start
+        for a in g.vertices:
+            for b in g.vertices:
+                if cs.root[a] != cs.root[b]:
+                    with pytest.raises(ValueError):
+                        cs.path(a, b)
+                    continue
+                steps = cs.path(a, b)
+                ids = [eid for eid, _ in steps]
+                assert set(ids) <= tree and len(set(ids)) == len(ids)
+                assert walk_end(a, steps, edges_by_id) == b
 
 
 def test_cycle_system_deterministic(dumbbell):

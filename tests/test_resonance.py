@@ -9,7 +9,7 @@ from qglab import (Step, build_lambda_subgraph, parity_report,
 from qglab.resonance import (BasisConstructionError, ResonanceBasisFunction,
                              _verify_basis, integer_matrix_rank)
 
-from conftest import mk
+from conftest import mk, walk_end
 from randgraphs import all_steps, random_graph
 
 
@@ -52,6 +52,53 @@ def test_parity_empty_subgraph(dumbbell):
     rep = parity_report(sub)
     assert rep.components == ()
     assert rep.beta1 == rep.beta0_odd == 0
+
+
+def parity_colouring(vertices, edges, n_of):
+    """Reference for parity_report: components by search, beta1 = |E| - |V| + 1
+    each, and a component is odd iff colouring its vertices by step count
+    mod 2 along a search tree leaves some edge (or loop) inconsistent."""
+    adj = {v: [] for v in vertices}
+    for e in edges:
+        adj[e.origin].append((e.terminus, e))
+        adj[e.terminus].append((e.origin, e))
+    colour, out = {}, {}
+    for s in vertices:
+        if s in colour:
+            continue
+        colour[s], comp, stack = 0, {s}, [s]
+        while stack:
+            u = stack.pop()
+            for w, e in adj[u]:
+                if w not in colour:
+                    colour[w] = (colour[u] + n_of[e.id]) % 2
+                    comp.add(w)
+                    stack.append(w)
+        cedges = [e for e in edges if e.origin in comp]
+        odd = any((colour[e.origin] + n_of[e.id]) % 2 != colour[e.terminus]
+                  for e in cedges)
+        out[frozenset(comp)] = (len(cedges) - len(comp) + 1, odd)
+    return out
+
+
+def test_parity_report_matches_colouring_random():
+    rng = random.Random(61)
+    for _ in range(120):
+        g = random_graph(rng)
+        for step in all_steps(g):
+            sub = build_lambda_subgraph(g, step)
+            n_of = {e.id: n for e, n in sub.members}
+            edges_by_id = {e.id: e for e in sub.edges}
+            want = parity_colouring(sub.vertices, sub.edges, n_of)
+            rep = parity_report(sub)
+            assert len(rep.components) == len(want)
+            for comp in rep.components:
+                assert (comp.beta1, comp.is_odd) == want[frozenset(comp.vertices)]
+                if comp.is_odd:
+                    w = comp.odd_witness
+                    assert set(w.edge_ids()) <= set(comp.edge_ids)
+                    assert walk_end(w.start, w.steps, edges_by_id) == w.start
+                    assert sum(n_of[eid] for eid in w.edge_ids()) % 2 == 1
 
 
 # ---------------------------------------------------------------------------
