@@ -132,9 +132,8 @@ class BettiData:
 
 def betti(vertices: Sequence[str], edges: Sequence[Edge]) -> BettiData:
     """Trees and chords of a spanning forest."""
-    forest = cycle_system(vertices, edges)
-    return BettiData(beta0=len(vertices) - len(forest.tree_edges),
-                     beta1=len(forest.chords))
+    tree, chords = _forest(vertices, edges)
+    return BettiData(beta0=len(vertices) - len(tree), beta1=len(chords))
 
 
 def betti_graph(graph: MetricGraph) -> BettiData:
@@ -195,21 +194,6 @@ class CycleWalk:
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(eid for eid, _ in self.steps)
 
-    def vertex_sequence(self, graph_edges: Mapping[str, Edge]) -> tuple[str, ...]:
-        """Vertices visited, starting and ending at `start`."""
-        seq = [self.start]
-        for eid, d in self.steps:
-            e = graph_edges[eid]
-            seq.append(e.terminus if d > 0 else e.origin)
-        return tuple(seq)
-
-    def rotated_to(self, v: str, graph_edges: Mapping[str, Edge]) -> "CycleWalk":
-        seq = self.vertex_sequence(graph_edges)
-        for i, u in enumerate(seq[:-1]):
-            if u == v:
-                return CycleWalk(v, self.steps[i:] + self.steps[:i])
-        raise ValueError(f"vertex {v!r} not on cycle")
-
 
 @dataclass(frozen=True)
 class CycleSystem:
@@ -249,13 +233,10 @@ def _climb(up, depth, a: str, b: str) -> tuple[tuple[str, int], ...]:
     return tuple(rise + fall[::-1])
 
 
-def cycle_system(vertices: Sequence[str], edges: Sequence[Edge]) -> CycleSystem:
-    """Spanning forest plus one fundamental cycle per chord.
-
-    Deterministic: edges are considered in sorted id order, so the forest is
-    the lexicographically smallest one; each cycle is its chord, taken
-    forward from the chord's origin, closed by the forest path back.
-    """
+def _forest(vertices: Sequence[str],
+            edges: Sequence[Edge]) -> tuple[list[Edge], list[Edge]]:
+    """Tree edges and chords of the spanning forest that union-find builds
+    taking edges in sorted id order."""
     leader: dict[str, str] = {v: v for v in vertices}
 
     def find(v):
@@ -264,18 +245,30 @@ def cycle_system(vertices: Sequence[str], edges: Sequence[Edge]) -> CycleSystem:
             v = leader[v]
         return v
 
-    tree: list[str] = []
+    tree: list[Edge] = []
     chords: list[Edge] = []
-    adj: dict[str, list[tuple[str, str, int]]] = {v: [] for v in vertices}
     for e in sorted(edges, key=lambda e: e.id):
         ro, rt = find(e.origin), find(e.terminus)
         if ro == rt:
             chords.append(e)
         else:
             leader[ro] = rt
-            tree.append(e.id)
-            adj[e.origin].append((e.terminus, e.id, 1))
-            adj[e.terminus].append((e.origin, e.id, -1))
+            tree.append(e)
+    return tree, chords
+
+
+def cycle_system(vertices: Sequence[str], edges: Sequence[Edge]) -> CycleSystem:
+    """Spanning forest plus one fundamental cycle per chord.
+
+    Deterministic: edges are considered in sorted id order, so the forest is
+    the lexicographically smallest one; each cycle is its chord, taken
+    forward from the chord's origin, closed by the forest path back.
+    """
+    tree, chords = _forest(vertices, edges)
+    adj: dict[str, list[tuple[str, str, int]]] = {v: [] for v in vertices}
+    for e in tree:
+        adj[e.origin].append((e.terminus, e.id, 1))
+        adj[e.terminus].append((e.origin, e.id, -1))
 
     root: dict[str, str] = {}
     up: dict[str, tuple[str, str, int]] = {}
@@ -294,7 +287,8 @@ def cycle_system(vertices: Sequence[str], edges: Sequence[Edge]) -> CycleSystem:
 
     cycles = tuple(CycleWalk(e.origin, ((e.id, 1),) + _climb(up, depth, e.terminus, e.origin))
                    for e in chords)
-    return CycleSystem(tuple(tree), tuple(e.id for e in chords), cycles, root, up, depth)
+    return CycleSystem(tuple(e.id for e in tree), tuple(e.id for e in chords), cycles,
+                       root, up, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import CycleSystem, CycleWalk, Edge, MetricGraph, cycle_system
+from .graphs import CycleSystem, CycleWalk, MetricGraph, cycle_system
 from .lengths import LambdaSubgraph, Step, build_lambda_subgraph
 
 
@@ -139,7 +139,8 @@ def _spool(walk_steps, n_of) -> dict[str, int]:
 
     Traversing an edge forward after total step count p contributes (-1)^p;
     backward it contributes -(-1)^(p+n_e).  Closure requires the total step
-    count of the walk to be even.
+    count of the walk to be even.  An edge walked more than once can cancel
+    to 0; only the nonzero coefficients are returned.
     """
     b: dict[str, int] = {}
     p = 0
@@ -153,14 +154,21 @@ def _spool(walk_steps, n_of) -> dict[str, int]:
         p += n
     if p % 2 != 0:
         raise BasisConstructionError("spooled walk has odd total step count")
-    return b
+    return {eid: c for eid, c in b.items() if c}
 
 
 def _construct_basis(sub: LambdaSubgraph, rep: ParityReport):
     """One function per fundamental cycle, except the odd witness (anchor) of
-    an odd component: even cycles are spooled as they are, and each other
-    odd cycle is made even by combining it with the anchor."""
-    edges_by_id = {e.id: e for e in sub.edges}
+    an odd component.
+
+    An even cycle is spooled as it is.  An odd cycle cj is spooled along the
+    closed walk cj, P, anchor, P reversed, where P is the forest path from
+    cj's start to the anchor's start; its total step count is
+    odd + odd + 2|P|, which is even.  The functions are independent: each
+    fundamental cycle holds exactly one chord and P holds none, so the
+    function for cj has coefficient +-1 on cj's chord, touches no chord but
+    the anchor's besides, and no other function touches cj's chord.
+    """
     n_of = {e.id: n for e, n in sub.members}
     out = []
     for comp in rep.components:
@@ -168,77 +176,13 @@ def _construct_basis(sub: LambdaSubgraph, rep: ParityReport):
         for cj in comp.cycles:
             if cj is anchor:
                 continue
-            if _walk_parity(cj, n_of) == 0:
-                steps = cj.steps
-            elif set(cj.edge_ids()) & set(anchor.edge_ids()):
-                steps = _symmetric_difference_cycle(cj, anchor, edges_by_id).steps
-            else:
-                steps = _joined_walk(cj, anchor, comp.system, edges_by_id)
+            steps = cj.steps
+            if _walk_parity(cj, n_of):
+                path = comp.system.path(cj.start, anchor.start)
+                back = tuple((eid, -d) for eid, d in reversed(path))
+                steps = steps + path + anchor.steps + back
             out.append(ResonanceBasisFunction(_spool(steps, n_of)))
     return out
-
-
-def _symmetric_difference_cycle(c1: CycleWalk, c2: CycleWalk,
-                                edges_by_id) -> CycleWalk:
-    """The single cycle formed by the symmetric difference of two
-    fundamental cycles that share at least one edge."""
-    eids = set(c1.edge_ids()) ^ set(c2.edge_ids())
-    adj: dict[str, list[Edge]] = {}
-    for eid in sorted(eids):
-        e = edges_by_id[eid]
-        adj.setdefault(e.origin, []).append(e)
-        adj.setdefault(e.terminus, []).append(e)
-    if any(len(es) != 2 for es in adj.values()):
-        raise BasisConstructionError(
-            "symmetric difference of sharing cycles is not a single cycle")
-    start = min(adj)
-    steps: list[tuple[str, int]] = []
-    v = start
-    used: set[str] = set()
-    while True:
-        e = next((e for e in adj[v] if e.id not in used), None)
-        if e is None:
-            break
-        used.add(e.id)
-        d = 1 if e.origin == v else -1
-        steps.append((e.id, d))
-        v = e.terminus if d > 0 else e.origin
-        if v == start:
-            break
-    if len(used) != len(eids) or v != start:
-        raise BasisConstructionError(
-            "symmetric difference walk did not close over all edges")
-    return CycleWalk(start, tuple(steps))
-
-
-def _joined_walk(cj: CycleWalk, cb: CycleWalk, forest: CycleSystem,
-                 edges_by_id) -> tuple:
-    """Closed walk: cj, a bridge to cb, cb, the bridge reversed.
-
-    Cycles that share a vertex need no bridge.  Otherwise the vertices of
-    each fundamental cycle span a subtree of the forest, so the forest path
-    from cj to cb leaves cj once and enters cb once; the part in between is
-    the unique shortest bridge.
-    """
-    cj_verts = set(cj.vertex_sequence(edges_by_id))
-    cb_verts = set(cb.vertex_sequence(edges_by_id))
-    shared = sorted(cj_verts & cb_verts)
-    if shared:
-        a = b = shared[0]
-        path: tuple[tuple[str, int], ...] = ()
-    else:
-        path = forest.path(cj.start, cb.start)
-        seq = [cj.start]
-        for eid, d in path:
-            e = edges_by_id[eid]
-            seq.append(e.terminus if d > 0 else e.origin)
-        i = max(k for k, v in enumerate(seq) if v in cj_verts)
-        j = min(k for k, v in enumerate(seq) if v in cb_verts)
-        a, b, path = seq[i], seq[j], path[i:j]
-    w1 = cj.rotated_to(a, edges_by_id)
-    w2 = cb.rotated_to(b, edges_by_id)
-    rev = tuple((eid, -d) for eid, d in reversed(path))
-    return w1.steps + path + w2.steps + rev
 
 
 def _verify_basis(graph: MetricGraph, sub: LambdaSubgraph, basis, dim: int):
@@ -306,14 +250,15 @@ def resonance_dimension_oracle(graph: MetricGraph, step: Step) -> int:
     sub = build_lambda_subgraph(graph, step)
     if sub.is_empty():
         return 0
-    cols = [e.id for e in sub.edges]
+    edges = sub.edges
+    cols = [e.id for e in edges]
     col_ix = {c: i for i, c in enumerate(cols)}
     n_of = {e.id: n for e, n in sub.members}
     rows = []
     for v in graph.vertices:
         row = [0] * len(cols)
         touched = False
-        for e in sub.edges:
+        for e in edges:
             if e.terminus == v:
                 row[col_ix[e.id]] += 1 if n_of[e.id] % 2 == 0 else -1
                 touched = True

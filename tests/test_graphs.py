@@ -124,8 +124,7 @@ def test_cycle_walks_are_closed(dumbbell):
     edges_by_id = {e.id: e for e in dumbbell.edges}
     cs = cycle_system(dumbbell.vertices, dumbbell.edges)
     for cyc in cs.cycles:
-        seq = cyc.vertex_sequence(edges_by_id)
-        assert seq[0] == seq[-1] == cyc.start
+        assert walk_end(cyc.start, cyc.steps, edges_by_id) == cyc.start
 
 
 def test_fundamental_cycles_and_forest_paths_random():

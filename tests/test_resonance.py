@@ -282,6 +282,8 @@ def test_basis_two_disjoint_odd_cycles_joined_by_path():
     rep = check_basis(g, Step(Fraction(1), "u"))
     assert rep.dim == 1
     assert resonance_dimension_oracle(g, Step(Fraction(1), "u")) == 1
+    b = rep.basis[0].coefficients
+    assert {e: abs(c) for e, c in b.items()} == {"l1": 1, "l2": 1, "p1": 2, "p2": 2}
 
 
 def test_basis_two_odd_cycles_sharing_edge():
@@ -293,8 +295,11 @@ def test_basis_two_odd_cycles_sharing_edge():
            {"u": 1.0})
     rep = check_basis(g, Step(Fraction(1), "u"))
     assert rep.dim == 1
-    # the function lives on the even 4-cycle around the shared edge
     assert resonance_dimension_oracle(g, Step(Fraction(1), "u")) == 1
+    # the function lives on the even 4-cycle around the shared edge; the
+    # shared edge cancels and is not stored
+    f = rep.basis[0]
+    assert f.support() == set(f.coefficients) == {"e1", "e3", "e4", "e5"}
 
 
 def test_basis_random_cross_checked():
@@ -304,6 +309,31 @@ def test_basis_random_cross_checked():
         for step in all_steps(g, n_max=6):
             rep = check_basis(g, step)
             assert rep.dim == resonance_dimension_oracle(g, step)
+
+
+def test_basis_one_function_per_non_anchor_chord_random():
+    # each function has +-1 on its own fundamental cycle's chord and no
+    # other chord but its component's anchor chord
+    rng = random.Random(57)
+    for _ in range(120):
+        g = random_graph(rng)
+        for step in all_steps(g, n_max=6):
+            rep = resonance_dimension(g, step, with_basis=True)
+            chords = {c.steps[0][0] for comp in rep.parity.components
+                      for c in comp.cycles}
+            funcs = iter(rep.basis)
+            for comp in rep.parity.components:
+                anchor = comp.odd_witness
+                allowed = {anchor.steps[0][0]} if anchor else set()
+                for cyc in comp.cycles:
+                    if cyc is anchor:
+                        continue
+                    f = next(funcs)
+                    own = cyc.steps[0][0]
+                    assert abs(f.coefficients.get(own, 0)) == 1
+                    assert f.support() & chords <= {own} | allowed
+                    assert all(f.coefficients.values())
+            assert next(funcs, None) is None
 
 
 # ---------------------------------------------------------------------------
