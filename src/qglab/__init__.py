@@ -13,8 +13,8 @@ from .resonance import (ParityReport, ResonanceReport, parity_report,
                         resonance_dimension, resonance_dimension_oracle)
 from .spectral import (EdgeFunction, Spectrum, assemble_secular, eigenspace,
                        eigenvalues_in)
-from .weyl import (ResidueEstimate, TWSample, VertexSelection, ntd_matrix,
-                   residue, select_vertices, visibility_report)
+from .weyl import (ResidueEstimate, VertexSelection, ntd_matrix, residue,
+                   select_vertices, visibility_report)
 from .graphfile import parse_graph, parse_graph_text, serialize_graph
 
 __version__ = "0.1.0"

@@ -64,6 +64,12 @@ def _add_common(p):
     p.add_argument("--output", "-o", default=None, help="write to file instead of stdout")
 
 
+def _add_vertices(p):
+    p.add_argument("--vertices", default=None,
+                   type=lambda s: None if s == "auto" else s.split(","),
+                   help="'auto' (default) or comma-separated vertex ids")
+
+
 def _finish(args, rows, meta, warnings) -> int:
     out = open(args.output, "w") if args.output else sys.stdout
     try:
@@ -111,10 +117,7 @@ def cmd_resonances(args) -> int:
 
 def cmd_visibility(args) -> int:
     graph = _load(args.graph)
-    if args.vertices in (None, "auto"):
-        sel = select_vertices(graph, "auto")
-    else:
-        sel = select_vertices(graph, "explicit", args.vertices.split(","))
+    sel = select_vertices(graph, args.vertices)
     rep = visibility_report(graph, sel, args.lambda_max)
     rows = []
     for r in rep.rows:
@@ -162,21 +165,18 @@ def cmd_basis(args) -> int:
 
 def cmd_ntd(args) -> int:
     graph = _load(args.graph)
-    if args.vertices in (None, "auto"):
-        sel = select_vertices(graph, "auto")
-    else:
-        sel = select_vertices(graph, "explicit", args.vertices.split(","))
+    sel = select_vertices(graph, args.vertices)
     mu = complex(args.mu_re, args.mu_im)
     try:
-        sample = ntd_matrix(graph, sel, mu)
+        m = ntd_matrix(graph, sel, mu)
     except NearSpectrumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
     rows = []
-    for i, v in enumerate(sample.vertices):
+    for i, v in enumerate(sel.vertices):
         row = {"vertex": v}
-        for j, w in enumerate(sample.vertices):
-            z = sample.matrix[i, j]
+        for j, w in enumerate(sel.vertices):
+            z = m[i, j]
             row[w] = f"{z.real:.12g}{z.imag:+.12g}j"
         rows.append(row)
     meta = {"command": "ntd", "graph": args.graph, "mu": str(mu),
@@ -204,8 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("visibility", help="per-eigenvalue visibility table")
     _add_common(p)
     p.add_argument("--lambda-max", type=float, required=True)
-    p.add_argument("--vertices", default=None,
-                   help="'auto' (default) or comma-separated vertex ids")
+    _add_vertices(p)
     p.set_defaults(func=cmd_visibility)
 
     p = sub.add_parser("basis", help="resonance eigenfunction coefficients (JSON)")
@@ -218,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--mu-re", type=float, required=True)
     p.add_argument("--mu-im", type=float, default=0.0)
-    p.add_argument("--vertices", default=None)
+    _add_vertices(p)
     p.set_defaults(func=cmd_ntd)
     return ap
 

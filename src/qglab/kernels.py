@@ -6,7 +6,8 @@ Unknown layout: a_e = col 2e, b_e = col 2e+1, c_v = col 2*nE + v.  Rows:
 value at origin, value at terminus per edge; derivative balance per vertex.
 
 Stacks are processed in chunks of at most CHUNK_BYTES per stacked matrix
-array, so a long grid or contour never holds more than that in matrices.
+array, so a long array of wavenumbers never holds more than that in
+matrices.
 """
 
 from __future__ import annotations

@@ -54,12 +54,6 @@ class LambdaSubgraph:
     def edges(self) -> tuple[Edge, ...]:
         return tuple(e for e, _ in self.members)
 
-    def multiplicity(self, edge_id: str) -> int:
-        for e, n in self.members:
-            if e.id == edge_id:
-                return n
-        raise KeyError(f"edge {edge_id!r} not in subgraph")
-
     def is_empty(self) -> bool:
         return not self.members
 

@@ -42,13 +42,15 @@ class VertexSelection:
         return not any("unverified" in w for w in self.warnings)
 
 
-def select_vertices(graph: MetricGraph, mode: str = "auto",
+def select_vertices(graph: MetricGraph,
                     vertices: Optional[list[str]] = None) -> VertexSelection:
-    """Auto mode: boundary vertices plus proper core vertices, the smallest
-    set for which the visibility classification is guaranteed."""
+    """With vertices None, the boundary vertices plus proper core vertices:
+    the smallest set for which the visibility classification is guaranteed.
+    Otherwise the given nonempty list, with a warning if it misses any of
+    those."""
     core = core_decomposition(graph)
     auto = sorted(set(core.boundary_vertices) | set(core.proper_core_vertices))
-    if mode == "auto":
+    if vertices is None:
         return VertexSelection(tuple(auto), "auto")
     if not vertices:
         raise ValueError("explicit vertex selection must be nonempty")
@@ -62,54 +64,25 @@ def select_vertices(graph: MetricGraph, mode: str = "auto",
     return VertexSelection(tuple(vertices), "explicit", warnings)
 
 
-@dataclass(frozen=True)
-class TWSample:
-    mu: complex | np.ndarray      # one mu, or an array of them
-    vertices: tuple[str, ...]
-    matrix: np.ndarray            # shape mu.shape + (m, m)
+def ntd_matrix(graph: MetricGraph, selection: VertexSelection, mu: complex) -> np.ndarray:
+    """The Neumann-to-Dirichlet matrix M_B(mu) for mu off the spectrum, rows
+    and columns in the order of selection.vertices.
 
-
-def _check_condition(a: np.ndarray, mus: np.ndarray, nodes):
-    """Raise NearSpectrumError at the first of `nodes` whose exact condition
-    number exceeds COND_MAX."""
-    for i in nodes:
-        cond = np.linalg.cond(a[i])
-        if not np.isfinite(cond) or cond > COND_MAX:
-            raise NearSpectrumError(
-                f"system at mu={complex(mus[i])!r} has condition {cond:.3g} > {COND_MAX:.3g}")
-
-
-def ntd_matrix(graph: MetricGraph, selection: VertexSelection,
-               mu: complex | np.ndarray) -> TWSample:
-    """Sample the Neumann-to-Dirichlet matrix at mu, or at every entry of an
-    array of mu, all off the spectrum.
-
-    M_B is a block of the inverse of the complex secular matrix A.  Every
-    node must have cond_2(A) <= COND_MAX.  ||A||_F ||A^-1||_F bounds
-    cond_2(A) from above, so a node within that bound passes; any other
-    node, and every node of a chunk whose inversion fails, is checked with
-    the exact np.linalg.cond.
+    M_B is the B block of the inverse of the complex secular matrix A at mu,
+    and mu is rejected unless cond_2(A) <= COND_MAX.  mu = 0 is always an
+    eigenvalue: the constants on each component.
     """
     _check_spectral_input(graph)
+    if mu == 0:
+        raise NearSpectrumError("mu = 0 is an eigenvalue: the constants on each component")
     eo, et, ln, vix = _edge_arrays(graph)
-    ne, nv = len(graph.edges), len(graph.vertices)
-    dim = 2 * ne + nv
-    rows = [2 * ne + vix[v] for v in selection.vertices]
-    shape = np.shape(mu)
-    mus = np.asarray(mu, dtype=complex).reshape(-1)
-    out = np.empty((mus.shape[0], len(rows), len(rows)), dtype=complex)
-    for sl in kernels.chunks(mus.shape[0], 16 * dim * dim):
-        a = kernels.assemble_complex(eo, et, ln, nv, mus[sl])
-        try:
-            inv = np.linalg.inv(a)
-        except np.linalg.LinAlgError:
-            _check_condition(a, mus[sl], range(a.shape[0]))
-            raise
-        bound = np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
-        _check_condition(a, mus[sl], np.flatnonzero(~(bound <= COND_MAX)))
-        out[sl] = inv[:, rows][:, :, rows]
-    return TWSample(mus.reshape(shape) if shape else mu, selection.vertices,
-                    out.reshape(shape + out.shape[1:]))
+    a = kernels.assemble_complex(eo, et, ln, len(graph.vertices), [mu])[0]
+    cond = np.linalg.cond(a)
+    if not cond <= COND_MAX:
+        raise NearSpectrumError(
+            f"system at mu={complex(mu)!r} has condition {cond:.3g} > {COND_MAX:.3g}")
+    rows = [2 * len(graph.edges) + vix[v] for v in selection.vertices]
+    return np.linalg.inv(a)[np.ix_(rows, rows)]
 
 
 # The benchmark tracer (perfbench/spans.py) still reads the deleted contour's
@@ -213,24 +186,14 @@ def visibility_report(graph: MetricGraph, selection: VertexSelection,
 
     rows = []
     for hit in spec.eigenvalues:
-        notes: list[str] = []
-        if hit.lam == 0.0:
-            dim_res = 0
-            step_str = None
-            res_rep = None
-        else:
-            match = next((c for c in cands
-                          if abs(hit.lam - c.lam) <= STEP_MATCH_TOL * max(1.0, hit.lam)),
-                         None)
-            if match is None:
-                dim_res = 0
-                step_str = None
-                res_rep = None
-                notes.append("no commensurate structure detected")
-            else:
-                res_rep = resonance_dimension(graph, match.step)
-                dim_res = res_rep.dim
-                step_str = str(match.step)
+        # lambda = 0 has no step; any other eigenvalue without one gets a note
+        step = next((c.step for c in cands if hit.lam > 0.0
+                     and abs(hit.lam - c.lam) <= STEP_MATCH_TOL * max(1.0, hit.lam)),
+                    None)
+        res_rep = None if step is None else resonance_dimension(graph, step)
+        dim_res = 0 if res_rep is None else res_rep.dim
+        notes = (("no commensurate structure detected",)
+                 if step is None and hit.lam > 0.0 else ())
 
         res = residue(graph, selection, hit.lam, hit.multiplicity)
         if not res.separation <= SEPARATION_TOL:
@@ -244,10 +207,11 @@ def visibility_report(graph: MetricGraph, selection: VertexSelection,
                 f"dim ker {hit.multiplicity} != rank {res.rank} + dimR {dim_res}")
         rows.append(VisibilityRow(
             lam=hit.lam, k=hit.k, dim_ker=hit.multiplicity,
-            rank_residue=res.rank, dim_resonance=dim_res, step=step_str,
+            rank_residue=res.rank, dim_resonance=dim_res,
+            step=None if step is None else str(step),
             identity_ok=identity_ok,
             classification=_classify(hit.multiplicity, res.rank),
-            notes=tuple(notes), residue=res, resonance=res_rep))
+            notes=notes, residue=res, resonance=res_rep))
     b0 = betti_graph(graph).beta0
     assert rows and rows[0].lam == 0.0 and rows[0].dim_ker == b0
     return VisibilityReport(tuple(rows), selection, spec, tuple(warnings))

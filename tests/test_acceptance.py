@@ -74,12 +74,12 @@ def test_criterion_2_loop_pendant_end_to_end(loop_pendant):
 
         below = max(h.lam for h in spec.eigenvalues if h.lam < lam - 1e-6)
         r = min((lam - below) / 2, 0.5)
-        for sel in (select_vertices(loop_pendant, "explicit", ["v"]),
-                    select_vertices(loop_pendant, "explicit", ["v", "w"]),
+        for sel in (select_vertices(loop_pendant, ["v"]),
+                    select_vertices(loop_pendant, ["v", "w"]),
                     select_vertices(loop_pendant)):
             est = residue(loop_pendant, sel, lam, hit.multiplicity)
             assert est.rank == 0
-            reference = np.linalg.norm(ntd_matrix(loop_pendant, sel, lam + r).matrix, 2)
+            reference = np.linalg.norm(ntd_matrix(loop_pendant, sel, lam + r), 2)
             assert np.linalg.norm(est.matrix) <= 1e-8 * reference
 
         vis = visibility_report(loop_pendant, select_vertices(loop_pendant), 45)
@@ -160,14 +160,14 @@ def test_criterion_8_tw_structure():
             sel = select_vertices(g)
             for _ in range(20):
                 mu = complex(rng.uniform(-6, 6), rng.uniform(0.5, 4.0))
-                m = ntd_matrix(g, sel, mu).matrix
+                m = ntd_matrix(g, sel, mu)
                 scale = max(np.linalg.norm(m), 1e-300)
                 assert np.linalg.norm(m - m.T) <= 1e-10 * scale
-                mc = ntd_matrix(g, sel, mu.conjugate()).matrix
+                mc = ntd_matrix(g, sel, mu.conjugate())
                 assert np.linalg.norm(mc - m.conjugate()) <= 1e-10 * scale
 
         edge = mk(["a", "b"], [("e", "a", "b", 1, "one")], {"one": 1.0})
-        m = ntd_matrix(edge, select_vertices(edge), -1.0).matrix
+        m = ntd_matrix(edge, select_vertices(edge), -1.0)
         coth1 = math.cosh(1) / math.sinh(1)
         csch1 = 1.0 / math.sinh(1)
         assert abs(m[0, 0] - coth1) <= 1e-10

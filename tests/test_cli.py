@@ -218,6 +218,12 @@ def test_ntd_near_spectrum_errors(paths, capsys):
     assert "error:" in err
 
 
+def test_ntd_at_zero_errors(paths, capsys):
+    code, out, err = run(capsys, ["ntd", paths["interval-pi"], "--mu-re", "0"])
+    assert code == ERROR and not out
+    assert "eigenvalue" in err
+
+
 # ---------------------------------------------------------------------------
 # error handling
 

@@ -4,8 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from qglab import (eigenvalues_in, ntd_matrix, residue, select_vertices,
+from qglab import (eigenvalues_in, kernels, ntd_matrix, residue, select_vertices,
                    visibility_report)
+from qglab.spectral import _edge_arrays
 from qglab.weyl import NearSpectrumError
 
 from conftest import mk, unit_grid
@@ -38,18 +39,19 @@ def test_select_auto_single_edge():
 
 
 def test_select_explicit_warns_when_too_small(dumbbell):
-    sel = select_vertices(dumbbell, "explicit", ["c"])
+    sel = select_vertices(dumbbell, ["c"])
+    assert (sel.vertices, sel.mode) == (("c",), "explicit")
     assert not sel.hypotheses_verified
 
 
 def test_select_explicit_superset_ok(loop_pendant):
-    sel = select_vertices(loop_pendant, "explicit", ["v", "w"])
+    sel = select_vertices(loop_pendant, ["v", "w"])
     assert sel.hypotheses_verified
 
 
 def test_select_explicit_empty_rejected(dumbbell):
     with pytest.raises(ValueError):
-        select_vertices(dumbbell, "explicit", [])
+        select_vertices(dumbbell, [])
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +61,7 @@ def test_select_explicit_empty_rejected(dumbbell):
 def test_single_edge_closed_form():
     g = single_unit_edge()
     sel = select_vertices(g)
-    m = ntd_matrix(g, sel, -1.0).matrix
+    m = ntd_matrix(g, sel, -1.0)
     coth1 = math.cosh(1) / math.sinh(1)
     csch1 = 1 / math.sinh(1)
     assert m[0, 0] == pytest.approx(coth1, abs=1e-10)
@@ -73,16 +75,16 @@ def test_symmetry_and_conjugation(dumbbell):
     rng = random.Random(1)
     for _ in range(5):
         mu = complex(rng.uniform(-5, 5), rng.uniform(0.5, 3))
-        m = ntd_matrix(dumbbell, sel, mu).matrix
+        m = ntd_matrix(dumbbell, sel, mu)
         assert np.linalg.norm(m - m.T) <= 1e-10 * np.linalg.norm(m)
-        mc = ntd_matrix(dumbbell, sel, mu.conjugate()).matrix
+        mc = ntd_matrix(dumbbell, sel, mu.conjugate())
         assert np.allclose(mc, m.conjugate(), rtol=0, atol=1e-10 * np.linalg.norm(m))
 
 
 def test_decay_along_negative_axis(loop_pendant):
     sel = select_vertices(loop_pendant)
-    n2 = np.linalg.norm(ntd_matrix(loop_pendant, sel, -1e2).matrix)
-    n4 = np.linalg.norm(ntd_matrix(loop_pendant, sel, -1e4).matrix)
+    n2 = np.linalg.norm(ntd_matrix(loop_pendant, sel, -1e2))
+    n4 = np.linalg.norm(ntd_matrix(loop_pendant, sel, -1e4))
     assert n4 < n2
     assert n4 < 1e-1
 
@@ -94,15 +96,25 @@ def test_near_spectrum_rejected():
         ntd_matrix(g, sel, math.pi ** 2 + 1e-13)
 
 
-def test_ntd_matrix_over_array_matches_per_mu(dumbbell):
-    sel = select_vertices(dumbbell)
-    # 40 nodes of a circle: more than one chunk of dumbbell matrices
-    mus = 4.0 + 3.0 * np.exp(1j * (2 * math.pi * np.arange(40) / 40 + 0.1))
-    sample = ntd_matrix(dumbbell, sel, mus)
-    assert sample.matrix.shape == (40, 7, 7)
-    for mu, m in zip(mus, sample.matrix):
-        one = ntd_matrix(dumbbell, sel, mu).matrix
-        assert np.linalg.norm(m - one) <= 1e-13 * np.linalg.norm(one)
+def test_ntd_at_zero_is_on_spectrum(interval_pi):
+    # lambda = 0 is an eigenvalue of every graph: the constants
+    with pytest.raises(NearSpectrumError):
+        ntd_matrix(interval_pi, select_vertices(interval_pi), 0.0)
+
+
+def test_ntd_across_edge_dirichlet_pole():
+    # mu = pi^2 is a Dirichlet point of e1 but no eigenvalue of the path
+    # a-m-b, which is a Neumann interval of length 1 + sqrt(2)
+    g = mk(["a", "m", "b"], [("e1", "a", "m", 1, "one"), ("e2", "m", "b", 1, "sqrt2")],
+           {"one": 1.0, "sqrt2": math.sqrt(2)})
+    k, length = math.pi, 1 + math.sqrt(2)
+    diag, off = -1 / (k * math.tan(k * length)), -1 / (k * math.sin(k * length))
+    m = ntd_matrix(g, select_vertices(g, ["a", "b"]), k ** 2)
+    assert np.allclose(m, [[diag, off], [off, diag]], rtol=0, atol=1e-12)
+    m3 = ntd_matrix(g, select_vertices(g, ["a", "m", "b"]), k ** 2)
+    assert np.all(np.isfinite(m3))
+    assert np.linalg.norm(m3 - m3.T) <= 1e-12 * np.linalg.norm(m3)
+    assert np.allclose(m3[np.ix_([0, 2], [0, 2])], m, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +123,18 @@ def test_ntd_matrix_over_array_matches_per_mu(dumbbell):
 
 def contour_residue(graph, selection, lam, radius, nodes=64):
     """Reference residue: the trapezoid sum of M_B over |mu - lam| = radius,
-    and the rank it has above max(1e-8 sigma_1, 1e-12 ||M_B(lam + radius)||)."""
+    and the rank it has above max(1e-8 sigma_1, 1e-12 ||M_B(lam + radius)||).
+    M_B at the nodes comes from one stacked inverse of the secular matrices,
+    each with condition at most 1e12."""
     w = np.exp(1j * (2 * math.pi * np.arange(nodes) / nodes))
-    samples = ntd_matrix(graph, selection, lam + radius * w).matrix
+    eo, et, ln, vix = _edge_arrays(graph)
+    a = kernels.assemble_complex(eo, et, ln, len(graph.vertices), lam + radius * w)
+    inv = np.linalg.inv(a)
+    # ||A||_F ||A^-1||_F >= cond_2(A): only nodes above that bound need the SVD
+    loose = ~(np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2)) <= 1e12)
+    assert np.all(np.linalg.cond(a[loose]) <= 1e12)
+    rows = [2 * len(graph.edges) + vix[v] for v in selection.vertices]
+    samples = inv[:, rows][:, :, rows]
     mat = np.tensordot(w, samples, axes=1) * (radius / nodes)
     sv = np.linalg.svd(mat, compute_uv=False)
     floor = 1e-12 * np.linalg.norm(samples[0], 2)      # w[0] = 1
@@ -125,11 +146,11 @@ def test_residue_zero_at_invisible_eigenvalue(loop_pendant):
     r = min((lam - 36.8180306641) / 2, 0.5)
     for vertices in (["v"], ["v", "w"], None):
         sel = (select_vertices(loop_pendant) if vertices is None
-               else select_vertices(loop_pendant, "explicit", vertices))
+               else select_vertices(loop_pendant, vertices))
         est = residue(loop_pendant, sel, lam, 1)
         assert est.rank == 0
         assert est.separation <= 1e-6
-        reference = np.linalg.norm(ntd_matrix(loop_pendant, sel, lam + r).matrix, 2)
+        reference = np.linalg.norm(ntd_matrix(loop_pendant, sel, lam + r), 2)
         assert np.linalg.norm(est.matrix) <= 1e-8 * reference
 
 
@@ -151,15 +172,6 @@ def test_residue_at_zero_counts_components():
     assert est.rank == 2
     # constants normalised per component: -1/L on each component's block
     assert np.allclose(est.matrix, -np.kron(np.eye(2), np.ones((2, 2))), atol=1e-12)
-
-
-def test_residue_contour_node_on_eigenvalue_rejected(interval_pi):
-    # the 64 nodes of |mu - 3.5| = 0.5 include the eigenvalue 4, where the
-    # system has condition 1.8e16: the Frobenius bound fails there and the
-    # exact check must reject the node
-    mus = 3.5 + 0.5 * np.exp(1j * (2 * math.pi * np.arange(64) / 64))
-    with pytest.raises(NearSpectrumError):
-        ntd_matrix(interval_pi, select_vertices(interval_pi), mus)
 
 
 def residue_rows(graph, lambda_max):
@@ -210,7 +222,7 @@ def test_pole_order_one(interval_pi):
     norms = []
     for rho in (0.4, 0.2, 0.1, 0.05):
         mu = lam + rho
-        m = ntd_matrix(interval_pi, sel, mu).matrix
+        m = ntd_matrix(interval_pi, sel, mu)
         norms.append(abs(mu - lam) ** 2 * np.linalg.norm(m))
     assert all(b < a for a, b in zip(norms, norms[1:]))
     # (mu - lam)^2 M ~ rho * ||Res||, so an 8x radius shrink gives roughly 8x
@@ -236,6 +248,9 @@ def test_visibility_below_floor_fully_visible(dumbbell):
     # below pi^2/3 every eigenvalue is a pole with full rank
     rep = visibility_report(dumbbell, select_vertices(dumbbell), 3.2)
     assert rep.rows
+    # lambda = 0 has no step and no note; the others have no step here
+    assert [r.notes for r in rep.rows] == (
+        [()] + [("no commensurate structure detected",)] * (len(rep.rows) - 1))
     for row in rep.rows:
         assert row.dim_resonance == 0
         assert row.rank_residue == row.dim_ker
@@ -267,6 +282,6 @@ def test_visibility_unit_grid_6x6():
 
 
 def test_visibility_explicit_subset_flagged(dumbbell):
-    sel = select_vertices(dumbbell, "explicit", ["x"])
+    sel = select_vertices(dumbbell, ["x"])
     rep = visibility_report(dumbbell, sel, 2.0)
     assert any("unverified" in w for w in rep.warnings)
