@@ -186,7 +186,8 @@ def visibility_report(graph: MetricGraph, selection: VertexSelection,
 
     rows = []
     for hit in spec.eigenvalues:
-        # lambda = 0 has no step; any other eigenvalue without one gets a note
+        # lambda = 0 takes no step (a long step's pi^2/s^2 can lie within the
+        # tolerance of 0) and no note; any other eigenvalue without one gets a note
         step = next((c.step for c in cands if hit.lam > 0.0
                      and abs(hit.lam - c.lam) <= STEP_MATCH_TOL * max(1.0, hit.lam)),
                     None)
