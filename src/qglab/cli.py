@@ -4,13 +4,14 @@ One binary, subcommands ``spectrum``, ``resonances``, ``visibility``,
 ``basis`` and ``ntd``.  JSON output records the command's inputs under
 ``meta``.
 
-Exit codes: 0 clean, 1 usage/parse errors, 2 completed but with
+Exit codes: 0 clean, 1 usage/parse/command errors, 2 completed but with
 numerical-confidence warnings.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -47,17 +48,6 @@ def _emit(rows: list[dict], fmt: str, meta: dict, out) -> None:
                                 for c, w in zip(cols, widths)).rstrip() + "\n")
 
 
-def _load(path: str):
-    try:
-        return parse_graph(path)
-    except FileNotFoundError as exc:
-        raise SystemExit(f"error: {exc}")
-    except GraphFileError as exc:
-        for e in exc.errors:
-            print(f"error: {e}", file=sys.stderr)
-        raise SystemExit(ERROR)
-
-
 def _add_common(p):
     p.add_argument("graph", help="graph file (.qg)")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
@@ -70,20 +60,21 @@ def _add_vertices(p):
                    help="'auto' (default) or comma-separated vertex ids")
 
 
+def _output(args):
+    """The file named by --output, or stdout, which leaving the `with` keeps open."""
+    return open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout)
+
+
 def _finish(args, rows, meta, warnings) -> int:
-    out = open(args.output, "w") if args.output else sys.stdout
-    try:
+    with _output(args) as out:
         _emit(rows, args.format, meta, out)
-    finally:
-        if args.output:
-            out.close()
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     return WARNINGS if warnings else OK
 
 
 def cmd_spectrum(args) -> int:
-    graph = _load(args.graph)
+    graph = parse_graph(args.graph)
     spec = eigenvalues_in(graph, args.lambda_max)
     rows = [{"lambda": f"{h.lam:.12g}", "k": f"{h.k:.12g}",
              "multiplicity": h.multiplicity,
@@ -95,7 +86,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_resonances(args) -> int:
-    graph = _load(args.graph)
+    graph = parse_graph(args.graph)
     cands = candidate_steps(graph, args.lambda_max)
     floor = resonance_floor(graph)
     rows = []
@@ -116,7 +107,7 @@ def cmd_resonances(args) -> int:
 
 
 def cmd_visibility(args) -> int:
-    graph = _load(args.graph)
+    graph = parse_graph(args.graph)
     sel = select_vertices(graph, args.vertices)
     rep = visibility_report(graph, sel, args.lambda_max)
     rows = []
@@ -137,12 +128,12 @@ def cmd_visibility(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    graph = _load(args.graph)
+    graph = parse_graph(args.graph)
     coeff_s, unit = args.step
     try:
         step = Step(Fraction(coeff_s), unit)
         rep = resonance_dimension(graph, step, with_basis=True)
-    except (ValueError, ZeroDivisionError, KeyError) as exc:
+    except (ZeroDivisionError, KeyError) as exc:    # a bad --step, not a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
     payload = {
@@ -153,25 +144,17 @@ def cmd_basis(args) -> int:
         "dim_R": rep.dim,
         "functions": [f.coefficients for f in rep.basis],
     }
-    out = open(args.output, "w") if args.output else sys.stdout
-    try:
+    with _output(args) as out:
         json.dump(payload, out, indent=2)
         out.write("\n")
-    finally:
-        if args.output:
-            out.close()
     return OK
 
 
 def cmd_ntd(args) -> int:
-    graph = _load(args.graph)
+    graph = parse_graph(args.graph)
     sel = select_vertices(graph, args.vertices)
     mu = complex(args.mu_re, args.mu_im)
-    try:
-        m = ntd_matrix(graph, sel, mu)
-    except NearSpectrumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ERROR
+    m = ntd_matrix(graph, sel, mu)
     rows = []
     for i, v in enumerate(sel.vertices):
         row = {"vertex": v}
@@ -230,13 +213,9 @@ def main(argv=None) -> int:
         return ERROR if exc.code else OK
     try:
         return args.func(args)
-    except SystemExit as exc:
-        if isinstance(exc.code, int):
-            return exc.code
-        print(exc.code, file=sys.stderr)
-        return ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, NearSpectrumError) as exc:
+        for e in exc.errors if isinstance(exc, GraphFileError) else [exc]:
+            print(f"error: {e}", file=sys.stderr)
         return ERROR
 
 

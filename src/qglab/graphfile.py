@@ -11,6 +11,7 @@ any rational form (``3``, ``3/2``, ``6/4``) and normalized on load.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,8 +52,8 @@ def parse_graph_text(text: str, source: str = "<string>") -> MetricGraph:
             except ValueError:
                 err(lineno, f"bad unit approximation {parts[2]!r}")
                 continue
-            if approx <= 0:
-                err(lineno, f"unit approximation must be positive: {parts[2]}")
+            if not 0 < approx < math.inf:
+                err(lineno, f"unit approximation must be positive and finite: {parts[2]}")
                 continue
             units.append((tok, approx))
         elif kw == "vertex":

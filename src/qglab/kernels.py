@@ -2,8 +2,9 @@
 parameters, the smallest singular value of the real one, and the Kirchhoff
 eigenphase count, each at many parameters per call.
 
-Unknown layout: a_e = col 2e, b_e = col 2e+1, c_v = col 2*nE + v.  Rows:
-value at origin, value at terminus per edge; derivative balance per vertex.
+It owns the secular system: one scatter builds it for both edge bases, and
+`unknowns` is the one reader of its layout, a_e = col 2e, b_e = col 2e+1,
+c_v = col 2*nE + v.
 
 Stacks are processed in chunks of at most CHUNK_BYTES per stacked matrix
 array, so a long array of wavenumbers never holds more than that in
@@ -24,33 +25,48 @@ def chunks(n: int, matrix_bytes: int):
         yield slice(i, min(i + step, n))
 
 
+def unknowns(ne: int, vertices) -> tuple[slice, slice, np.ndarray]:
+    """Where the unknowns a_e and b_e of all ne edges lie, and the indices of
+    c_v for the given vertex indices: columns of a secular matrix, rows of
+    its null vectors."""
+    return (slice(0, 2 * ne, 2), slice(1, 2 * ne, 2),
+            2 * ne + np.asarray(vertices, dtype=np.int64))
+
+
+def _scatter(eo, et, n_vertices, at_0, at_l):
+    """Secular matrices from each edge's two basis functions u, v, given as
+    (u, v, u', v') at x = 0 (at_0) and at x = L (at_l), each a scalar or an
+    array broadcast to (stack, nE).  Rows: value at origin, value at terminus
+    per edge; derivative balance per vertex, incoming f'(L) minus outgoing f'(0).
+    """
+    ne = eo.shape[0]
+    a_e, b_e, r_o = unknowns(ne, eo)
+    ra, rb, r_t = np.arange(2 * ne)[a_e], np.arange(2 * ne)[b_e], unknowns(ne, et)[2]
+    stack = np.broadcast(*at_0, *at_l).shape[0]
+    out = np.zeros((stack, 2 * ne + n_vertices, 2 * ne + n_vertices),
+                   dtype=np.result_type(*at_0, *at_l))
+    for row, r_v, (u, v, _, _) in ((ra, r_o, at_0), (rb, r_t, at_l)):
+        out[:, row, ra], out[:, row, rb], out[:, row, r_v] = u, v, -1.0
+    # a loop edge has r_t == r_o, so its balance terms add up in one entry
+    out[:, r_t, ra] += at_l[2]
+    out[:, r_t, rb] += at_l[3]
+    out[:, r_o, ra] -= at_0[2]
+    out[:, r_o, rb] -= at_0[3]
+    return out
+
+
 def assemble_real(eo, et, lengths, n_vertices, ks) -> np.ndarray:
     """Secular matrices at the wavenumbers ks >= 0, shape (len(ks), dim, dim).
 
-    Basis a cos(kx) + b sin(kx) per edge, derivative balance divided by k
-    so entries stay O(1).  At k = 0 the sine is replaced by x, which gives
-    the affine ansatz a + b x with the plain derivative balance.
+    Basis cos(kx), sin(kx) per edge, slopes divided by k so entries stay
+    O(1).  At k = 0 the sine is replaced by x, which gives the affine ansatz
+    a + b x with plain slopes.
     """
-    ks = np.asarray(ks, dtype=float)
-    ne = eo.shape[0]
-    dim = 2 * ne + n_vertices
-    kl = np.multiply.outer(ks, lengths)
+    ks = np.asarray(ks, dtype=float)[:, None]
+    kl = ks * lengths
     cl, sn = np.cos(kl), np.sin(kl)
-    sl = np.where(ks[:, None] == 0.0, lengths, sn)
-    e = np.arange(ne)
-    ra, rb = 2 * e, 2 * e + 1
-    r_o, r_t = 2 * ne + eo, 2 * ne + et
-    out = np.zeros((ks.shape[0], dim, dim))
-    out[:, ra, ra] = 1.0
-    out[:, ra, r_o] = -1.0
-    out[:, rb, ra] = cl
-    out[:, rb, rb] = sl
-    out[:, rb, r_t] = -1.0
-    # a loop edge has r_t == r_o, so its balance terms add up in one entry
-    out[:, r_t, ra] += -sn
-    out[:, r_t, rb] += cl
-    out[:, r_o, rb] -= 1.0
-    return out
+    sl = np.where(ks == 0.0, lengths, sn)
+    return _scatter(eo, et, n_vertices, (1.0, 0.0, 0.0, 1.0), (cl, sl, -sn, cl))
 
 
 def assemble_complex(eo, et, lengths, n_vertices, mus) -> np.ndarray:
@@ -67,26 +83,9 @@ def assemble_complex(eo, et, lengths, n_vertices, mus) -> np.ndarray:
     k = np.where(k.imag < 0, -k, k)
     if np.any(k == 0):
         raise ValueError("mu = 0 needs the affine assembly")
-    ne = eo.shape[0]
-    dim = 2 * ne + n_vertices
     ik = (1j * k)[:, None]
     g = np.exp(ik * lengths)          # |g| <= 1
-    e = np.arange(ne)
-    ra, rb = 2 * e, 2 * e + 1
-    r_o, r_t = 2 * ne + eo, 2 * ne + et
-    out = np.zeros((k.shape[0], dim, dim), dtype=complex)
-    out[:, ra, ra] = 1.0
-    out[:, ra, rb] = g
-    out[:, ra, r_o] = -1.0
-    out[:, rb, ra] = g
-    out[:, rb, rb] = 1.0
-    out[:, rb, r_t] = -1.0
-    # f'(L) = ik*(alpha*g - beta); f'(0) = ik*(alpha - beta*g)
-    out[:, r_t, ra] += ik * g
-    out[:, r_t, rb] += -ik
-    out[:, r_o, ra] -= ik
-    out[:, r_o, rb] -= -ik * g
-    return out
+    return _scatter(eo, et, n_vertices, (1.0, g, ik, -ik * g), (g, 1.0, ik * g, -ik))
 
 
 def scan_sigma_min(eo, et, lengths, n_vertices, ks) -> np.ndarray:

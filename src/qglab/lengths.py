@@ -87,8 +87,8 @@ def candidate_steps(graph: MetricGraph, lambda_max: float) -> list[CandidateStep
     nonempty.  Sorted by ascending lambda (unit approximations are used for
     ordering only); deduplicated by exact (coeff, unit).
     """
-    if lambda_max <= 0:
-        raise ValueError("lambda_max must be positive")
+    if not 0 < lambda_max < math.inf:
+        raise ValueError("lambda_max must be positive and finite")
     smin = math.pi / math.sqrt(lambda_max)
     seen: set[tuple[Fraction, str]] = set()
     out = []

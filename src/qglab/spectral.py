@@ -1,10 +1,11 @@
 """Floating-point eigenvalue machinery for the Kirchhoff Laplacian.
 
 The secular system couples the per-edge trigonometric coefficients (a_e, b_e)
-with explicit vertex values c_v; its nullity at wavenumber k > 0 equals the
-eigenspace dimension at lambda = k^2.  Eigenvalues are located by the
+with explicit vertex values c_v; its null space at wavenumber k > 0 has the
+dimension of the eigenspace at lambda = k^2.  Eigenvalues are located by the
 integer Kirchhoff eigenphase count, which brackets each one together with
-its multiplicity; the secular system is the independent check.
+its multiplicity; the smallest singular value of the secular system at
+each hit is reported with it, not checked.
 """
 
 from __future__ import annotations
@@ -33,16 +34,6 @@ class EdgeFunction:
 
 
 @dataclass(frozen=True)
-class SecularSystem:
-    k: float
-    matrix: np.ndarray
-
-    def nullity(self, tol: float = 1e-8) -> int:
-        s = np.linalg.svd(self.matrix, compute_uv=False)
-        return int(np.sum(s < tol * max(s[0], 1e-300)))
-
-
-@dataclass(frozen=True)
 class EigenvalueHit:
     lam: float
     multiplicity: int
@@ -56,28 +47,27 @@ class Spectrum:
     warnings: tuple[str, ...] = ()
 
 
-def _check_spectral_input(graph: MetricGraph):
-    lonely = [v for v in graph.vertices if graph.degree(v) == 0]
-    if lonely:
-        raise ValueError(f"isolated vertices not supported in spectral ops: {lonely}")
-
-
 def _edge_arrays(graph: MetricGraph):
+    """Origin and terminus vertex indices and lengths of the edges, and the
+    vertex index map; raises on isolated vertices, where the spectral
+    operations are not supported."""
     vix = {v: i for i, v in enumerate(graph.vertices)}
     eo = np.array([vix[e.origin] for e in graph.edges], dtype=np.int64)
     et = np.array([vix[e.terminus] for e in graph.edges], dtype=np.int64)
+    deg = np.bincount(np.concatenate([eo, et]), minlength=len(vix))
+    lonely = [v for v, d in zip(graph.vertices, deg.tolist()) if d == 0]
+    if lonely:
+        raise ValueError(f"isolated vertices not supported in spectral ops: {lonely}")
     ln = np.array([e.length.value(graph.units) for e in graph.edges])
     return eo, et, ln, vix
 
 
-def assemble_secular(graph: MetricGraph, k: float) -> SecularSystem:
+def assemble_secular(graph: MetricGraph, k: float) -> np.ndarray:
     """Secular matrix at wavenumber k >= 0 (affine ansatz at k = 0)."""
-    _check_spectral_input(graph)
+    eo, et, ln, _ = _edge_arrays(graph)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    eo, et, ln, _ = _edge_arrays(graph)
-    a = kernels.assemble_real(eo, et, ln, len(graph.vertices), [k])[0]
-    return SecularSystem(k, a)
+    return kernels.assemble_real(eo, et, ln, len(graph.vertices), [k])[0]
 
 
 def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
@@ -93,9 +83,8 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
     merge into one hit whose multiplicity is the jump of N across it.  A
     count off an integer by more than COUNT_TOL is a warning.
     """
-    if lambda_max <= 0:
-        raise ValueError("lambda_max must be positive")
-    _check_spectral_input(graph)
+    if not 0 < lambda_max < math.inf:
+        raise ValueError("lambda_max must be positive and finite")
     eo, et, ln, _ = _edge_arrays(graph)
     nv = len(graph.vertices)
     k0 = math.pi / (2.0 * float(np.sum(ln)))
@@ -170,20 +159,21 @@ _golden_min = kernels.eigenphase_count
 
 
 def _null_vectors(graph: MetricGraph, lam: float,
-                  multiplicity: int) -> tuple[SecularSystem, np.ndarray, float]:
-    """The secular system at sqrt(lam), its `multiplicity` right singular
-    vectors of smallest singular value as columns, and their separation
-    sigma_{n-m+1}/sigma_{n-m} from the other singular values."""
+                  multiplicity: int) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """k = sqrt(lam), the secular matrix there, its `multiplicity` right
+    singular vectors of smallest singular value as columns, and their
+    separation sigma_{n-m+1}/sigma_{n-m} from the other singular values."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    sys_ = assemble_secular(graph, math.sqrt(lam))
-    n = sys_.matrix.shape[0]
+    k = math.sqrt(lam)
+    a = assemble_secular(graph, k)
+    n = a.shape[0]
     if not 0 < multiplicity < n:
         raise ValueError(f"multiplicity must lie in 1..{n - 1}")
-    _, s, vt = np.linalg.svd(sys_.matrix)
+    _, s, vt = np.linalg.svd(a)
     last = s[n - multiplicity - 1]
     separation = float(s[n - multiplicity] / last) if last > 0 else math.inf
-    return sys_, vt[n - multiplicity:].T, separation
+    return k, a, vt[n - multiplicity:].T, separation
 
 
 def eigenspace(graph: MetricGraph, lam: float,
@@ -192,19 +182,19 @@ def eigenspace(graph: MetricGraph, lam: float,
     secular system at sqrt(lam), mapped to per-edge trigonometric coefficient
     functions.  A separation above SEPARATION_TOL is flagged: then lam is not
     an eigenvalue of that multiplicity."""
-    sys_, w, separation = _null_vectors(graph, lam, multiplicity)
+    k, a, w, separation = _null_vectors(graph, lam, multiplicity)
     flags: list[str] = []
     if not separation <= SEPARATION_TOL:
         flags.append(f"nullspace not separated: sigma ratio {separation:.3g} "
                      f"> {SEPARATION_TOL:g}")
-    ne = len(graph.edges)
+    ra, rb, rv = kernels.unknowns(len(graph.edges), range(len(graph.vertices)))
     funcs = []
     for i, vec in enumerate(w.T):
-        coeffs = {e.id: (float(vec[2 * j]), float(vec[2 * j + 1]))
-                  for j, e in enumerate(graph.edges)}
-        vvals = {v: float(vec[2 * ne + j]) for j, v in enumerate(graph.vertices)}
-        funcs.append(EdgeFunction(k=sys_.k, coeffs=coeffs, vertex_values=vvals))
-        resid = float(np.max(np.abs(sys_.matrix @ vec)))
+        coeffs = dict(zip((e.id for e in graph.edges),
+                          zip(vec[ra].tolist(), vec[rb].tolist())))
+        vvals = dict(zip(graph.vertices, vec[rv].tolist()))
+        funcs.append(EdgeFunction(k=k, coeffs=coeffs, vertex_values=vvals))
+        resid = float(np.max(np.abs(a @ vec)))
         if resid > 1e-10:
             flags.append(f"residual {resid:.3g} above 1e-10 for nullvector {i}")
     return funcs, flags

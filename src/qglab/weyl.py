@@ -9,6 +9,7 @@ eigenspace is visible from the vertex data.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,8 +19,8 @@ from . import kernels
 from .graphs import MetricGraph, betti_graph, core_decomposition
 from .lengths import candidate_steps
 from .resonance import ResonanceReport, resonance_dimension
-from .spectral import (SEPARATION_TOL, Spectrum, _check_spectral_input, _edge_arrays,
-                       _null_vectors, eigenvalues_in)
+from .spectral import (SEPARATION_TOL, Spectrum, _edge_arrays, _null_vectors,
+                       eigenvalues_in)
 
 STEP_MATCH_TOL = 1e-6    # relative distance of an eigenvalue from its candidate step
 RESIDUE_FLOOR = 1e-12    # residue rank floor, relative to ||G^-1||_2
@@ -72,17 +73,18 @@ def ntd_matrix(graph: MetricGraph, selection: VertexSelection, mu: complex) -> n
     and mu is rejected unless cond_2(A) <= COND_MAX.  mu = 0 is always an
     eigenvalue: the constants on each component.
     """
-    _check_spectral_input(graph)
+    eo, et, ln, vix = _edge_arrays(graph)
+    if not cmath.isfinite(mu):
+        raise ValueError(f"mu must be finite: {complex(mu)!r}")
     if mu == 0:
         raise NearSpectrumError("mu = 0 is an eigenvalue: the constants on each component")
-    eo, et, ln, vix = _edge_arrays(graph)
     a = kernels.assemble_complex(eo, et, ln, len(graph.vertices), [mu])[0]
     cond = np.linalg.cond(a)
     if not cond <= COND_MAX:
         raise NearSpectrumError(
             f"system at mu={complex(mu)!r} has condition {cond:.3g} > {COND_MAX:.3g}")
-    rows = [2 * len(graph.edges) + vix[v] for v in selection.vertices]
-    return np.linalg.inv(a)[np.ix_(rows, rows)]
+    _, _, rv = kernels.unknowns(len(graph.edges), [vix[v] for v in selection.vertices])
+    return np.linalg.inv(a)[np.ix_(rv, rv)]
 
 
 # The benchmark tracer (perfbench/spans.py) still reads the deleted contour's
@@ -115,21 +117,20 @@ def residue(graph: MetricGraph, selection: VertexSelection, lam: float,
     floor is the size the residue would have with vertex values as large as
     the null vectors' entries.
     """
-    sys_, w, separation = _null_vectors(graph, lam, multiplicity)
-    k = sys_.k
+    k, _, w, separation = _null_vectors(graph, lam, multiplicity)
     _, _, ln, vix = _edge_arrays(graph)
-    ne = len(graph.edges)
+    ra, rb, rv = kernels.unknowns(len(graph.edges), [vix[v] for v in selection.vertices])
     # integrals over [0, L] of cos^2, sin*cos, sin^2; of 1, x, x^2 at k = 0
     if k == 0.0:
         icc, ics, iss = ln, ln ** 2 / 2, ln ** 3 / 3
     else:
         half = np.sin(2 * k * ln) / (4 * k)
         icc, ics, iss = ln / 2 + half, np.sin(k * ln) ** 2 / (2 * k), ln / 2 - half
-    wa, wb = w[0:2 * ne:2], w[1:2 * ne:2]
+    wa, wb = w[ra], w[rb]
     cross = wa.T @ (ics[:, None] * wb)
     gram = wa.T @ (icc[:, None] * wa) + wb.T @ (iss[:, None] * wb) + cross + cross.T
     ginv = np.linalg.inv(gram)
-    c = w[[2 * ne + vix[v] for v in selection.vertices]]
+    c = w[rv]
     mat = -c @ ginv @ c.T
     sv = np.linalg.svd(mat, compute_uv=False)
     thresh = max(RANK_TOL * (sv[0] if len(sv) else 0.0),

@@ -242,6 +242,38 @@ def test_missing_file_exit_1(capsys):
     assert code == ERROR
 
 
+def test_unwritable_output_exit_1(paths, capsys, tmp_path):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run(capsys, ["spectrum", paths["interval-pi"], "--lambda-max", "5",
+                                  "-o", str(target)])
+    assert code == ERROR and not out
+    assert err.startswith("error:") and str(target) in err
+
+
+def test_basis_zero_denominator_exit_1(paths, capsys):
+    code, _, err = run(capsys, ["basis", paths["dumbbell"], "--step", "1/0", "one"])
+    assert code == ERROR
+    assert err.startswith("error:")
+
+
+def test_each_bad_line_reported(capsys, tmp_path):
+    bad = tmp_path / "bad.qg"
+    bad.write_text("unit u 1.0\nvertex a\nfrobnicate\nunit w inf\n")
+    code, _, err = run(capsys, ["spectrum", str(bad), "--lambda-max", "5"])
+    assert code == ERROR
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("error:") for line in lines)
+    assert "bad.qg:3:" in lines[0] and "bad.qg:4:" in lines[1]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "resonances", "visibility"])
+def test_infinite_lambda_max_exit_1(paths, capsys, command):
+    code, out, err = run(capsys, [command, paths["dumbbell"], "--lambda-max", "inf"])
+    assert code == ERROR and not out
+    assert err == "error: lambda_max must be positive and finite\n"
+
+
 def test_bad_usage_exit_1(capsys):
     assert main(["spectrum"]) == ERROR
     capsys.readouterr()

@@ -90,6 +90,14 @@ def test_negative_unit_approximation():
         parse_graph_text("unit u -2.0\nvertex a\n")
 
 
+@pytest.mark.parametrize("approx", ["nan", "inf", "-inf", "Infinity", "-nan"])
+def test_non_finite_unit_approximation(approx):
+    with pytest.raises(GraphFileError) as ei:
+        parse_graph_text(f"vertex a\nunit u {approx}\n")
+    assert ei.value.errors == [
+        f"<string>:2: unit approximation must be positive and finite: {approx}"]
+
+
 def test_wrong_arity_reports_expected_shape():
     with pytest.raises(GraphFileError) as ei:
         parse_graph_text("unit u 1.0 extra\n")

@@ -123,6 +123,12 @@ def test_gcd_law_on_floor_witness(dumbbell):
     assert g == u.coeff
 
 
+@pytest.mark.parametrize("lambda_max", [0.0, -1.0, math.inf, math.nan])
+def test_candidate_steps_lambda_max_positive_and_finite(dumbbell, lambda_max):
+    with pytest.raises(ValueError, match="positive and finite"):
+        candidate_steps(dumbbell, lambda_max)
+
+
 # ---------------------------------------------------------------------------
 # resonance floor
 

@@ -13,7 +13,8 @@ from randgraphs import random_graph
 
 
 def nullity(graph, k, tol=1e-8):
-    return assemble_secular(graph, k).nullity(tol)
+    s = np.linalg.svd(assemble_secular(graph, k), compute_uv=False)
+    return int(np.sum(s < tol * max(s[0], 1e-300)))
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +42,7 @@ def test_nullity_at_zero_is_component_count(dumbbell, path3):
 def test_system_dimensions(dumbbell):
     sys_ = assemble_secular(dumbbell, 1.0)
     n = 2 * len(dumbbell.edges) + len(dumbbell.vertices)
-    assert sys_.matrix.shape == (n, n)
+    assert sys_.shape == (n, n)
 
 
 def test_isolated_vertex_rejected():
@@ -81,6 +82,12 @@ def test_interval_spectrum(interval_pi):
     for (lam, mult), want in zip(lams, (0, 1, 4, 9)):
         assert mult == 1
         assert lam == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("lambda_max", [0.0, -1.0, math.inf, math.nan])
+def test_lambda_max_must_be_positive_and_finite(interval_pi, lambda_max):
+    with pytest.raises(ValueError, match="positive and finite"):
+        eigenvalues_in(interval_pi, lambda_max)
 
 
 def test_loop_spectrum_multiplicities(unit_loop):
@@ -206,6 +213,16 @@ def test_eigenspace_residuals_small(interval_pi):
     funcs, flags = eigenspace(interval_pi, 4.0, 1)
     assert len(funcs) == 1
     assert not any("residual" in fl for fl in flags)
+
+
+def test_eigenspace_coefficients_match_vertex_values(interval_pi):
+    # f = a cos x on [0, pi] from v1 to v2: b = 0, f(v1) = a, f(v2) = -a
+    (f,), flags = eigenspace(interval_pi, 1.0, 1)
+    assert flags == []
+    a, b = f.coeffs["e1"]
+    assert abs(a) > 0.1 and abs(b) < 1e-12
+    assert f.vertex_values["v1"] == pytest.approx(a, abs=1e-12)
+    assert f.vertex_values["v2"] == pytest.approx(-a, abs=1e-12)
 
 
 def test_eigenspace_empty_off_spectrum(interval_pi):

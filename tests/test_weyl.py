@@ -4,8 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from qglab import (eigenvalues_in, kernels, ntd_matrix, residue, select_vertices,
-                   visibility_report)
+from qglab import (VertexSelection, eigenspace, eigenvalues_in, kernels, ntd_matrix,
+                   residue, select_vertices, visibility_report)
 from qglab.spectral import _edge_arrays
 from qglab.weyl import NearSpectrumError
 
@@ -100,6 +100,28 @@ def test_ntd_at_zero_is_on_spectrum(interval_pi):
     # lambda = 0 is an eigenvalue of every graph: the constants
     with pytest.raises(NearSpectrumError):
         ntd_matrix(interval_pi, select_vertices(interval_pi), 0.0)
+
+
+@pytest.mark.parametrize("mu", [math.inf, -math.inf, math.nan, complex(1.0, math.inf)])
+def test_ntd_rejects_non_finite_mu(mu):
+    g = single_unit_edge()
+    with pytest.raises(ValueError, match="finite"):
+        ntd_matrix(g, select_vertices(g), mu)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, sel: eigenvalues_in(g, 5.0),
+    lambda g, sel: eigenspace(g, math.pi ** 2, 1),
+    lambda g, sel: residue(g, sel, math.pi ** 2, 1),
+    lambda g, sel: ntd_matrix(g, sel, -1.0),
+    lambda g, sel: ntd_matrix(g, sel, 0.0),
+    lambda g, sel: visibility_report(g, sel, 5.0),
+], ids=["eigenvalues_in", "eigenspace", "residue", "ntd_matrix", "ntd_matrix_at_0",
+        "visibility_report"])
+def test_isolated_vertex_rejected_everywhere(call):
+    g = mk(["a", "b", "z"], [("e", "a", "b", 1, "u")], {"u": 1.0})
+    with pytest.raises(ValueError, match="isolated"):
+        call(g, VertexSelection(("a", "b"), "explicit"))
 
 
 def test_ntd_across_edge_dirichlet_pole():
