@@ -133,7 +133,7 @@ def cmd_basis(args) -> int:
     try:
         step = Step(Fraction(coeff_s), unit)
         rep = resonance_dimension(graph, step, with_basis=True)
-    except (ZeroDivisionError, KeyError) as exc:    # a bad --step, not a ValueError
+    except ZeroDivisionError as exc:    # a zero --step denominator
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
     payload = {

@@ -8,6 +8,7 @@ locking.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -154,6 +155,7 @@ class CoreDecomposition:
 
 def core_decomposition(graph: MetricGraph) -> CoreDecomposition:
     """Iteratively strip degree-one vertices; what remains is the core."""
+    full = Counter(v for e in graph.edges for v in (e.origin, e.terminus))
     alive_e = {e.id for e in graph.edges}
     alive_v = set(graph.vertices)
     while True:
@@ -172,11 +174,8 @@ def core_decomposition(graph: MetricGraph) -> CoreDecomposition:
 
     core_edges = tuple(e.id for e in graph.edges if e.id in alive_e)
     core_vertices = tuple(v for v in graph.vertices if v in alive_v)
-    boundary = tuple(v for v in graph.vertices if graph.degree(v) == 1)
-    proper = tuple(
-        v for v in core_vertices
-        if all(e.id in alive_e for e in graph.edges if v in (e.origin, e.terminus))
-    )
+    boundary = tuple(v for v in graph.vertices if full[v] == 1)
+    proper = tuple(v for v in core_vertices if deg[v] == full[v])
     return CoreDecomposition(core_edges, core_vertices, boundary, proper)
 
 

@@ -61,7 +61,7 @@ class LambdaSubgraph:
 def build_lambda_subgraph(graph: MetricGraph, step: Step) -> LambdaSubgraph:
     """Subgraph of edges with L(e) = n*s for a positive integer n (exact)."""
     if step.unit not in graph.units:
-        raise KeyError(f"step unit {step.unit!r} not declared in graph")
+        raise ValueError(f"step unit {step.unit!r} not declared in graph")
     members = []
     for e in graph.edges:
         if e.length.unit != step.unit:

@@ -9,6 +9,7 @@ arithmetic - no tolerances.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,7 +31,6 @@ class ParityComponent:
     edge_ids: tuple[str, ...]
     cycles: tuple[CycleWalk, ...]   # fundamental cycles, by chord id
     odd_witness: Optional[CycleWalk]  # the first odd one of them
-    system: CycleSystem             # forest of the whole step subgraph
 
     @property
     def beta1(self) -> int:
@@ -45,6 +45,7 @@ class ParityComponent:
 @dataclass(frozen=True)
 class ParityReport:
     components: tuple[ParityComponent, ...]
+    system: CycleSystem             # forest of the whole step subgraph
 
     @property
     def beta1(self) -> int:
@@ -82,8 +83,8 @@ def parity_report(sub: LambdaSubgraph) -> ParityReport:
     for verts, eids, cycles in parts.values():
         witness = next((c for c in cycles if _walk_parity(c, n_of)), None)
         comps.append(ParityComponent(tuple(verts), tuple(eids), tuple(cycles),
-                                     witness, system))
-    return ParityReport(tuple(comps))
+                                     witness))
+    return ParityReport(tuple(comps), system)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +179,7 @@ def _construct_basis(sub: LambdaSubgraph, rep: ParityReport):
                 continue
             steps = cj.steps
             if _walk_parity(cj, n_of):
-                path = comp.system.path(cj.start, anchor.start)
+                path = rep.system.path(cj.start, anchor.start)
                 back = tuple((eid, -d) for eid, d in reversed(path))
                 steps = steps + path + anchor.steps + back
             out.append(ResonanceBasisFunction(_spool(steps, n_of)))
@@ -186,7 +187,12 @@ def _construct_basis(sub: LambdaSubgraph, rep: ParityReport):
 
 
 def _verify_basis(graph: MetricGraph, sub: LambdaSubgraph, basis, dim: int):
-    """Exact a-posteriori checks; failure means a bug in the constructor."""
+    """Exact a-posteriori checks; failure means a bug in the constructor.
+
+    Full rank is certified by private edges: each function touches an edge
+    that no other function touches, so those edges pick out a dim x dim
+    diagonal submatrix with a nonzero diagonal.
+    """
     if len(basis) != dim:
         raise BasisConstructionError(
             f"constructed {len(basis)} functions, expected {dim}")
@@ -208,10 +214,11 @@ def _verify_basis(graph: MetricGraph, sub: LambdaSubgraph, basis, dim: int):
             v = next(v for v in graph.vertices if bal.get(v))
             raise BasisConstructionError(
                 f"Kirchhoff balance violated at vertex {v}")
-    cols = sorted(member_ids)
-    mat = [[f.coefficients.get(c, 0) for c in cols] for f in basis]
-    if integer_matrix_rank(mat) != dim:
-        raise BasisConstructionError("basis coefficient matrix rank deficient")
+    touches = Counter(eid for f in basis for eid in f.support())
+    for i, f in enumerate(basis):
+        if all(touches[eid] > 1 for eid in f.support()):
+            raise BasisConstructionError(
+                f"rank deficient or uncertified: function {i} has no edge of its own")
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +226,8 @@ def _verify_basis(graph: MetricGraph, sub: LambdaSubgraph, basis, dim: int):
 
 
 def integer_matrix_rank(rows) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination; the
+    oracle's, while the basis path certifies rank by private edges."""
     m = [[int(x) for x in row] for row in rows]
     nr = len(m)
     nc = len(m[0]) if nr else 0
@@ -248,25 +256,8 @@ def resonance_dimension_oracle(graph: MetricGraph, step: Step) -> int:
     sum_{t(e)=v} b_e*(-1)^{n_e} - sum_{o(e)=v} b_e = 0 at every vertex.
     """
     sub = build_lambda_subgraph(graph, step)
-    if sub.is_empty():
-        return 0
-    edges = sub.edges
-    cols = [e.id for e in edges]
-    col_ix = {c: i for i, c in enumerate(cols)}
-    n_of = {e.id: n for e, n in sub.members}
-    rows = []
-    for v in graph.vertices:
-        row = [0] * len(cols)
-        touched = False
-        for e in edges:
-            if e.terminus == v:
-                row[col_ix[e.id]] += 1 if n_of[e.id] % 2 == 0 else -1
-                touched = True
-            if e.origin == v:
-                row[col_ix[e.id]] -= 1
-                touched = True
-        if touched:
-            rows.append(row)
-    if not rows:
-        return len(cols)
-    return len(cols) - integer_matrix_rank(rows)
+    rows = {v: [0] * len(sub.members) for v in sub.vertices}
+    for i, (e, n) in enumerate(sub.members):
+        rows[e.terminus][i] += (-1) ** n
+        rows[e.origin][i] -= 1
+    return len(sub.members) - integer_matrix_rank(list(rows.values()))

@@ -10,6 +10,7 @@ eigenspace is visible from the vertex data.
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -58,6 +59,9 @@ def select_vertices(graph: MetricGraph,
     unknown = [v for v in vertices if v not in graph.vertices]
     if unknown:
         raise ValueError(f"unknown vertices in selection: {unknown}")
+    repeated = sorted(v for v, n in Counter(vertices).items() if n > 1)
+    if repeated:
+        raise ValueError(f"repeated vertices in selection: {repeated}")
     warnings = ()
     if not set(auto) <= set(vertices):
         warnings = ("selection misses boundary/proper-core vertices; "

@@ -172,7 +172,7 @@ def test_basis_unknown_unit_fails(paths, capsys):
     code, _, err = run(capsys, ["basis", paths["dumbbell"],
                                 "--step", "1", "nope"])
     assert code == ERROR
-    assert "error:" in err
+    assert err.splitlines() == ["error: step unit 'nope' not declared in graph"]
 
 
 def test_basis_output_independent_of_hash_seed(tmp_path):
@@ -222,6 +222,16 @@ def test_ntd_at_zero_errors(paths, capsys):
     code, out, err = run(capsys, ["ntd", paths["interval-pi"], "--mu-re", "0"])
     assert code == ERROR and not out
     assert "eigenvalue" in err
+
+
+@pytest.mark.parametrize("command", [["ntd", "--mu-re", "-1"],
+                                     ["visibility", "--lambda-max", "10"]])
+def test_repeated_vertex_selection_exit_1(paths, capsys, command):
+    # a repeated id would give the NtD matrix two rows but one column for it
+    code, out, err = run(capsys, command[:1] + [paths["dumbbell"]] + command[1:]
+                         + ["--vertices", "c,c,x"])
+    assert code == ERROR and not out
+    assert err.splitlines() == ["error: repeated vertices in selection: ['c']"]
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,38 @@ def test_core_idempotent(dumbbell):
     assert set(cd2.core_edges) == set(cd.core_edges)
 
 
+def core_by_definition(g):
+    """The core by removing one vertex of degree at most one at a time;
+    boundary and proper core vertices read off their definitions."""
+    alive = set(g.vertices)
+
+    def live_edges():
+        return [e for e in g.edges if e.origin in alive and e.terminus in alive]
+
+    while True:
+        ends = [v for e in live_edges() for v in (e.origin, e.terminus)]
+        low = [v for v in g.vertices if v in alive and ends.count(v) <= 1]
+        if not low:
+            break
+        alive.discard(low[0])
+    core = live_edges()
+    proper = [v for v in g.vertices if v in alive
+              and all(e in core for e in g.edges if v in (e.origin, e.terminus))]
+    return (tuple(e.id for e in core), tuple(v for v in g.vertices if v in alive),
+            tuple(v for v in g.vertices if g.degree(v) == 1), tuple(proper))
+
+
+def test_core_decomposition_matches_definition_random():
+    # loops, parallel edges and isolated vertices all occur in these draws
+    rng = random.Random(31)
+    for _ in range(3000):
+        g = random_graph(rng, max_vertices=9, max_edges=12)
+        cd = core_decomposition(g)
+        got = (cd.core_edges, cd.core_vertices, cd.boundary_vertices,
+               cd.proper_core_vertices)
+        assert got == core_by_definition(g), g
+
+
 # ---------------------------------------------------------------------------
 # cycle system
 

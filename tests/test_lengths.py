@@ -32,7 +32,7 @@ def test_unused_unit_gives_empty_subgraph(dumbbell):
 
 
 def test_unknown_unit_rejected(dumbbell):
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="step unit 'nope' not declared"):
         build_lambda_subgraph(dumbbell, Step(Fraction(1), "nope"))
 
 

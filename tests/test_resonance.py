@@ -9,7 +9,7 @@ from qglab import (Step, build_lambda_subgraph, parity_report,
 from qglab.resonance import (BasisConstructionError, ResonanceBasisFunction,
                              _verify_basis, integer_matrix_rank)
 
-from conftest import mk, walk_end
+from conftest import mk, unit_grid, walk_end
 from randgraphs import all_steps, random_graph
 
 
@@ -302,6 +302,11 @@ def test_basis_two_odd_cycles_sharing_edge():
     assert f.support() == set(f.coefficients) == {"e1", "e3", "e4", "e5"}
 
 
+def test_basis_grid_12():
+    rep = check_basis(unit_grid(12), Step(Fraction(1), "one"))
+    assert rep.dim == 121
+
+
 def test_basis_random_cross_checked():
     rng = random.Random(99)
     for _ in range(40):
@@ -374,6 +379,13 @@ def test_verify_basis_rejects_corrupted_bases(dumbbell):
         "leaves the subgraph": (f0, ResonanceBasisFunction(outside)),
         "rank deficient": (f0, f0),
     }
+    # balanced and of full rank, but f0 touches no edge that f0 + f1 does not
+    f01 = {e: f0.coefficients.get(e, 0) + f1.coefficients.get(e, 0)
+           for e in set(f0.coefficients) | set(f1.coefficients)}
+    assert integer_matrix_rank([[f.get(e, 0) for e in sorted(f01)]
+                                for f in (f0.coefficients, f01)]) == 2
+    corrupted["rank deficient or uncertified: function 0"] = (
+        f0, ResonanceBasisFunction(f01))
     for message, basis in corrupted.items():
         with pytest.raises(BasisConstructionError, match=message):
             _verify_basis(dumbbell, sub, basis, rep.dim)

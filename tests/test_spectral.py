@@ -244,3 +244,73 @@ def test_triangle_resonance_eigenfunction(unit_triangle):
                    for f in funcs])
     rank = np.linalg.matrix_rank(vv, tol=1e-8)
     assert len(funcs) - rank == 1
+
+
+# ---------------------------------------------------------------------------
+# equilateral spectrum oracle (von Below, Linear Algebra Appl. 71, 1985)
+
+
+def equilateral_spectrum(graph, lambda_max):
+    """(lambda, multiplicity) up to lambda_max of a connected graph without
+    loops whose edges all have length 1, without the secular system.
+
+    Off k = n pi, lambda = k^2 is an eigenvalue exactly when cos k is an
+    eigenvalue of D^-1/2 A D^-1/2, with the same multiplicity.  At k = n pi
+    the multiplicity is E - V + 2 if n is even or the graph is bipartite,
+    and E - V otherwise.
+    """
+    vix = {v: i for i, v in enumerate(graph.vertices)}
+    adj = np.zeros((len(vix), len(vix)))
+    for e in graph.edges:
+        adj[vix[e.origin], vix[e.terminus]] += 1
+        adj[vix[e.terminus], vix[e.origin]] += 1
+    s = 1 / np.sqrt(adj.sum(axis=1))
+    mus = np.linalg.eigvalsh(s[:, None] * adj * s[None, :])
+    bipartite = abs(mus[0] + 1) < 1e-9
+    clusters = []                       # [cos k, multiplicity], cos k in (-1, 1)
+    for mu in mus[np.abs(mus) < 1 - 1e-9]:
+        if clusters and mu - clusters[-1][0] < 1e-9:
+            clusters[-1][1] += 1
+        else:
+            clusters.append([mu, 1])
+    kmax = math.sqrt(lambda_max)
+    out = [(0.0, 1)]
+    for mu, m in clusters:
+        theta = math.acos(mu)
+        for j in range(int(kmax / (2 * math.pi)) + 1):
+            out += [(k * k, m) for k in (2 * math.pi * j + theta,
+                                         2 * math.pi * (j + 1) - theta) if k <= kmax]
+    excess = len(graph.edges) - len(graph.vertices)
+    for n in range(1, int(kmax / math.pi) + 1):
+        m = excess + 2 if n % 2 == 0 or bipartite else excess
+        if m > 0:
+            out.append(((n * math.pi) ** 2, m))
+    return sorted(out)
+
+
+def _unit_graph(vertices, pairs):
+    return mk(vertices, [(f"e{j}", a, b, 1, "one") for j, (a, b) in enumerate(pairs)],
+              {"one": 1.0})
+
+
+@pytest.mark.parametrize("graph,lambda_max", [
+    (unit_grid(4), 40),
+    (unit_grid(6), 12),
+    (_unit_graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")]), 100),
+    (_unit_graph([f"p{i}" for i in range(5)],
+                 [(f"p{i}", f"p{(i + 1) % 5}") for i in range(5)]), 100),
+    (_unit_graph(list("abcd"), [(a, b) for a in "abcd" for b in "abcd" if a < b]), 100),
+    (_unit_graph(["a", "b", "m"], [("a", "b"), ("a", "b"), ("a", "m"), ("m", "b")]), 100),
+    (_unit_graph([f"c{i}" for i in range(8)],
+                 [(f"c{i}", f"c{i + 1}") for i in range(7)]
+                 + [(f"c{i}", f"c{i + 2}") for i in range(6)]), 60),
+], ids=["grid4", "grid6", "triangle", "pentagon", "K4", "theta", "strip8"])
+def test_equilateral_spectrum_matches_von_below(graph, lambda_max):
+    want = equilateral_spectrum(graph, lambda_max)
+    assert all(abs(lam - lambda_max) > 1e-6 for lam, _ in want)
+    spec = eigenvalues_in(graph, lambda_max)
+    assert not spec.warnings
+    got = [(h.lam, h.multiplicity) for h in spec.eigenvalues]
+    assert [m for _, m in got] == [m for _, m in want]
+    for (lam, _), (ref, _) in zip(got, want):
+        assert lam == pytest.approx(ref, rel=1e-8, abs=1e-8)
