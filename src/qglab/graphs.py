@@ -89,12 +89,6 @@ class MetricGraph:
             units = UnitTable.of(units)
         return cls(tuple(vertices), tuple(edges), units)
 
-    def degree(self, v: str) -> int:
-        d = 0
-        for e in self.edges:
-            d += (e.origin == v) + (e.terminus == v)
-        return d
-
 
 def validate(graph: MetricGraph) -> list[str]:
     """Check the MetricGraph invariants; returns a list of violations."""
@@ -154,26 +148,31 @@ class CoreDecomposition:
 
 
 def core_decomposition(graph: MetricGraph) -> CoreDecomposition:
-    """Iteratively strip degree-one vertices; what remains is the core."""
+    """Iteratively strip vertices of degree at most one; what remains is the
+    core.  A worklist lowers each neighbour's degree as a vertex is stripped,
+    so every edge end is visited once."""
     full = Counter(v for e in graph.edges for v in (e.origin, e.terminus))
-    alive_e = {e.id for e in graph.edges}
-    alive_v = set(graph.vertices)
-    while True:
-        deg = {v: 0 for v in alive_v}
-        for e in graph.edges:
-            if e.id in alive_e:
-                deg[e.origin] += 1
-                deg[e.terminus] += 1
-        strip = [v for v in alive_v if deg[v] <= 1]
-        if not strip:
-            break
-        for v in strip:
-            alive_v.discard(v)
-        alive_e = {e.id for e in graph.edges
-                   if e.id in alive_e and e.origin in alive_v and e.terminus in alive_v}
+    deg = full.copy()
+    nbrs: dict[str, list[str]] = {v: [] for v in graph.vertices}
+    for e in graph.edges:
+        nbrs[e.origin].append(e.terminus)
+        nbrs[e.terminus].append(e.origin)
+    alive = set(graph.vertices)
+    # a vertex enters once: at degree <= 1, or when its degree falls from 2 to 1;
+    # a loop keeps its vertex at degree >= 2
+    work = [v for v in graph.vertices if full[v] <= 1]
+    while work:
+        v = work.pop()
+        alive.discard(v)
+        for w in nbrs[v]:
+            if w in alive:
+                deg[w] -= 1
+                if deg[w] == 1:
+                    work.append(w)
 
-    core_edges = tuple(e.id for e in graph.edges if e.id in alive_e)
-    core_vertices = tuple(v for v in graph.vertices if v in alive_v)
+    core_edges = tuple(e.id for e in graph.edges
+                       if e.origin in alive and e.terminus in alive)
+    core_vertices = tuple(v for v in graph.vertices if v in alive)
     boundary = tuple(v for v in graph.vertices if full[v] == 1)
     proper = tuple(v for v in core_vertices if deg[v] == full[v])
     return CoreDecomposition(core_edges, core_vertices, boundary, proper)

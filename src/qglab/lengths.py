@@ -103,7 +103,7 @@ def candidate_steps(graph: MetricGraph, lambda_max: float) -> list[CandidateStep
             seen.add(key)
             step = Step(coeff, e.length.unit)
             lam = step.lambda_value(graph)
-            if lam <= lambda_max * (1 + 1e-12):
+            if lam <= lambda_max:
                 out.append(CandidateStep(step, lam))
     out.sort(key=lambda c: c.lam)
     return out

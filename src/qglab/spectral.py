@@ -5,18 +5,22 @@ with explicit vertex values c_v; its null space at wavenumber k > 0 has the
 dimension of the eigenspace at lambda = k^2.  Eigenvalues are located by the
 integer Kirchhoff eigenphase count, which brackets each one together with
 its multiplicity; the smallest singular value of the secular system at
-each hit is reported with it, not checked.
+each hit is reported with it, not checked.  The candidate steps s of
+`lengths` are brackets of their own, so this module alone decides which
+eigenvalue lies on which step pi^2/s^2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from . import kernels
 from .graphs import MetricGraph, betti_graph
+from .lengths import Step, candidate_steps
 
 
 REFINE_TOL = 1e-12     # a bracket is done at width <= REFINE_TOL * max(1, k)
@@ -39,6 +43,7 @@ class EigenvalueHit:
     multiplicity: int
     k: float
     sigma_min: float
+    step: Optional[Step] = None   # the candidate step whose bracket holds it
 
 
 @dataclass(frozen=True)
@@ -77,11 +82,18 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
     N(k), the number of eigenvalues kappa^2 with 0 < kappa <= k, is the
     eigenphase count of `kernels.eigenphase_count` shifted to N(k0) = 0 at
     k0 = pi/(2 L_tot).  No eigenvalue lies in (0, k0]: a component of total
-    length L has lambda_1 >= pi^2/L^2 (Nicaise) >= pi^2/L_tot^2.  The brackets
-    [lo, hi] with N(hi) > N(lo) are split in lockstep, one stacked count per
-    step, until each is at most REFINE_TOL*max(1, hi) wide; touching ones
-    merge into one hit whose multiplicity is the jump of N across it.  A
-    count off an integer by more than COUNT_TOL is a warning.
+    length L has lambda_1 >= pi^2/L^2 (Nicaise) >= pi^2/L_tot^2.
+
+    Every candidate step s (`lengths.candidate_steps`: pi^2/s^2 <=
+    lambda_max) is a bracket of its own, REFINE_TOL*k_s wide around
+    k_s = pi/s; a jump of N across it is an eigenvalue on that step, reported
+    at k_s exactly and carrying the step.  The brackets between the steps,
+    the last one ending at sqrt(lambda_max), with N(hi) > N(lo) are split in
+    lockstep, one stacked count per step, until each is at most
+    REFINE_TOL*max(1, hi) wide.  Touching brackets merge into one hit whose
+    multiplicity is the jump of N across it; a hit holding two steps is a
+    warning and takes neither.  A count off an integer by more than
+    COUNT_TOL is a warning.
     """
     if not 0 < lambda_max < math.inf:
         raise ValueError("lambda_max must be positive and finite")
@@ -89,6 +101,8 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
     nv = len(graph.vertices)
     k0 = math.pi / (2.0 * float(np.sum(ln)))
     kmax = math.sqrt(lambda_max)
+    steps = [(math.pi / c.step.value(graph), c.lam, c.step)
+             for c in candidate_steps(graph, lambda_max)]
     off_integer: list[tuple[float, float]] = []
 
     def count(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,11 +113,21 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
         return np.round(n).astype(np.int64), phase
 
     shift = -kernels.eigenphase_count(eo, et, ln, nv, [k0])[0][0]
+    k_s = np.array([st[0] for st in steps])
+    s_lo, s_hi = k_s * (1 - REFINE_TOL / 2), k_s * (1 + REFINE_TOL / 2)
+    ends = np.sort(np.concatenate([[k0], s_lo, s_hi,
+                                   [kmax] if kmax > s_hi.max(initial=k0) else []]))
+    n_e, p_e = count(ends)
     # one column per open bracket; row 0 its lower end, row 1 its upper end
-    k = np.array([[k0], [max(kmax, k0)]])
-    n, p = (x.reshape(2, 1) for x in count(k.ravel()))
-    forced = np.zeros(1, dtype=bool)
-    done: list[tuple[float, float, int]] = []
+    k, n, p = (np.stack([e[:-1], e[1:]]) for e in (ends, n_e, p_e))
+    # a step's bracket is done as it is, pieces of overlapping ones too
+    mid = (k[0] + k[1]) / 2
+    on_step = ((mid[:, None] > s_lo) & (mid[:, None] < s_hi)).any(axis=1)
+    jump = n[1] - n[0]
+    fin = on_step & (jump != 0)
+    done = list(zip(k[0, fin].tolist(), k[1, fin].tolist(), jump[fin].tolist()))
+    k, n, p = k[:, ~on_step], n[:, ~on_step], p[:, ~on_step]
+    forced = np.zeros(k.shape[1], dtype=bool)
     while True:
         tol = REFINE_TOL * np.maximum(1.0, k[1])
         jump = n[1] - n[0]
@@ -139,17 +163,24 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
             merged[-1][2] += jump
         else:
             merged.append([a, b, jump])
-    ks = np.array([(a + b) / 2 for a, b, _ in merged])
-    sigmas = kernels.scan_sigma_min(eo, et, ln, nv, ks)
     warnings = []
+    hits = []                           # (k, lambda, step, multiplicity)
+    for a, b, m in merged:
+        held = [st for st in steps if a <= st[0] <= b]
+        if len(held) > 1:
+            warnings.append(f"steps {', '.join(str(st[2]) for st in held)} share one "
+                            f"count bracket at k={a:.12g}: no step assigned")
+        c = (a + b) / 2
+        hits.append((*held[0], m) if len(held) == 1 else (c, c ** 2, None, m))
+    sigmas = kernels.scan_sigma_min(eo, et, ln, nv, np.array([h[0] for h in hits]))
     if off_integer:
         k_off, n_off = off_integer[0]
         warnings.append(f"eigenphase count is not an integer at {len(off_integer)} "
                         f"points, e.g. N({k_off:.12g}) = {n_off!r}: eigenvalues may be missed")
     out = [EigenvalueHit(lam=0.0, multiplicity=betti_graph(graph).beta0, k=0.0,
                          sigma_min=0.0)]
-    out.extend(EigenvalueHit(lam=k ** 2, multiplicity=m, k=k, sigma_min=sg)
-               for k, (_, _, m), sg in zip(ks.tolist(), merged, sigmas.tolist()))
+    out.extend(EigenvalueHit(lam=lam, multiplicity=m, k=k, sigma_min=sg, step=step)
+               for (k, lam, step, m), sg in zip(hits, sigmas.tolist()))
     return Spectrum(tuple(out), tuple(warnings))
 
 

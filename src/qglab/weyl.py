@@ -23,7 +23,6 @@ from .resonance import ResonanceReport, resonance_dimension
 from .spectral import (SEPARATION_TOL, Spectrum, _edge_arrays, _null_vectors,
                        eigenvalues_in)
 
-STEP_MATCH_TOL = 1e-6    # relative distance of an eigenvalue from its candidate step
 RESIDUE_FLOOR = 1e-12    # residue rank floor, relative to ||G^-1||_2
 RANK_TOL = 1e-8          # residue rank threshold, relative to its sigma_1
 COND_MAX = 1e12          # largest condition number of a secular system at an NtD node
@@ -184,22 +183,29 @@ def _classify(dim_ker: int, rank: int) -> str:
 
 def visibility_report(graph: MetricGraph, selection: VertexSelection,
                       lambda_max: float) -> VisibilityReport:
-    """Classify every eigenvalue <= lambda_max by its visibility for M_B."""
+    """Classify every eigenvalue <= lambda_max by its visibility for M_B.
+
+    A hit's step is the one `eigenvalues_in` bracketed it at.  The paper's
+    lower bound dim ker >= dim R is checked at every candidate step, with or
+    without a hit: a count jump below dim R is a warning.
+    """
     spec = eigenvalues_in(graph, lambda_max)
     warnings = list(spec.warnings) + list(selection.warnings)
-    cands = candidate_steps(graph, lambda_max + STEP_MATCH_TOL * max(1.0, lambda_max))
+    reports = {c.step: resonance_dimension(graph, c.step)
+               for c in candidate_steps(graph, lambda_max)}
+    jumps = {h.step: h.multiplicity for h in spec.eigenvalues if h.step is not None}
+    for step, rep in reports.items():
+        if jumps.get(step, 0) < rep.dim:
+            warnings.append(
+                f"count jump {jumps.get(step, 0)} at step {step} "
+                f"(lambda={rep.lam:.12g}) is below dim R {rep.dim}: eigenvalues missed")
 
     rows = []
     for hit in spec.eigenvalues:
-        # lambda = 0 takes no step (a long step's pi^2/s^2 can lie within the
-        # tolerance of 0) and no note; any other eigenvalue without one gets a note
-        step = next((c.step for c in cands if hit.lam > 0.0
-                     and abs(hit.lam - c.lam) <= STEP_MATCH_TOL * max(1.0, hit.lam)),
-                    None)
-        res_rep = None if step is None else resonance_dimension(graph, step)
+        res_rep = reports.get(hit.step)
         dim_res = 0 if res_rep is None else res_rep.dim
         notes = (("no commensurate structure detected",)
-                 if step is None and hit.lam > 0.0 else ())
+                 if hit.step is None and hit.lam > 0.0 else ())
 
         res = residue(graph, selection, hit.lam, hit.multiplicity)
         if not res.separation <= SEPARATION_TOL:
@@ -214,7 +220,7 @@ def visibility_report(graph: MetricGraph, selection: VertexSelection,
         rows.append(VisibilityRow(
             lam=hit.lam, k=hit.k, dim_ker=hit.multiplicity,
             rank_residue=res.rank, dim_resonance=dim_res,
-            step=None if step is None else str(step),
+            step=None if hit.step is None else str(hit.step),
             identity_ok=identity_ok,
             classification=_classify(hit.multiplicity, res.rank),
             notes=notes, residue=res, resonance=res_rep))

@@ -23,6 +23,11 @@ def random_graph(rng: random.Random, max_vertices=6, max_edges=9,
     return MetricGraph.build(vertices, edges, table)
 
 
+def degree(graph: MetricGraph, v: str) -> int:
+    """Edge ends at v; a loop counts twice."""
+    return sum((e.origin == v) + (e.terminus == v) for e in graph.edges)
+
+
 def all_steps(graph: MetricGraph, n_max=8) -> list[Step]:
     """Every candidate step s = L(e)/n with n <= n_max, deduplicated."""
     seen = set()

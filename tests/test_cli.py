@@ -153,6 +153,26 @@ def test_visibility_warns_on_unseparated_eigenspace(paths, capsys, monkeypatch):
     assert len(out.splitlines()) == 4        # header, 0, 1, 2.5
 
 
+def test_visibility_step_of_a_near_step_eigenvalue(capsys, tmp_path):
+    # a unit loop with a pendant of length 0.5000001: the scar at 4 pi^2 sits
+    # on the step 1/2*one and the eigenvalue 5.3e-6 below it on none; the step
+    # 1*u lies within 1e-6 relative of both and holds neither
+    graph = tmp_path / "near-step.qg"
+    graph.write_text("unit one 1.0\nunit u 0.5000001\nvertex v\nvertex w\n"
+                     "edge l v v 1/1 one\nedge p v w 1/1 u\n")
+    code, out, err = run(capsys, ["visibility", str(graph), "--lambda-max", "45",
+                                  "--format", "json"])
+    assert code == OK, err
+    rows = {r["lambda"]: r for r in json.loads(out)["rows"]}
+    scar = rows["39.4784176044"]
+    assert (scar["step"], scar["dim_R"], scar["identity"]) == ("1/2*one", 1, "ok")
+    assert rows["39.4784123406"]["step"] == "-"
+    g = qglab.parse_graph(str(graph))
+    rep = qglab.visibility_report(g, qglab.select_vertices(g), 45)
+    near = min(rep.rows, key=lambda r: abs(r.lam - 39.4784123406))
+    assert near.notes == ("no commensurate structure detected",)
+
+
 # ---------------------------------------------------------------------------
 # basis
 

@@ -8,7 +8,7 @@ from qglab import (betti, betti_graph, core_decomposition, cycle_system,
 from qglab.graphs import CycleBudgetExceeded
 
 from conftest import mk, walk_end
-from randgraphs import random_graph
+from randgraphs import degree, random_graph
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +113,19 @@ def core_by_definition(g):
     proper = [v for v in g.vertices if v in alive
               and all(e in core for e in g.edges if v in (e.origin, e.terminus))]
     return (tuple(e.id for e in core), tuple(v for v in g.vertices if v in alive),
-            tuple(v for v in g.vertices if g.degree(v) == 1), tuple(proper))
+            tuple(v for v in g.vertices if degree(g, v) == 1), tuple(proper))
 
 
 def test_core_decomposition_matches_definition_random():
-    # loops, parallel edges and isolated vertices all occur in these draws
+    # loops, parallel edges and isolated vertices all occur in these draws;
+    # the last graph strips one pendant vertex per layer, 300 layers deep
     rng = random.Random(31)
-    for _ in range(3000):
-        g = random_graph(rng, max_vertices=9, max_edges=12)
+    graphs = [random_graph(rng, max_vertices=9, max_edges=12) for _ in range(3000)]
+    graphs.append(mk([f"p{i}" for i in range(301)],
+                     [("loop", "p0", "p0", 1, "one")]
+                     + [(f"e{i}", f"p{i}", f"p{i + 1}", 1, "one") for i in range(300)],
+                     {"one": 1.0}))
+    for g in graphs:
         cd = core_decomposition(g)
         got = (cd.core_edges, cd.core_vertices, cd.boundary_vertices,
                cd.proper_core_vertices)

@@ -5,11 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qglab import (Edge, ExactLength, MetricGraph, assemble_secular, betti_graph,
+from qglab import (Edge, ExactLength, MetricGraph, Step, assemble_secular, betti_graph,
                    eigenspace, eigenvalues_in, kernels)
 
 from conftest import mk, unit_grid
-from randgraphs import random_graph
+from randgraphs import degree, random_graph
 
 
 def nullity(graph, k, tol=1e-8):
@@ -105,6 +105,28 @@ def test_loop_pendant_detects_resonant_eigenvalue(loop_pendant):
     hit = min(spec.eigenvalues, key=lambda h: abs(h.lam - 4 * math.pi ** 2))
     assert hit.multiplicity == 1
     assert abs(hit.k - 2 * math.pi) <= 1e-9
+    assert hit.step == Step(Fraction(1, 2), "one")
+    assert all(h.step is None for h in spec.eigenvalues if h is not hit)
+
+
+def test_eigenvalue_on_the_cutoff_step(interval_pi):
+    # lambda = 4 lies on the step 1/2*pi and exactly on the cutoff
+    spec = eigenvalues_in(interval_pi, 4.0)
+    assert [(h.lam, h.multiplicity) for h in spec.eigenvalues] == [(0.0, 1), (1.0, 1),
+                                                                  (4.0, 1)]
+    assert all(h.lam <= 4.0 for h in spec.eigenvalues)
+
+
+def test_two_steps_in_one_bracket_take_neither():
+    # units declared incommensurable but 1e-13 apart: their step brackets at
+    # k = pi overlap, and the hit there must not pick one of the two steps
+    g = mk(["v"], [("a", "v", "v", 1, "a"), ("b", "v", "v", 1, "b")],
+           {"a": 1.0, "b": 1.0 + 1e-13})
+    spec = eigenvalues_in(g, 12)
+    hit = spec.eigenvalues[-1]
+    assert hit.k == pytest.approx(math.pi, rel=1e-12)
+    assert hit.step is None
+    assert len(spec.warnings) == 1 and "no step assigned" in spec.warnings[0]
 
 
 def test_scan_deterministic(interval_pi):
@@ -120,7 +142,7 @@ def _spectral_graphs(seed, count):
     graphs = []
     while len(graphs) < count:
         g = random_graph(rng)
-        if all(g.degree(v) for v in g.vertices):
+        if all(degree(g, v) for v in g.vertices):
             graphs.append(g)
     return graphs
 

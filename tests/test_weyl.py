@@ -10,7 +10,7 @@ from qglab.spectral import _edge_arrays
 from qglab.weyl import NearSpectrumError
 
 from conftest import mk, unit_grid
-from randgraphs import random_graph
+from randgraphs import degree, random_graph
 
 
 def single_unit_edge():
@@ -221,7 +221,7 @@ def test_closed_form_residue_matches_contour(dumbbell, loop_pendant, interval_pi
         drawn = 0
         while drawn < 50:
             g = random_graph(rng)
-            if any(g.degree(v) == 0 for v in g.vertices):
+            if any(degree(g, v) == 0 for v in g.vertices):
                 continue
             graphs.append((g, 30.0))
             drawn += 1
@@ -284,7 +284,7 @@ def test_visibility_identity_random_small():
     done = 0
     while done < 3:
         g = random_graph(rng, max_vertices=3, max_edges=3, max_pq=2, units=("u1",))
-        if any(g.degree(v) == 0 for v in g.vertices):
+        if any(degree(g, v) == 0 for v in g.vertices):
             continue
         rep = visibility_report(g, select_vertices(g), 30.0)
         assert rep.all_identities_hold
@@ -301,6 +301,21 @@ def test_visibility_unit_grid_6x6():
     assert top.lam == pytest.approx(math.pi ** 2, rel=1e-12)
     assert (top.dim_ker, top.rank_residue, top.dim_resonance) == (26, 1, 25)
     assert top.classification == "partially-visible"
+
+
+def test_visibility_certifies_a_step_the_count_missed(loop_pendant, monkeypatch):
+    # dim ker >= dim R at every step: a count that skips the scar at k = 2 pi
+    # leaves no row there, and the step's certificate must still fail
+    exact = kernels.eigenphase_count
+
+    def skipping(*args):
+        count, phase = exact(*args)
+        return count - (np.asarray(args[4]) > 2 * math.pi), phase
+
+    monkeypatch.setattr(kernels, "eigenphase_count", skipping)
+    rep = visibility_report(loop_pendant, select_vertices(loop_pendant), 45)
+    assert all(abs(r.lam - 4 * math.pi ** 2) > 1e-6 for r in rep.rows)
+    assert any("step 1/2*one" in w and "below dim R 1" in w for w in rep.warnings)
 
 
 def test_visibility_explicit_subset_flagged(dumbbell):
