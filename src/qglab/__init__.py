@@ -7,8 +7,8 @@ from .graphs import (BettiData, CoreDecomposition, CycleSystem, CycleWalk,
                      Edge, ExactLength, MetricGraph, UnitTable, betti,
                      betti_graph, core_decomposition, cycle_system,
                      simple_cycles, validate)
-from .lengths import (CandidateStep, LambdaSubgraph, Step,
-                      build_lambda_subgraph, candidate_steps, resonance_floor)
+from .lengths import (LambdaSubgraph, Step, build_lambda_subgraph,
+                      candidate_steps, resonance_floor)
 from .resonance import (ParityReport, ResonanceReport, parity_report,
                         resonance_dimension, resonance_dimension_oracle)
 from .spectral import (EdgeFunction, Spectrum, assemble_secular, eigenspace,

@@ -16,7 +16,6 @@ import csv
 import json
 import math
 import sys
-from fractions import Fraction
 
 from .graphfile import GraphFileError, parse_graph
 from .lengths import Step, candidate_steps, resonance_floor
@@ -90,11 +89,11 @@ def cmd_resonances(args) -> int:
     cands = candidate_steps(graph, args.lambda_max)
     floor = resonance_floor(graph)
     rows = []
-    for c in cands:
-        rep = resonance_dimension(graph, c.step)
+    for step in cands:
+        rep = resonance_dimension(graph, step)
         rows.append({
             "lambda": f"{rep.lam:.12g}",
-            "step": str(c.step),
+            "step": str(step),
             "beta1": rep.beta1,
             "beta0_odd": rep.beta0_odd,
             "dim_R": rep.dim,
@@ -129,13 +128,8 @@ def cmd_visibility(args) -> int:
 
 def cmd_basis(args) -> int:
     graph = parse_graph(args.graph)
-    coeff_s, unit = args.step
-    try:
-        step = Step(Fraction(coeff_s), unit)
-        rep = resonance_dimension(graph, step, with_basis=True)
-    except ZeroDivisionError as exc:    # a zero --step denominator
-        print(f"error: {exc}", file=sys.stderr)
-        return ERROR
+    step = Step(*args.step)
+    rep = resonance_dimension(graph, step, with_basis=True)
     payload = {
         "meta": {"command": "basis", "graph": args.graph, "step": str(step),
                  "lambda": rep.lam},
@@ -205,10 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_parser = build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return ERROR if exc.code else OK
     try:

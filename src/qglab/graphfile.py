@@ -12,10 +12,9 @@ any rational form (``3``, ``3/2``, ``6/4``) and normalized on load.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from pathlib import Path
 
-from .graphs import Edge, ExactLength, MetricGraph, UnitTable, validate
+from .graphs import Edge, ExactLength, MetricGraph, validate
 
 
 class GraphFileError(ValueError):
@@ -25,9 +24,9 @@ class GraphFileError(ValueError):
 
 
 def parse_graph_text(text: str, source: str = "<string>") -> MetricGraph:
-    units: list[tuple[str, float]] = []
-    vertices: list[str] = []
-    edges: list[Edge] = []
+    units: dict[str, float] = {}
+    vertices: dict[str, None] = {}      # ordered set
+    edges: dict[str, Edge] = {}
     errors: list[str] = []
 
     def err(lineno, msg):
@@ -44,7 +43,7 @@ def parse_graph_text(text: str, source: str = "<string>") -> MetricGraph:
                 err(lineno, "expected: unit <token> <approx>")
                 continue
             tok = parts[1]
-            if any(t == tok for t, _ in units):
+            if tok in units:
                 err(lineno, f"duplicate unit {tok!r}")
                 continue
             try:
@@ -55,7 +54,7 @@ def parse_graph_text(text: str, source: str = "<string>") -> MetricGraph:
             if not 0 < approx < math.inf:
                 err(lineno, f"unit approximation must be positive and finite: {parts[2]}")
                 continue
-            units.append((tok, approx))
+            units[tok] = approx
         elif kw == "vertex":
             if len(parts) != 2:
                 err(lineno, "expected: vertex <id>")
@@ -63,35 +62,30 @@ def parse_graph_text(text: str, source: str = "<string>") -> MetricGraph:
             if parts[1] in vertices:
                 err(lineno, f"duplicate vertex {parts[1]!r}")
                 continue
-            vertices.append(parts[1])
+            vertices[parts[1]] = None
         elif kw == "edge":
             if len(parts) != 6:
                 err(lineno, "expected: edge <id> <from> <to> <p>/<q> <unit>")
                 continue
             eid, vfrom, vto, coeff_s, unit = parts[1:]
-            if any(e.id == eid for e in edges):
+            if eid in edges:
                 err(lineno, f"duplicate edge {eid!r}")
                 continue
             for v in (vfrom, vto):
                 if v not in vertices:
                     err(lineno, f"undeclared vertex {v!r}")
-            if not any(t == unit for t, _ in units):
+            if unit not in units:
                 err(lineno, f"undeclared unit {unit!r}")
                 continue
             try:
-                coeff = Fraction(coeff_s)
-            except (ValueError, ZeroDivisionError):
-                err(lineno, f"bad coefficient {coeff_s!r}")
-                continue
-            if coeff <= 0:
-                err(lineno, f"coefficient must be positive: {coeff_s}")
-                continue
-            edges.append(Edge(eid, vfrom, vto, ExactLength(coeff, unit)))
+                edges[eid] = Edge(eid, vfrom, vto, ExactLength(coeff_s, unit))
+            except ValueError as exc:   # a bad or nonpositive coefficient
+                err(lineno, str(exc))
         else:
             err(lineno, f"unknown directive {kw!r}")
     if errors:
         raise GraphFileError(errors)
-    graph = MetricGraph.build(vertices, edges, UnitTable(tuple(units)))
+    graph = MetricGraph.build(vertices, edges.values(), units)
     violations = validate(graph)
     if violations:
         raise GraphFileError([f"{source}: {v}" for v in violations])

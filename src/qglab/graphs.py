@@ -1,13 +1,15 @@
 """Metric graph data model and combinatorial machinery.
 
 Graphs are stored with a fixed edge orientation (origin, terminus); loops and
-parallel edges are allowed everywhere.  All functions here are pure and the
-data types are immutable, so they can be used from worker processes without
-locking.
+parallel edges are allowed everywhere.  Every exact length, of an edge or of
+a step, is one `ExactLength`: a positive rational times a declared unit.  All
+functions here are pure and the data types are immutable, so they can be
+used from worker processes without locking.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,16 +22,30 @@ class CycleBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class ExactLength:
-    """Positive rational coefficient times a declared irrational-unit token."""
+    """Positive rational coefficient times a declared unit token: an edge
+    length L(e), or a step s = L(e)/n, which encodes lambda = pi^2/s^2.
+
+    The coefficient may be given in any form `Fraction` reads (``6/4``);
+    one it cannot read, or one that is not positive, is a ValueError.
+    """
 
     coeff: Fraction
     unit: str
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        try:
+            coeff = Fraction(self.coeff)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad coefficient {self.coeff!r}") from None
+        if coeff <= 0:
+            raise ValueError(f"coefficient must be positive: {self.coeff}")
+        object.__setattr__(self, "coeff", coeff)
 
     def value(self, units: "UnitTable") -> float:
         return float(self.coeff) * units.approx(self.unit)
+
+    def lambda_value(self, units: "UnitTable") -> float:
+        return math.pi ** 2 / self.value(units) ** 2
 
     def __str__(self):
         return f"{self.coeff}*{self.unit}"
@@ -108,8 +124,6 @@ def validate(graph: MetricGraph) -> list[str]:
         for v in (e.origin, e.terminus):
             if v not in seen_v:
                 problems.append(f"unknown-vertex: edge {e.id} references {v}")
-        if e.length.coeff <= 0:
-            problems.append(f"nonpositive-length: edge {e.id}")
         if e.length.unit not in graph.units:
             problems.append(f"unknown-unit: edge {e.id} uses {e.length.unit!r}")
     return problems

@@ -1,9 +1,10 @@
 """Exact commensurability arithmetic for edge lengths.
 
-Lengths are positive rationals times a declared unit token; a candidate step
-s = coeff*unit encodes the spectral point lambda = pi^2 / s^2.  Membership of
-an edge in the step subgraph is an exact rational divisibility test and never
-depends on the floating approximations of the units.
+A step s = L(e)/n is an exact length like the edge lengths themselves, so
+`Step` is `graphs.ExactLength`; it encodes the spectral point
+lambda = pi^2/s^2.  Membership of an edge in the step subgraph is an exact
+rational divisibility test and never depends on the floating approximations
+of the units.
 """
 
 from __future__ import annotations
@@ -13,33 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graphs import CycleWalk, Edge, MetricGraph, betti, cycle_system
+from .graphs import CycleWalk, Edge, ExactLength, MetricGraph, betti, cycle_system
 # Not called here.  The benchmark tracer (perfbench/spans.py) looks this name
 # up in this module; drop the import together with that target.
 from .graphs import simple_cycles  # noqa: F401
 
-
-@dataclass(frozen=True)
-class Step:
-    """Half-wavelength s = coeff*unit; encodes lambda = pi^2/s^2."""
-
-    coeff: Fraction
-    unit: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
-        if self.coeff <= 0:
-            raise ValueError("step coefficient must be positive")
-
-    def value(self, graph: MetricGraph) -> float:
-        return float(self.coeff) * graph.units.approx(self.unit)
-
-    def lambda_value(self, graph: MetricGraph) -> float:
-        s = self.value(graph)
-        return math.pi ** 2 / s ** 2
-
-    def __str__(self):
-        return f"{self.coeff}*{self.unit}"
+# The paper's name for a half-wavelength s = coeff*unit.
+Step = ExactLength
 
 
 @dataclass(frozen=True)
@@ -67,20 +48,14 @@ def build_lambda_subgraph(graph: MetricGraph, step: Step) -> LambdaSubgraph:
         if e.length.unit != step.unit:
             continue
         ratio = e.length.coeff / step.coeff
-        if ratio.denominator == 1 and ratio.numerator >= 1:
+        if ratio.denominator == 1:
             members.append((e, ratio.numerator))
-    verts = tuple(v for v in graph.vertices
-                  if any(v in (e.origin, e.terminus) for e, _ in members))
+    ends = {v for e, _ in members for v in (e.origin, e.terminus)}
+    verts = tuple(v for v in graph.vertices if v in ends)
     return LambdaSubgraph(step, tuple(members), verts)
 
 
-@dataclass(frozen=True)
-class CandidateStep:
-    step: Step
-    lam: float
-
-
-def candidate_steps(graph: MetricGraph, lambda_max: float) -> list[CandidateStep]:
+def candidate_steps(graph: MetricGraph, lambda_max: float) -> list[Step]:
     """All distinct steps s = L(e)/n with pi^2/s^2 <= lambda_max.
 
     These are exactly the spectral points where the step subgraph is
@@ -90,23 +65,15 @@ def candidate_steps(graph: MetricGraph, lambda_max: float) -> list[CandidateStep
     if not 0 < lambda_max < math.inf:
         raise ValueError("lambda_max must be positive and finite")
     smin = math.pi / math.sqrt(lambda_max)
-    seen: set[tuple[Fraction, str]] = set()
-    out = []
+    lams: dict[Step, float] = {}    # insertion order breaks ties in lambda
     for e in graph.edges:
         ln = e.length.value(graph.units)
         nmax = int(math.floor(ln / smin + 1e-12))
         for n in range(1, nmax + 1):
-            coeff = e.length.coeff / n
-            key = (coeff, e.length.unit)
-            if key in seen:
-                continue
-            seen.add(key)
-            step = Step(coeff, e.length.unit)
-            lam = step.lambda_value(graph)
-            if lam <= lambda_max:
-                out.append(CandidateStep(step, lam))
-    out.sort(key=lambda c: c.lam)
-    return out
+            step = Step(e.length.coeff / n, e.length.unit)
+            if step not in lams:
+                lams[step] = step.lambda_value(graph.units)
+    return sorted((s for s, lam in lams.items() if lam <= lambda_max), key=lams.get)
 
 
 def fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -163,8 +130,8 @@ def resonance_floor(graph: MetricGraph) -> ResonanceFloor:
             forest = cycle_system(graph.vertices, sub)
             if forest.chords:
                 u = Step(k * g, unit)
-                if u.value(graph) > best_val:
-                    best_val = u.value(graph)
+                if u.value(graph.units) > best_val:
+                    best_val = u.value(graph.units)
                     best = (u, forest.cycles[0])
                 break
     if best is None:

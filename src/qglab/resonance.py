@@ -127,7 +127,7 @@ def resonance_dimension(graph: MetricGraph, step: Step,
     if with_basis:
         basis = tuple(_construct_basis(sub, rep))
         _verify_basis(graph, sub, basis, dim)
-    return ResonanceReport(step, step.lambda_value(graph), rep.beta1,
+    return ResonanceReport(step, step.lambda_value(graph.units), rep.beta1,
                            rep.beta0_odd, dim, rep, basis)
 
 

@@ -101,8 +101,9 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
     nv = len(graph.vertices)
     k0 = math.pi / (2.0 * float(np.sum(ln)))
     kmax = math.sqrt(lambda_max)
-    steps = [(math.pi / c.step.value(graph), c.lam, c.step)
-             for c in candidate_steps(graph, lambda_max)]
+    steps = [(math.pi / s.value(graph.units), s.lambda_value(graph.units), s)
+             for s in candidate_steps(graph, lambda_max)]
+    steps.sort(key=lambda st: st[0])    # ascending k_s, also where lambdas round equal
     off_integer: list[tuple[float, float]] = []
 
     def count(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,9 +121,10 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
     n_e, p_e = count(ends)
     # one column per open bracket; row 0 its lower end, row 1 its upper end
     k, n, p = (np.stack([e[:-1], e[1:]]) for e in (ends, n_e, p_e))
-    # a step's bracket is done as it is, pieces of overlapping ones too
+    # a step's bracket is done as it is, pieces of overlapping ones too; the
+    # ends ascend with k_s, so the last bracket opening below mid decides
     mid = (k[0] + k[1]) / 2
-    on_step = ((mid[:, None] > s_lo) & (mid[:, None] < s_hi)).any(axis=1)
+    on_step = np.append(-np.inf, s_hi)[np.searchsorted(s_lo, mid)] > mid
     jump = n[1] - n[0]
     fin = on_step & (jump != 0)
     done = list(zip(k[0, fin].tolist(), k[1, fin].tolist(), jump[fin].tolist()))
@@ -166,7 +168,7 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
     warnings = []
     hits = []                           # (k, lambda, step, multiplicity)
     for a, b, m in merged:
-        held = [st for st in steps if a <= st[0] <= b]
+        held = steps[np.searchsorted(k_s, a):np.searchsorted(k_s, b, side="right")]
         if len(held) > 1:
             warnings.append(f"steps {', '.join(str(st[2]) for st in held)} share one "
                             f"count bracket at k={a:.12g}: no step assigned")

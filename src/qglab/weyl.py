@@ -191,8 +191,7 @@ def visibility_report(graph: MetricGraph, selection: VertexSelection,
     """
     spec = eigenvalues_in(graph, lambda_max)
     warnings = list(spec.warnings) + list(selection.warnings)
-    reports = {c.step: resonance_dimension(graph, c.step)
-               for c in candidate_steps(graph, lambda_max)}
+    reports = {s: resonance_dimension(graph, s) for s in candidate_steps(graph, lambda_max)}
     jumps = {h.step: h.multiplicity for h in spec.eigenvalues if h.step is not None}
     for step, rep in reports.items():
         if jumps.get(step, 0) < rep.dim:

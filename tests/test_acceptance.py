@@ -131,9 +131,9 @@ def test_criterion_6_basis_soundness(dumbbell, loop_pendant):
     with criterion(6, "constructive basis soundness"):
         checked = 0
         for g in (dumbbell, loop_pendant, *suite3_graphs()):
-            for c in candidate_steps(g, 40.0):
-                if resonance_dimension(g, c.step).dim > 0:
-                    check_basis(g, c.step)  # exact: support, vanishing, rank
+            for step in candidate_steps(g, 40.0):
+                if resonance_dimension(g, step).dim > 0:
+                    check_basis(g, step)  # exact: support, vanishing, rank
                     checked += 1
         assert checked > 0
 
@@ -143,7 +143,7 @@ def test_criterion_7_resonance_floor_gate(dumbbell):
         for g in suite3_graphs():
             floor = resonance_floor(g)
             for step in all_steps(g, n_max=8):
-                if step.lambda_value(g) < floor.lam * (1 - 1e-12):
+                if step.lambda_value(g.units) < floor.lam * (1 - 1e-12):
                     assert resonance_dimension(g, step).dim == 0
         floor = resonance_floor(dumbbell)
         assert abs(floor.lam - math.pi ** 2 / 3) <= 1e-12 * floor.lam

@@ -283,7 +283,15 @@ def test_unwritable_output_exit_1(paths, capsys, tmp_path):
 def test_basis_zero_denominator_exit_1(paths, capsys):
     code, _, err = run(capsys, ["basis", paths["dumbbell"], "--step", "1/0", "one"])
     assert code == ERROR
-    assert err.startswith("error:")
+    assert err == "error: bad coefficient '1/0'\n"
+
+
+@pytest.mark.parametrize("coeff, message", [
+    ("abc", "bad coefficient 'abc'"), ("0", "coefficient must be positive: 0")])
+def test_basis_bad_step_exit_1(paths, capsys, coeff, message):
+    code, out, err = run(capsys, ["basis", paths["dumbbell"], "--step", coeff, "one"])
+    assert code == ERROR and not out
+    assert err == f"error: {message}\n"
 
 
 def test_each_bad_line_reported(capsys, tmp_path):

@@ -1,10 +1,13 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 import qglab
-from qglab import parse_graph, parse_graph_text, serialize_graph
+from qglab import Step, parse_graph, parse_graph_text, resonance_dimension, serialize_graph
 from qglab.graphfile import GraphFileError
+
+from conftest import unit_grid
 
 
 GOOD = """\
@@ -83,6 +86,18 @@ def test_bad_coefficient():
         parse_graph_text("unit u 1.0\nvertex a\nvertex b\nedge e a b one u\n")
     with pytest.raises(GraphFileError):
         parse_graph_text("unit u 1.0\nvertex a\nvertex b\nedge e a b 1/0 u\n")
+
+
+def test_grid_100_parse_and_step_one_linear():
+    # 10,000 vertices and 19,800 edges: declaration lookups and the step
+    # subgraph's vertex set are hashed, not scans of everything read so far
+    text = serialize_graph(unit_grid(100))
+    t0 = time.perf_counter()
+    g = parse_graph_text(text)
+    rep = resonance_dimension(g, Step(1, "one"))
+    assert time.perf_counter() - t0 < 3.0
+    assert (len(g.vertices), len(g.edges)) == (10_000, 19_800)
+    assert rep.dim == rep.beta1 == 9801
 
 
 def test_negative_unit_approximation():

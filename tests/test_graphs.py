@@ -26,8 +26,10 @@ def test_validate_unknown_vertex():
 
 
 def test_validate_nonpositive_length():
-    g = mk(["v1", "v2"], [("e1", "v1", "v2", 0, "u")], {"u": 1.0})
-    assert any("nonpositive-length" in p for p in validate(g))
+    # no graph can hold a nonpositive length: the edge is refused when built
+    for coeff in (0, -1):
+        with pytest.raises(ValueError, match=f"coefficient must be positive: {coeff}$"):
+            mk(["v1", "v2"], [("e1", "v1", "v2", coeff, "u")], {"u": 1.0})
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,30 @@ from fractions import Fraction
 import pytest
 
 import qglab
-from qglab import (MetricGraph, Step, build_lambda_subgraph, candidate_steps,
-                   parse_graph, resonance_floor, simple_cycles)
+from qglab import (ExactLength, MetricGraph, Step, build_lambda_subgraph,
+                   candidate_steps, parse_graph, resonance_floor, simple_cycles)
 from qglab.lengths import fraction_gcd
 
 from conftest import mk, unit_grid
 from randgraphs import all_steps, random_graph
+
+
+def test_step_is_exact_length():
+    assert Step is ExactLength
+    assert Step("6/4", "u") == ExactLength(Fraction(3, 2), "u")
+    assert str(Step("6/4", "u")) == "3/2*u"
+
+
+@pytest.mark.parametrize("coeff", [0, -1, Fraction(-1, 2)])
+def test_nonpositive_step_rejected(coeff):
+    with pytest.raises(ValueError, match="coefficient must be positive"):
+        Step(coeff, "u")
+
+
+@pytest.mark.parametrize("text", ["1/0", "abc"])
+def test_unreadable_coefficient_named(text):
+    with pytest.raises(ValueError, match=f"^bad coefficient '{text}'$"):
+        Step(text, "u")
 
 
 def test_dumbbell_step_one(dumbbell):
@@ -42,10 +60,10 @@ def test_unknown_unit_rejected(dumbbell):
 
 def test_dumbbell_first_four_candidates(dumbbell):
     cands = candidate_steps(dumbbell, 14)
-    got = [(c.step.coeff, c.step.unit) for c in cands]
-    assert got == [(Fraction(1), "sqrt3"), (Fraction(1, 2), "pi"),
-                   (Fraction(1), "one"), (Fraction(1, 2), "sqrt3")]
-    lams = [c.lam for c in cands]
+    assert cands == [Step(1, "sqrt3"), Step(Fraction(1, 2), "pi"),
+                     Step(1, "one"), Step(Fraction(1, 2), "sqrt3")]
+    lams = [s.lambda_value(dumbbell.units) for s in cands]
+    assert lams == sorted(lams)
     expected = [math.pi ** 2 / 3, 4.0, math.pi ** 2, 4 * math.pi ** 2 / 3]
     assert lams == pytest.approx(expected, rel=1e-12)
 
@@ -53,7 +71,7 @@ def test_dumbbell_first_four_candidates(dumbbell):
 def test_single_edge_candidates():
     g = mk(["a", "b"], [("e", "a", "b", 1, "one")], {"one": 1.0})
     cands = candidate_steps(g, 50)
-    assert [(c.step.coeff, c.step.unit) for c in cands] == \
+    assert [(s.coeff, s.unit) for s in cands] == \
         [(Fraction(1), "one"), (Fraction(1, 2), "one")]
 
 
@@ -68,13 +86,13 @@ def test_candidate_completeness_random():
         g = random_graph(rng)
         lam_max = 60.0
         cands = candidate_steps(g, lam_max)
-        listed = {(c.step.coeff, c.step.unit) for c in cands}
-        for c in cands:
-            assert not build_lambda_subgraph(g, c.step).is_empty()
+        listed = set(cands)
+        for step in cands:
+            assert not build_lambda_subgraph(g, step).is_empty()
         # steps just off the list give empty subgraphs below the cutoff
         for step in all_steps(g, n_max=4):
-            lam = step.lambda_value(g)
-            if lam <= lam_max and (step.coeff, step.unit) not in listed:
+            lam = step.lambda_value(g.units)
+            if lam <= lam_max and step not in listed:
                 assert build_lambda_subgraph(g, step).is_empty()
 
 
@@ -176,9 +194,9 @@ def floor_by_enumeration(graph):
         for eid in cyc.edge_ids():
             g = fraction_gcd(g, edges[eid].length.coeff)
         step = Step(g, units.pop())
-        if best is None or step.value(graph) > best.value(graph):
+        if best is None or step.value(graph.units) > best.value(graph.units):
             best = step
-    return best, (math.inf if best is None else best.lambda_value(graph))
+    return best, (math.inf if best is None else best.lambda_value(graph.units))
 
 
 def assert_witness(graph, floor):

@@ -351,7 +351,7 @@ def test_no_resonance_below_floor_random():
         g = random_graph(rng)
         floor = resonance_floor(g)
         for step in all_steps(g, n_max=8):
-            if step.lambda_value(g) < floor.lam * (1 - 1e-12):
+            if step.lambda_value(g.units) < floor.lam * (1 - 1e-12):
                 assert resonance_dimension(g, step).dim == 0
 
 

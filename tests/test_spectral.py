@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -127,6 +128,21 @@ def test_two_steps_in_one_bracket_take_neither():
     assert hit.k == pytest.approx(math.pi, rel=1e-12)
     assert hit.step is None
     assert len(spec.warnings) == 1 and "no step assigned" in spec.warnings[0]
+
+
+def test_long_edge_spectrum_linear_in_hits():
+    # 14,236 Neumann eigenvalues (n pi / L)^2, each on its own step L/n; the
+    # step lookups are sorted searches, not hits x steps comparisons
+    length = 10 ** 4
+    edge = mk(["a", "b"], [("e", "a", "b", length, "one")], {"one": 1.0})
+    t0 = time.perf_counter()
+    spec = eigenvalues_in(edge, 20.0)
+    assert time.perf_counter() - t0 < 2.0
+    assert len(spec.eigenvalues) == math.floor(length * math.sqrt(20) / math.pi) + 1 == 14236
+    assert not spec.warnings
+    assert all(h.multiplicity == 1 for h in spec.eigenvalues)
+    assert [h.step for h in spec.eigenvalues[1:4]] == [
+        Step(length, "one"), Step(length // 2, "one"), Step(Fraction(length, 3), "one")]
 
 
 def test_scan_deterministic(interval_pi):
