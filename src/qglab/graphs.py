@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -60,7 +60,14 @@ class UnitTable:
     for ordering and reporting only.
     """
 
-    entries: tuple[tuple[str, float], ...]
+    entries: tuple[tuple[str, float], ...]         # in declaration order
+    _by_token: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_token: dict[str, float] = {}
+        for t, a in self.entries:
+            by_token.setdefault(t, a)
+        object.__setattr__(self, "_by_token", by_token)
 
     @classmethod
     def of(cls, mapping: Mapping[str, float] | Iterable[tuple[str, float]]) -> "UnitTable":
@@ -71,13 +78,13 @@ class UnitTable:
         return tuple(t for t, _ in self.entries)
 
     def approx(self, token: str) -> float:
-        for t, a in self.entries:
-            if t == token:
-                return a
-        raise KeyError(f"unknown unit {token!r}")
+        try:
+            return self._by_token[token]
+        except KeyError:
+            raise KeyError(f"unknown unit {token!r}") from None
 
     def __contains__(self, token: str) -> bool:
-        return any(t == token for t, _ in self.entries)
+        return token in self._by_token
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Hot numeric kernels: the secular matrices stacked over many spectral
-parameters, the smallest singular value of the real one, and the Kirchhoff
-eigenphase count, each at many parameters per call.
+parameters, the smallest singular value of the real one, the Kirchhoff
+eigenphase count from the 2E x 2E bond-scattering matrix, and the
+Friedlander count from the V x V vertex Dirichlet-to-Neumann matrix, each at
+many parameters per call.
 
 It owns the secular system: one scatter builds it for both edge bases, and
 `unknowns` is the one reader of its layout, a_e = col 2e, b_e = col 2e+1,
@@ -129,3 +131,48 @@ def eigenphase_count(eo, et, lengths, n_vertices, ks) -> tuple[np.ndarray, np.nd
                      - np.sum(np.mod(w, 2 * np.pi), axis=1)) / (2 * np.pi)
         nearest[sl] = w[np.arange(w.shape[0]), np.argmin(np.abs(w), axis=1)]
     return count, nearest
+
+
+def vertex_count(eo, et, lengths, n_vertices, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Number of eigenvalues lambda < k^2, lambda = 0 included, at each k in
+    ks, with the eigenvalues mu_j(k) of the vertex matrix Lambda(k) in
+    ascending order and their derivatives d mu_j / dk, each of shape
+    (len(ks), n_vertices).
+
+    Lambda(k) is the V x V vertex Dirichlet-to-Neumann matrix in the sign of
+    the secular system: each edge end adds k cot kL on the diagonal, each
+    edge that is no loop adds -k / sin kL off it, and a loop adds
+    -2k tan(kL/2) on the diagonal.  With D(k) = sum_e (ceil(kL_e/pi) - 1)
+    the Dirichlet eigenvalues of the edges below k, the count is
+    D(k) + n_-(Lambda(k)) (Friedlander, Arch. Rational Mech. Anal. 116, 1991;
+    for metric graphs Behrndt & Luger, J. Phys. A 43, 2010).  Every k must
+    lie off the poles sin kL_e = 0, where Lambda is undefined and its
+    inertia loses digits; d mu_j / dk = v_j' Lambda'(k) v_j (Hellmann-Feynman).
+    Between two poles each mu_j decreases with k.
+    """
+    ks = np.asarray(ks, dtype=float)
+    loop = eo == et
+    o, t, v = eo[~loop], et[~loop], eo[loop]
+    size = n_vertices * n_vertices
+    flat = np.concatenate([o, t, o, t, v]) * n_vertices + np.concatenate([o, t, t, o, v])
+    ln, ll = lengths[~loop], lengths[loop]
+    mu = np.empty((ks.shape[0], n_vertices))
+    dmu = np.empty((ks.shape[0], n_vertices))
+    for sl in chunks(ks.shape[0], 16 * size):
+        k = ks[sl, None]
+        m = k.shape[0]
+        kl, kh = k * ln, k * ll / 2
+        sn, cs, tn = np.sin(kl), np.cos(kl), np.tan(kh)
+        diag, off, loops = k * cs / sn, -k / sn, -2 * k * tn
+        d_diag, d_off = (cs * sn - kl) / sn ** 2, (kl * cs - sn) / sn ** 2
+        d_loops = -2 * tn - 2 * kh / np.cos(kh) ** 2
+        # entries (row, col) at flat = row * V + col of Lambda(k), then of Lambda'(k)
+        vals = np.concatenate([diag, diag, off, off, loops,
+                               d_diag, d_diag, d_off, d_off, d_loops], axis=1)
+        at = np.arange(m)[:, None] * size + np.concatenate([flat, flat + m * size])
+        lam, dlam = np.bincount(at.ravel(), vals.ravel(), minlength=2 * m * size).reshape(
+            2, m, n_vertices, n_vertices)
+        mu[sl], vec = np.linalg.eigh(lam)
+        dmu[sl] = np.sum(vec * (dlam @ vec), axis=1)
+    dirichlet = np.sum(np.ceil(np.multiply.outer(ks, lengths) / np.pi) - 1, axis=1)
+    return dirichlet.astype(np.int64) + np.count_nonzero(mu < 0, axis=1), mu, dmu

@@ -2,12 +2,16 @@
 
 The secular system couples the per-edge trigonometric coefficients (a_e, b_e)
 with explicit vertex values c_v; its null space at wavenumber k > 0 has the
-dimension of the eigenspace at lambda = k^2.  Eigenvalues are located by the
-integer Kirchhoff eigenphase count, which brackets each one together with
-its multiplicity; the smallest singular value of the secular system at
+dimension of the eigenspace at lambda = k^2.  Eigenvalues are located by an
+integer count of the eigenvalues below k, which brackets each one together
+with its multiplicity; the smallest singular value of the secular system at
 each hit is reported with it, not checked.  The candidate steps s of
 `lengths` are brackets of their own, so this module alone decides which
-eigenvalue lies on which step pi^2/s^2.
+eigenvalue lies on which step pi^2/s^2.  The steps are also the poles of
+the vertex matrix of `kernels.vertex_count`, which counts inside the
+brackets between them; the Kirchhoff eigenphase count of
+`kernels.eigenphase_count` certifies the brackets' ends and counts next to
+the poles.
 """
 
 from __future__ import annotations
@@ -26,6 +30,20 @@ from .lengths import Step, candidate_steps
 REFINE_TOL = 1e-12     # a bracket is done at width <= REFINE_TOL * max(1, k)
 COUNT_TOL = 1e-6       # largest distance of an eigenphase count from an integer
 SEPARATION_TOL = 1e-6  # largest sigma_{n-m+1}/sigma_{n-m} of an m-fold eigenvalue
+# Inside a bracket, a k with |sin kL_e| < POLE_TOL for some edge is counted by
+# eigenphases: next to a pole the vertex matrix holds entries of size
+# k/|sin kL_e|, so its eigenvalues carry absolute errors of about
+# eps*k/|sin kL_e| and its inertia can be off by one (seen within 1e-10
+# relative of k = pi on the 4x4 and 6x6 unit grids).  With 1e-7 or 1e-8 the
+# eigenvalue 5.3e-6 below 4 pi^2 on a unit loop with a pendant of length
+# 0.5000001, between two steps 2e-7 apart, is misplaced.
+POLE_TOL = 1e-6
+# A bracket split without an estimate is cut at these fractions, not at 1/2
+# or 1/3: a point within tol of an eigenvalue moves its hit by up to tol/2,
+# and symmetric graphs put eigenvalues at simple fractions of the gap between
+# two steps (the near-step test: 2/3 of it, where 1e-13 relative raises a
+# separation warning).
+GOLDEN = (3 - math.sqrt(5)) / 2
 
 
 @dataclass(frozen=True)
@@ -75,6 +93,56 @@ def assemble_secular(graph: MetricGraph, k: float) -> np.ndarray:
     return kernels.assemble_real(eo, et, ln, len(graph.vertices), [k])[0]
 
 
+def _near_pole(ks, lengths) -> np.ndarray:
+    """Where |sin kL_e| < POLE_TOL for some edge length L_e, at each k in ks:
+    the points inside a bracket that `eigenvalues_in` counts by eigenphases."""
+    return np.min(np.abs(np.sin(np.multiply.outer(ks, lengths))), axis=1) < POLE_TOL
+
+
+def _split(k, n, p, mu, dmu, forced, tol):
+    """The two points a < b at which each open bracket [lo, hi] is counted
+    next, given the counts n, the eigenphases nearest 0 p, and the vertex
+    eigenvalues mu and their slopes dmu at both ends (p or mu NaN where the
+    other count was used there).
+
+    Between two poles the sorted vertex eigenvalue mu_j, j = n_-(Lambda(lo)),
+    decreases and crosses 0 at the bracket's first eigenvalue; so does
+    theta = arctan(mu_j/k), which stays bounded where mu_j has a pole.
+    Newton's step on theta from the vertex-counted end where |theta| is
+    smaller gives a; the secant root of theta across the bracket gives b,
+    or, with one vertex-counted end, a second Newton step does.  With no
+    vertex-counted end, a = b is the secant root of the eigenphase nearest
+    0 where it crosses 0: one bracket never mixes the two variables.  Two
+    points closer than tol become the pair tol/2 wide around their
+    midpoint, so a bracket whose root they hit closes now (a pair tol wide
+    can round to a width above tol and never close).  Without an estimate,
+    and after a step that did not halve the bracket, the GOLDEN points.
+    """
+    lo, hi = k
+    at = np.arange(lo.size)
+    vertex = ~np.isnan(mu[:, :, 0])
+    below = np.sum(mu < 0, axis=2)
+    j = np.where(vertex[0], below[0], below[1] - (n[1] - n[0]))
+    jc = np.clip(j, 0, mu.shape[2] - 1)
+    mu_j, dmu_j = mu[:, at, jc], dmu[:, at, jc]
+    theta, slope = np.arctan(mu_j / k), (k * dmu_j - mu_j) / (k * k + mu_j * mu_j)
+    step = -theta / np.where(slope < 0, slope, np.nan)
+    end = np.where(vertex[0] & ~(np.abs(theta[1]) < np.abs(theta[0])), 0, 1)
+    step = np.where(j == jc, step[end, at], np.nan)
+    a = k[end, at] + step
+    both = vertex[0] & vertex[1]
+    b = np.where(both, lo + theta[0] * (hi - lo) / np.where(both, theta[0] - theta[1], 1.0),
+                 a + step)
+    phase = ~vertex[0] & ~vertex[1] & (p[0] < 0) & (p[1] > 0)
+    root = lo - p[0] * (hi - lo) / np.where(phase, p[1] - p[0], 1.0)
+    a, b = np.where(phase, root, np.minimum(a, b)), np.where(phase, root, np.maximum(a, b))
+    ok = ~forced & (a >= lo) & (b <= hi)
+    a = np.where(ok, np.clip(a, lo + tol / 2, hi - tol / 2), lo + GOLDEN * (hi - lo))
+    b = np.where(ok, np.clip(b, lo + tol / 2, hi - tol / 2), hi - GOLDEN * (hi - lo))
+    mid = np.where(b - a < tol, (a + b) / 2, np.nan)
+    return np.fmin(a, mid - tol / 4), np.fmax(b, mid + tol / 4)
+
+
 def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
     """Locate all eigenvalues with 0 < lambda <= lambda_max, prepending
     lambda = 0 with multiplicity beta0.
@@ -82,43 +150,70 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
     N(k), the number of eigenvalues kappa^2 with 0 < kappa <= k, is the
     eigenphase count of `kernels.eigenphase_count` shifted to N(k0) = 0 at
     k0 = pi/(2 L_tot).  No eigenvalue lies in (0, k0]: a component of total
-    length L has lambda_1 >= pi^2/L^2 (Nicaise) >= pi^2/L_tot^2.
+    length L has lambda_1 >= pi^2/L^2 (Nicaise) >= pi^2/L_tot^2.  Inside
+    the brackets N is the vertex count of `kernels.vertex_count` less beta0,
+    except within POLE_TOL of a pole of the vertex matrix, where the
+    eigenphase count stays.  A vertex count outside the counts of its
+    bracket's ends is a warning and is replaced by the eigenphase count.
 
     Every candidate step s (`lengths.candidate_steps`: pi^2/s^2 <=
     lambda_max) is a bracket of its own, REFINE_TOL*k_s wide around
     k_s = pi/s; a jump of N across it is an eigenvalue on that step, reported
-    at k_s exactly and carrying the step.  The brackets between the steps,
-    the last one ending at sqrt(lambda_max), with N(hi) > N(lo) are split in
-    lockstep, one stacked count per step, until each is at most
+    at k_s exactly and carrying the step.  The steps are the poles of the
+    vertex matrix, so the brackets between them, the last one ending at
+    sqrt(lambda_max), hold none.  Those with N(hi) > N(lo) are split in
+    lockstep (`_split`), one stacked count per step, until each is at most
     REFINE_TOL*max(1, hi) wide.  Touching brackets merge into one hit whose
     multiplicity is the jump of N across it; a hit holding two steps is a
-    warning and takes neither.  A count off an integer by more than
-    COUNT_TOL is a warning.
+    warning and takes neither.  An eigenphase count off an integer by more
+    than COUNT_TOL is a warning.
     """
     if not 0 < lambda_max < math.inf:
         raise ValueError("lambda_max must be positive and finite")
     eo, et, ln, _ = _edge_arrays(graph)
     nv = len(graph.vertices)
+    beta0 = betti_graph(graph).beta0
     k0 = math.pi / (2.0 * float(np.sum(ln)))
     kmax = math.sqrt(lambda_max)
     steps = [(math.pi / s.value(graph.units), s.lambda_value(graph.units), s)
              for s in candidate_steps(graph, lambda_max)]
     steps.sort(key=lambda st: st[0])    # ascending k_s, also where lambdas round equal
     off_integer: list[tuple[float, float]] = []
+    outside: list[tuple[float, int]] = []
 
-    def count(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        raw, phase = kernels.eigenphase_count(eo, et, ln, nv, ks)
+    def calibrated(ks: np.ndarray, raw: np.ndarray) -> np.ndarray:
         n = raw + shift
         off = np.abs(n - np.round(n)) > COUNT_TOL
         off_integer.extend(zip(ks[off].tolist(), n[off].tolist()))
-        return np.round(n).astype(np.int64), phase
+        return np.round(n).astype(np.int64)
 
-    shift = -kernels.eigenphase_count(eo, et, ln, nv, [k0])[0][0]
+    def count(ks: np.ndarray, n_lo: np.ndarray, n_hi: np.ndarray):
+        """N, the eigenphase nearest 0, and the vertex eigenvalues and their
+        slopes at each k in ks, inside brackets whose ends count n_lo and
+        n_hi; NaN where the other count was used."""
+        near = _near_pole(ks, ln)
+        n = np.empty(ks.size, dtype=np.int64)
+        p = np.full(ks.size, np.nan)
+        mu, dmu = np.full((ks.size, nv), np.nan), np.full((ks.size, nv), np.nan)
+        if not near.all():
+            c, mu[~near], dmu[~near] = kernels.vertex_count(eo, et, ln, nv, ks[~near])
+            n[~near] = c - beta0
+        bad = ~near & ((n < n_lo) | (n > n_hi))
+        outside.extend(zip(ks[bad].tolist(), n[bad].tolist()))
+        near |= bad
+        mu[bad] = dmu[bad] = np.nan
+        if near.any():
+            raw, p[near] = kernels.eigenphase_count(eo, et, ln, nv, ks[near])
+            n[near] = calibrated(ks[near], raw)
+        return n, p, mu, dmu
+
     k_s = np.array([st[0] for st in steps])
     s_lo, s_hi = k_s * (1 - REFINE_TOL / 2), k_s * (1 + REFINE_TOL / 2)
     ends = np.sort(np.concatenate([[k0], s_lo, s_hi,
                                    [kmax] if kmax > s_hi.max(initial=k0) else []]))
-    n_e, p_e = count(ends)
+    raw, p_e = kernels.eigenphase_count(eo, et, ln, nv, ends)
+    shift = -raw[0]                     # ends[0] is k0
+    n_e = calibrated(ends, raw)
     # one column per open bracket; row 0 its lower end, row 1 its upper end
     k, n, p = (np.stack([e[:-1], e[1:]]) for e in (ends, n_e, p_e))
     # a step's bracket is done as it is, pieces of overlapping ones too; the
@@ -129,6 +224,7 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
     fin = on_step & (jump != 0)
     done = list(zip(k[0, fin].tolist(), k[1, fin].tolist(), jump[fin].tolist()))
     k, n, p = k[:, ~on_step], n[:, ~on_step], p[:, ~on_step]
+    mu, dmu = np.full((*k.shape, nv), np.nan), np.full((*k.shape, nv), np.nan)
     forced = np.zeros(k.shape[1], dtype=bool)
     while True:
         tol = REFINE_TOL * np.maximum(1.0, k[1])
@@ -138,25 +234,16 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
         go = (jump != 0) & ~fin
         if not go.any():
             break
-        k, n, p, forced, tol = k[:, go], n[:, go], p[:, go], forced[go], tol[go]
-        # The secant root of the eigenphase nearest 0, when it crosses 0 in
-        # the bracket, is evaluated with a point tol away, so a bracket whose
-        # root it hits closes now; otherwise, and after a secant step that
-        # did not halve the bracket, the midpoint.
-        lo, hi = k
-        sec = ~forced & (p[0] < 0) & (p[1] > 0)
-        root = lo - p[0] * (hi - lo) / np.where(sec, p[1] - p[0], 1.0)
-        x = np.where(sec, np.clip(root, lo + tol / 2, hi - tol / 2), (lo + hi) / 2)
-        a, b = np.where(sec, x - tol / 2, x), np.where(sec, x + tol / 2, x)
-        n_x, p_x = count(np.concatenate([a, b[sec]]))
-        at_b = np.arange(lo.size)
-        at_b[sec] = lo.size + np.arange(np.count_nonzero(sec))
-        ends = (np.stack([lo, a, b, hi]),
-                np.stack([n[0], n_x[:lo.size], n_x[at_b], n[1]]),
-                np.stack([p[0], p_x[:lo.size], p_x[at_b], p[1]]))
-        # children [lo, a], [a, b], [b, hi]; [a, b] is empty after a midpoint
-        k, n, p = (np.stack([e[:-1].ravel(), e[1:].ravel()]) for e in ends)
-        forced = np.tile(sec, 3) & (k[1] - k[0] > np.tile(hi - lo, 3) / 2)
+        k, n, p, mu, dmu = (x[:, go] for x in (k, n, p, mu, dmu))
+        x = np.concatenate(_split(k, n, p, mu, dmu, forced[go], tol[go]))
+        at_x = count(x, np.tile(n[0], 2), np.tile(n[1], 2))
+        width = k[1] - k[0]
+        # ends lo, a, b, hi of each bracket; children [lo, a], [a, b], [b, hi]
+        ends = [np.concatenate([e[:1], e_x.reshape(2, *e.shape[1:]), e[1:]])
+                for e, e_x in zip((k, n, p, mu, dmu), (x, *at_x))]
+        k, n, p, mu, dmu = (np.stack([e[:-1], e[1:]]).reshape(2, -1, *e.shape[2:])
+                            for e in ends)
+        forced = k[1] - k[0] > np.tile(width, 3) / 2
 
     merged: list[list] = []
     for a, b, jump in sorted(done):
@@ -175,12 +262,15 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
         c = (a + b) / 2
         hits.append((*held[0], m) if len(held) == 1 else (c, c ** 2, None, m))
     sigmas = kernels.scan_sigma_min(eo, et, ln, nv, np.array([h[0] for h in hits]))
+    if outside:
+        k_out, n_out = outside[0]
+        warnings.append(f"vertex count outside its bracket's counts at {len(outside)} "
+                        f"points, e.g. N({k_out:.12g}) = {n_out}: eigenphase count used")
     if off_integer:
         k_off, n_off = off_integer[0]
         warnings.append(f"eigenphase count is not an integer at {len(off_integer)} "
                         f"points, e.g. N({k_off:.12g}) = {n_off!r}: eigenvalues may be missed")
-    out = [EigenvalueHit(lam=0.0, multiplicity=betti_graph(graph).beta0, k=0.0,
-                         sigma_min=0.0)]
+    out = [EigenvalueHit(lam=0.0, multiplicity=beta0, k=0.0, sigma_min=0.0)]
     out.extend(EigenvalueHit(lam=lam, multiplicity=m, k=k, sigma_min=sg, step=step)
                for (k, lam, step, m), sg in zip(hits, sigmas.tolist()))
     return Spectrum(tuple(out), tuple(warnings))

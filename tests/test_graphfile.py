@@ -6,6 +6,7 @@ import pytest
 import qglab
 from qglab import Step, parse_graph, parse_graph_text, resonance_dimension, serialize_graph
 from qglab.graphfile import GraphFileError
+from qglab.spectral import _edge_arrays
 
 from conftest import unit_grid
 
@@ -98,6 +99,27 @@ def test_grid_100_parse_and_step_one_linear():
     assert time.perf_counter() - t0 < 3.0
     assert (len(g.vertices), len(g.edges)) == (10_000, 19_800)
     assert rep.dim == rep.beta1 == 9801
+
+
+def test_cycle_with_a_unit_per_edge_linear():
+    # 8,000 edges, each in a unit of its own: unit lookups are hashed, not
+    # scans of every declared unit
+    n = 8000
+    text = ("".join(f"unit u{i} {1 + i / n!r}\n" for i in range(n))
+            + "".join(f"vertex c{i}\n" for i in range(n))
+            + "".join(f"edge e{i} c{i} c{(i + 1) % n} 1 u{i}\n" for i in range(n)))
+    t0 = time.perf_counter()
+    g = parse_graph_text(text)
+    ln = _edge_arrays(g)[2]
+    assert time.perf_counter() - t0 < 0.5
+    assert ln[-1] == g.units.approx(f"u{n - 1}") == 1 + (n - 1) / n
+
+
+def test_undeclared_unit_lookup_raises():
+    g = parse_graph_text("unit one 1.0\nvertex a\n")
+    assert "one" in g.units and "two" not in g.units
+    with pytest.raises(KeyError, match="unknown unit 'two'"):
+        g.units.approx("two")
 
 
 def test_negative_unit_approximation():

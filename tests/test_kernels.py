@@ -1,10 +1,15 @@
 import cmath
 import math
+import random
 
 import numpy as np
+import pytest
 
-from qglab import kernels
-from qglab.spectral import _edge_arrays
+from qglab import betti_graph, kernels
+from qglab.spectral import _edge_arrays, _near_pole
+
+from conftest import unit_grid
+from randgraphs import degree, random_graph
 
 
 def arrays(graph):
@@ -84,3 +89,66 @@ def test_scan_values_positive(interval_pi):
     # k = 1 is an eigenvalue of the length-pi interval, the others are not
     assert sig[1] < 1e-8
     assert sig[0] > 1e-3 and sig[2] > 1e-3
+
+
+# The vertex count against the eigenphase count.
+
+def calibrated_counts(graph, ks):
+    """The vertex count less beta0 and the eigenphase count shifted to 0 at
+    k0 = pi/(2 L_tot), both the number of eigenvalues in (0, k^2]."""
+    eo, et, ln, nv = arrays(graph)
+    raw, _ = kernels.eigenphase_count(eo, et, ln, nv, np.append(math.pi / (2 * ln.sum()), ks))
+    phase = raw[1:] - raw[0]
+    assert np.all(np.abs(phase - np.round(phase)) < 1e-6)
+    vertex, mu, dmu = kernels.vertex_count(eo, et, ln, nv, ks)
+    assert mu.shape == dmu.shape == (len(ks), nv)
+    return vertex - betti_graph(graph).beta0, np.round(phase).astype(np.int64)
+
+
+def test_vertex_count_matches_eigenphase_count(dumbbell, loop_pendant, interval_pi,
+                                               unit_triangle, path3):
+    graphs = [dumbbell, loop_pendant, interval_pi, unit_triangle, path3]
+    rng = random.Random(11)
+    while len(graphs) < 25:
+        g = random_graph(rng)
+        if all(degree(g, v) for v in g.vertices):
+            graphs.append(g)
+    assert any(e.is_loop for g in graphs[5:] for e in g.edges)
+    assert any(len({(e.origin, e.terminus) for e in g.edges}) < len(g.edges)
+               for g in graphs[5:])
+    draw = np.random.default_rng(11)
+    points = 0
+    for g in graphs:
+        ks = draw.uniform(0.05, 20.0, 400)
+        ks = ks[~_near_pole(ks, arrays(g)[2])]        # off the steps
+        vertex, phase = calibrated_counts(g, ks)
+        assert np.array_equal(vertex, phase), g
+        points += len(ks)
+    assert points > 9000
+
+
+def test_vertex_count_slopes_are_derivatives(dumbbell, loop_pendant):
+    # d mu_j / dk against central differences, away from crossings of the mu_j
+    for graph in (dumbbell, loop_pendant):
+        eo, et, ln, nv = arrays(graph)
+        ks = np.array([0.7, 2.3, 3.3, 5.1])
+        assert not _near_pole(ks, ln).any()
+        h = 1e-6
+        _, mu, dmu = kernels.vertex_count(eo, et, ln, nv, ks)
+        _, up, _ = kernels.vertex_count(eo, et, ln, nv, ks + h)
+        _, down, _ = kernels.vertex_count(eo, et, ln, nv, ks - h)
+        assert np.all(np.diff(mu, axis=1) > 1e-3)
+        assert np.all(dmu < 0)
+        assert np.allclose(dmu, (up - down) / (2 * h), rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize("n,below,above", [(4, 14, 24), (6, 34, 60)])
+def test_counts_next_to_a_pole_fall_back(n, below, above):
+    # Within 1e-10 relative of k = pi, a pole of the vertex matrix on every
+    # edge of a unit grid, its inertia has been seen off by one; so such k
+    # are counted by eigenphases, which give von Below's counts there.
+    eo, et, ln, nv = arrays(unit_grid(n))
+    ks = math.pi * np.array([1 - 1e-10, 1 + 1e-10])
+    assert _near_pole(ks, ln).all()
+    raw, _ = kernels.eigenphase_count(eo, et, ln, nv, np.append(math.pi / (2 * ln.sum()), ks))
+    assert np.round(raw[1:] - raw[0]).tolist() == [below, above]

@@ -222,6 +222,44 @@ def test_count_off_integer_warns(interval_pi, monkeypatch):
     assert any("not an integer" in w for w in spec.warnings)
 
 
+def test_vertex_count_outside_its_bracket_is_recounted(dumbbell, monkeypatch):
+    # a vertex count above its bracket's upper end must show and be replaced
+    # by the eigenphase count, which leaves the spectrum as it was
+    want = eigenvalues_in(dumbbell, 45)
+    exact = kernels.vertex_count
+
+    def overcounting(*args):
+        count, mu, dmu = exact(*args)
+        return count + 100 * (np.asarray(args[4]) > 4.0), mu, dmu
+
+    monkeypatch.setattr(kernels, "vertex_count", overcounting)
+    spec = eigenvalues_in(dumbbell, 45)
+    assert len(spec.warnings) == 1 and "vertex count outside" in spec.warnings[0]
+    assert [(h.multiplicity, h.step) for h in spec.eigenvalues] == [
+        (h.multiplicity, h.step) for h in want.eigenvalues]
+    for got, ref in zip(spec.eigenvalues, want.eigenvalues):
+        assert got.lam == pytest.approx(ref.lam, rel=1e-11)
+
+
+def test_near_pole_points_are_counted_by_eigenphases(monkeypatch):
+    # the eigenvalue 5.3e-6 below the scar at 4 pi^2 lies between two steps
+    # 1e-7 apart, so its bracket is refined by eigenphases alone
+    g = mk(["v", "w"], [("l", "v", "v", 1, "one"), ("p", "v", "w", 1, "u")],
+           {"one": 1.0, "u": 0.5000001})
+    seen = {"vertex": [], "phase": []}
+    for name, key in (("vertex_count", "vertex"), ("eigenphase_count", "phase")):
+        def recording(*args, f=getattr(kernels, name), key=key):
+            seen[key].extend(np.asarray(args[4]).tolist())
+            return f(*args)
+        monkeypatch.setattr(kernels, name, recording)
+    spec = eigenvalues_in(g, 45)
+    assert not spec.warnings
+    hit = min(spec.eigenvalues, key=lambda h: abs(h.lam - 39.4784123406))
+    assert hit.lam == pytest.approx(39.4784123406, abs=1e-9) and hit.step is None
+    assert any(abs(k - hit.k) < 1e-9 for k in seen["phase"])
+    assert not any(abs(k - hit.k) < 1e-6 for k in seen["vertex"])
+
+
 # ---------------------------------------------------------------------------
 # eigenspace extraction
 
@@ -331,6 +369,16 @@ def _unit_graph(vertices, pairs):
               {"one": 1.0})
 
 
+def _random_equilateral(seed, nv, extra):
+    """A connected unit-edge multigraph without loops: a random tree on nv
+    vertices and `extra` more edges, parallel ones allowed."""
+    rng = random.Random(seed)
+    vs = [f"r{i}" for i in range(nv)]
+    pairs = [(vs[rng.randrange(i)], vs[i]) for i in range(1, nv)]
+    pairs += [tuple(rng.sample(vs, 2)) for _ in range(extra)]
+    return _unit_graph(vs, pairs)
+
+
 @pytest.mark.parametrize("graph,lambda_max", [
     (unit_grid(4), 40),
     (unit_grid(6), 12),
@@ -342,7 +390,11 @@ def _unit_graph(vertices, pairs):
     (_unit_graph([f"c{i}" for i in range(8)],
                  [(f"c{i}", f"c{i + 1}") for i in range(7)]
                  + [(f"c{i}", f"c{i + 2}") for i in range(6)]), 60),
-], ids=["grid4", "grid6", "triangle", "pentagon", "K4", "theta", "strip8"])
+    (unit_grid(10), 3),
+    *((_random_equilateral(seed, nv, extra), 40)
+      for seed, nv, extra in ((1, 5, 4), (2, 7, 5), (3, 8, 8))),
+], ids=["grid4", "grid6", "triangle", "pentagon", "K4", "theta", "strip8", "grid10",
+        "random5", "random7", "random8"])
 def test_equilateral_spectrum_matches_von_below(graph, lambda_max):
     want = equilateral_spectrum(graph, lambda_max)
     assert all(abs(lam - lambda_max) > 1e-6 for lam, _ in want)
