@@ -1,16 +1,12 @@
-"""Hot numeric kernels: the secular matrices stacked over many spectral
-parameters, the smallest singular value of the real one, the Kirchhoff
-eigenphase count from the 2E x 2E bond-scattering matrix, and the
-Friedlander count from the V x V vertex Dirichlet-to-Neumann matrix, each at
-many parameters per call.
+"""Hot numeric kernels, each at many parameters per call: the Kirchhoff
+eigenphase count from the 2E x 2E bond-scattering matrix, the Friedlander
+count from the V x V vertex Dirichlet-to-Neumann matrix Lambda(k), and the
+bordered vertex system A(k), Lambda(k) bordered by one unknown and one row
+per edge on a pole (`poles`), with its smallest singular value.
+`dtn_entries` owns Lambda's entries, for the count and for A(k).
 
-It owns the secular system: one scatter builds it for both edge bases, and
-`unknowns` is the one reader of its layout, a_e = col 2e, b_e = col 2e+1,
-c_v = col 2*nE + v.
-
-Stacks are processed in chunks of at most CHUNK_BYTES per stacked matrix
-array, so a long array of wavenumbers never holds more than that in
-matrices.
+Stacks go in chunks of at most CHUNK_BYTES per stacked matrix array, so a
+long array of wavenumbers never holds more than that in matrices.
 """
 
 from __future__ import annotations
@@ -18,6 +14,13 @@ from __future__ import annotations
 import numpy as np
 
 CHUNK_BYTES = 256 * 1024
+# Edge e is on a pole of Lambda(k) where |sin kL_e| < POLE_TOL: A(k) borders
+# it and `spectral.eigenvalues_in` counts by eigenphases.  Next to a pole the
+# eigenvalues of Lambda carry errors of about eps*k/|sin kL_e|, and its inertia
+# was off by one within 1e-10 relative of k = pi on unit grids.  With 1e-7 or
+# 1e-8 the eigenvalue 5.3e-6 below 4 pi^2 of a unit loop with a pendant of
+# length 0.5000001, between two steps 2e-7 apart, is misplaced.
+POLE_TOL = 1e-6
 
 
 def chunks(n: int, matrix_bytes: int):
@@ -27,77 +30,80 @@ def chunks(n: int, matrix_bytes: int):
         yield slice(i, min(i + step, n))
 
 
-def unknowns(ne: int, vertices) -> tuple[slice, slice, np.ndarray]:
-    """Where the unknowns a_e and b_e of all ne edges lie, and the indices of
-    c_v for the given vertex indices: columns of a secular matrix, rows of
-    its null vectors."""
-    return (slice(0, 2 * ne, 2), slice(1, 2 * ne, 2),
-            2 * ne + np.asarray(vertices, dtype=np.int64))
+def poles(ks, lengths) -> np.ndarray:
+    """Whether |sin kL_e| < POLE_TOL, at each k in ks (rows) and edge e
+    (columns); for complex k (Im k >= 0) as |1 - g^2| < 2 POLE_TOL |g| with
+    g = exp(ikL), which does not overflow."""
+    kl = np.multiply.outer(ks, lengths)
+    if np.iscomplexobj(kl):
+        g = np.exp(1j * kl)
+        return np.abs(1 - g * g) < 2 * POLE_TOL * np.abs(g)
+    return np.abs(np.sin(kl)) < POLE_TOL
 
 
-def _scatter(eo, et, n_vertices, at_0, at_l):
-    """Secular matrices from each edge's two basis functions u, v, given as
-    (u, v, u', v') at x = 0 (at_0) and at x = L (at_l), each a scalar or an
-    array broadcast to (stack, nE).  Rows: value at origin, value at terminus
-    per edge; derivative balance per vertex, incoming f'(L) minus outgoing f'(0).
-    """
-    ne = eo.shape[0]
-    a_e, b_e, r_o = unknowns(ne, eo)
-    ra, rb, r_t = np.arange(2 * ne)[a_e], np.arange(2 * ne)[b_e], unknowns(ne, et)[2]
-    stack = np.broadcast(*at_0, *at_l).shape[0]
-    out = np.zeros((stack, 2 * ne + n_vertices, 2 * ne + n_vertices),
-                   dtype=np.result_type(*at_0, *at_l))
-    for row, r_v, (u, v, _, _) in ((ra, r_o, at_0), (rb, r_t, at_l)):
-        out[:, row, ra], out[:, row, rb], out[:, row, r_v] = u, v, -1.0
-    # a loop edge has r_t == r_o, so its balance terms add up in one entry
-    out[:, r_t, ra] += at_l[2]
-    out[:, r_t, rb] += at_l[3]
-    out[:, r_o, ra] -= at_0[2]
-    out[:, r_o, rb] -= at_0[3]
-    return out
+def dtn_entries(k, lengths, loops):
+    """Lambda(k)'s entries at each k of the column k: k cot kL at both ends
+    and -k / sin kL between them per edge of `lengths`, -2k tan(kL/2) per
+    loop of `loops`; for complex k (Im k >= 0) in the forms in g = exp(ikL),
+    |g| <= 1, which do not overflow deep on the negative axis."""
+    if np.iscomplexobj(k):
+        g, h = np.exp(1j * k * lengths), np.exp(1j * k * loops)
+        return (-1j * k * (1 + g * g) / (1 - g * g), 2j * k * g / (1 - g * g),
+                2j * k * (h - 1) / (h + 1))
+    sn = np.sin(k * lengths)
+    return k * np.cos(k * lengths) / sn, -k / sn, -2 * k * np.tan(k * loops / 2)
 
 
-def assemble_real(eo, et, lengths, n_vertices, ks) -> np.ndarray:
-    """Secular matrices at the wavenumbers ks >= 0, shape (len(ks), dim, dim).
+def bordered(eo, et, lengths, n_vertices, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A(k) at each k in ks, all float k >= 0 or all complex k with
+    Im k >= 0, shape (len(ks), n, n) with n = V + |P|; the size of each
+    one's entries; and P, the edges on a pole at some k in ks (a bordered
+    edge off its pole is exact too).
 
-    Basis cos(kx), sin(kx) per edge, slopes divided by k so entries stay
-    O(1).  At k = 0 the sine is replaced by x, which gives the affine ansatz
-    a + b x with plain slopes.
-    """
-    ks = np.asarray(ks, dtype=float)[:, None]
-    kl = ks * lengths
-    cl, sn = np.cos(kl), np.sin(kl)
-    sl = np.where(ks == 0.0, lengths, sn)
-    return _scatter(eo, et, n_vertices, (1.0, 0.0, 0.0, 1.0), (cl, sl, -sn, cl))
-
-
-def assemble_complex(eo, et, lengths, n_vertices, mus) -> np.ndarray:
-    """Complex secular matrices at the spectral parameters mus (k = sqrt(mu)),
-    shape (len(mus), dim, dim).
-
-    Uses the bounded exponential basis exp(ikx), exp(ik(L-x)) with
-    Im k >= 0, so entries stay O(1) even deep on the negative real axis
-    where cos/sin would overflow.  Derivative-balance rows are the actual
-    balance expressions, so a unit right-hand side there means a unit
-    derivative balance.
-    """
-    k = np.sqrt(np.asarray(mus, dtype=complex))
-    k = np.where(k.imag < 0, -k, k)
-    if np.any(k == 0):
-        raise ValueError("mu = 0 needs the affine assembly")
-    ik = (1j * k)[:, None]
-    g = np.exp(ik * lengths)          # |g| <= 1
-    return _scatter(eo, et, n_vertices, (1.0, g, ik, -ik * g), (g, 1.0, ik * g, -ik))
+    Unknowns: the vertex values c_v, then beta_e = k b_e per edge e in P,
+    on which f_e = c_o cos kx + b_e sin kx.  Rows: the derivative balance at
+    each vertex, incoming f'(L) minus outgoing f'(0), which each edge off P
+    enters through Lambda(k); then c_o cos kL + beta_e sin(kL)/k - c_t = 0
+    per edge in P.  At k = 0 every edge is in P and sin(kx)/k is x.  The
+    size is the largest magnitude one edge puts into an entry, at least
+    max(1, |k|): entries of several edges can cancel, as in the 1 x 1 A(k)
+    of one vertex with loops."""
+    ks = np.asarray(ks)
+    pole = poles(ks, lengths).any(axis=0)
+    ks = ks[:, None]
+    loop = eo == et
+    free, ring = ~pole & ~loop, ~pole & loop
+    o, t, v, po, pt = eo[free], et[free], eo[ring], eo[pole], et[pole]
+    r = n_vertices + np.arange(po.size)
+    n = n_vertices + po.size
+    diag, off, loops = dtn_entries(ks, lengths[free], lengths[ring])
+    kl = ks * lengths[pole]
+    cs, one = np.cos(kl), np.ones(kl.shape)
+    sk = np.where(ks == 0, lengths[pole], np.sin(kl) / np.where(ks == 0, 1, ks))
+    # entries (row, col) at row * n + col; a loop's or a parallel edge's add up
+    rows = np.concatenate([o, t, o, t, v, pt, pt, po, r, r, r])
+    cols = np.concatenate([o, t, t, o, v, po, r, r, po, r, pt])
+    vals = np.concatenate([diag, diag, off, off, loops,
+                           -ks * np.sin(kl), cs, -one, cs, sk, -one], axis=1)
+    out = np.zeros((ks.shape[0], n * n), dtype=vals.dtype)
+    np.add.at(out, (slice(None), rows * n + cols), vals)
+    size = np.maximum(np.max(np.abs(vals), axis=1, initial=1.0), np.abs(ks[:, 0]))
+    return out.reshape(-1, n, n), size, pole
 
 
 def scan_sigma_min(eo, et, lengths, n_vertices, ks) -> np.ndarray:
-    """Smallest singular value of the real secular matrix at each k in ks."""
+    """Smallest singular value of A(k) at each k in ks >= 0, stacking the ks
+    with the same edges on a pole."""
     ks = np.asarray(ks, dtype=float)
-    dim = 2 * eo.shape[0] + n_vertices
     out = np.empty(ks.shape[0])
-    for sl in chunks(ks.shape[0], 8 * dim * dim):
-        a = assemble_real(eo, et, lengths, n_vertices, ks[sl])
-        out[sl] = np.linalg.svd(a, compute_uv=False)[:, -1]
+    sets: dict[bytes, list[int]] = {}
+    for i, row in enumerate(poles(ks, lengths)):
+        sets.setdefault(row.tobytes(), []).append(i)
+    for key, at in sets.items():
+        dim = n_vertices + sum(key)                # one byte 0 or 1 per edge
+        for sl in chunks(len(at), 8 * dim * dim):
+            a = bordered(eo, et, lengths, n_vertices, ks[at[sl]])[0]
+            out[at[sl]] = np.linalg.svd(a, compute_uv=False)[:, -1]
     return out
 
 
@@ -135,20 +141,17 @@ def eigenphase_count(eo, et, lengths, n_vertices, ks) -> tuple[np.ndarray, np.nd
 
 def vertex_count(eo, et, lengths, n_vertices, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Number of eigenvalues lambda < k^2, lambda = 0 included, at each k in
-    ks, with the eigenvalues mu_j(k) of the vertex matrix Lambda(k) in
-    ascending order and their derivatives d mu_j / dk, each of shape
-    (len(ks), n_vertices).
+    ks, with the eigenvalues mu_j(k) of Lambda(k) in ascending order and
+    their derivatives d mu_j / dk, each of shape (len(ks), n_vertices).
 
-    Lambda(k) is the V x V vertex Dirichlet-to-Neumann matrix in the sign of
-    the secular system: each edge end adds k cot kL on the diagonal, each
-    edge that is no loop adds -k / sin kL off it, and a loop adds
-    -2k tan(kL/2) on the diagonal.  With D(k) = sum_e (ceil(kL_e/pi) - 1)
-    the Dirichlet eigenvalues of the edges below k, the count is
-    D(k) + n_-(Lambda(k)) (Friedlander, Arch. Rational Mech. Anal. 116, 1991;
-    for metric graphs Behrndt & Luger, J. Phys. A 43, 2010).  Every k must
-    lie off the poles sin kL_e = 0, where Lambda is undefined and its
-    inertia loses digits; d mu_j / dk = v_j' Lambda'(k) v_j (Hellmann-Feynman).
-    Between two poles each mu_j decreases with k.
+    Lambda(k) is the V x V vertex Dirichlet-to-Neumann matrix of
+    `dtn_entries`, in the sign of the balance rows of A(k).  With
+    D(k) = sum_e (ceil(kL_e/pi) - 1) the Dirichlet eigenvalues of the edges
+    below k, the count is D(k) + n_-(Lambda(k)) (Friedlander, Arch. Rational
+    Mech. Anal. 116, 1991; for metric graphs Behrndt & Luger, J. Phys. A 43,
+    2010).  Every k must lie off the poles sin kL_e = 0, where Lambda is
+    undefined and its inertia loses digits; d mu_j / dk = v_j' Lambda'(k) v_j
+    (Hellmann-Feynman).  Between two poles each mu_j decreases with k.
     """
     ks = np.asarray(ks, dtype=float)
     loop = eo == et
@@ -163,7 +166,7 @@ def vertex_count(eo, et, lengths, n_vertices, ks) -> tuple[np.ndarray, np.ndarra
         m = k.shape[0]
         kl, kh = k * ln, k * ll / 2
         sn, cs, tn = np.sin(kl), np.cos(kl), np.tan(kh)
-        diag, off, loops = k * cs / sn, -k / sn, -2 * k * tn
+        diag, off, loops = dtn_entries(k, ln, ll)
         d_diag, d_off = (cs * sn - kl) / sn ** 2, (kl * cs - sn) / sn ** 2
         d_loops = -2 * tn - 2 * kh / np.cos(kh) ** 2
         # entries (row, col) at flat = row * V + col of Lambda(k), then of Lambda'(k)

@@ -1,17 +1,15 @@
 """Floating-point eigenvalue machinery for the Kirchhoff Laplacian.
 
-The secular system couples the per-edge trigonometric coefficients (a_e, b_e)
-with explicit vertex values c_v; its null space at wavenumber k > 0 has the
-dimension of the eigenspace at lambda = k^2.  Eigenvalues are located by an
-integer count of the eigenvalues below k, which brackets each one together
-with its multiplicity; the smallest singular value of the secular system at
-each hit is reported with it, not checked.  The candidate steps s of
+Eigenvalues are located by an integer count of the eigenvalues below k, which
+brackets each one together with its multiplicity.  The candidate steps s of
 `lengths` are brackets of their own, so this module alone decides which
-eigenvalue lies on which step pi^2/s^2.  The steps are also the poles of
-the vertex matrix of `kernels.vertex_count`, which counts inside the
-brackets between them; the Kirchhoff eigenphase count of
-`kernels.eigenphase_count` certifies the brackets' ends and counts next to
-the poles.
+eigenvalue lies on which step pi^2/s^2.  The steps are also the poles of the
+vertex matrix of `kernels.vertex_count`, which counts inside the brackets
+between them; the Kirchhoff eigenphase count of `kernels.eigenphase_count`
+certifies the brackets' ends and counts next to the poles.  The eigenspace
+at lambda = k^2 is the null space of the bordered vertex system A(k) of
+`kernels.bordered`, whose smallest singular value at each hit is reported
+with it, not checked.
 """
 
 from __future__ import annotations
@@ -30,14 +28,6 @@ from .lengths import Step, candidate_steps
 REFINE_TOL = 1e-12     # a bracket is done at width <= REFINE_TOL * max(1, k)
 COUNT_TOL = 1e-6       # largest distance of an eigenphase count from an integer
 SEPARATION_TOL = 1e-6  # largest sigma_{n-m+1}/sigma_{n-m} of an m-fold eigenvalue
-# Inside a bracket, a k with |sin kL_e| < POLE_TOL for some edge is counted by
-# eigenphases: next to a pole the vertex matrix holds entries of size
-# k/|sin kL_e|, so its eigenvalues carry absolute errors of about
-# eps*k/|sin kL_e| and its inertia can be off by one (seen within 1e-10
-# relative of k = pi on the 4x4 and 6x6 unit grids).  With 1e-7 or 1e-8 the
-# eigenvalue 5.3e-6 below 4 pi^2 on a unit loop with a pendant of length
-# 0.5000001, between two steps 2e-7 apart, is misplaced.
-POLE_TOL = 1e-6
 # A bracket split without an estimate is cut at these fractions, not at 1/2
 # or 1/3: a point within tol of an eigenvalue moves its hit by up to tol/2,
 # and symmetric graphs put eigenvalues at simple fractions of the gap between
@@ -86,17 +76,11 @@ def _edge_arrays(graph: MetricGraph):
 
 
 def assemble_secular(graph: MetricGraph, k: float) -> np.ndarray:
-    """Secular matrix at wavenumber k >= 0 (affine ansatz at k = 0)."""
+    """The bordered vertex system A(k) at wavenumber k >= 0."""
     eo, et, ln, _ = _edge_arrays(graph)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return kernels.assemble_real(eo, et, ln, len(graph.vertices), [k])[0]
-
-
-def _near_pole(ks, lengths) -> np.ndarray:
-    """Where |sin kL_e| < POLE_TOL for some edge length L_e, at each k in ks:
-    the points inside a bracket that `eigenvalues_in` counts by eigenphases."""
-    return np.min(np.abs(np.sin(np.multiply.outer(ks, lengths))), axis=1) < POLE_TOL
+    return kernels.bordered(eo, et, ln, len(graph.vertices), [float(k)])[0][0]
 
 
 def _split(k, n, p, mu, dmu, forced, tol):
@@ -152,7 +136,7 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
     k0 = pi/(2 L_tot).  No eigenvalue lies in (0, k0]: a component of total
     length L has lambda_1 >= pi^2/L^2 (Nicaise) >= pi^2/L_tot^2.  Inside
     the brackets N is the vertex count of `kernels.vertex_count` less beta0,
-    except within POLE_TOL of a pole of the vertex matrix, where the
+    except within `kernels.POLE_TOL` of a pole of the vertex matrix, where the
     eigenphase count stays.  A vertex count outside the counts of its
     bracket's ends is a warning and is replaced by the eigenphase count.
 
@@ -191,7 +175,7 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
         """N, the eigenphase nearest 0, and the vertex eigenvalues and their
         slopes at each k in ks, inside brackets whose ends count n_lo and
         n_hi; NaN where the other count was used."""
-        near = _near_pole(ks, ln)
+        near = kernels.poles(ks, ln).any(axis=1)
         n = np.empty(ks.size, dtype=np.int64)
         p = np.full(ks.size, np.nan)
         mu, dmu = np.full((ks.size, nv), np.nan), np.full((ks.size, nv), np.nan)
@@ -281,43 +265,53 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
 _golden_min = kernels.eigenphase_count
 
 
-def _null_vectors(graph: MetricGraph, lam: float,
-                  multiplicity: int) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """k = sqrt(lam), the secular matrix there, its `multiplicity` right
-    singular vectors of smallest singular value as columns, and their
-    separation sigma_{n-m+1}/sigma_{n-m} from the other singular values."""
+def _null_vectors(eo, et, ln, nv: int, lam: float, multiplicity: int):
+    """k = sqrt(lam); the coefficients a_e, b_e and vertex values c_v, as
+    columns, of the functions of the `multiplicity` right singular vectors w
+    of smallest singular value of A(k); each |A w| relative to the size of
+    A's entries; and their separation sigma_{n-m+1}/sigma_{n-m}, with that
+    size for sigma_0 when m = n.  Off the bordered edges
+    b_e = (c_t - c_o cos kL) / sin kL; on them b_e = beta_e / k (beta_e at k = 0).
+    """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     k = math.sqrt(lam)
-    a = assemble_secular(graph, k)
-    n = a.shape[0]
-    if not 0 < multiplicity < n:
-        raise ValueError(f"multiplicity must lie in 1..{n - 1}")
+    a, size, pole = kernels.bordered(eo, et, ln, nv, [k])
+    a, n = a[0], a.shape[1]
+    if not 0 < multiplicity <= n:
+        raise ValueError(f"multiplicity must lie in 1..{n}")
     _, s, vt = np.linalg.svd(a)
-    last = s[n - multiplicity - 1]
+    w = vt[n - multiplicity:].T
+    last = s[n - multiplicity - 1] if multiplicity < n else size[0]
     separation = float(s[n - multiplicity] / last) if last > 0 else math.inf
-    return k, a, vt[n - multiplicity:].T, separation
+    c = w[:nv]
+    b = np.empty((len(ln), multiplicity))
+    kl = k * ln[~pole, None]
+    b[~pole] = (c[et[~pole]] - c[eo[~pole]] * np.cos(kl)) / np.sin(kl)
+    b[pole] = w[nv:] / (k if k else 1.0)
+    return k, c[eo], b, c, np.max(np.abs(a @ w), axis=0) / size[0], separation
 
 
 def eigenspace(graph: MetricGraph, lam: float,
                multiplicity: int) -> tuple[list[EdgeFunction], list[str]]:
-    """Orthonormal basis of the `multiplicity`-dimensional nullspace of the
-    secular system at sqrt(lam), mapped to per-edge trigonometric coefficient
-    functions.  A separation above SEPARATION_TOL is flagged: then lam is not
-    an eigenvalue of that multiplicity."""
-    k, a, w, separation = _null_vectors(graph, lam, multiplicity)
+    """Basis of the `multiplicity`-dimensional null space of A(sqrt(lam)) as
+    per-edge trigonometric coefficient functions, orthonormal in their
+    coefficients and vertex values together.  A separation above
+    SEPARATION_TOL is flagged: then lam is not an eigenvalue of that
+    multiplicity."""
+    k, a, b, c, resid, separation = _null_vectors(*_edge_arrays(graph)[:3],
+                                                  len(graph.vertices), lam, multiplicity)
+    a, b, c = np.split(np.linalg.qr(np.concatenate([a, b, c]))[0], [len(a), 2 * len(a)])
     flags: list[str] = []
     if not separation <= SEPARATION_TOL:
         flags.append(f"nullspace not separated: sigma ratio {separation:.3g} "
                      f"> {SEPARATION_TOL:g}")
-    ra, rb, rv = kernels.unknowns(len(graph.edges), range(len(graph.vertices)))
+    ids = [e.id for e in graph.edges]
     funcs = []
-    for i, vec in enumerate(w.T):
-        coeffs = dict(zip((e.id for e in graph.edges),
-                          zip(vec[ra].tolist(), vec[rb].tolist())))
-        vvals = dict(zip(graph.vertices, vec[rv].tolist()))
+    for i in range(multiplicity):
+        coeffs = dict(zip(ids, zip(a[:, i].tolist(), b[:, i].tolist())))
+        vvals = dict(zip(graph.vertices, c[:, i].tolist()))
         funcs.append(EdgeFunction(k=k, coeffs=coeffs, vertex_values=vvals))
-        resid = float(np.max(np.abs(a @ vec)))
-        if resid > 1e-10:
-            flags.append(f"residual {resid:.3g} above 1e-10 for nullvector {i}")
+        if resid[i] > 1e-10:
+            flags.append(f"relative residual {resid[i]:.3g} above 1e-10 for nullvector {i}")
     return funcs, flags

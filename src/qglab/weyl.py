@@ -4,7 +4,8 @@ M_B(mu)[k,l] is the value at vertex v_k of the solution of -f'' = mu f with
 unit derivative balance at v_l and zero balance elsewhere.  Eigenvalues of
 the graph Laplacian appear as order-one poles of M_B unless their
 eigenfunctions vanish on B; residue ranks quantify exactly how much of each
-eigenspace is visible from the vertex data.
+eigenspace is visible from the vertex data.  Both come from the bordered
+vertex system A(k) of `kernels.bordered`, Lambda(k) = M(k^2)^-1 off the poles.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .spectral import (SEPARATION_TOL, Spectrum, _edge_arrays, _null_vectors,
 
 RESIDUE_FLOOR = 1e-12    # residue rank floor, relative to ||G^-1||_2
 RANK_TOL = 1e-8          # residue rank threshold, relative to its sigma_1
-COND_MAX = 1e12          # largest condition number of a secular system at an NtD node
+COND_MAX = 1e12          # largest condition number of A(k) at an NtD sample
 
 
 class NearSpectrumError(RuntimeError):
@@ -72,22 +73,26 @@ def ntd_matrix(graph: MetricGraph, selection: VertexSelection, mu: complex) -> n
     """The Neumann-to-Dirichlet matrix M_B(mu) for mu off the spectrum, rows
     and columns in the order of selection.vertices.
 
-    M_B is the B block of the inverse of the complex secular matrix A at mu,
-    and mu is rejected unless cond_2(A) <= COND_MAX.  mu = 0 is always an
-    eigenvalue: the constants on each component.
+    M_B is the B block of the inverse of A(k), k = sqrt(mu) with Im k >= 0.
+    mu is rejected unless cond_2(A) <= COND_MAX, with ||A||_2 taken at least
+    the size of A's entries (`kernels.bordered`): the bare condition of a
+    1 x 1 A(k) is 1 even on an eigenvalue.  mu = 0 is always an eigenvalue:
+    the constants on each component.
     """
     eo, et, ln, vix = _edge_arrays(graph)
     if not cmath.isfinite(mu):
         raise ValueError(f"mu must be finite: {complex(mu)!r}")
     if mu == 0:
         raise NearSpectrumError("mu = 0 is an eigenvalue: the constants on each component")
-    a = kernels.assemble_complex(eo, et, ln, len(graph.vertices), [mu])[0]
-    cond = np.linalg.cond(a)
+    k = cmath.sqrt(mu)
+    a, size, _ = kernels.bordered(eo, et, ln, len(graph.vertices), [-k if k.imag < 0 else k])
+    s = np.linalg.svd(a[0], compute_uv=False).tolist()
+    cond = max(s[0], size[0]) / s[-1] if s[-1] > 0 else np.inf
     if not cond <= COND_MAX:
         raise NearSpectrumError(
             f"system at mu={complex(mu)!r} has condition {cond:.3g} > {COND_MAX:.3g}")
-    _, _, rv = kernels.unknowns(len(graph.edges), [vix[v] for v in selection.vertices])
-    return np.linalg.inv(a)[np.ix_(rv, rv)]
+    rv = [vix[v] for v in selection.vertices]
+    return np.linalg.inv(a[0])[np.ix_(rv, rv)]
 
 
 # The benchmark tracer (perfbench/spans.py) still reads the deleted contour's
@@ -112,32 +117,29 @@ def residue(graph: MetricGraph, selection: VertexSelection, lam: float,
     """Residue of M_B at the eigenvalue lam of the given multiplicity, in
     closed form from its eigenspace.
 
-    With W the m secular null vectors, C_B their vertex values on B and G
-    their L2 Gram matrix, the eigenfunctions W G^{-1/2} are orthonormal, so
-    the spectral expansion M_B(mu) = -sum_n phi_n(B) phi_n(B)^T / (mu - lam_n)
-    gives Res_lam M_B = -C_B G^{-1} C_B^T.  Its rank counts the singular
+    With W the functions of the m null vectors of A(k), C_B their vertex
+    values on B and G their L2 Gram matrix, the eigenfunctions W G^{-1/2} are
+    orthonormal, so M_B(mu) = -sum_n phi_n(B) phi_n(B)^T / (mu - lam_n) gives
+    Res_lam M_B = -C_B G^{-1} C_B^T.  Its rank counts the singular
     values above max(RANK_TOL * sigma_1, RESIDUE_FLOOR * ||G^-1||_2): the
     floor is the size the residue would have with vertex values as large as
     the null vectors' entries.
     """
-    k, _, w, separation = _null_vectors(graph, lam, multiplicity)
-    _, _, ln, vix = _edge_arrays(graph)
-    ra, rb, rv = kernels.unknowns(len(graph.edges), [vix[v] for v in selection.vertices])
+    eo, et, ln, vix = _edge_arrays(graph)
+    k, a, b, c, _, separation = _null_vectors(eo, et, ln, len(vix), lam, multiplicity)
     # integrals over [0, L] of cos^2, sin*cos, sin^2; of 1, x, x^2 at k = 0
     if k == 0.0:
         icc, ics, iss = ln, ln ** 2 / 2, ln ** 3 / 3
     else:
         half = np.sin(2 * k * ln) / (4 * k)
         icc, ics, iss = ln / 2 + half, np.sin(k * ln) ** 2 / (2 * k), ln / 2 - half
-    wa, wb = w[ra], w[rb]
-    cross = wa.T @ (ics[:, None] * wb)
-    gram = wa.T @ (icc[:, None] * wa) + wb.T @ (iss[:, None] * wb) + cross + cross.T
-    ginv = np.linalg.inv(gram)
-    c = w[rv]
-    mat = -c @ ginv @ c.T
+    cross = a.T @ (ics[:, None] * b)
+    gram = a.T @ (icc[:, None] * a) + b.T @ (iss[:, None] * b) + cross + cross.T
+    g, v = np.linalg.eigh(gram)               # G^-1 = V diag(1/g) V^T, g > 0
+    cv = c[[vix[u] for u in selection.vertices]] @ v
+    mat = -(cv / g) @ cv.T
     sv = np.linalg.svd(mat, compute_uv=False)
-    thresh = max(RANK_TOL * (sv[0] if len(sv) else 0.0),
-                 RESIDUE_FLOOR * np.linalg.norm(ginv, 2))
+    thresh = max(RANK_TOL * (sv[0] if len(sv) else 0.0), RESIDUE_FLOOR / g[0])
     return ResidueEstimate(lam=lam, matrix=mat, rank=int(np.sum(sv > thresh)),
                            singular_values=sv, separation=separation)
 

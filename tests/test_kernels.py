@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qglab import betti_graph, kernels
-from qglab.spectral import _edge_arrays, _near_pole
+from qglab.spectral import _edge_arrays
 
 from conftest import unit_grid
 from randgraphs import degree, random_graph
@@ -17,68 +17,67 @@ def arrays(graph):
     return eo, et, ln, len(graph.vertices)
 
 
-# Per-point references: one matrix at a time, entry by entry.
+# Per-point reference: one A(k) at a time, entry by entry.
 
-def reference_real(eo, et, ln, nv, k):
-    ne = len(eo)
-    a = np.zeros((2 * ne + nv, 2 * ne + nv))
-    for e in range(ne):
-        r_o, r_t = 2 * ne + eo[e], 2 * ne + et[e]
-        cl = math.cos(k * ln[e])
-        sl = math.sin(k * ln[e]) if k else ln[e]   # affine ansatz at k = 0
-        a[2 * e, 2 * e] = 1.0
-        a[2 * e, r_o] = -1.0
-        a[2 * e + 1, 2 * e] = cl
-        a[2 * e + 1, 2 * e + 1] = sl
-        a[2 * e + 1, r_t] = -1.0
-        a[r_t, 2 * e] += -math.sin(k * ln[e])
-        a[r_t, 2 * e + 1] += cl
-        a[r_o, 2 * e + 1] -= 1.0
+def reference_bordered(eo, et, ln, nv, k):
+    """A(k): Lambda's entries for each edge off a pole; a column beta_e,
+    f_e = c_o cos kx + (beta_e/k) sin kx, and a continuity row for each edge
+    on one."""
+    trig = cmath if isinstance(k, complex) else math
+    pole = [e for e in range(len(eo)) if abs(trig.sin(k * ln[e])) < kernels.POLE_TOL]
+    n = nv + len(pole)
+    a = np.zeros((n, n), dtype=type(k))
+    for e in range(len(eo)):
+        o, t, kl = eo[e], et[e], k * ln[e]
+        if e in pole:
+            r = nv + pole.index(e)
+            a[t, o] -= k * trig.sin(kl)
+            a[t, r] += trig.cos(kl)
+            a[o, r] -= 1.0
+            a[r, o] += trig.cos(kl)
+            a[r, t] -= 1.0
+            a[r, r] = trig.sin(kl) / k if k else ln[e]     # affine at k = 0
+        elif o == t:
+            a[o, o] -= 2 * k * trig.tan(kl / 2)
+        else:
+            for u, w in ((o, t), (t, o)):
+                a[u, u] += k * trig.cos(kl) / trig.sin(kl)
+                a[u, w] -= k / trig.sin(kl)
     return a
 
 
-def reference_complex(eo, et, ln, nv, mu):
-    ne = len(eo)
-    k = cmath.sqrt(mu)
-    if k.imag < 0:
-        k = -k
-    ik = 1j * k
-    a = np.zeros((2 * ne + nv, 2 * ne + nv), dtype=complex)
-    for e in range(ne):
-        r_o, r_t = 2 * ne + eo[e], 2 * ne + et[e]
-        g = cmath.exp(ik * ln[e])
-        a[2 * e, 2 * e] = 1.0
-        a[2 * e, 2 * e + 1] = g
-        a[2 * e, r_o] = -1.0
-        a[2 * e + 1, 2 * e] = g
-        a[2 * e + 1, 2 * e + 1] = 1.0
-        a[2 * e + 1, r_t] = -1.0
-        a[r_t, 2 * e] += ik * g
-        a[r_t, 2 * e + 1] += -ik
-        a[r_o, 2 * e] -= ik
-        a[r_o, 2 * e + 1] -= -ik * g
-    return a
+def pole_points(ln, n=3):
+    """Wavenumbers on the first n poles sin kL_e = 0 of every edge."""
+    return [j * math.pi / length for length in ln for j in range(1, n + 1)]
 
 
 def test_batched_scan_matches_per_point_svd(dumbbell):
     eo, et, ln, nv = arrays(dumbbell)
-    dim = 2 * len(eo) + nv
-    ks = np.linspace(0.3, 12.0, 301)
-    assert len(ks) > kernels.CHUNK_BYTES // (8 * dim * dim)   # several chunks
-    ref = [np.linalg.svd(reference_real(eo, et, ln, nv, k))[1][-1] for k in ks]
+    ks = np.concatenate([np.linspace(0.3, 12.0, 1201), pole_points(ln)])
+    pole = kernels.poles(ks, ln)
+    assert pole.any() and not pole.all()
+    assert (~pole.any(axis=1)).sum() > 2 * kernels.CHUNK_BYTES // (8 * nv * nv)  # chunks
     act = kernels.scan_sigma_min(eo, et, ln, nv, ks)
-    assert np.allclose(act, ref, rtol=0, atol=1e-12)
+    for k, sig in zip(ks.tolist(), act.tolist()):
+        ref = np.linalg.svd(reference_bordered(eo, et, ln, nv, k), compute_uv=False)
+        assert abs(sig - ref[-1]) <= 1e-13 * ref[0]
 
 
 def test_batched_assembly_matches_per_point(dumbbell, loop_pendant):
     for graph in (dumbbell, loop_pendant):      # loop_pendant has a loop edge
         eo, et, ln, nv = arrays(graph)
-        ks = [0.0, 0.7, 2.0, 6.283]
-        for k, a in zip(ks, kernels.assemble_real(eo, et, ln, nv, ks)):
-            assert np.allclose(a, reference_real(eo, et, ln, nv, k), rtol=0, atol=1e-12)
-        mus = [-40.0, 0.7 + 0.2j, 6.283 - 1.0j, 39.0 + 1e-3j]
-        for mu, a in zip(mus, kernels.assemble_complex(eo, et, ln, nv, mus)):
-            assert np.allclose(a, reference_complex(eo, et, ln, nv, mu), rtol=0, atol=1e-12)
+        ks = np.array([0.0, 0.7, 2.0, 6.283, *pole_points(ln)])
+        mus = np.array([-40.0, 0.7 + 0.2j, 6.283 - 1.0j, 39.0 + 1e-3j,
+                        *(np.array(pole_points(ln)) ** 2 + 0j)])
+        roots = np.sqrt(mus)
+        for points in (ks, np.where(roots.imag < 0, -roots, roots)):
+            pole = kernels.poles(points, ln)
+            for p in np.unique(pole, axis=0):
+                at = (pole == p).all(axis=1)
+                for k, a in zip(points[at], kernels.bordered(eo, et, ln, nv, points[at])[0]):
+                    ref = reference_bordered(eo, et, ln, nv, k.item())
+                    assert a.shape == ref.shape
+                    assert np.allclose(a, ref, rtol=1e-12, atol=1e-12)
 
 
 def test_scan_values_positive(interval_pi):
@@ -120,7 +119,7 @@ def test_vertex_count_matches_eigenphase_count(dumbbell, loop_pendant, interval_
     points = 0
     for g in graphs:
         ks = draw.uniform(0.05, 20.0, 400)
-        ks = ks[~_near_pole(ks, arrays(g)[2])]        # off the steps
+        ks = ks[~kernels.poles(ks, arrays(g)[2]).any(axis=1)]     # off the steps
         vertex, phase = calibrated_counts(g, ks)
         assert np.array_equal(vertex, phase), g
         points += len(ks)
@@ -132,7 +131,7 @@ def test_vertex_count_slopes_are_derivatives(dumbbell, loop_pendant):
     for graph in (dumbbell, loop_pendant):
         eo, et, ln, nv = arrays(graph)
         ks = np.array([0.7, 2.3, 3.3, 5.1])
-        assert not _near_pole(ks, ln).any()
+        assert not kernels.poles(ks, ln).any()
         h = 1e-6
         _, mu, dmu = kernels.vertex_count(eo, et, ln, nv, ks)
         _, up, _ = kernels.vertex_count(eo, et, ln, nv, ks + h)
@@ -149,6 +148,6 @@ def test_counts_next_to_a_pole_fall_back(n, below, above):
     # are counted by eigenphases, which give von Below's counts there.
     eo, et, ln, nv = arrays(unit_grid(n))
     ks = math.pi * np.array([1 - 1e-10, 1 + 1e-10])
-    assert _near_pole(ks, ln).all()
+    assert kernels.poles(ks, ln).any(axis=1).all()
     raw, _ = kernels.eigenphase_count(eo, et, ln, nv, np.append(math.pi / (2 * ln.sum()), ks))
     assert np.round(raw[1:] - raw[0]).tolist() == [below, above]

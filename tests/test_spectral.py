@@ -9,17 +9,31 @@ import pytest
 from qglab import (Edge, ExactLength, MetricGraph, Step, assemble_secular, betti_graph,
                    eigenspace, eigenvalues_in, kernels)
 
+from qglab.spectral import _edge_arrays
+
 from conftest import mk, unit_grid
 from randgraphs import degree, random_graph
+from secular import assemble_real
 
 
 def nullity(graph, k, tol=1e-8):
-    s = np.linalg.svd(assemble_secular(graph, k), compute_uv=False)
-    return int(np.sum(s < tol * max(s[0], 1e-300)))
+    """The nullity of the bordered vertex system A(k), which must equal that
+    of the (2E+V) secular matrix of the tests' reference module: the number
+    of singular values below tol times the largest one, for A(k) at least
+    the size of its entries (a one-vertex A(k) is 1 x 1)."""
+    eo, et, ln, _ = _edge_arrays(graph)
+    nv = len(graph.vertices)
+    bordered, size, _ = kernels.bordered(eo, et, ln, nv, [float(k)])
+    counts = []
+    for a, scale in ((bordered[0], size[0]), (assemble_real(eo, et, ln, nv, [k])[0], 1e-300)):
+        s = np.linalg.svd(a, compute_uv=False)
+        counts.append(int(np.sum(s < tol * max(s[0], scale))))
+    assert counts[0] == counts[1], (graph, k, counts)
+    return counts[0]
 
 
 # ---------------------------------------------------------------------------
-# secular assembly
+# the bordered vertex system A(k)
 
 
 def test_interval_nullity_at_eigenvalue(interval_pi):
@@ -40,10 +54,13 @@ def test_nullity_at_zero_is_component_count(dumbbell, path3):
         assert nullity(g, 0.0) == betti_graph(g).beta0
 
 
-def test_system_dimensions(dumbbell):
-    sys_ = assemble_secular(dumbbell, 1.0)
-    n = 2 * len(dumbbell.edges) + len(dumbbell.vertices)
-    assert sys_.shape == (n, n)
+def test_system_dimensions(dumbbell, interval_pi):
+    # V + |P|, P the edges on a pole: none on the dumbbell at k = 1, the one
+    # edge of length pi on interval_pi
+    n = len(dumbbell.vertices)
+    assert assemble_secular(dumbbell, 1.0).shape == (n, n)
+    n = len(interval_pi.vertices) + 1
+    assert assemble_secular(interval_pi, 1.0).shape == (n, n)
 
 
 def test_isolated_vertex_rejected():
@@ -308,6 +325,16 @@ def test_eigenspace_empty_off_spectrum(interval_pi):
     assert any("not separated" in fl for fl in flags)
 
 
+def test_eigenspace_as_large_as_the_system(unit_loop):
+    # at 4 pi^2 the unit loop's A(k) is 2 x 2 (its vertex and its edge on a
+    # pole) and its null space is all of it: cos and sin of 2 pi x
+    funcs, flags = eigenspace(unit_loop, 4 * math.pi ** 2, 2)
+    assert len(funcs) == 2 and flags == []
+    for f in funcs:
+        (a, _), = f.coeffs.values()
+        assert f.vertex_values["w"] == pytest.approx(a, abs=1e-12)
+
+
 def test_triangle_resonance_eigenfunction(unit_triangle):
     # at lambda = 4 pi^2 the triangle (a circle of length 3) has a
     # 2-dimensional eigenspace carrying one scar (six half-waves)
@@ -327,8 +354,9 @@ def test_triangle_resonance_eigenfunction(unit_triangle):
 
 
 def equilateral_spectrum(graph, lambda_max):
-    """(lambda, multiplicity) up to lambda_max of a connected graph without
-    loops whose edges all have length 1, without the secular system.
+    """(lambda, multiplicity) up to lambda_max of a connected graph whose
+    edges all have length 1, without the secular system.  A loop adds 2 to
+    its vertex's entry of the adjacency matrix A and to its degree.
 
     Off k = n pi, lambda = k^2 is an eigenvalue exactly when cos k is an
     eigenvalue of D^-1/2 A D^-1/2, with the same multiplicity.  At k = n pi
@@ -393,8 +421,14 @@ def _random_equilateral(seed, nv, extra):
     (unit_grid(10), 3),
     *((_random_equilateral(seed, nv, extra), 40)
       for seed, nv, extra in ((1, 5, 4), (2, 7, 5), (3, 8, 8))),
+    (_unit_graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a"), ("a", "a")]), 80),
+    (_unit_graph(["a", "b"], [("a", "a"), ("a", "b")]), 80),
+    (_unit_graph(["a"], [("a", "a")] * 3), 80),
+    (_unit_graph(list("abcd"), [(a, b) for a in "abcd" for b in "abcd" if a < b]
+                 + [("d", "d")]), 80),
 ], ids=["grid4", "grid6", "triangle", "pentagon", "K4", "theta", "strip8", "grid10",
-        "random5", "random7", "random8"])
+        "random5", "random7", "random8", "triangle_loop", "loop_pendant", "bouquet3",
+        "K4_loop"])
 def test_equilateral_spectrum_matches_von_below(graph, lambda_max):
     want = equilateral_spectrum(graph, lambda_max)
     assert all(abs(lam - lambda_max) > 1e-6 for lam, _ in want)

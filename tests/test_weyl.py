@@ -11,6 +11,7 @@ from qglab.weyl import NearSpectrumError
 
 from conftest import mk, unit_grid
 from randgraphs import degree, random_graph
+from secular import assemble_complex, unknowns
 
 
 def single_unit_edge():
@@ -139,6 +140,41 @@ def test_ntd_across_edge_dirichlet_pole():
     assert np.allclose(m3[np.ix_([0, 2], [0, 2])], m, rtol=0, atol=1e-12)
 
 
+def secular_ntd(graph, selection, mu):
+    """M_B(mu) from the inverse of the (2E+V) secular matrix, and its condition."""
+    eo, et, ln, vix = _edge_arrays(graph)
+    a = assemble_complex(eo, et, ln, len(graph.vertices), [mu])[0]
+    rows = unknowns(len(graph.edges), [vix[v] for v in selection.vertices])[2]
+    return np.linalg.inv(a)[np.ix_(rows, rows)], np.linalg.cond(a)
+
+
+def test_ntd_matches_secular_reference(dumbbell, loop_pendant, interval_pi):
+    # on a Dirichlet pole of e1 (mu = pi^2), deep on the negative axis, where
+    # cos/sin would overflow (the suite turns warnings into errors), and at
+    # random complex mu on random graphs
+    pole = mk(["a", "m", "b"], [("e1", "a", "m", 1, "one"), ("e2", "m", "b", 1, "sqrt2")],
+              {"one": 1.0, "sqrt2": math.sqrt(2)})
+    cases = [(g, mu) for g in (pole, dumbbell, loop_pendant, interval_pi)
+             for mu in (math.pi ** 2, -1.0, -1e4, -1e6)]
+    rng = random.Random(5)
+    while len(cases) < 200:
+        g = random_graph(rng)
+        if all(degree(g, v) for v in g.vertices):
+            cases += [(g, complex(rng.uniform(-50, 50), rng.uniform(-5, 5)))]
+    checked = 0
+    for g, mu in cases:
+        sel = VertexSelection(tuple(g.vertices), "explicit")
+        ref, cond = secular_ntd(g, sel, mu)
+        if not cond <= 1e12:
+            with pytest.raises(NearSpectrumError):
+                ntd_matrix(g, sel, mu)
+            continue
+        m = ntd_matrix(g, sel, mu)
+        assert np.linalg.norm(m - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0), (g, mu)
+        checked += 1
+    assert checked > 180
+
+
 # ---------------------------------------------------------------------------
 # residues
 
@@ -146,16 +182,17 @@ def test_ntd_across_edge_dirichlet_pole():
 def contour_residue(graph, selection, lam, radius, nodes=64):
     """Reference residue: the trapezoid sum of M_B over |mu - lam| = radius,
     and the rank it has above max(1e-8 sigma_1, 1e-12 ||M_B(lam + radius)||).
-    M_B at the nodes comes from one stacked inverse of the secular matrices,
-    each with condition at most 1e12."""
+    M_B at the nodes comes from one stacked inverse of the (2E+V) secular
+    matrices of the tests' reference module, each with condition at most
+    1e12."""
     w = np.exp(1j * (2 * math.pi * np.arange(nodes) / nodes))
     eo, et, ln, vix = _edge_arrays(graph)
-    a = kernels.assemble_complex(eo, et, ln, len(graph.vertices), lam + radius * w)
+    a = assemble_complex(eo, et, ln, len(graph.vertices), lam + radius * w)
     inv = np.linalg.inv(a)
     # ||A||_F ||A^-1||_F >= cond_2(A): only nodes above that bound need the SVD
     loose = ~(np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2)) <= 1e12)
     assert np.all(np.linalg.cond(a[loose]) <= 1e12)
-    rows = [2 * len(graph.edges) + vix[v] for v in selection.vertices]
+    rows = unknowns(len(graph.edges), [vix[v] for v in selection.vertices])[2]
     samples = inv[:, rows][:, :, rows]
     mat = np.tensordot(w, samples, axes=1) * (radius / nodes)
     sv = np.linalg.svd(mat, compute_uv=False)
