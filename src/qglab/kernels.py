@@ -1,9 +1,8 @@
 """Hot numeric kernels, each at many parameters per call: the Kirchhoff
 eigenphase count from the 2E x 2E bond-scattering matrix, the Friedlander
-count from the V x V vertex Dirichlet-to-Neumann matrix Lambda(k), and the
-bordered vertex system A(k), Lambda(k) bordered by one unknown and one row
-per edge on a pole (`poles`), with its smallest singular value.
-`dtn_entries` owns Lambda's entries, for the count and for A(k).
+count from the V x V vertex Dirichlet-to-Neumann matrix Lambda(k), whose
+entries `dtn_entries` owns, and the bordered vertex system A(k), Lambda(k)
+with one unknown and one row per edge on a pole, and its sigma_min.
 
 Stacks go in chunks of at most CHUNK_BYTES per stacked matrix array, so a
 long array of wavenumbers never holds more than that in matrices.
@@ -30,35 +29,48 @@ def chunks(n: int, matrix_bytes: int):
         yield slice(i, min(i + step, n))
 
 
-def poles(ks, lengths) -> np.ndarray:
-    """Whether |sin kL_e| < POLE_TOL, at each k in ks (rows) and edge e
-    (columns); for complex k (Im k >= 0) as |1 - g^2| < 2 POLE_TOL |g| with
-    g = exp(ikL), which does not overflow."""
+def poles(ks, lengths, tol=POLE_TOL) -> np.ndarray:
+    """Whether |sin kL_e| < tol, at each k in ks (rows) and edge e (columns);
+    for complex k (Im k >= 0) as |1 - g^2| < 2 tol |g| with g = exp(ikL),
+    which does not overflow."""
     kl = np.multiply.outer(ks, lengths)
     if np.iscomplexobj(kl):
-        g = np.exp(1j * kl)
-        return np.abs(1 - g * g) < 2 * POLE_TOL * np.abs(g)
-    return np.abs(np.sin(kl)) < POLE_TOL
+        return np.abs(1 - np.exp(2j * kl)) < 2 * tol * np.exp(-kl.imag)
+    return np.abs(np.sin(kl)) < tol
 
 
 def dtn_entries(k, lengths, loops):
     """Lambda(k)'s entries at each k of the column k: k cot kL at both ends
     and -k / sin kL between them per edge of `lengths`, -2k tan(kL/2) per
-    loop of `loops`; for complex k (Im k >= 0) in the forms in g = exp(ikL),
-    |g| <= 1, which do not overflow deep on the negative axis."""
+    loop of `loops`.  For real k also their derivatives in k, after them;
+    for complex k (Im k >= 0) the entries alone, in the forms in
+    g = exp(ikL), |g| <= 1, which do not overflow deep on the negative axis."""
     if np.iscomplexobj(k):
         g, h = np.exp(1j * k * lengths), np.exp(1j * k * loops)
         return (-1j * k * (1 + g * g) / (1 - g * g), 2j * k * g / (1 - g * g),
                 2j * k * (h - 1) / (h + 1))
-    sn = np.sin(k * lengths)
-    return k * np.cos(k * lengths) / sn, -k / sn, -2 * k * np.tan(k * loops / 2)
+    kl, kh = k * lengths, k * loops / 2
+    sn, cs, tn = np.sin(kl), np.cos(kl), np.tan(kh)
+    return (k * cs / sn, -k / sn, -2 * k * tn, (cs * sn - kl) / sn ** 2,
+            (kl * cs - sn) / sn ** 2, -2 * tn - 2 * kh / np.cos(kh) ** 2)
 
 
-def bordered(eo, et, lengths, n_vertices, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _dense(flat, vals, n) -> np.ndarray:
+    """n x n matrices, one per row of vals, each with vals[i, j] added at
+    flat[j] = row * n + col: a loop's or parallel edges' entries add up."""
+    m = vals.shape[0]
+    at = (np.arange(m)[:, None] * (n * n) + flat).ravel()
+    out = np.bincount(at, vals.real.ravel(), minlength=m * n * n)
+    if np.iscomplexobj(vals):
+        out = out + 1j * np.bincount(at, vals.imag.ravel(), minlength=m * n * n)
+    return out.reshape(m, n, n)
+
+
+def bordered(eo, et, lengths, n_vertices, ks, tol=POLE_TOL):
     """A(k) at each k in ks, all float k >= 0 or all complex k with
     Im k >= 0, shape (len(ks), n, n) with n = V + |P|; the size of each
-    one's entries; and P, the edges on a pole at some k in ks (a bordered
-    edge off its pole is exact too).
+    one's entries; and P, the edges with |sin kL_e| < tol at some k in ks
+    (a bordered edge off its pole is exact too).
 
     Unknowns: the vertex values c_v, then beta_e = k b_e per edge e in P,
     on which f_e = c_o cos kx + b_e sin kx.  Rows: the derivative balance at
@@ -69,26 +81,23 @@ def bordered(eo, et, lengths, n_vertices, ks) -> tuple[np.ndarray, np.ndarray, n
     max(1, |k|): entries of several edges can cancel, as in the 1 x 1 A(k)
     of one vertex with loops."""
     ks = np.asarray(ks)
-    pole = poles(ks, lengths).any(axis=0)
+    pole = poles(ks, lengths, tol).any(axis=0)
     ks = ks[:, None]
     loop = eo == et
     free, ring = ~pole & ~loop, ~pole & loop
     o, t, v, po, pt = eo[free], et[free], eo[ring], eo[pole], et[pole]
     r = n_vertices + np.arange(po.size)
     n = n_vertices + po.size
-    diag, off, loops = dtn_entries(ks, lengths[free], lengths[ring])
+    diag, off, loops = dtn_entries(ks, lengths[free], lengths[ring])[:3]
     kl = ks * lengths[pole]
     cs, one = np.cos(kl), np.ones(kl.shape)
     sk = np.where(ks == 0, lengths[pole], np.sin(kl) / np.where(ks == 0, 1, ks))
-    # entries (row, col) at row * n + col; a loop's or a parallel edge's add up
     rows = np.concatenate([o, t, o, t, v, pt, pt, po, r, r, r])
     cols = np.concatenate([o, t, t, o, v, po, r, r, po, r, pt])
     vals = np.concatenate([diag, diag, off, off, loops,
                            -ks * np.sin(kl), cs, -one, cs, sk, -one], axis=1)
-    out = np.zeros((ks.shape[0], n * n), dtype=vals.dtype)
-    np.add.at(out, (slice(None), rows * n + cols), vals)
     size = np.maximum(np.max(np.abs(vals), axis=1, initial=1.0), np.abs(ks[:, 0]))
-    return out.reshape(-1, n, n), size, pole
+    return _dense(rows * n + cols, vals, n), size, pole
 
 
 def scan_sigma_min(eo, et, lengths, n_vertices, ks) -> np.ndarray:
@@ -156,25 +165,14 @@ def vertex_count(eo, et, lengths, n_vertices, ks) -> tuple[np.ndarray, np.ndarra
     ks = np.asarray(ks, dtype=float)
     loop = eo == et
     o, t, v = eo[~loop], et[~loop], eo[loop]
-    size = n_vertices * n_vertices
     flat = np.concatenate([o, t, o, t, v]) * n_vertices + np.concatenate([o, t, t, o, v])
-    ln, ll = lengths[~loop], lengths[loop]
-    mu = np.empty((ks.shape[0], n_vertices))
-    dmu = np.empty((ks.shape[0], n_vertices))
-    for sl in chunks(ks.shape[0], 16 * size):
-        k = ks[sl, None]
-        m = k.shape[0]
-        kl, kh = k * ln, k * ll / 2
-        sn, cs, tn = np.sin(kl), np.cos(kl), np.tan(kh)
-        diag, off, loops = dtn_entries(k, ln, ll)
-        d_diag, d_off = (cs * sn - kl) / sn ** 2, (kl * cs - sn) / sn ** 2
-        d_loops = -2 * tn - 2 * kh / np.cos(kh) ** 2
-        # entries (row, col) at flat = row * V + col of Lambda(k), then of Lambda'(k)
-        vals = np.concatenate([diag, diag, off, off, loops,
-                               d_diag, d_diag, d_off, d_off, d_loops], axis=1)
-        at = np.arange(m)[:, None] * size + np.concatenate([flat, flat + m * size])
-        lam, dlam = np.bincount(at.ravel(), vals.ravel(), minlength=2 * m * size).reshape(
-            2, m, n_vertices, n_vertices)
+    mu, dmu = np.empty((2, ks.shape[0], n_vertices))
+    for sl in chunks(ks.shape[0], 16 * n_vertices * n_vertices):
+        e = dtn_entries(ks[sl, None], lengths[~loop], lengths[loop])
+        # Lambda(k) at each k, then Lambda'(k)
+        vals = np.concatenate([np.concatenate([d, d, o, o, lp], axis=1)
+                               for d, o, lp in (e[:3], e[3:])])
+        lam, dlam = _dense(flat, vals, n_vertices).reshape(2, -1, n_vertices, n_vertices)
         mu[sl], vec = np.linalg.eigh(lam)
         dmu[sl] = np.sum(vec * (dlam @ vec), axis=1)
     dirichlet = np.sum(np.ceil(np.multiply.outer(ks, lengths) / np.pi) - 1, axis=1)

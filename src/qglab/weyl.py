@@ -73,11 +73,13 @@ def ntd_matrix(graph: MetricGraph, selection: VertexSelection, mu: complex) -> n
     """The Neumann-to-Dirichlet matrix M_B(mu) for mu off the spectrum, rows
     and columns in the order of selection.vertices.
 
-    M_B is the B block of the inverse of A(k), k = sqrt(mu) with Im k >= 0.
-    mu is rejected unless cond_2(A) <= COND_MAX, with ||A||_2 taken at least
-    the size of A's entries (`kernels.bordered`): the bare condition of a
-    1 x 1 A(k) is 1 even on an eigenvalue.  mu = 0 is always an eigenvalue:
-    the constants on each component.
+    M_B is the B block of the inverse of A(k), k = sqrt(mu) with Im k >= 0,
+    bordered at each edge with |sin kL_e| < 1 (so |cos kL_e| < sqrt 2; the
+    others have |cot kL_e|, |1/sin kL_e| <= sqrt 2): A's entries stay
+    O(max(1, |k|)) next to a pole too.  mu is rejected unless cond_2(A) <=
+    COND_MAX, ||A||_2 taken at least the size of A's entries: the bare
+    condition of a 1 x 1 A(k) is 1 even on an eigenvalue.  mu = 0 is always
+    an eigenvalue: the constants on each component.
     """
     eo, et, ln, vix = _edge_arrays(graph)
     if not cmath.isfinite(mu):
@@ -85,7 +87,7 @@ def ntd_matrix(graph: MetricGraph, selection: VertexSelection, mu: complex) -> n
     if mu == 0:
         raise NearSpectrumError("mu = 0 is an eigenvalue: the constants on each component")
     k = cmath.sqrt(mu)
-    a, size, _ = kernels.bordered(eo, et, ln, len(graph.vertices), [-k if k.imag < 0 else k])
+    a, size, _ = kernels.bordered(eo, et, ln, len(vix), [-k if k.imag < 0 else k], tol=1.0)
     s = np.linalg.svd(a[0], compute_uv=False).tolist()
     cond = max(s[0], size[0]) / s[-1] if s[-1] > 0 else np.inf
     if not cond <= COND_MAX:

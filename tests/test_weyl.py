@@ -7,7 +7,7 @@ import pytest
 from qglab import (VertexSelection, eigenspace, eigenvalues_in, kernels, ntd_matrix,
                    residue, select_vertices, visibility_report)
 from qglab.spectral import _edge_arrays
-from qglab.weyl import NearSpectrumError
+from qglab.weyl import COND_MAX, NearSpectrumError
 
 from conftest import mk, unit_grid
 from randgraphs import degree, random_graph
@@ -148,10 +148,11 @@ def secular_ntd(graph, selection, mu):
     return np.linalg.inv(a)[np.ix_(rows, rows)], np.linalg.cond(a)
 
 
-def test_ntd_matches_secular_reference(dumbbell, loop_pendant, interval_pi):
+def test_ntd_matches_secular_reference(dumbbell, loop_pendant, interval_pi, path3):
     # on a Dirichlet pole of e1 (mu = pi^2), deep on the negative axis, where
-    # cos/sin would overflow (the suite turns warnings into errors), and at
-    # random complex mu on random graphs
+    # cos/sin would overflow (the suite turns warnings into errors), at
+    # random complex mu on random graphs, and on and next to eigenvalues on a
+    # step, where every edge sits on or next to a pole
     pole = mk(["a", "m", "b"], [("e1", "a", "m", 1, "one"), ("e2", "m", "b", 1, "sqrt2")],
               {"one": 1.0, "sqrt2": math.sqrt(2)})
     cases = [(g, mu) for g in (pole, dumbbell, loop_pendant, interval_pi)
@@ -161,18 +162,24 @@ def test_ntd_matches_secular_reference(dumbbell, loop_pendant, interval_pi):
         g = random_graph(rng)
         if all(degree(g, v) for v in g.vertices):
             cases += [(g, complex(rng.uniform(-50, 50), rng.uniform(-5, 5)))]
+    steps = [(g, h.lam) for g in (path3, interval_pi)
+             for h in eigenvalues_in(g, 20).eigenvalues if h.step is not None]
+    assert len(steps) == 5 and steps[0][1] == pytest.approx(math.pi ** 2)
+    cases += [(g, lam * (1 + d)) for g, lam in steps for d in (0.0, 1e-10, 1e-8, 1e-6)]
     checked = 0
     for g, mu in cases:
         sel = VertexSelection(tuple(g.vertices), "explicit")
         ref, cond = secular_ntd(g, sel, mu)
-        if not cond <= 1e12:
+        if cond > 10 * COND_MAX:
             with pytest.raises(NearSpectrumError):
                 ntd_matrix(g, sel, mu)
-            continue
-        m = ntd_matrix(g, sel, mu)
-        assert np.linalg.norm(m - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0), (g, mu)
-        checked += 1
-    assert checked > 180
+        elif cond < COND_MAX / 10:
+            # both solves lose about eps * cond relative next to an eigenvalue
+            m = ntd_matrix(g, sel, mu)
+            tol = max(1e-12, 1e-15 * cond)
+            assert np.linalg.norm(m - ref) <= tol * max(np.linalg.norm(ref), 1.0), (g, mu)
+            checked += 1
+    assert checked > 200
 
 
 # ---------------------------------------------------------------------------
