@@ -1,8 +1,8 @@
-"""Hot numeric kernels, each at many parameters per call: the Kirchhoff
-eigenphase count from the 2E x 2E bond-scattering matrix, the Friedlander
-count from the V x V vertex Dirichlet-to-Neumann matrix Lambda(k), whose
-entries `dtn_entries` owns, and the bordered vertex system A(k), Lambda(k)
-with one unknown and one row per edge on a pole, and its sigma_min.
+"""Hot numeric kernels, each at many parameters per call: the Friedlander
+eigenvalue count from the vertex Dirichlet-to-Neumann matrix Lambda(k) of
+the graph with its edges on a pole split, whose entries `dtn_entries` owns,
+and the bordered vertex system A(k), Lambda(k) with one unknown and one row
+per edge on a pole, and its sigma_min.
 
 Stacks go in chunks of at most CHUNK_BYTES per stacked matrix array, so a
 long array of wavenumbers never holds more than that in matrices.
@@ -10,16 +10,21 @@ long array of wavenumbers never holds more than that in matrices.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 CHUNK_BYTES = 256 * 1024
 # Edge e is on a pole of Lambda(k) where |sin kL_e| < POLE_TOL: A(k) borders
-# it and `spectral.eigenvalues_in` counts by eigenphases.  Next to a pole the
-# eigenvalues of Lambda carry errors of about eps*k/|sin kL_e|, and its inertia
-# was off by one within 1e-10 relative of k = pi on unit grids.  With 1e-7 or
-# 1e-8 the eigenvalue 5.3e-6 below 4 pi^2 of a unit loop with a pendant of
-# length 0.5000001, between two steps 2e-7 apart, is misplaced.
+# it, which keeps its entries below k / POLE_TOL.
 POLE_TOL = 1e-6
+# `vertex_count` splits edge e where |sin kL_e| < SPLIT_TOL, so Lambda's
+# entries stay below k / SPLIT_TOL and its mu_j near 0 keep their digits.
+SPLIT_TOL = 1e-2
+# Fractions t of an edge at which it is split: for every n up to 2e5 one of
+# them has |sin n pi t| > 0.09.
+SPLITS = np.array([(3 - math.sqrt(5)) / 2, math.sqrt(2) - 1, (math.sqrt(3) - 1) / 2,
+                   1 / math.pi])
 
 
 def chunks(n: int, matrix_bytes: int):
@@ -116,64 +121,62 @@ def scan_sigma_min(eo, et, lengths, n_vertices, ks) -> np.ndarray:
     return out
 
 
-def eigenphase_count(eo, et, lengths, n_vertices, ks) -> tuple[np.ndarray, np.ndarray]:
-    """Uncalibrated eigenvalue count and the signed eigenphase nearest 0 at
-    each k in ks.
-
-    On the 2E directed bonds (bond 2e runs origin -> terminus of edge e,
-    bond 2e+1 back) the Kirchhoff scattering matrix S[b', b] = 2/deg(v) -
-    delta(b', reverse b), for b ending and b' starting at v, does not depend
-    on k, and the eigenphases w_j of U(k) S, U = diag(exp(i k L_b)), increase
-    with k.  So (2 L_tot k - sum_j w_j) / 2 pi, with w_j in [0, 2 pi), is the
-    number of eigenvalues lambda = kappa^2 with 0 < kappa <= k plus a
-    constant (Kottos & Smilansky, Ann. Phys. 274, 1999; Berkolaiko &
-    Kuchment, Introduction to Quantum Graphs, 2013, section 2.1).
-    """
-    ks = np.asarray(ks, dtype=float)
-    b = np.arange(2 * eo.shape[0])
-    tail = np.stack([eo, et], axis=1).reshape(-1)
-    head = tail[b ^ 1]
-    deg = np.bincount(tail, minlength=n_vertices)
-    s = np.where(tail[:, None] == head, 2.0 / deg[head], 0.0)
-    s[b ^ 1, b] -= 1.0
-    bond_lengths = np.repeat(lengths, 2)
-    count = np.empty(ks.shape[0])
-    nearest = np.empty(ks.shape[0])
-    for sl in chunks(ks.shape[0], 16 * s.size):
-        u = np.exp(1j * np.multiply.outer(ks[sl], bond_lengths))
-        w = np.angle(np.linalg.eigvals(u[:, :, None] * s))      # (-pi, pi]
-        count[sl] = (ks[sl] * np.sum(bond_lengths)
-                     - np.sum(np.mod(w, 2 * np.pi), axis=1)) / (2 * np.pi)
-        nearest[sl] = w[np.arange(w.shape[0]), np.argmin(np.abs(w), axis=1)]
-    return count, nearest
-
-
-def vertex_count(eo, et, lengths, n_vertices, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def vertex_count(eo, et, lengths, n_vertices, ks, tol=SPLIT_TOL):
     """Number of eigenvalues lambda < k^2, lambda = 0 included, at each k in
-    ks, with the eigenvalues mu_j(k) of Lambda(k) in ascending order and
-    their derivatives d mu_j / dk, each of shape (len(ks), n_vertices).
+    ks > 0, with the eigenvalues mu_j(k) of the vertex matrix in ascending
+    order and their derivatives d mu_j / dk, shape (len(ks), W), each row
+    V + |split| of them, then NaN.
 
-    Lambda(k) is the V x V vertex Dirichlet-to-Neumann matrix of
-    `dtn_entries`, in the sign of the balance rows of A(k).  With
-    D(k) = sum_e (ceil(kL_e/pi) - 1) the Dirichlet eigenvalues of the edges
-    below k, the count is D(k) + n_-(Lambda(k)) (Friedlander, Arch. Rational
-    Mech. Anal. 116, 1991; for metric graphs Behrndt & Luger, J. Phys. A 43,
-    2010).  Every k must lie off the poles sin kL_e = 0, where Lambda is
-    undefined and its inertia loses digits; d mu_j / dk = v_j' Lambda'(k) v_j
-    (Hellmann-Feynman).  Between two poles each mu_j decreases with k.
+    The vertex matrix is Lambda(k) (`dtn_entries`, in the sign of the balance
+    rows of A(k)) of the graph with each edge on a pole, |sin kL_e| < tol and
+    kL_e >= pi/2, split at t L_e by a vertex of degree 2, which leaves the
+    spectrum as it is (Berkolaiko & Kuchment, Introduction to Quantum Graphs,
+    2013, 1.4); t is the one of SPLITS that keeps |sin n pi t|, both pieces'
+    |sin| at kL_e = n pi, largest.  With D(k) = sum (ceil(kl/pi) - 1) over the
+    pieces l the count is D(k) + n_-(Lambda(k)) (Friedlander, Arch. Rational
+    Mech. Anal. 116, 1991; Behrndt & Luger, J. Phys. A 43, 2010), and
+    d mu_j / dk = v_j' Lambda'(k) v_j.  Between two poles each mu_j decreases.
+    One stacked `eigh` is W = V + the most edges split at one k wide; a row
+    that splits fewer is padded with decoupled vertices at twice its
+    Gershgorin bound, above all of its mu_j, which leaves n_- as it is.
     """
     ks = np.asarray(ks, dtype=float)
-    loop = eo == et
-    o, t, v = eo[~loop], et[~loop], eo[loop]
-    flat = np.concatenate([o, t, o, t, v]) * n_vertices + np.concatenate([o, t, t, o, v])
-    mu, dmu = np.empty((2, ks.shape[0], n_vertices))
-    for sl in chunks(ks.shape[0], 16 * n_vertices * n_vertices):
-        e = dtn_entries(ks[sl, None], lengths[~loop], lengths[loop])
-        # Lambda(k) at each k, then Lambda'(k)
-        vals = np.concatenate([np.concatenate([d, d, o, o, lp], axis=1)
-                               for d, o, lp in (e[:3], e[3:])])
-        lam, dlam = _dense(flat, vals, n_vertices).reshape(2, -1, n_vertices, n_vertices)
+    kl = np.multiply.outer(ks, lengths)
+    turns = np.round(kl / np.pi)
+    split = (np.abs(np.sin(kl)) < tol) & (turns > 0)
+    cut = np.flatnonzero(split.any(axis=0))
+    org, ter, ell, on, n, pad = eo, et, lengths, np.ones(kl.shape), n_vertices, np.zeros(0, int)
+    if cut.size:
+        # Piece 1 of each edge runs from its origin to w where it is split,
+        # else to its terminus; piece 2 of each edge in cut from w to its
+        # terminus, with no entries where it is not split.
+        split = split[:, cut]
+        best = np.argmax(np.abs(np.sin(np.multiply.outer(turns[:, cut], np.pi * SPLITS))), 2)
+        t = np.where(split, SPLITS[best], 1.0)
+        dim = n_vertices + np.sum(split, axis=1)
+        n = int(np.max(dim))
+        w = n_vertices - 1 + np.cumsum(split, axis=1)
+        org = np.concatenate([np.broadcast_to(eo, kl.shape), w], axis=1)
+        ter = np.concatenate([np.broadcast_to(et, kl.shape), np.broadcast_to(et[cut], w.shape)], 1)
+        ter[:, cut] = np.where(split, w, et[cut])
+        ell = np.concatenate([np.broadcast_to(lengths, kl.shape),
+                              np.where(split, 1 - t, 1.0) * lengths[cut]], axis=1)
+        ell[:, cut] *= t
+        on = np.concatenate([on, split], axis=1)
+        pad = np.arange(n) >= dim[:, None]
+    flat = np.concatenate([org, ter, org, ter], -1) * n + np.concatenate([org, ter, ter, org], -1)
+    d, o, _, dd, do, _ = dtn_entries(ks[:, None], ell, lengths[:0])
+    # Lambda(k) at each k, then Lambda'(k); a loop's four entries add up in one
+    vals = [np.concatenate([a, a, b, b], axis=1) * np.tile(on, 4) for a, b in ((d, o), (dd, do))]
+    flat = np.broadcast_to(flat, vals[0].shape)
+    mu, dmu = np.empty((2, ks.size, n))
+    for sl in chunks(ks.size, 16 * n * n):
+        lam, dlam = (_dense(flat[sl], v[sl], n) for v in vals)
+        if cut.size:
+            gershgorin = np.max(np.sum(np.abs(lam), axis=2), axis=1)
+            lam[:, np.arange(n), np.arange(n)] += 2 * gershgorin[:, None] * pad[sl]
         mu[sl], vec = np.linalg.eigh(lam)
         dmu[sl] = np.sum(vec * (dlam @ vec), axis=1)
-    dirichlet = np.sum(np.ceil(np.multiply.outer(ks, lengths) / np.pi) - 1, axis=1)
+    mu[pad] = dmu[pad] = np.nan
+    dirichlet = np.sum((np.ceil(ks[:, None] * ell / np.pi) - 1) * on, axis=1)
     return dirichlet.astype(np.int64) + np.count_nonzero(mu < 0, axis=1), mu, dmu

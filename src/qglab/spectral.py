@@ -1,15 +1,13 @@
 """Floating-point eigenvalue machinery for the Kirchhoff Laplacian.
 
-Eigenvalues are located by an integer count of the eigenvalues below k, which
-brackets each one together with its multiplicity.  The candidate steps s of
-`lengths` are brackets of their own, so this module alone decides which
-eigenvalue lies on which step pi^2/s^2.  The steps are also the poles of the
-vertex matrix of `kernels.vertex_count`, which counts inside the brackets
-between them; the Kirchhoff eigenphase count of `kernels.eigenphase_count`
-certifies the brackets' ends and counts next to the poles.  The eigenspace
-at lambda = k^2 is the null space of the bordered vertex system A(k) of
-`kernels.bordered`, whose smallest singular value at each hit is reported
-with it, not checked.
+Eigenvalues are located by an integer count of the eigenvalues below k, the
+vertex count of `kernels.vertex_count`, which brackets each one together with
+its multiplicity.  The candidate steps s of `lengths` are brackets of their
+own, so this module alone decides which eigenvalue lies on which step
+pi^2/s^2; they are the poles of the vertex matrix, next to which the count
+splits the edges on a pole.  The eigenspace at lambda = k^2 is the null
+space of the bordered vertex system A(k) of `kernels.bordered`, whose
+smallest singular value at each hit is reported with it, not checked.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from .lengths import Step, candidate_steps
 
 
 REFINE_TOL = 1e-12     # a bracket is done at width <= REFINE_TOL * max(1, k)
-COUNT_TOL = 1e-6       # largest distance of an eigenphase count from an integer
 SEPARATION_TOL = 1e-6  # largest sigma_{n-m+1}/sigma_{n-m} of an m-fold eigenvalue
 # A bracket split without an estimate is cut at these fractions, not at 1/2
 # or 1/3: a point within tol of an eigenvalue moves its hit by up to tol/2,
@@ -83,43 +80,50 @@ def assemble_secular(graph: MetricGraph, k: float) -> np.ndarray:
     return kernels.bordered(eo, et, ln, len(graph.vertices), [float(k)])[0][0]
 
 
-def _split(k, n, p, mu, dmu, forced, tol):
-    """The two points a < b at which each open bracket [lo, hi] is counted
-    next, given the counts n, the eigenphases nearest 0 p, and the vertex
-    eigenvalues mu and their slopes dmu at both ends (p or mu NaN where the
-    other count was used there).
+def _theta(k, n, mu, dmu):
+    """theta = arctan(mu_j/k) and d theta/dk at both ends of each bracket for
+    the mu_j that crosses 0 first in it: j = n_-(lo) at lo, n_-(hi) less the
+    jump of N at hi (NaN where there is none)."""
+    j = np.sum(mu < 0, axis=2)
+    j[1] -= n[1] - n[0]
+    jc = np.clip(j, 0, mu.shape[2] - 1)
+    at = (np.arange(2)[:, None], np.arange(j.shape[1]), jc)
+    mu_j, dmu_j = np.where(j == jc, mu[at], np.nan), dmu[at]
+    return np.arctan(mu_j / k), (k * dmu_j - mu_j) / (k * k + mu_j * mu_j)
 
-    Between two poles the sorted vertex eigenvalue mu_j, j = n_-(Lambda(lo)),
-    decreases and crosses 0 at the bracket's first eigenvalue; so does
-    theta = arctan(mu_j/k), which stays bounded where mu_j has a pole.
-    Newton's step on theta from the vertex-counted end where |theta| is
-    smaller gives a; the secant root of theta across the bracket gives b,
-    or, with one vertex-counted end, a second Newton step does.  With no
-    vertex-counted end, a = b is the secant root of the eigenphase nearest
-    0 where it crosses 0: one bracket never mixes the two variables.  Two
-    points closer than tol become the pair tol/2 wide around their
-    midpoint, so a bracket whose root they hit closes now (a pair tol wide
-    can round to a width above tol and never close).  Without an estimate,
-    and after a step that did not halve the bracket, the GOLDEN points.
+
+def _secant(k, theta):
+    """The root of the secant of theta across each bracket, NaN off it."""
+    lo, hi = k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = lo + theta[0] * (hi - lo) / (theta[0] - theta[1])
+    return np.where((root >= lo) & (root <= hi), root, np.nan)
+
+
+def _split(k, theta, slope, forced, tol):
+    """The two points a < b at which each open bracket [lo, hi] is counted
+    next, given theta and its slope at both ends (`_theta`).
+
+    Between two poles the vertex eigenvalue of `_theta` decreases and
+    crosses 0 at the bracket's first eigenvalue; so does its theta, which
+    stays bounded where mu_j has a pole.  Newton's step on theta from the
+    end where |theta| is smaller gives a; the secant root of theta across
+    the bracket gives b, or, without it, a second Newton step does.  Two
+    points closer than tol become the pair tol/2 wide around their midpoint,
+    so a bracket whose root they hit closes now (a pair tol wide can round
+    to a width above tol and never close).  Without an estimate, and where
+    `forced` (first splits of brackets with several eigenvalues, and those
+    after a step that neither halved the bracket nor split one off), the
+    GOLDEN points.
     """
     lo, hi = k
     at = np.arange(lo.size)
-    vertex = ~np.isnan(mu[:, :, 0])
-    below = np.sum(mu < 0, axis=2)
-    j = np.where(vertex[0], below[0], below[1] - (n[1] - n[0]))
-    jc = np.clip(j, 0, mu.shape[2] - 1)
-    mu_j, dmu_j = mu[:, at, jc], dmu[:, at, jc]
-    theta, slope = np.arctan(mu_j / k), (k * dmu_j - mu_j) / (k * k + mu_j * mu_j)
     step = -theta / np.where(slope < 0, slope, np.nan)
-    end = np.where(vertex[0] & ~(np.abs(theta[1]) < np.abs(theta[0])), 0, 1)
-    step = np.where(j == jc, step[end, at], np.nan)
+    end = ((np.abs(theta[1]) < np.abs(theta[0])) | np.isnan(theta[0])).astype(np.int64)
+    step = step[end, at]
     a = k[end, at] + step
-    both = vertex[0] & vertex[1]
-    b = np.where(both, lo + theta[0] * (hi - lo) / np.where(both, theta[0] - theta[1], 1.0),
-                 a + step)
-    phase = ~vertex[0] & ~vertex[1] & (p[0] < 0) & (p[1] > 0)
-    root = lo - p[0] * (hi - lo) / np.where(phase, p[1] - p[0], 1.0)
-    a, b = np.where(phase, root, np.minimum(a, b)), np.where(phase, root, np.maximum(a, b))
+    b = np.where(np.isnan(theta).any(axis=0), a + step, _secant(k, theta))
+    a, b = np.minimum(a, b), np.maximum(a, b)
     ok = ~forced & (a >= lo) & (b <= hi)
     a = np.where(ok, np.clip(a, lo + tol / 2, hi - tol / 2), lo + GOLDEN * (hi - lo))
     b = np.where(ok, np.clip(b, lo + tol / 2, hi - tol / 2), hi - GOLDEN * (hi - lo))
@@ -131,14 +135,15 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
     """Locate all eigenvalues with 0 < lambda <= lambda_max, prepending
     lambda = 0 with multiplicity beta0.
 
-    N(k), the number of eigenvalues kappa^2 with 0 < kappa <= k, is the
-    eigenphase count of `kernels.eigenphase_count` shifted to N(k0) = 0 at
-    k0 = pi/(2 L_tot).  No eigenvalue lies in (0, k0]: a component of total
-    length L has lambda_1 >= pi^2/L^2 (Nicaise) >= pi^2/L_tot^2.  Inside
-    the brackets N is the vertex count of `kernels.vertex_count` less beta0,
-    except within `kernels.POLE_TOL` of a pole of the vertex matrix, where the
-    eigenphase count stays.  A vertex count outside the counts of its
-    bracket's ends is a warning and is replaced by the eigenphase count.
+    N(k), the number of eigenvalues below k^2 with lambda = 0 counted, is the
+    count of `kernels.vertex_count` at k0 = pi/(2 L_tot) (no eigenvalue lies
+    in (0, k0]: a component of total length L has lambda_1 >= pi^2/L^2
+    (Nicaise) >= pi^2/L_tot^2), at the ends of the step brackets, at
+    sqrt(lambda_max) and at every point of the refinement.  It is certified
+    when each mu_j within eigh's rounding, n eps max|mu|, of 0 lies within
+    REFINE_TOL*max(1, k)/2 of its root, |mu_j / (d mu_j/dk)|, where the
+    refinement leaves its sign open anyway.  An uncertified count and one
+    outside its bracket's, then recounted with every edge split, are warnings.
 
     Every candidate step s (`lengths.candidate_steps`: pi^2/s^2 <=
     lambda_max) is a bracket of its own, REFINE_TOL*k_s wide around
@@ -147,114 +152,106 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
     vertex matrix, so the brackets between them, the last one ending at
     sqrt(lambda_max), hold none.  Those with N(hi) > N(lo) are split in
     lockstep (`_split`), one stacked count per step, until each is at most
-    REFINE_TOL*max(1, hi) wide.  Touching brackets merge into one hit whose
-    multiplicity is the jump of N across it; a hit holding two steps is a
-    warning and takes neither.  An eigenphase count off an integer by more
-    than COUNT_TOL is a warning.
+    REFINE_TOL*max(1, hi) wide, and take the secant root of theta across
+    them (`_secant`), or their midpoint where it is none.  Touching brackets
+    merge into one hit at their midpoint, whose multiplicity is the jump of
+    N across it; a hit holding two steps is a warning and takes neither.
     """
     if not 0 < lambda_max < math.inf:
         raise ValueError("lambda_max must be positive and finite")
     eo, et, ln, _ = _edge_arrays(graph)
     nv = len(graph.vertices)
-    beta0 = betti_graph(graph).beta0
     k0 = math.pi / (2.0 * float(np.sum(ln)))
     kmax = math.sqrt(lambda_max)
     steps = [(math.pi / s.value(graph.units), s.lambda_value(graph.units), s)
              for s in candidate_steps(graph, lambda_max)]
     steps.sort(key=lambda st: st[0])    # ascending k_s, also where lambdas round equal
-    off_integer: list[tuple[float, float]] = []
     outside: list[tuple[float, int]] = []
+    uncertified: list[float] = []
 
-    def calibrated(ks: np.ndarray, raw: np.ndarray) -> np.ndarray:
-        n = raw + shift
-        off = np.abs(n - np.round(n)) > COUNT_TOL
-        off_integer.extend(zip(ks[off].tolist(), n[off].tolist()))
-        return np.round(n).astype(np.int64)
-
-    def count(ks: np.ndarray, n_lo: np.ndarray, n_hi: np.ndarray):
-        """N, the eigenphase nearest 0, and the vertex eigenvalues and their
-        slopes at each k in ks, inside brackets whose ends count n_lo and
-        n_hi; NaN where the other count was used."""
-        near = kernels.poles(ks, ln).any(axis=1)
-        n = np.empty(ks.size, dtype=np.int64)
-        p = np.full(ks.size, np.nan)
-        mu, dmu = np.full((ks.size, nv), np.nan), np.full((ks.size, nv), np.nan)
-        if not near.all():
-            c, mu[~near], dmu[~near] = kernels.vertex_count(eo, et, ln, nv, ks[~near])
-            n[~near] = c - beta0
-        bad = ~near & ((n < n_lo) | (n > n_hi))
+    def count(ks: np.ndarray, n_lo=0, n_hi=math.inf):
+        """N and the vertex eigenvalues and their slopes, padded with NaN to
+        V + E, at each k in ks, inside brackets whose ends count n_lo, n_hi."""
+        n, m, dm = kernels.vertex_count(eo, et, ln, nv, ks)
+        mu, dmu = np.full((2, ks.size, nv + len(ln)), np.nan)
+        mu[:, :m.shape[1]], dmu[:, :m.shape[1]] = m, dm
+        bad = (n < n_lo) | (n > n_hi)
         outside.extend(zip(ks[bad].tolist(), n[bad].tolist()))
-        near |= bad
-        mu[bad] = dmu[bad] = np.nan
-        if near.any():
-            raw, p[near] = kernels.eigenphase_count(eo, et, ln, nv, ks[near])
-            n[near] = calibrated(ks[near], raw)
-        return n, p, mu, dmu
+        if bad.any():
+            c, m, dm = kernels.vertex_count(eo, et, ln, nv, ks[bad], math.inf)
+            n[bad], mu[bad, :m.shape[1]], dmu[bad, :m.shape[1]] = c, m, dm
+        eps = np.sum(~np.isnan(mu), axis=1) * np.finfo(float).eps * np.fmax.reduce(np.abs(mu), 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            far = ~(np.abs(mu / dmu) <= REFINE_TOL * np.maximum(1.0, ks[:, None]) / 2)
+        uncertified.extend(ks[((np.abs(mu) <= eps[:, None]) & far).any(axis=1)].tolist())
+        return n, mu, dmu
 
     k_s = np.array([st[0] for st in steps])
     s_lo, s_hi = k_s * (1 - REFINE_TOL / 2), k_s * (1 + REFINE_TOL / 2)
     ends = np.sort(np.concatenate([[k0], s_lo, s_hi,
                                    [kmax] if kmax > s_hi.max(initial=k0) else []]))
-    raw, p_e = kernels.eigenphase_count(eo, et, ln, nv, ends)
-    shift = -raw[0]                     # ends[0] is k0
-    n_e = calibrated(ends, raw)
     # one column per open bracket; row 0 its lower end, row 1 its upper end
-    k, n, p = (np.stack([e[:-1], e[1:]]) for e in (ends, n_e, p_e))
+    k, n, mu, dmu = (np.stack([e[:-1], e[1:]]) for e in (ends, *count(ends)))
     # a step's bracket is done as it is, pieces of overlapping ones too; the
     # ends ascend with k_s, so the last bracket opening below mid decides
     mid = (k[0] + k[1]) / 2
     on_step = np.append(-np.inf, s_hi)[np.searchsorted(s_lo, mid)] > mid
     jump = n[1] - n[0]
     fin = on_step & (jump != 0)
-    done = list(zip(k[0, fin].tolist(), k[1, fin].tolist(), jump[fin].tolist()))
-    k, n, p = k[:, ~on_step], n[:, ~on_step], p[:, ~on_step]
-    mu, dmu = np.full((*k.shape, nv), np.nan), np.full((*k.shape, nv), np.nan)
-    forced = np.zeros(k.shape[1], dtype=bool)
+    done = [(*x, math.nan) for x in zip(k[0, fin].tolist(), k[1, fin].tolist(),
+                                        jump[fin].tolist())]
+    k, n, mu, dmu = (x[:, ~on_step] for x in (k, n, mu, dmu))
+    forced = n[1] - n[0] > 1
     while True:
         tol = REFINE_TOL * np.maximum(1.0, k[1])
         jump = n[1] - n[0]
         fin = (jump != 0) & (k[1] - k[0] <= tol)
-        done.extend(zip(k[0, fin].tolist(), k[1, fin].tolist(), jump[fin].tolist()))
+        theta, slope = _theta(k, n, mu, dmu)
+        root = _secant(k, theta)[fin]
+        done.extend(zip(k[0, fin].tolist(), k[1, fin].tolist(), jump[fin].tolist(), root.tolist()))
         go = (jump != 0) & ~fin
         if not go.any():
             break
-        k, n, p, mu, dmu = (x[:, go] for x in (k, n, p, mu, dmu))
-        x = np.concatenate(_split(k, n, p, mu, dmu, forced[go], tol[go]))
+        k, n, mu, dmu = (x[:, go] for x in (k, n, mu, dmu))
+        x = np.concatenate(_split(k, theta[:, go], slope[:, go], forced[go], tol[go]))
         at_x = count(x, np.tile(n[0], 2), np.tile(n[1], 2))
         width = k[1] - k[0]
         # ends lo, a, b, hi of each bracket; children [lo, a], [a, b], [b, hi]
         ends = [np.concatenate([e[:1], e_x.reshape(2, *e.shape[1:]), e[1:]])
-                for e, e_x in zip((k, n, p, mu, dmu), (x, *at_x))]
-        k, n, p, mu, dmu = (np.stack([e[:-1], e[1:]]).reshape(2, -1, *e.shape[2:])
-                            for e in ends)
-        forced = k[1] - k[0] > np.tile(width, 3) / 2
+                for e, e_x in zip((k, n, mu, dmu), (x, *at_x))]
+        k, n, mu, dmu = (np.stack([e[:-1], e[1:]]).reshape(2, -1, *e.shape[2:])
+                         for e in ends)
+        forced = (k[1] - k[0] > np.tile(width, 3) / 2) & (n[1] - n[0] == np.tile(jump[go], 3))
 
     merged: list[list] = []
-    for a, b, jump in sorted(done):
+    for a, b, jump, root in sorted(done):
         if merged and a <= merged[-1][1]:
             merged[-1][1] = b
             merged[-1][2] += jump
+            merged[-1][3] = math.nan
         else:
-            merged.append([a, b, jump])
+            merged.append([a, b, jump, root])
     warnings = []
     hits = []                           # (k, lambda, step, multiplicity)
-    for a, b, m in merged:
+    for a, b, m, root in merged:
         held = steps[np.searchsorted(k_s, a):np.searchsorted(k_s, b, side="right")]
         if len(held) > 1:
             warnings.append(f"steps {', '.join(str(st[2]) for st in held)} share one "
                             f"count bracket at k={a:.12g}: no step assigned")
-        c = (a + b) / 2
+        c = (a + b) / 2 if math.isnan(root) else root
         hits.append((*held[0], m) if len(held) == 1 else (c, c ** 2, None, m))
     sigmas = kernels.scan_sigma_min(eo, et, ln, nv, np.array([h[0] for h in hits]))
     if outside:
         k_out, n_out = outside[0]
         warnings.append(f"vertex count outside its bracket's counts at {len(outside)} "
-                        f"points, e.g. N({k_out:.12g}) = {n_out}: eigenphase count used")
-    if off_integer:
-        k_off, n_off = off_integer[0]
-        warnings.append(f"eigenphase count is not an integer at {len(off_integer)} "
-                        f"points, e.g. N({k_off:.12g}) = {n_off!r}: eigenvalues may be missed")
-    out = [EigenvalueHit(lam=0.0, multiplicity=beta0, k=0.0, sigma_min=0.0)]
+                        f"points, e.g. N({k_out:.12g}) = {n_out}: recounted with every "
+                        f"edge split")
+    if uncertified:
+        warnings.append(f"vertex count not certified at {len(uncertified)} points, e.g. "
+                        f"k={uncertified[0]:.12g}: a vertex eigenvalue within rounding of 0 "
+                        f"lies off its root; eigenvalues may be missed")
+    out = [EigenvalueHit(lam=0.0, multiplicity=betti_graph(graph).beta0, k=0.0,
+                         sigma_min=0.0)]
     out.extend(EigenvalueHit(lam=lam, multiplicity=m, k=k, sigma_min=sg, step=step)
                for (k, lam, step, m), sg in zip(hits, sigmas.tolist()))
     return Spectrum(tuple(out), tuple(warnings))
@@ -262,7 +259,7 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
 
 # Nothing calls this name; the benchmark tracer (perfbench/spans.py) wraps it
 # as its "spectral.refine" span.  Drop it together with that target.
-_golden_min = kernels.eigenphase_count
+_golden_min = kernels.vertex_count
 
 
 def _null_vectors(eo, et, ln, nv: int, lam: float, multiplicity: int):

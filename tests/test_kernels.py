@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from qglab import betti_graph, kernels
+from qglab.lengths import candidate_steps
 from qglab.spectral import _edge_arrays
 
 from conftest import unit_grid
+from eigenphase import eigenphase_count
 from randgraphs import degree, random_graph
 
 
@@ -97,23 +99,28 @@ def test_scan_values_positive(interval_pi):
 
 # The vertex count against the eigenphase count.
 
-def calibrated_counts(graph, ks):
-    """The vertex count less beta0 and the eigenphase count shifted to 0 at
-    k0 = pi/(2 L_tot), both the number of eigenvalues in (0, k^2]."""
+def counts(graph, ks):
+    """The vertex count less beta0 and the eigenphase count, both the number
+    of eigenvalues in (0, k^2], at each k in ks."""
     eo, et, ln, nv = arrays(graph)
-    raw, _ = kernels.eigenphase_count(eo, et, ln, nv, np.append(math.pi / (2 * ln.sum()), ks))
-    phase = raw[1:] - raw[0]
-    assert np.all(np.abs(phase - np.round(phase)) < 1e-6)
     vertex, mu, dmu = kernels.vertex_count(eo, et, ln, nv, ks)
-    assert mu.shape == dmu.shape == (len(ks), nv)
-    return vertex - betti_graph(graph).beta0, np.round(phase).astype(np.int64)
+    assert mu.shape == dmu.shape and mu.shape[0] == len(ks)
+    return vertex - betti_graph(graph).beta0, eigenphase_count(eo, et, ln, nv, ks)
+
+
+def next_to_the_steps(graph, lambda_max):
+    """k_s (1 +- 5e-13), k_s (1 +- 1e-10), k_s (1 + 1e-7) and k_s (1 - 1e-5)
+    at every candidate step s, k_s = pi/s: points next to the poles of the
+    vertex matrix, where its edges on a pole are split."""
+    k_s = np.array([math.pi / s.value(graph.units) for s in candidate_steps(graph, lambda_max)])
+    return np.concatenate([k_s * (1 + d) for d in (5e-13, -5e-13, 1e-10, -1e-10, 1e-7, -1e-5)])
 
 
 def test_vertex_count_matches_eigenphase_count(dumbbell, loop_pendant, interval_pi,
                                                unit_triangle, path3):
     graphs = [dumbbell, loop_pendant, interval_pi, unit_triangle, path3]
     rng = random.Random(11)
-    while len(graphs) < 25:
+    while len(graphs) < 105:
         g = random_graph(rng)
         if all(degree(g, v) for v in g.vertices):
             graphs.append(g)
@@ -121,14 +128,15 @@ def test_vertex_count_matches_eigenphase_count(dumbbell, loop_pendant, interval_
     assert any(len({(e.origin, e.terminus) for e in g.edges}) < len(g.edges)
                for g in graphs[5:])
     draw = np.random.default_rng(11)
-    points = 0
-    for g in graphs:
-        ks = draw.uniform(0.05, 20.0, 400)
-        ks = ks[~kernels.poles(ks, arrays(g)[2]).any(axis=1)]     # off the steps
-        vertex, phase = calibrated_counts(g, ks)
+    points = split = 0
+    for i, g in enumerate(graphs):
+        ks = np.concatenate([next_to_the_steps(g, 40 if i < 5 else 60),
+                             draw.uniform(0.05, 20.0, 200 if i < 25 else 0)])
+        vertex, phase = counts(g, ks)
         assert np.array_equal(vertex, phase), g
         points += len(ks)
-    assert points > 9000
+        split += np.sum(kernels.poles(ks, arrays(g)[2], kernels.SPLIT_TOL).any(axis=1))
+    assert points > 14000 and split > 9000
 
 
 def test_vertex_count_slopes_are_derivatives(dumbbell, loop_pendant):
@@ -149,10 +157,14 @@ def test_vertex_count_slopes_are_derivatives(dumbbell, loop_pendant):
 @pytest.mark.parametrize("n,below,above", [(4, 14, 24), (6, 34, 60)])
 def test_counts_next_to_a_pole_fall_back(n, below, above):
     # Within 1e-10 relative of k = pi, a pole of the vertex matrix on every
-    # edge of a unit grid, its inertia has been seen off by one; so such k
-    # are counted by eigenphases, which give von Below's counts there.
-    eo, et, ln, nv = arrays(unit_grid(n))
+    # edge of a unit grid, its inertia has been seen off by one; there every
+    # edge is split, and the count is von Below's and the eigenphase count
+    # at every point next to a step.
+    graph = unit_grid(n)
+    eo, et, ln, nv = arrays(graph)
     ks = math.pi * np.array([1 - 1e-10, 1 + 1e-10])
-    assert kernels.poles(ks, ln).any(axis=1).all()
-    raw, _ = kernels.eigenphase_count(eo, et, ln, nv, np.append(math.pi / (2 * ln.sum()), ks))
-    assert np.round(raw[1:] - raw[0]).tolist() == [below, above]
+    _, mu, _ = kernels.vertex_count(eo, et, ln, nv, ks)
+    assert np.all(np.sum(~np.isnan(mu), axis=1) == nv + len(ln))
+    assert counts(graph, ks)[0].tolist() == [below, above]
+    vertex, phase = counts(graph, next_to_the_steps(graph, 40))
+    assert np.array_equal(vertex, phase)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import random
 import time
@@ -6,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import qglab.cli
 from qglab import (Edge, ExactLength, MetricGraph, Step, assemble_secular, betti_graph,
                    eigenspace, eigenvalues_in, kernels)
 
@@ -226,28 +229,37 @@ def test_grid_multiplicity_at_half_pi():
     assert hit.multiplicity == 4
 
 
-def test_count_off_integer_warns(interval_pi, monkeypatch):
-    # a count that leaves the integers must show, not be rounded away
-    exact = kernels.eigenphase_count
+def test_uncertified_count_warns(interval_pi, monkeypatch):
+    # a vertex eigenvalue at 0 that does not move with k has no root within
+    # REFINE_TOL of the point: its sign is rounding, and the count must show
+    exact = kernels.vertex_count
 
-    def drifting(*args):
-        count, phase = exact(*args)
-        return count + 0.25 * (np.asarray(args[4]) > 2.0), phase
+    def stalled(*args):
+        count, mu, dmu = exact(*args)
+        at = np.asarray(args[4]) > 2.0
+        mu[at, 0] = dmu[at, 0] = 0.0
+        return count, mu, dmu
 
-    monkeypatch.setattr(kernels, "eigenphase_count", drifting)
+    monkeypatch.setattr(kernels, "vertex_count", stalled)
     spec = eigenvalues_in(interval_pi, 10)
-    assert any("not an integer" in w for w in spec.warnings)
+    assert len(spec.warnings) == 1 and "not certified" in spec.warnings[0]
+    path = str(qglab.bundled_graph_path("interval-pi.qg"))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert qglab.cli.main(["spectrum", path, "--lambda-max", "10"]) == 2
 
 
 def test_vertex_count_outside_its_bracket_is_recounted(dumbbell, monkeypatch):
-    # a vertex count above its bracket's upper end must show and be replaced
-    # by the eigenphase count, which leaves the spectrum as it was
+    # a count above its bracket's upper end must show and be replaced by the
+    # count with every edge split, which leaves the spectrum as it was; the
+    # fault hits the first refinement call, after the bracket ends are counted
     want = eigenvalues_in(dumbbell, 45)
     exact = kernels.vertex_count
+    calls = []
 
     def overcounting(*args):
         count, mu, dmu = exact(*args)
-        return count + 100 * (np.asarray(args[4]) > 4.0), mu, dmu
+        calls.append(args[4])
+        return count + 100 * (len(calls) == 2) * (np.asarray(args[4]) > 4.0), mu, dmu
 
     monkeypatch.setattr(kernels, "vertex_count", overcounting)
     spec = eigenvalues_in(dumbbell, 45)
@@ -258,23 +270,30 @@ def test_vertex_count_outside_its_bracket_is_recounted(dumbbell, monkeypatch):
         assert got.lam == pytest.approx(ref.lam, rel=1e-11)
 
 
-def test_near_pole_points_are_counted_by_eigenphases(monkeypatch):
+def test_near_pole_points_are_counted_with_their_edges_split(monkeypatch):
     # the eigenvalue 5.3e-6 below the scar at 4 pi^2 lies between two steps
-    # 1e-7 apart, so its bracket is refined by eigenphases alone
+    # 1e-7 apart, so its bracket is refined next to the poles, where the
+    # plain V x V vertex matrix loses its inertia: every point there is
+    # counted with its edges on a pole split
     g = mk(["v", "w"], [("l", "v", "v", 1, "one"), ("p", "v", "w", 1, "u")],
            {"one": 1.0, "u": 0.5000001})
-    seen = {"vertex": [], "phase": []}
-    for name, key in (("vertex_count", "vertex"), ("eigenphase_count", "phase")):
-        def recording(*args, f=getattr(kernels, name), key=key):
-            seen[key].extend(np.asarray(args[4]).tolist())
-            return f(*args)
-        monkeypatch.setattr(kernels, name, recording)
+    ln = _edge_arrays(g)[2]
+    seen = []
+    exact = kernels.vertex_count
+
+    def recording(*args):
+        count, mu, dmu = exact(*args)
+        seen.extend(zip(np.asarray(args[4]).tolist(), np.sum(~np.isnan(mu), axis=1).tolist()))
+        return count, mu, dmu
+
+    monkeypatch.setattr(kernels, "vertex_count", recording)
     spec = eigenvalues_in(g, 45)
     assert not spec.warnings
     hit = min(spec.eigenvalues, key=lambda h: abs(h.lam - 39.4784123406))
     assert hit.lam == pytest.approx(39.4784123406, abs=1e-9) and hit.step is None
-    assert any(abs(k - hit.k) < 1e-9 for k in seen["phase"])
-    assert not any(abs(k - hit.k) < 1e-6 for k in seen["vertex"])
+    near = [(k, size) for k, size in seen if kernels.poles([k], ln).any()]
+    assert any(abs(k - hit.k) < 1e-9 for k, _ in near)
+    assert all(size > len(g.vertices) for _, size in near)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +426,7 @@ def _random_equilateral(seed, nv, extra):
     return _unit_graph(vs, pairs)
 
 
-@pytest.mark.parametrize("graph,lambda_max", [
+EQUILATERAL = pytest.mark.parametrize("graph,lambda_max", [
     (unit_grid(4), 40),
     (unit_grid(6), 12),
     (_unit_graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")]), 100),
@@ -429,6 +448,9 @@ def _random_equilateral(seed, nv, extra):
 ], ids=["grid4", "grid6", "triangle", "pentagon", "K4", "theta", "strip8", "grid10",
         "random5", "random7", "random8", "triangle_loop", "loop_pendant", "bouquet3",
         "K4_loop"])
+
+
+@EQUILATERAL
 def test_equilateral_spectrum_matches_von_below(graph, lambda_max):
     want = equilateral_spectrum(graph, lambda_max)
     assert all(abs(lam - lambda_max) > 1e-6 for lam, _ in want)
@@ -438,3 +460,17 @@ def test_equilateral_spectrum_matches_von_below(graph, lambda_max):
     assert [m for _, m in got] == [m for _, m in want]
     for (lam, _), (ref, _) in zip(got, want):
         assert lam == pytest.approx(ref, rel=1e-8, abs=1e-8)
+
+
+
+@EQUILATERAL
+def test_off_step_hits_sit_at_their_eigenvalue(graph, lambda_max):
+    # each hit is the secant root of its closed bracket, to rounding, not a
+    # point up to REFINE_TOL/2 away from the eigenvalue
+    want = [lam for lam, m in equilateral_spectrum(graph, lambda_max)[1:] if m == 1]
+    hits = [h for h in eigenvalues_in(graph, lambda_max).eigenvalues[1:]
+            if h.multiplicity == 1 and h.step is None]
+    assert hits or not want
+    for h in hits:
+        ref = math.sqrt(min(want, key=lambda lam: abs(lam - h.lam)))
+        assert abs(h.k - ref) <= 1e-14 * ref, (h, ref)

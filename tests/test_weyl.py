@@ -350,13 +350,13 @@ def test_visibility_unit_grid_6x6():
 def test_visibility_certifies_a_step_the_count_missed(loop_pendant, monkeypatch):
     # dim ker >= dim R at every step: a count that skips the scar at k = 2 pi
     # leaves no row there, and the step's certificate must still fail
-    exact = kernels.eigenphase_count
+    exact = kernels.vertex_count
 
     def skipping(*args):
-        count, phase = exact(*args)
-        return count - (np.asarray(args[4]) > 2 * math.pi), phase
+        count, mu, dmu = exact(*args)
+        return count - (np.asarray(args[4]) > 2 * math.pi), mu, dmu
 
-    monkeypatch.setattr(kernels, "eigenphase_count", skipping)
+    monkeypatch.setattr(kernels, "vertex_count", skipping)
     rep = visibility_report(loop_pendant, select_vertices(loop_pendant), 45)
     assert all(abs(r.lam - 4 * math.pi ** 2) > 1e-6 for r in rep.rows)
     assert any("step 1/2*one" in w and "below dim R 1" in w for w in rep.warnings)
