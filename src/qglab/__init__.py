@@ -10,7 +10,8 @@ from .graphs import (BettiData, CoreDecomposition, CycleSystem, CycleWalk,
 from .lengths import (LambdaSubgraph, Step, build_lambda_subgraph,
                       candidate_steps, resonance_floor)
 from .resonance import (ParityReport, ResonanceReport, parity_report,
-                        resonance_dimension, resonance_dimension_oracle)
+                        resonance_dimension, resonance_dimension_oracle,
+                        resonance_dimensions)
 from .spectral import (EdgeFunction, Spectrum, assemble_secular, eigenspace,
                        eigenvalues_in)
 from .weyl import (ResidueEstimate, VertexSelection, ntd_matrix, residue,

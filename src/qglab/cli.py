@@ -19,7 +19,7 @@ import sys
 
 from .graphfile import GraphFileError, parse_graph
 from .lengths import Step, candidate_steps, resonance_floor
-from .resonance import resonance_dimension
+from .resonance import resonance_dimension, resonance_dimensions
 from .spectral import eigenvalues_in
 from .weyl import NearSpectrumError, ntd_matrix, select_vertices, visibility_report
 
@@ -28,8 +28,7 @@ OK, ERROR, WARNINGS = 0, 1, 2
 
 def _emit(rows: list[dict], fmt: str, meta: dict, out) -> None:
     if fmt == "json":
-        json.dump({"meta": meta, "rows": rows}, out, indent=2, default=str)
-        out.write("\n")
+        out.write(json.dumps({"meta": meta, "rows": rows}, indent=2, default=str) + "\n")
     elif fmt == "csv":
         if rows:
             w = csv.DictWriter(out, fieldnames=list(rows[0]))
@@ -88,17 +87,13 @@ def cmd_resonances(args) -> int:
     graph = parse_graph(args.graph)
     cands = candidate_steps(graph, args.lambda_max)
     floor = resonance_floor(graph)
-    rows = []
-    for step in cands:
-        rep = resonance_dimension(graph, step)
-        rows.append({
-            "lambda": f"{rep.lam:.12g}",
-            "step": str(step),
-            "beta1": rep.beta1,
-            "beta0_odd": rep.beta0_odd,
-            "dim_R": rep.dim,
-            "resonance": "yes" if rep.is_resonance else "no",
-        })
+    rows = [{"lambda": f"{rep.lam:.12g}",
+             "step": str(rep.step),
+             "beta1": rep.beta1,
+             "beta0_odd": rep.beta0_odd,
+             "dim_R": rep.dim,
+             "resonance": "yes" if rep.is_resonance else "no"}
+            for rep in resonance_dimensions(graph, cands)]
     meta = {"command": "resonances", "graph": args.graph,
             "lambda_max": args.lambda_max,
             "lambda_floor": None if math.isinf(floor.lam) else floor.lam}
@@ -139,8 +134,7 @@ def cmd_basis(args) -> int:
         "functions": [f.coefficients for f in rep.basis],
     }
     with _output(args) as out:
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        out.write(json.dumps(payload, indent=2) + "\n")
     return OK
 
 

@@ -31,6 +31,12 @@ class LambdaSubgraph:
     members: tuple[tuple[Edge, int], ...]   # (edge, n) with L(e) = n*s
     vertices: tuple[str, ...]               # induced vertex set
 
+    @classmethod
+    def of(cls, graph: MetricGraph, step: Step, members) -> "LambdaSubgraph":
+        """The subgraph on `members`, its vertices in graph order."""
+        ends = {v for e, _ in members for v in (e.origin, e.terminus)}
+        return cls(step, tuple(members), tuple(v for v in graph.vertices if v in ends))
+
     @property
     def edges(self) -> tuple[Edge, ...]:
         return tuple(e for e, _ in self.members)
@@ -39,10 +45,15 @@ class LambdaSubgraph:
         return not self.members
 
 
-def build_lambda_subgraph(graph: MetricGraph, step: Step) -> LambdaSubgraph:
-    """Subgraph of edges with L(e) = n*s for a positive integer n (exact)."""
+def _check_unit(graph: MetricGraph, step: Step) -> None:
     if step.unit not in graph.units:
         raise ValueError(f"step unit {step.unit!r} not declared in graph")
+
+
+def build_lambda_subgraph(graph: MetricGraph, step: Step) -> LambdaSubgraph:
+    """Subgraph of edges with L(e) = n*s for a positive integer n (exact):
+    the definition, one rational division per edge, which the oracle uses."""
+    _check_unit(graph, step)
     members = []
     for e in graph.edges:
         if e.length.unit != step.unit:
@@ -50,9 +61,39 @@ def build_lambda_subgraph(graph: MetricGraph, step: Step) -> LambdaSubgraph:
         ratio = e.length.coeff / step.coeff
         if ratio.denominator == 1:
             members.append((e, ratio.numerator))
-    ends = {v for e, _ in members for v in (e.origin, e.terminus)}
-    verts = tuple(v for v in graph.vertices if v in ends)
-    return LambdaSubgraph(step, tuple(members), verts)
+    return LambdaSubgraph.of(graph, step, members)
+
+
+def fraction_gcd(*xs: Fraction) -> Fraction:
+    """gcd(p1/q1, p2/q2, ...) = gcd(p1, p2, ...) / lcm(q1, q2, ...)."""
+    return Fraction(math.gcd(*(x.numerator for x in xs)),
+                    math.lcm(*(x.denominator for x in xs)))
+
+
+def _unit_multiples(graph: MetricGraph) -> tuple[dict[str, Fraction], list[int]]:
+    """The gcd g of each used unit's coefficients, and m_e = L(e)/g for each
+    edge in graph order: (a/G)*(D/b) for L(e) = a/b and g = G/D."""
+    coeffs: dict[str, list[Fraction]] = {}
+    for e in graph.edges:
+        coeffs.setdefault(e.length.unit, []).append(e.length.coeff)
+    gcds = {unit: fraction_gcd(*cs) for unit, cs in coeffs.items()}
+    mults = []
+    for e in graph.edges:
+        c, g = e.length.coeff, gcds[e.length.unit]
+        mults.append(c.numerator // g.numerator * (g.denominator // c.denominator))
+    return gcds, mults
+
+
+def _step_ratio(step: Step, g: Fraction) -> tuple[int, int]:
+    """(p, q) with s = (p/q)*g and gcd(p, q) = 1.
+
+    An edge with L(e) = m_e*g is a multiple of s exactly when p | m_e, and
+    then n_e = (m_e/p)*q.
+    """
+    num = step.coeff.numerator * g.denominator
+    den = step.coeff.denominator * g.numerator
+    d = math.gcd(num, den)
+    return num // d, den // d
 
 
 def candidate_steps(graph: MetricGraph, lambda_max: float) -> list[Step]:
@@ -60,27 +101,25 @@ def candidate_steps(graph: MetricGraph, lambda_max: float) -> list[Step]:
 
     These are exactly the spectral points where the step subgraph is
     nonempty.  Sorted by ascending lambda (unit approximations are used for
-    ordering only); deduplicated by exact (coeff, unit).
+    ordering only), ties in the order the steps are first met.  A step is
+    named exactly by its unit and the integers (m_e/d, n/d), d = gcd(m_e, n):
+    s = L(e)/n = (m_e/d)/(n/d)*g.
     """
     if not 0 < lambda_max < math.inf:
         raise ValueError("lambda_max must be positive and finite")
     smin = math.pi / math.sqrt(lambda_max)
-    lams: dict[Step, float] = {}    # insertion order breaks ties in lambda
-    for e in graph.edges:
-        ln = e.length.value(graph.units)
-        nmax = int(math.floor(ln / smin + 1e-12))
+    _, mults = _unit_multiples(graph)
+    steps: dict[tuple[str, int, int], tuple[float, Step]] = {}   # insertion order breaks ties
+    for e, m in zip(graph.edges, mults):
+        unit = e.length.unit
+        nmax = int(math.floor(e.length.value(graph.units) / smin + 1e-12))
         for n in range(1, nmax + 1):
-            step = Step(e.length.coeff / n, e.length.unit)
-            if step not in lams:
-                lams[step] = step.lambda_value(graph.units)
-    return sorted((s for s, lam in lams.items() if lam <= lambda_max), key=lams.get)
-
-
-def fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
-    """gcd(p1/q1, p2/q2) = gcd(p1, p2) / lcm(q1, q2)."""
-    num = math.gcd(a.numerator, b.numerator)
-    den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
+            d = math.gcd(m, n)
+            key = (unit, m // d, n // d)
+            if key not in steps:
+                step = Step(e.length.coeff / n, unit)
+                steps[key] = (step.lambda_value(graph.units), step)
+    return [s for lam, s in sorted(steps.values(), key=lambda x: x[0]) if lam <= lambda_max]
 
 
 def _divisors(m: int) -> set[int]:
@@ -117,16 +156,15 @@ def resonance_floor(graph: MetricGraph) -> ResonanceFloor:
     """
     best: Optional[tuple[Step, CycleWalk]] = None
     best_val = -math.inf
+    gcds, mults = _unit_multiples(graph)
     for unit in graph.units.tokens():
-        edges = [e for e in graph.edges if e.length.unit == unit]
+        pairs = [(e, m) for e, m in zip(graph.edges, mults) if e.length.unit == unit]
+        edges = [e for e, _ in pairs]
         if betti(graph.vertices, edges).beta1 == 0:
             continue
-        g = Fraction(0)
-        for e in edges:
-            g = fraction_gcd(g, e.length.coeff)
-        mult = [int(e.length.coeff / g) for e in edges]
-        for k in sorted(set().union(*map(_divisors, mult)), reverse=True):
-            sub = [e for e, m in zip(edges, mult) if m % k == 0]
+        g = gcds[unit]
+        for k in sorted(set().union(*(_divisors(m) for _, m in pairs)), reverse=True):
+            sub = [e for e, m in pairs if m % k == 0]
             forest = cycle_system(graph.vertices, sub)
             if forest.chords:
                 u = Step(k * g, unit)

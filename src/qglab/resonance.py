@@ -5,16 +5,27 @@ vanish at every vertex; its dimension is the number of independent cycles of
 the step subgraph minus the number of its components containing a cycle of
 odd total step count.  Everything in this module is integer/rational
 arithmetic - no tolerances.
+
+The dimension depends only on (unit, p, q mod 2).  Within one unit let g be
+the gcd of the edge coefficients, L(e) = m_e*g, and s = (p/q)*g in lowest
+terms.  Then L(e)/s = m_e*q/p is an integer exactly when p | m_e, so G_s is
+fixed by p; and a cycle's step count is q*sum(m_e/p), so its parity is
+fixed by q mod 2.  On the bundled dumbbell, the steps 1*sqrt3 and
+1/2*sqrt3 have the same G_s (two sqrt3 triangles, beta1 = 2), but at q = 1
+both triangles are odd (beta0_odd = 2, dim 0) and at q = 2 neither is
+(beta0_odd = 0, dim 2).  `resonance_dimensions` therefore builds one step
+subgraph and one parity report per (unit, p, q mod 2).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 from .graphs import CycleSystem, CycleWalk, MetricGraph, cycle_system
-from .lengths import LambdaSubgraph, Step, build_lambda_subgraph
+from .lengths import (LambdaSubgraph, Step, _check_unit, _step_ratio, _unit_multiples,
+                      build_lambda_subgraph)
 
 
 class BasisConstructionError(RuntimeError):
@@ -116,19 +127,54 @@ class ResonanceReport:
         return self.dim > 0
 
 
+def _step_parities(graph: MetricGraph,
+                   steps: Sequence[Step]) -> list[tuple[LambdaSubgraph, ParityReport]]:
+    """The step subgraph and its parity report for each step, in order.
+
+    Steps that agree in (unit, p, q mod 2), s = (p/q)*g, share one pair,
+    built at the first of them: its step counts n_e = (m_e/p)*q are those of
+    that step and agree mod 2 with every other's.  A declared unit that no
+    edge uses is its own g and gives the empty subgraph.
+    """
+    gcds, mults = _unit_multiples(graph)
+    shared: dict[tuple[str, int, int], tuple[LambdaSubgraph, ParityReport]] = {}
+    out = []
+    for step in steps:
+        _check_unit(graph, step)
+        p, q = _step_ratio(step, gcds.get(step.unit, step.coeff))
+        key = (step.unit, p, q % 2)
+        if key not in shared:
+            sub = LambdaSubgraph.of(graph, step, [
+                (e, m // p * q) for e, m in zip(graph.edges, mults)
+                if e.length.unit == step.unit and m % p == 0])
+            shared[key] = (sub, parity_report(sub))
+        out.append(shared[key])
+    return out
+
+
+def _report(graph: MetricGraph, step: Step, rep: ParityReport) -> ResonanceReport:
+    return ResonanceReport(step, step.lambda_value(graph.units), rep.beta1,
+                           rep.beta0_odd, rep.beta1 - rep.beta0_odd, rep)
+
+
+def resonance_dimensions(graph: MetricGraph, steps: Sequence[Step]) -> list[ResonanceReport]:
+    """dim of the resonance space at lambda = pi^2/s^2 for each step s, by
+    the cycle count minus the odd-component count; steps with the same
+    (unit, p, q mod 2) share one parity report (module docstring)."""
+    return [_report(graph, step, rep)
+            for step, (_, rep) in zip(steps, _step_parities(graph, steps))]
+
+
 def resonance_dimension(graph: MetricGraph, step: Step,
                         with_basis: bool = False) -> ResonanceReport:
-    """dim of the resonance space at lambda = pi^2/s^2, by the cycle count
-    minus odd-component count, optionally with an explicit basis."""
-    sub = build_lambda_subgraph(graph, step)
-    rep = parity_report(sub)
-    dim = rep.beta1 - rep.beta0_odd
-    basis = None
+    """`resonance_dimensions` at one step, optionally with an explicit basis."""
+    [(sub, rep)] = _step_parities(graph, [step])
+    report = _report(graph, step, rep)
     if with_basis:
         basis = tuple(_construct_basis(sub, rep))
-        _verify_basis(graph, sub, basis, dim)
-    return ResonanceReport(step, step.lambda_value(graph.units), rep.beta1,
-                           rep.beta0_odd, dim, rep, basis)
+        _verify_basis(graph, sub, basis, report.dim)
+        report = replace(report, basis=basis)
+    return report
 
 
 # ---------------------------------------------------------------------------

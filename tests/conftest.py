@@ -1,10 +1,17 @@
-import math
-from fractions import Fraction
+import os
 
-import pytest
+# One BLAS thread, set before numpy is imported: unpinned OpenBLAS threads
+# made the stacked small-matrix eigh calls of a busy host up to 300x slower.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-import qglab
-from qglab import Edge, ExactLength, MetricGraph, parse_graph
+import math  # noqa: E402
+from fractions import Fraction  # noqa: E402
+
+import pytest  # noqa: E402
+
+import qglab  # noqa: E402
+from qglab import Edge, ExactLength, MetricGraph, parse_graph  # noqa: E402
 
 
 def mk(vertices, edge_spec, units):

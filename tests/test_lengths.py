@@ -10,6 +10,7 @@ from qglab import (ExactLength, MetricGraph, Step, build_lambda_subgraph,
 from qglab.lengths import fraction_gcd
 
 from conftest import mk, unit_grid
+from fraction_steps import candidate_steps_reference
 from randgraphs import all_steps, random_graph
 
 
@@ -73,6 +74,26 @@ def test_single_edge_candidates():
     cands = candidate_steps(g, 50)
     assert [(s.coeff, s.unit) for s in cands] == \
         [(Fraction(1), "one"), (Fraction(1, 2), "one")]
+
+
+@pytest.mark.parametrize("lambda_max", [30.0, 200.0, 1000.0])
+def test_candidate_steps_match_fraction_reference(lambda_max):
+    # same steps in the same order, ties in lambda included: the units
+    # "one" and "same" share an approximation, so 1*one and 1*same tie
+    graphs = [parse_graph(qglab.bundled_graph_path(n)) for n in BUNDLED]
+    graphs.append(mk(["a", "b", "c"],
+                     [("x", "a", "b", 3, "same"), ("y", "b", "c", 1, "one"),
+                      ("z", "c", "a", Fraction(1, 2), "same"), ("w", "a", "a", 2, "one")],
+                     {"one": 1.0, "same": 1.0}))
+    rng = random.Random(17)
+    graphs += [random_graph(rng) for _ in range(150)]
+    ties = 0
+    for g in graphs:
+        got = candidate_steps(g, lambda_max)
+        assert got == candidate_steps_reference(g, lambda_max), g
+        lams = [s.lambda_value(g.units) for s in got]
+        ties += sum(a == b for a, b in zip(lams, lams[1:]))
+    assert ties > 0
 
 
 def test_cutoff_below_smallest_lambda_is_empty():

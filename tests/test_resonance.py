@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from qglab import (Step, build_lambda_subgraph, parity_report,
-                   resonance_dimension, resonance_dimension_oracle,
-                   resonance_floor)
+from qglab import (MetricGraph, Step, build_lambda_subgraph, candidate_steps,
+                   parity_report, resonance_dimension, resonance_dimension_oracle,
+                   resonance_dimensions, resonance_floor)
 from qglab.resonance import (BasisConstructionError, ResonanceBasisFunction,
                              _verify_basis, integer_matrix_rank)
 
@@ -171,6 +171,36 @@ def test_theorem_equals_oracle_randomized():
             got = resonance_dimension(g, step).dim
             want = resonance_dimension_oracle(g, step)
             assert got == want, (g, str(step))
+
+
+def test_grouped_table_matches_reference_and_oracle():
+    # every candidate step up to lambda = 1000, each followed by its half:
+    # s = (p/q)*g and s/2 share G_s when p is odd and differ in q mod 2
+    rng = random.Random(11)
+    siblings = 0
+    for _ in range(100):
+        g = random_graph(rng)
+        g = MetricGraph.build(g.vertices, g.edges, [*g.units.entries, ("ghost", 1.7)])
+        steps = [Step(1, "ghost")]
+        for s in candidate_steps(g, 1000.0):
+            steps += [s, Step(s.coeff / 2, s.unit)]
+        reports = resonance_dimensions(g, steps)
+        assert [r.step for r in reports] == steps
+        for step, rep in zip(steps, reports):
+            ref = parity_report(build_lambda_subgraph(g, step))
+            assert rep.parity == ref, (g, str(step))
+            assert (rep.beta1, rep.beta0_odd) == (ref.beta1, ref.beta0_odd)
+            assert rep.dim == resonance_dimension_oracle(g, step), (g, str(step))
+            assert rep.lam == step.lambda_value(g.units)
+        assert reports[0].parity.components == () and reports[0].dim == 0
+        siblings += sum(a.parity.system == b.parity.system and a.beta0_odd != b.beta0_odd
+                        for a, b in zip(reports[1::2], reports[2::2]))
+    assert siblings > 100
+
+
+def test_grouped_table_rejects_an_undeclared_unit(dumbbell):
+    with pytest.raises(ValueError, match="not declared"):
+        resonance_dimensions(dumbbell, [Step(1, "one"), Step(1, "nope")])
 
 
 def test_equilateral_oddness_is_nonbipartiteness():
