@@ -10,6 +10,7 @@ used from worker processes without locking.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -114,8 +115,12 @@ class MetricGraph:
 
 
 def validate(graph: MetricGraph) -> list[str]:
-    """Check the MetricGraph invariants; returns a list of violations."""
+    """Check the MetricGraph invariants; returns a list of violations.
+
+    An edge length L must keep L^2, 1/L^2 and pi^2/L^2 finite and normal
+    floats, with a factor 4 to spare for their rounding."""
     problems = []
+    lo, hi = 4 / math.sqrt(sys.float_info.max), 1 / math.sqrt(4 * sys.float_info.min)
     if not graph.vertices:
         problems.append("empty-graph: no vertices declared")
     seen_v = set()
@@ -133,6 +138,14 @@ def validate(graph: MetricGraph) -> list[str]:
                 problems.append(f"unknown-vertex: edge {e.id} references {v}")
         if e.length.unit not in graph.units:
             problems.append(f"unknown-unit: edge {e.id} uses {e.length.unit!r}")
+            continue
+        try:
+            length = e.length.value(graph.units)
+        except OverflowError:
+            length = math.inf
+        if not lo <= length <= hi:
+            problems.append(f"length-range: edge {e.id} has length {length:.3g}, "
+                            f"outside [{lo:.3g}, {hi:.3g}]")
     return problems
 
 

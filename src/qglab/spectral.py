@@ -4,10 +4,10 @@ Eigenvalues are located by an integer count of the eigenvalues below k, the
 vertex count of `kernels.vertex_count`, which brackets each one together with
 its multiplicity.  The candidate steps s of `lengths` are brackets of their
 own, so this module alone decides which eigenvalue lies on which step
-pi^2/s^2; they are the poles of the vertex matrix, next to which the count
-splits the edges on a pole.  The eigenspace at lambda = k^2 is the null
-space of the bordered vertex system A(k) of `kernels.bordered`, whose
-smallest singular value at each hit is reported with it, not checked.
+pi^2/s^2; they are the poles of the vertex matrix Lambda(k), next to which
+the edges on a pole are split (`kernels.split_graph`).  The eigenspace at
+lambda = k^2 is the null space of Lambda(k) of that split graph, whose
+smallest |mu_j| at each hit is reported with it as sigma_min, not checked.
 """
 
 from __future__ import annotations
@@ -73,11 +73,11 @@ def _edge_arrays(graph: MetricGraph):
 
 
 def assemble_secular(graph: MetricGraph, k: float) -> np.ndarray:
-    """The bordered vertex system A(k) at wavenumber k >= 0."""
+    """Lambda(k) of the split graph (`kernels.vertex_matrices`) at k >= 0."""
     eo, et, ln, _ = _edge_arrays(graph)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return kernels.bordered(eo, et, ln, len(graph.vertices), [float(k)])[0][0]
+    return next(kernels.vertex_matrices(eo, et, ln, len(graph.vertices), [float(k)]))[1][0]
 
 
 def _theta(k, n, mu, dmu):
@@ -262,42 +262,44 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
 _golden_min = kernels.vertex_count
 
 
-def _null_vectors(eo, et, ln, nv: int, lam: float, multiplicity: int):
-    """k = sqrt(lam); the coefficients a_e, b_e and vertex values c_v, as
-    columns, of the functions of the `multiplicity` right singular vectors w
-    of smallest singular value of A(k); each |A w| relative to the size of
-    A's entries; and their separation sigma_{n-m+1}/sigma_{n-m}, with that
-    size for sigma_0 when m = n.  Off the bordered edges
-    b_e = (c_t - c_o cos kL) / sin kL; on them b_e = beta_e / k (beta_e at k = 0).
-    """
-    if lam < 0:
+def _null_vectors(eo, et, ln, nv: int, lams, multiplicities) -> list[tuple]:
+    """At each lam of lams, k = sqrt(lam) and m its multiplicity: k; the
+    coefficients a_e, b_e and vertex values c_v, as columns, of the functions
+    of the m eigenvectors of Lambda(k) of the split graph with the smallest
+    |mu_j|, one stack per width; those |mu_j| relative to the size of
+    Lambda's entries; and their separation, the m-th smallest |mu_j| over the
+    (m+1)-th, or over that size when m = n.  On piece 1 of each edge, of
+    length l from c_o to c_w, a_e = c_o and b_e = (c_w - c_o cos kl) / sin kl,
+    or (c_w - c_o) / l at k = 0."""
+    if min(lams, default=0.0) < 0:
         raise ValueError("lambda must be nonnegative")
-    k = math.sqrt(lam)
-    a, size, pole = kernels.bordered(eo, et, ln, nv, [k])
-    a, n = a[0], a.shape[1]
-    if not 0 < multiplicity <= n:
-        raise ValueError(f"multiplicity must lie in 1..{n}")
-    _, s, vt = np.linalg.svd(a)
-    w = vt[n - multiplicity:].T
-    last = s[n - multiplicity - 1] if multiplicity < n else size[0]
-    separation = float(s[n - multiplicity] / last) if last > 0 else math.inf
-    c = w[:nv]
-    b = np.empty((len(ln), multiplicity))
-    kl = k * ln[~pole, None]
-    b[~pole] = (c[et[~pole]] - c[eo[~pole]] * np.cos(kl)) / np.sin(kl)
-    b[pole] = w[nv:] / (k if k else 1.0)
-    return k, c[eo], b, c, np.max(np.abs(a @ w), axis=0) / size[0], separation
+    ks = np.sqrt(np.asarray(lams, dtype=float))
+    out: list = [None] * ks.size
+    for at, stack, sizes, ters, ells in kernels.vertex_matrices(eo, et, ln, nv, ks):
+        n = stack.shape[1]
+        for i, mu, vec, size, ter, ell in zip(at, *np.linalg.eigh(stack), sizes, ters, ells):
+            m = multiplicities[i]
+            if not 0 < m <= n:
+                raise ValueError(f"multiplicity must lie in 1..{n}")
+            order = np.argsort(np.abs(mu))
+            small, c = np.abs(mu[order]), vec[:, order[:m]]
+            last = small[m] if m < n else size
+            separation = float(small[m - 1] / last) if last > 0 else math.inf
+            k, ell = float(ks[i]), ell[:, None]
+            b = (c[ter] - c[eo] * np.cos(k * ell)) / (np.sin(k * ell) if k else ell)
+            out[i] = (k, c[eo], b, c[:nv], small[:m] / size, separation)
+    return out
 
 
 def eigenspace(graph: MetricGraph, lam: float,
                multiplicity: int) -> tuple[list[EdgeFunction], list[str]]:
-    """Basis of the `multiplicity`-dimensional null space of A(sqrt(lam)) as
-    per-edge trigonometric coefficient functions, orthonormal in their
+    """Basis of the `multiplicity`-dimensional null space of Lambda(sqrt(lam))
+    as per-edge trigonometric coefficient functions, orthonormal in their
     coefficients and vertex values together.  A separation above
     SEPARATION_TOL is flagged: then lam is not an eigenvalue of that
     multiplicity."""
-    k, a, b, c, resid, separation = _null_vectors(*_edge_arrays(graph)[:3],
-                                                  len(graph.vertices), lam, multiplicity)
+    k, a, b, c, resid, separation = _null_vectors(*_edge_arrays(graph)[:3], len(graph.vertices),
+                                                  [lam], [multiplicity])[0]
     a, b, c = np.split(np.linalg.qr(np.concatenate([a, b, c]))[0], [len(a), 2 * len(a)])
     flags: list[str] = []
     if not separation <= SEPARATION_TOL:

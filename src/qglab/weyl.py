@@ -4,8 +4,9 @@ M_B(mu)[k,l] is the value at vertex v_k of the solution of -f'' = mu f with
 unit derivative balance at v_l and zero balance elsewhere.  Eigenvalues of
 the graph Laplacian appear as order-one poles of M_B unless their
 eigenfunctions vanish on B; residue ranks quantify exactly how much of each
-eigenspace is visible from the vertex data.  Both come from the bordered
-vertex system A(k) of `kernels.bordered`, Lambda(k) = M(k^2)^-1 off the poles.
+eigenspace is visible from the vertex data.  Both come from one matrix, the
+vertex Dirichlet-to-Neumann matrix Lambda(k) = M(k^2)^-1 of the graph with its
+edges on a pole split (`kernels.vertex_matrices`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .spectral import (SEPARATION_TOL, Spectrum, _edge_arrays, _null_vectors,
 
 RESIDUE_FLOOR = 1e-12    # residue rank floor, relative to ||G^-1||_2
 RANK_TOL = 1e-8          # residue rank threshold, relative to its sigma_1
-COND_MAX = 1e12          # largest condition number of A(k) at an NtD sample
+COND_MAX = 1e12          # largest condition number of Lambda(k) at an NtD sample
 
 
 class NearSpectrumError(RuntimeError):
@@ -73,13 +74,12 @@ def ntd_matrix(graph: MetricGraph, selection: VertexSelection, mu: complex) -> n
     """The Neumann-to-Dirichlet matrix M_B(mu) for mu off the spectrum, rows
     and columns in the order of selection.vertices.
 
-    M_B is the B block of the inverse of A(k), k = sqrt(mu) with Im k >= 0,
-    bordered at each edge with |sin kL_e| < 1 (so |cos kL_e| < sqrt 2; the
-    others have |cot kL_e|, |1/sin kL_e| <= sqrt 2): A's entries stay
-    O(max(1, |k|)) next to a pole too.  mu is rejected unless cond_2(A) <=
-    COND_MAX, ||A||_2 taken at least the size of A's entries: the bare
-    condition of a 1 x 1 A(k) is 1 even on an eigenvalue.  mu = 0 is always
-    an eigenvalue: the constants on each component.
+    M_B is the B block of the inverse of Lambda(k) of the split graph,
+    k = sqrt(mu) with Im k >= 0, real for real mu > 0, whose split vertices
+    carry no derivative balance.  mu is rejected unless cond_2(Lambda) <=
+    COND_MAX, ||Lambda||_2 taken at least the size of its entries: the bare
+    condition of a 1 x 1 Lambda(k) is 1 even on an eigenvalue.  mu = 0 is
+    always an eigenvalue: the constants on each component.
     """
     eo, et, ln, vix = _edge_arrays(graph)
     if not cmath.isfinite(mu):
@@ -87,14 +87,16 @@ def ntd_matrix(graph: MetricGraph, selection: VertexSelection, mu: complex) -> n
     if mu == 0:
         raise NearSpectrumError("mu = 0 is an eigenvalue: the constants on each component")
     k = cmath.sqrt(mu)
-    a, size, _ = kernels.bordered(eo, et, ln, len(vix), [-k if k.imag < 0 else k], tol=1.0)
-    s = np.linalg.svd(a[0], compute_uv=False).tolist()
+    k = -k if k.imag < 0 else k
+    _, lam, size, *_ = next(kernels.vertex_matrices(eo, et, ln, len(vix),
+                                                    [k.real if k.imag == 0 else k]))
+    s = np.linalg.svd(lam[0], compute_uv=False).tolist()
     cond = max(s[0], size[0]) / s[-1] if s[-1] > 0 else np.inf
     if not cond <= COND_MAX:
         raise NearSpectrumError(
             f"system at mu={complex(mu)!r} has condition {cond:.3g} > {COND_MAX:.3g}")
     rv = [vix[v] for v in selection.vertices]
-    return np.linalg.inv(a[0])[np.ix_(rv, rv)]
+    return np.linalg.inv(lam[0])[np.ix_(rv, rv)]
 
 
 # The benchmark tracer (perfbench/spans.py) still reads the deleted contour's
@@ -116,10 +118,16 @@ class ResidueEstimate:
 
 def residue(graph: MetricGraph, selection: VertexSelection, lam: float,
             multiplicity: int) -> ResidueEstimate:
-    """Residue of M_B at the eigenvalue lam of the given multiplicity, in
-    closed form from its eigenspace.
+    """Residue of M_B at the eigenvalue lam of the given multiplicity (`_residues`)."""
+    return _residues(graph, selection, [lam], [multiplicity])[0]
 
-    With W the functions of the m null vectors of A(k), C_B their vertex
+
+def _residues(graph: MetricGraph, selection: VertexSelection, lams,
+              multiplicities) -> list[ResidueEstimate]:
+    """Residue of M_B at each eigenvalue of lams, of the multiplicity at the
+    same place, from one stack of null vectors per width.
+
+    With W the functions of the m null vectors of Lambda(k), C_B their vertex
     values on B and G their L2 Gram matrix, the eigenfunctions W G^{-1/2} are
     orthonormal, so M_B(mu) = -sum_n phi_n(B) phi_n(B)^T / (mu - lam_n) gives
     Res_lam M_B = -C_B G^{-1} C_B^T.  Its rank counts the singular
@@ -128,22 +136,26 @@ def residue(graph: MetricGraph, selection: VertexSelection, lam: float,
     the null vectors' entries.
     """
     eo, et, ln, vix = _edge_arrays(graph)
-    k, a, b, c, _, separation = _null_vectors(eo, et, ln, len(vix), lam, multiplicity)
-    # integrals over [0, L] of cos^2, sin*cos, sin^2; of 1, x, x^2 at k = 0
-    if k == 0.0:
-        icc, ics, iss = ln, ln ** 2 / 2, ln ** 3 / 3
-    else:
-        half = np.sin(2 * k * ln) / (4 * k)
-        icc, ics, iss = ln / 2 + half, np.sin(k * ln) ** 2 / (2 * k), ln / 2 - half
-    cross = a.T @ (ics[:, None] * b)
-    gram = a.T @ (icc[:, None] * a) + b.T @ (iss[:, None] * b) + cross + cross.T
-    g, v = np.linalg.eigh(gram)               # G^-1 = V diag(1/g) V^T, g > 0
-    cv = c[[vix[u] for u in selection.vertices]] @ v
-    mat = -(cv / g) @ cv.T
-    sv = np.linalg.svd(mat, compute_uv=False)
-    thresh = max(RANK_TOL * (sv[0] if len(sv) else 0.0), RESIDUE_FLOOR / g[0])
-    return ResidueEstimate(lam=lam, matrix=mat, rank=int(np.sum(sv > thresh)),
-                           singular_values=sv, separation=separation)
+    rows = [vix[u] for u in selection.vertices]
+    out = []
+    for lam, (k, a, b, c, _, separation) in zip(
+            lams, _null_vectors(eo, et, ln, len(vix), lams, multiplicities)):
+        # integrals over [0, L] of cos^2, sin*cos, sin^2; of 1, x, x^2 at k = 0
+        if k == 0.0:
+            icc, ics, iss = ln, ln ** 2 / 2, ln ** 3 / 3
+        else:
+            half = np.sin(2 * k * ln) / (4 * k)
+            icc, ics, iss = ln / 2 + half, np.sin(k * ln) ** 2 / (2 * k), ln / 2 - half
+        cross = a.T @ (ics[:, None] * b)
+        gram = a.T @ (icc[:, None] * a) + b.T @ (iss[:, None] * b) + cross + cross.T
+        g, v = np.linalg.eigh(gram)               # G^-1 = V diag(1/g) V^T, g > 0
+        cv = c[rows] @ v
+        mat = -(cv / g) @ cv.T
+        sv = np.linalg.svd(mat, compute_uv=False)
+        thresh = max(RANK_TOL * (sv[0] if len(sv) else 0.0), RESIDUE_FLOOR / g[0])
+        out.append(ResidueEstimate(lam=lam, matrix=mat, rank=int(np.sum(sv > thresh)),
+                                   singular_values=sv, separation=separation))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +216,13 @@ def visibility_report(graph: MetricGraph, selection: VertexSelection,
                 f"(lambda={rep.lam:.12g}) is below dim R {rep.dim}: eigenvalues missed")
 
     rows = []
-    for hit in spec.eigenvalues:
+    residues = _residues(graph, selection, [h.lam for h in spec.eigenvalues],
+                         [h.multiplicity for h in spec.eigenvalues])
+    for hit, res in zip(spec.eigenvalues, residues):
         res_rep = reports.get(hit.step)
         dim_res = 0 if res_rep is None else res_rep.dim
         notes = (("no commensurate structure detected",)
                  if hit.step is None and hit.lam > 0.0 else ())
-
-        res = residue(graph, selection, hit.lam, hit.multiplicity)
         if not res.separation <= SEPARATION_TOL:
             warnings.append(
                 f"eigenspace at lambda={hit.lam:.12g} not separated: sigma ratio "

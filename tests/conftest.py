@@ -8,6 +8,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import math  # noqa: E402
 from fractions import Fraction  # noqa: E402
 
+import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 import qglab  # noqa: E402
@@ -31,6 +32,12 @@ def walk_end(start, steps, edges_by_id):
         assert tail == v, (start, steps)
         v = head
     return v
+
+
+def on_a_pole(ks, lengths, tol=1e-6):
+    """Whether |sin kL_e| < tol, at each real k in ks (rows) and edge e
+    (columns)."""
+    return np.abs(np.sin(np.multiply.outer(ks, lengths))) < tol
 
 
 def unit_grid(n):

@@ -1,5 +1,5 @@
 """The (2E+V) secular system, kept as an independent reference for the
-bordered vertex system A(k) of `qglab.kernels.bordered`.
+vertex matrix Lambda(k) of the split graph, `qglab.kernels.vertex_matrices`.
 
 It couples the per-edge coefficients (a_e, b_e) with explicit vertex values
 c_v; `unknowns` is the one reader of its layout, a_e = col 2e, b_e =

@@ -266,6 +266,22 @@ def test_parse_errors_exit_1(capsys, tmp_path):
     assert "bad.qg:2" in err
 
 
+TRIANGLE = ("vertex a\nvertex b\nvertex c\n"
+            "edge e1 a b {c} one\nedge e2 b c 1 one\nedge e3 c a 1 one\n")
+
+
+@pytest.mark.parametrize("command, unit, coeff", [
+    ("spectrum", "1.0", "1e400"), ("spectrum", "1.0", "1e-400"),
+    ("spectrum", "1e300", "1"), ("resonances", "1e-200", "1"),
+    ("spectrum", "1e-320", "1/1000")])
+def test_length_outside_the_float_range_exit_1(capsys, tmp_path, command, unit, coeff):
+    bad = tmp_path / "far.qg"
+    bad.write_text(f"unit one {unit}\n" + TRIANGLE.format(c=coeff))
+    code, out, err = run(capsys, [command, str(bad), "--lambda-max", "10"])
+    assert code == ERROR and not out
+    assert err.startswith("error:") and "edge e1" in err and "length" in err
+
+
 def test_missing_file_exit_1(capsys):
     code, _, err = run(capsys, ["spectrum", "/no/such/file.qg",
                                 "--lambda-max", "5"])

@@ -9,7 +9,7 @@ from qglab import betti_graph, kernels
 from qglab.lengths import candidate_steps
 from qglab.spectral import _edge_arrays
 
-from conftest import unit_grid
+from conftest import on_a_pole, unit_grid
 from eigenphase import eigenphase_count
 from randgraphs import degree, random_graph
 
@@ -19,33 +19,39 @@ def arrays(graph):
     return eo, et, ln, len(graph.vertices)
 
 
-# Per-point reference: one A(k) at a time, entry by entry.
+# Per-point reference: one Lambda(k) at a time, entry by entry from the
+# pieces of its split graph.
 
-def reference_bordered(eo, et, ln, nv, k, tol=kernels.POLE_TOL):
-    """A(k): Lambda's entries for each edge with |sin kL_e| >= tol; a column
-    beta_e, f_e = c_o cos kx + (beta_e/k) sin kx, and a continuity row for
-    each other edge."""
+def reference_lambda(eo, et, ln, nv, k):
+    """Lambda(k) of the graph with each edge of |sin(Re k L_e)| < SPLIT_TOL
+    and |Re k| L_e >= pi/2 split at the fraction t of SPLITS with the largest
+    |sin n pi t|, n = round(|Re k| L_e / pi), by a new vertex V, V + 1, ...;
+    the largest magnitude one piece puts into an entry; and the terminus and
+    length of the first piece of each edge.  At k = 0 the entries are 1/L and
+    -1/L."""
     trig = cmath if isinstance(k, complex) else math
-    pole = [e for e in range(len(eo)) if abs(trig.sin(k * ln[e])) < tol]
-    n = nv + len(pole)
-    a = np.zeros((n, n), dtype=type(k))
-    for e in range(len(eo)):
-        o, t, kl = eo[e], et[e], k * ln[e]
-        if e in pole:
-            r = nv + pole.index(e)
-            a[t, o] -= k * trig.sin(kl)
-            a[t, r] += trig.cos(kl)
-            a[o, r] -= 1.0
-            a[r, o] += trig.cos(kl)
-            a[r, t] -= 1.0
-            a[r, r] = trig.sin(kl) / k if k else ln[e]     # affine at k = 0
-        elif o == t:
-            a[o, o] -= 2 * k * trig.tan(kl / 2)
+    pieces, first, n = [], [], nv
+    for o, t, length in zip(eo.tolist(), et.tolist(), ln.tolist()):
+        turns = round(abs(k.real) * length / math.pi)
+        if abs(math.sin(abs(k.real) * length)) < kernels.SPLIT_TOL and turns > 0:
+            f = max(kernels.SPLITS.tolist(), key=lambda f: abs(math.sin(turns * math.pi * f)))
+            pieces += [(o, n, length * f), (n, t, length * (1 - f))]
+            n += 1
         else:
-            for u, w in ((o, t), (t, o)):
-                a[u, u] += k * trig.cos(kl) / trig.sin(kl)
-                a[u, w] -= k / trig.sin(kl)
-    return a
+            pieces.append((o, t, length))
+        first.append(pieces[-2] if pieces[-1][0] >= nv else pieces[-1])
+    lam, size = np.zeros((n, n), dtype=type(k)), 0.0
+    for o, t, length in pieces:
+        if k == 0:
+            diag, off = 1 / length, -1 / length
+        else:
+            diag, off = k * trig.cos(k * length) / trig.sin(k * length), -k / trig.sin(k * length)
+        lam[o, o] += diag
+        lam[t, t] += diag
+        lam[o, t] += off
+        lam[t, o] += off
+        size = max(size, abs(diag), abs(off))
+    return lam, size, [p[1] for p in first], [p[2] for p in first]
 
 
 def pole_points(ln, n=3):
@@ -53,38 +59,49 @@ def pole_points(ln, n=3):
     return [j * math.pi / length for length in ln for j in range(1, n + 1)]
 
 
-def test_batched_scan_matches_per_point_svd(dumbbell):
-    eo, et, ln, nv = arrays(dumbbell)
-    ks = np.concatenate([np.linspace(0.3, 12.0, 1201), pole_points(ln)])
-    pole = kernels.poles(ks, ln)
-    assert pole.any() and not pole.all()
-    assert (~pole.any(axis=1)).sum() > 2 * kernels.CHUNK_BYTES // (8 * nv * nv)  # chunks
-    act = kernels.scan_sigma_min(eo, et, ln, nv, ks)
-    for k, sig in zip(ks.tolist(), act.tolist()):
-        ref = np.linalg.svd(reference_bordered(eo, et, ln, nv, k), compute_uv=False)
-        # 1e-12 absolute where A's entries are O(k); next to a pole they
-        # grow as k/|sin kL_e|, and so does the rounding of sigma_min
-        size = kernels.bordered(eo, et, ln, nv, [k])[1][0]
-        assert abs(sig - ref[-1]) <= 1e-13 * size
+def points(ln):
+    """k = 0, 801 real k up to 12 and the poles of every edge; complex k
+    with Im k >= 0 next to those poles, on both sides of the real axis in
+    mu (so Re k < 0 on one), and deep on the negative axis."""
+    roots = np.sqrt(np.array([-40.0, -1e4, 0.7 + 0.2j, 6.283 - 1.0j, 39.0 + 1e-3j,
+                              *(np.array(pole_points(ln)) ** 2 + 1e-9j),
+                              *(np.array(pole_points(ln)) ** 2 - 1e-9j)]))
+    return (np.concatenate([[0.0], np.linspace(0.3, 12.0, 801), pole_points(ln)]),
+            np.where(roots.imag < 0, -roots, roots))
 
 
 def test_batched_assembly_matches_per_point(dumbbell, loop_pendant):
-    for graph in (dumbbell, loop_pendant):      # loop_pendant has a loop edge
+    # several widths V + |split| in one call, and on the dumbbell more
+    # points of width V than one chunk holds; loop_pendant has a loop edge
+    for graph in (dumbbell, loop_pendant):
         eo, et, ln, nv = arrays(graph)
-        ks = np.array([0.0, 0.7, 2.0, 6.283, *pole_points(ln)])
-        mus = np.array([-40.0, 0.7 + 0.2j, 6.283 - 1.0j, 39.0 + 1e-3j,
-                        *(np.array(pole_points(ln)) ** 2 + 0j)])
-        roots = np.sqrt(mus)
-        for points in (ks, np.where(roots.imag < 0, -roots, roots)):
-            for tol in (kernels.POLE_TOL, 1.0):         # 1.0: as ntd_matrix borders
-                pole = kernels.poles(points, ln, tol)
-                for p in np.unique(pole, axis=0):
-                    at = (pole == p).all(axis=1)
-                    stack = kernels.bordered(eo, et, ln, nv, points[at], tol)[0]
-                    for k, a in zip(points[at], stack):
-                        ref = reference_bordered(eo, et, ln, nv, k.item(), tol)
-                        assert a.shape == ref.shape
-                        assert np.allclose(a, ref, rtol=1e-12, atol=1e-12)
+        for ks in points(ln):
+            seen, stacks = np.zeros(len(ks), dtype=int), []
+            for at, lam, size, ter, ell in kernels.vertex_matrices(eo, et, ln, nv, ks):
+                stacks.append(lam.shape[1])
+                for i, a, sz, t, l in zip(at.tolist(), lam, size, ter, ell):
+                    ref, ref_size, ref_ter, ref_ell = reference_lambda(eo, et, ln, nv,
+                                                                       ks[i].item())
+                    assert a.shape == ref.shape
+                    assert np.allclose(a, ref, rtol=1e-12, atol=1e-12 * ref_size)
+                    assert sz == pytest.approx(ref_size, rel=1e-12)
+                    assert t.tolist() == ref_ter and np.allclose(l, ref_ell, rtol=1e-15)
+                    seen[i] += 1
+            assert np.all(seen == 1) and len(set(stacks)) > 1
+            if graph is dumbbell and not np.iscomplexobj(ks):
+                assert stacks.count(nv) > 1          # a chunk boundary
+                assert np.sum(~on_a_pole(ks, ln, kernels.SPLIT_TOL).any(axis=1)) > \
+                    kernels.CHUNK_BYTES // (16 * nv * nv)
+
+
+def test_batched_scan_matches_per_point_eigvalsh(dumbbell, loop_pendant):
+    for graph in (dumbbell, loop_pendant):
+        eo, et, ln, nv = arrays(graph)
+        ks = points(ln)[0]
+        act = kernels.scan_sigma_min(eo, et, ln, nv, ks)
+        for k, sig in zip(ks.tolist(), act.tolist()):
+            ref, size, _, _ = reference_lambda(eo, et, ln, nv, k)
+            assert abs(sig - np.min(np.abs(np.linalg.eigvalsh(ref)))) <= 1e-13 * size
 
 
 def test_scan_values_positive(interval_pi):
@@ -135,7 +152,7 @@ def test_vertex_count_matches_eigenphase_count(dumbbell, loop_pendant, interval_
         vertex, phase = counts(g, ks)
         assert np.array_equal(vertex, phase), g
         points += len(ks)
-        split += np.sum(kernels.poles(ks, arrays(g)[2], kernels.SPLIT_TOL).any(axis=1))
+        split += np.sum(on_a_pole(ks, arrays(g)[2], kernels.SPLIT_TOL).any(axis=1))
     assert points > 14000 and split > 9000
 
 
@@ -144,7 +161,7 @@ def test_vertex_count_slopes_are_derivatives(dumbbell, loop_pendant):
     for graph in (dumbbell, loop_pendant):
         eo, et, ln, nv = arrays(graph)
         ks = np.array([0.7, 2.3, 3.3, 5.1])
-        assert not kernels.poles(ks, ln).any()
+        assert not on_a_pole(ks, ln).any()
         h = 1e-6
         _, mu, dmu = kernels.vertex_count(eo, et, ln, nv, ks)
         _, up, _ = kernels.vertex_count(eo, et, ln, nv, ks + h)

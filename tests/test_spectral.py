@@ -14,21 +14,21 @@ from qglab import (Edge, ExactLength, MetricGraph, Step, assemble_secular, betti
 
 from qglab.spectral import _edge_arrays
 
-from conftest import mk, unit_grid
+from conftest import mk, on_a_pole, unit_grid
 from randgraphs import degree, random_graph
 from secular import assemble_real
 
 
 def nullity(graph, k, tol=1e-8):
-    """The nullity of the bordered vertex system A(k), which must equal that
-    of the (2E+V) secular matrix of the tests' reference module: the number
-    of singular values below tol times the largest one, for A(k) at least
-    the size of its entries (a one-vertex A(k) is 1 x 1)."""
+    """The nullity of Lambda(k) of the split graph, which must equal that of
+    the (2E+V) secular matrix of the tests' reference module: the number of
+    singular values below tol times the largest one, for Lambda(k) at least
+    the size of its entries (a one-vertex Lambda(k) is 1 x 1)."""
     eo, et, ln, _ = _edge_arrays(graph)
     nv = len(graph.vertices)
-    bordered, size, _ = kernels.bordered(eo, et, ln, nv, [float(k)])
+    _, lam, size, *_ = next(kernels.vertex_matrices(eo, et, ln, nv, [float(k)]))
     counts = []
-    for a, scale in ((bordered[0], size[0]), (assemble_real(eo, et, ln, nv, [k])[0], 1e-300)):
+    for a, scale in ((lam[0], size[0]), (assemble_real(eo, et, ln, nv, [k])[0], 1e-300)):
         s = np.linalg.svd(a, compute_uv=False)
         counts.append(int(np.sum(s < tol * max(s[0], scale))))
     assert counts[0] == counts[1], (graph, k, counts)
@@ -36,7 +36,7 @@ def nullity(graph, k, tol=1e-8):
 
 
 # ---------------------------------------------------------------------------
-# the bordered vertex system A(k)
+# the vertex matrix Lambda(k) of the split graph
 
 
 def test_interval_nullity_at_eigenvalue(interval_pi):
@@ -58,8 +58,8 @@ def test_nullity_at_zero_is_component_count(dumbbell, path3):
 
 
 def test_system_dimensions(dumbbell, interval_pi):
-    # V + |P|, P the edges on a pole: none on the dumbbell at k = 1, the one
-    # edge of length pi on interval_pi
+    # V + |split|, the edges split on a pole: none on the dumbbell at k = 1,
+    # the one edge of length pi on interval_pi
     n = len(dumbbell.vertices)
     assert assemble_secular(dumbbell, 1.0).shape == (n, n)
     n = len(interval_pi.vertices) + 1
@@ -291,7 +291,7 @@ def test_near_pole_points_are_counted_with_their_edges_split(monkeypatch):
     assert not spec.warnings
     hit = min(spec.eigenvalues, key=lambda h: abs(h.lam - 39.4784123406))
     assert hit.lam == pytest.approx(39.4784123406, abs=1e-9) and hit.step is None
-    near = [(k, size) for k, size in seen if kernels.poles([k], ln).any()]
+    near = [(k, size) for k, size in seen if on_a_pole([k], ln).any()]
     assert any(abs(k - hit.k) < 1e-9 for k, _ in near)
     assert all(size > len(g.vertices) for _, size in near)
 
@@ -345,8 +345,8 @@ def test_eigenspace_empty_off_spectrum(interval_pi):
 
 
 def test_eigenspace_as_large_as_the_system(unit_loop):
-    # at 4 pi^2 the unit loop's A(k) is 2 x 2 (its vertex and its edge on a
-    # pole) and its null space is all of it: cos and sin of 2 pi x
+    # at 4 pi^2 the unit loop's Lambda(k) is 2 x 2 (its vertex and the one
+    # that splits it) and its null space is all of it: cos and sin of 2 pi x
     funcs, flags = eigenspace(unit_loop, 4 * math.pi ** 2, 2)
     assert len(funcs) == 2 and flags == []
     for f in funcs:

@@ -4,8 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from qglab import (VertexSelection, eigenspace, eigenvalues_in, kernels, ntd_matrix,
-                   residue, select_vertices, visibility_report)
+from qglab import (MetricGraph, VertexSelection, bundled_graph_path, eigenspace,
+                   eigenvalues_in, kernels, ntd_matrix, parse_graph, residue, select_vertices,
+                   visibility_report)
 from qglab.spectral import _edge_arrays
 from qglab.weyl import COND_MAX, NearSpectrumError
 
@@ -80,6 +81,17 @@ def test_symmetry_and_conjugation(dumbbell):
         assert np.linalg.norm(m - m.T) <= 1e-10 * np.linalg.norm(m)
         mc = ntd_matrix(dumbbell, sel, mu.conjugate())
         assert np.allclose(mc, m.conjugate(), rtol=0, atol=1e-10 * np.linalg.norm(m))
+
+
+def test_real_mu_gives_a_real_symmetric_matrix(dumbbell, loop_pendant):
+    # M_B is real on the real axis off the spectrum: no rounding may leave
+    # an imaginary part, above the spectrum (real k) or below it (k = i kappa)
+    for g in (dumbbell, loop_pendant):
+        sel = select_vertices(g)
+        for mu in (5.0, 12.3, 50.5, -1.0, -40.0, -1e4):
+            for m in (ntd_matrix(g, sel, mu), ntd_matrix(g, sel, complex(mu, 0.0))):
+                assert np.all(m.imag == 0), (g, mu)
+                assert np.linalg.norm(m - m.T) <= 1e-12 * np.linalg.norm(m)
 
 
 def test_decay_along_negative_axis(loop_pendant):
@@ -360,6 +372,23 @@ def test_visibility_certifies_a_step_the_count_missed(loop_pendant, monkeypatch)
     rep = visibility_report(loop_pendant, select_vertices(loop_pendant), 45)
     assert all(abs(r.lam - 4 * math.pi ** 2) > 1e-6 for r in rep.rows)
     assert any("step 1/2*one" in w and "below dim R 1" in w for w in rep.warnings)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e4, 1e8])
+def test_visibility_does_not_depend_on_the_length_unit(scale):
+    # lengths times c and lambda_max over c^2 scale every eigenvalue by 1/c^2
+    # and change nothing else: the same table and no warning
+    for name, lambda_max in (("dumbbell.qg", 45), ("loop-pendant.qg", 45), ("triangle.qg", 100),
+                             ("tree.qg", 100), ("interval-pi.qg", 45)):
+        g = parse_graph(bundled_graph_path(name))
+        scaled = MetricGraph.build(g.vertices, g.edges,
+                                   {u: a * scale for u, a in g.units.entries})
+        sel = select_vertices(g)
+        want, got = ([(r.dim_ker, r.rank_residue, r.dim_resonance, r.step, r.classification)
+                      for r in rep.rows] + list(rep.warnings)
+                     for rep in (visibility_report(g, sel, lambda_max),
+                                 visibility_report(scaled, sel, lambda_max / scale ** 2)))
+        assert got == want and len(want) > 4, name
 
 
 def test_visibility_explicit_subset_flagged(dumbbell):
