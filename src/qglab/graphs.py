@@ -14,6 +14,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 
@@ -160,8 +161,8 @@ class BettiData:
 
 
 def betti(vertices: Sequence[str], edges: Sequence[Edge]) -> BettiData:
-    """Trees and chords of a spanning forest."""
-    tree, chords = _forest(vertices, edges)
+    """Trees and chords of the one union-find forest, `_forest`."""
+    tree, chords, _ = _forest(vertices, edges)
     return BettiData(beta0=len(vertices) - len(tree), beta1=len(chords))
 
 
@@ -265,28 +266,46 @@ def _climb(up, depth, a: str, b: str) -> tuple[tuple[str, int], ...]:
     return tuple(rise + fall[::-1])
 
 
-def _forest(vertices: Sequence[str],
-            edges: Sequence[Edge]) -> tuple[list[Edge], list[Edge]]:
+def _forest(vertices: Sequence[str], edges: Sequence[Edge],
+            weights: Sequence[int] | None = None) -> tuple[list[Edge], list[Edge], int]:
     """Tree edges and chords of the spanning forest that union-find builds
-    taking edges in sorted id order."""
-    leader: dict[str, str] = {v: v for v in vertices}
+    taking edges in sorted id order, and how many trees hold a cycle of odd
+    total 0/1 edge weight: Harary's balance test of the signed graph with
+    signs (-1)^weight (Michigan Math. J. 2, 1953; Zaslavsky, Discrete Appl.
+    Math. 4, 1982).  Each vertex carries its parity to its leader; a chord
+    whose end parities and weight XOR to 1 marks its root odd, and a union
+    moves the mark to the new root.  Serves `betti`, `cycle_system`, the
+    resonance table (one forest per (unit, p)) and the resonance floor."""
+    leader = {v: (v, 0) for v in vertices}     # v -> (leader, weight parity to it)
+    odd: set[str] = set()                      # roots of odd trees
 
     def find(v):
-        while leader[v] != v:
-            leader[v] = leader[leader[v]]
-            v = leader[v]
-        return v
+        acc = 0
+        u, p = leader[v]
+        while u != v:
+            w, q = leader[u]
+            leader[v] = (w, p ^ q)
+            acc ^= p ^ q
+            v = w
+            u, p = leader[v]
+        return v, acc
 
     tree: list[Edge] = []
     chords: list[Edge] = []
-    for e in sorted(edges, key=lambda e: e.id):
-        ro, rt = find(e.origin), find(e.terminus)
+    pairs = zip(edges, weights if weights is not None else repeat(0))
+    for e, w in sorted(pairs, key=lambda ew: ew[0].id):
+        (ro, po), (rt, pt) = find(e.origin), find(e.terminus)
         if ro == rt:
             chords.append(e)
+            if po ^ pt ^ w:
+                odd.add(ro)
         else:
-            leader[ro] = rt
+            leader[ro] = (rt, po ^ pt ^ w)
+            if ro in odd:
+                odd.remove(ro)
+                odd.add(rt)
             tree.append(e)
-    return tree, chords
+    return tree, chords, len(odd)
 
 
 def cycle_system(vertices: Sequence[str], edges: Sequence[Edge]) -> CycleSystem:
@@ -296,7 +315,7 @@ def cycle_system(vertices: Sequence[str], edges: Sequence[Edge]) -> CycleSystem:
     the lexicographically smallest one; each cycle is its chord, taken
     forward from the chord's origin, closed by the forest path back.
     """
-    tree, chords = _forest(vertices, edges)
+    tree, chords, _ = _forest(vertices, edges)
     adj: dict[str, list[tuple[str, str, int]]] = {v: [] for v in vertices}
     for e in tree:
         adj[e.origin].append((e.terminus, e.id, 1))

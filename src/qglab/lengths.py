@@ -31,12 +31,6 @@ class LambdaSubgraph:
     members: tuple[tuple[Edge, int], ...]   # (edge, n) with L(e) = n*s
     vertices: tuple[str, ...]               # induced vertex set
 
-    @classmethod
-    def of(cls, graph: MetricGraph, step: Step, members) -> "LambdaSubgraph":
-        """The subgraph on `members`, its vertices in graph order."""
-        ends = {v for e, _ in members for v in (e.origin, e.terminus)}
-        return cls(step, tuple(members), tuple(v for v in graph.vertices if v in ends))
-
     @property
     def edges(self) -> tuple[Edge, ...]:
         return tuple(e for e, _ in self.members)
@@ -52,16 +46,19 @@ def _check_unit(graph: MetricGraph, step: Step) -> None:
 
 def build_lambda_subgraph(graph: MetricGraph, step: Step) -> LambdaSubgraph:
     """Subgraph of edges with L(e) = n*s for a positive integer n (exact):
-    the definition, one rational division per edge, which the oracle uses."""
+    the definition, one rational division (a/b)/(c/d) = (a*d)/(b*c) per
+    edge in integers, which the oracle uses."""
     _check_unit(graph, step)
+    c, d = step.coeff.numerator, step.coeff.denominator
     members = []
     for e in graph.edges:
         if e.length.unit != step.unit:
             continue
-        ratio = e.length.coeff / step.coeff
-        if ratio.denominator == 1:
-            members.append((e, ratio.numerator))
-    return LambdaSubgraph.of(graph, step, members)
+        n, r = divmod(e.length.coeff.numerator * d, e.length.coeff.denominator * c)
+        if r == 0:
+            members.append((e, n))
+    ends = {v for e, _ in members for v in (e.origin, e.terminus)}
+    return LambdaSubgraph(step, tuple(members), tuple(v for v in graph.vertices if v in ends))
 
 
 def fraction_gcd(*xs: Fraction) -> Fraction:
@@ -152,9 +149,10 @@ def resonance_floor(graph: MetricGraph) -> ResonanceFloor:
     those steps are tried, in descending order.  Any cycle of G_{s*} has
     u_C a multiple of s* and at most s*, so a fundamental cycle of G_{s*}
     is a witness whose gcd is exactly s*.  Units are compared by
-    `Step.value`.
+    `Step.value`.  Each divisor is tested by a `betti` count; the witness
+    comes from one `cycle_system`, at the s* returned.
     """
-    best: Optional[tuple[Step, CycleWalk]] = None
+    best: Optional[tuple[Step, list[Edge]]] = None
     best_val = -math.inf
     gcds, mults = _unit_multiples(graph)
     for unit in graph.units.tokens():
@@ -165,14 +163,14 @@ def resonance_floor(graph: MetricGraph) -> ResonanceFloor:
         g = gcds[unit]
         for k in sorted(set().union(*(_divisors(m) for _, m in pairs)), reverse=True):
             sub = [e for e, m in pairs if m % k == 0]
-            forest = cycle_system(graph.vertices, sub)
-            if forest.chords:
+            if betti(graph.vertices, sub).beta1:
                 u = Step(k * g, unit)
                 if u.value(graph.units) > best_val:
                     best_val = u.value(graph.units)
-                    best = (u, forest.cycles[0])
+                    best = (u, sub)
                 break
     if best is None:
         return ResonanceFloor(math.inf, None, None)
-    u, cyc = best
-    return ResonanceFloor(math.pi ** 2 / best_val ** 2, u, cyc)
+    u, sub = best
+    return ResonanceFloor(math.pi ** 2 / best_val ** 2, u,
+                          cycle_system(graph.vertices, sub).cycles[0])

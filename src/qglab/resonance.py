@@ -13,17 +13,24 @@ fixed by p; and a cycle's step count is q*sum(m_e/p), so its parity is
 fixed by q mod 2.  On the bundled dumbbell, the steps 1*sqrt3 and
 1/2*sqrt3 have the same G_s (two sqrt3 triangles, beta1 = 2), but at q = 1
 both triangles are odd (beta0_odd = 2, dim 0) and at q = 2 neither is
-(beta0_odd = 0, dim 2).  `resonance_dimensions` therefore builds one step
-subgraph and one parity report per (unit, p, q mod 2).
+(beta0_odd = 0, dim 2).
+
+A component is odd exactly when the signed graph with edge signs
+(-1)^{n_e} is unbalanced (Harary's balance test, Michigan Math. J. 2, 1953),
+so the table walks no cycle: one `graphs._forest` per (unit, p) over the
+edges with p | m_e and weights (m_e/p) mod 2 gives beta1 (its chords) and,
+for odd q, beta0_odd (its odd trees); for even q every n_e is even and
+beta0_odd = 0.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .graphs import CycleSystem, CycleWalk, MetricGraph, cycle_system
+from .graphs import CycleSystem, CycleWalk, MetricGraph, _forest, cycle_system
 from .lengths import (LambdaSubgraph, Step, _check_unit, _step_ratio, _unit_multiples,
                       build_lambda_subgraph)
 
@@ -119,62 +126,57 @@ class ResonanceReport:
     beta1: int
     beta0_odd: int
     dim: int
-    parity: ParityReport
+    graph: MetricGraph = field(repr=False, compare=False)
     basis: Optional[tuple[ResonanceBasisFunction, ...]] = None
 
     @property
     def is_resonance(self) -> bool:
         return self.dim > 0
 
-
-def _step_parities(graph: MetricGraph,
-                   steps: Sequence[Step]) -> list[tuple[LambdaSubgraph, ParityReport]]:
-    """The step subgraph and its parity report for each step, in order.
-
-    Steps that agree in (unit, p, q mod 2), s = (p/q)*g, share one pair,
-    built at the first of them: its step counts n_e = (m_e/p)*q are those of
-    that step and agree mod 2 with every other's.  A declared unit that no
-    edge uses is its own g and gives the empty subgraph.
-    """
-    gcds, mults = _unit_multiples(graph)
-    shared: dict[tuple[str, int, int], tuple[LambdaSubgraph, ParityReport]] = {}
-    out = []
-    for step in steps:
-        _check_unit(graph, step)
-        p, q = _step_ratio(step, gcds.get(step.unit, step.coeff))
-        key = (step.unit, p, q % 2)
-        if key not in shared:
-            sub = LambdaSubgraph.of(graph, step, [
-                (e, m // p * q) for e, m in zip(graph.edges, mults)
-                if e.length.unit == step.unit and m % p == 0])
-            shared[key] = (sub, parity_report(sub))
-        out.append(shared[key])
-    return out
-
-
-def _report(graph: MetricGraph, step: Step, rep: ParityReport) -> ResonanceReport:
-    return ResonanceReport(step, step.lambda_value(graph.units), rep.beta1,
-                           rep.beta0_odd, rep.beta1 - rep.beta0_odd, rep)
+    @cached_property
+    def parity(self) -> ParityReport:
+        """Forest, components and odd witnesses of G_s, built on first access."""
+        return parity_report(build_lambda_subgraph(self.graph, self.step))
 
 
 def resonance_dimensions(graph: MetricGraph, steps: Sequence[Step]) -> list[ResonanceReport]:
     """dim of the resonance space at lambda = pi^2/s^2 for each step s, by
-    the cycle count minus the odd-component count; steps with the same
-    (unit, p, q mod 2) share one parity report (module docstring)."""
-    return [_report(graph, step, rep)
-            for step, (_, rep) in zip(steps, _step_parities(graph, steps))]
+    the cycle count minus the odd-component count.  Steps that agree in
+    (unit, p), s = (p/q)*g, share one `_forest` (module docstring): beta1 is
+    its chord count, beta0_odd its odd-tree count if q is odd, else 0.  A
+    declared unit that no edge uses is its own g and gives the empty G_s."""
+    gcds, mults = _unit_multiples(graph)
+    forests: dict[tuple[str, int], tuple[int, int]] = {}
+    out = []
+    for step in steps:
+        p, q = _step_ratio(step, gcds.get(step.unit, step.coeff))
+        if (step.unit, p) not in forests:
+            _check_unit(graph, step)
+            pairs = [(e, m // p % 2) for e, m in zip(graph.edges, mults)
+                     if e.length.unit == step.unit and m % p == 0]
+            _, chords, odd = _forest(graph.vertices, [e for e, _ in pairs],
+                                     [w for _, w in pairs])
+            forests[step.unit, p] = (len(chords), odd)
+        beta1, odd = forests[step.unit, p]
+        odd = odd if q % 2 else 0
+        out.append(ResonanceReport(step, step.lambda_value(graph.units), beta1, odd,
+                                   beta1 - odd, graph))
+    return out
 
 
 def resonance_dimension(graph: MetricGraph, step: Step,
                         with_basis: bool = False) -> ResonanceReport:
-    """`resonance_dimensions` at one step, optionally with an explicit basis."""
-    [(sub, rep)] = _step_parities(graph, [step])
-    report = _report(graph, step, rep)
-    if with_basis:
-        basis = tuple(_construct_basis(sub, rep))
-        _verify_basis(graph, sub, basis, report.dim)
-        report = replace(report, basis=basis)
-    return report
+    """`resonance_dimensions` at one step; with `with_basis`, from the forest
+    and fundamental cycles of G_s instead, with an explicit basis."""
+    if not with_basis:
+        return resonance_dimensions(graph, [step])[0]
+    sub = build_lambda_subgraph(graph, step)
+    rep = parity_report(sub)
+    dim = rep.beta1 - rep.beta0_odd
+    basis = tuple(_construct_basis(sub, rep))
+    _verify_basis(graph, sub, basis, dim)
+    return ResonanceReport(step, step.lambda_value(graph.units), rep.beta1, rep.beta0_odd,
+                           dim, graph, basis)
 
 
 # ---------------------------------------------------------------------------

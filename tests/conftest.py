@@ -34,6 +34,34 @@ def walk_end(start, steps, edges_by_id):
     return v
 
 
+def parity_colouring(vertices, edges, n_of):
+    """Reference for parity_report and the odd count of graphs._forest:
+    components by search, beta1 = |E| - |V| + 1 each, and a component is odd
+    iff colouring its vertices by step count (or weight) mod 2 along a search
+    tree leaves some edge (or loop) inconsistent."""
+    adj = {v: [] for v in vertices}
+    for e in edges:
+        adj[e.origin].append((e.terminus, e))
+        adj[e.terminus].append((e.origin, e))
+    colour, out = {}, {}
+    for s in vertices:
+        if s in colour:
+            continue
+        colour[s], comp, stack = 0, {s}, [s]
+        while stack:
+            u = stack.pop()
+            for w, e in adj[u]:
+                if w not in colour:
+                    colour[w] = (colour[u] + n_of[e.id]) % 2
+                    comp.add(w)
+                    stack.append(w)
+        cedges = [e for e in edges if e.origin in comp]
+        odd = any((colour[e.origin] + n_of[e.id]) % 2 != colour[e.terminus]
+                  for e in cedges)
+        out[frozenset(comp)] = (len(cedges) - len(comp) + 1, odd)
+    return out
+
+
 def on_a_pole(ks, lengths, tol=1e-6):
     """Whether |sin kL_e| < tol, at each real k in ks (rows) and edge e
     (columns)."""

@@ -5,9 +5,9 @@ import pytest
 
 from qglab import (betti, betti_graph, core_decomposition, cycle_system,
                    simple_cycles, validate)
-from qglab.graphs import CycleBudgetExceeded
+from qglab.graphs import CycleBudgetExceeded, _forest
 
-from conftest import mk, walk_end
+from conftest import mk, parity_colouring, walk_end
 from randgraphs import degree, random_graph
 
 
@@ -261,6 +261,63 @@ def test_cycles_lie_in_core(dumbbell):
     cd = core_decomposition(dumbbell)
     for cyc in simple_cycles(dumbbell.vertices, dumbbell.edges):
         assert set(cyc.edge_ids()) <= set(cd.core_edges)
+
+
+# ---------------------------------------------------------------------------
+# parity forest: odd trees for 0/1 edge weights
+
+
+def odd_trees(vertices, spec):
+    """_forest's odd-tree count for edges given as (id, origin, terminus, weight)."""
+    g = mk(vertices, [(i, o, t, 1, "one") for i, o, t, _ in spec], {"one": 1.0})
+    return _forest(g.vertices, g.edges, [w for *_, w in spec])[2]
+
+
+@pytest.mark.parametrize("w,odd", [(1, 1), (0, 0)])
+def test_parity_forest_loop(w, odd):
+    assert odd_trees(["a"], [("e", "a", "a", w)]) == odd
+
+
+@pytest.mark.parametrize("w1,w2,odd", [(1, 0, 1), (0, 1, 1), (1, 1, 0), (0, 0, 0)])
+def test_parity_forest_parallel_edges(w1, w2, odd):
+    assert odd_trees(["a", "b"], [("e1", "a", "b", w1), ("e2", "b", "a", w2)]) == odd
+
+
+def test_parity_forest_odd_mark_moves_with_root():
+    # two odd triangles, each closed by its own chord, then one tree edge
+    # joins them: one odd tree, not two
+    triangles = [(f"{t}{i}", f"{t}{i}", f"{t}{(i + 1) % 3}", 1)
+                 for t in "ab" for i in range(3)]
+    vertices = [f"{t}{i}" for t in "ab" for i in range(3)]
+    assert odd_trees(vertices, triangles) == 2
+    assert odd_trees(vertices, triangles + [("c", "a0", "b0", 0)]) == 1
+    # an odd triangle joined to a path: the mark must follow the merged root
+    # so that a later odd chord elsewhere in the tree does not count twice
+    path = [("p0", "x0", "x1", 0), ("p1", "x1", "x2", 1)]
+    tail = [("q", "a0", "x0", 1), ("r", "x2", "x0", 0)]
+    assert odd_trees(vertices[:3] + ["x0", "x1", "x2"], triangles[:3] + path + tail) == 1
+
+
+@pytest.mark.parametrize("w,odd", [(0, 0), (1, 1)])
+def test_parity_forest_turns_odd_at_a_late_chord(w, odd):
+    # e3 joins the trees {a, b} and {d, e} at two non-root vertices with
+    # parity 1 each, so the new offset of b's root needs both of them; only
+    # the chord z, closing b-a-d-e-b (weights 1 + 0 + 1 + w), decides oddness
+    spec = [("e1", "a", "b", 1), ("e2", "d", "e", 1), ("e3", "a", "d", 0),
+            ("e4", "c", "a", 1), ("z", "b", "e", w)]
+    assert odd_trees(list("abcde"), spec) == odd
+    assert odd_trees(list("abcde"), spec[:-1]) == 0
+
+
+def test_parity_forest_matches_colouring_random():
+    rng = random.Random(5)
+    for _ in range(300):
+        g = random_graph(rng, max_vertices=8, max_edges=12)
+        weight = {e.id: rng.randint(0, 1) for e in g.edges}
+        tree, chords, odd = _forest(g.vertices, g.edges, [weight[e.id] for e in g.edges])
+        assert odd == sum(o for _, o in parity_colouring(g.vertices, g.edges, weight).values())
+        assert (tree, chords) == _forest(g.vertices, g.edges)[:2]
+        assert _forest(g.vertices, g.edges)[2] == 0
 
 
 # ---------------------------------------------------------------------------

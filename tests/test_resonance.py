@@ -6,10 +6,11 @@ import pytest
 from qglab import (MetricGraph, Step, build_lambda_subgraph, candidate_steps,
                    parity_report, resonance_dimension, resonance_dimension_oracle,
                    resonance_dimensions, resonance_floor)
+from qglab.lengths import fraction_gcd
 from qglab.resonance import (BasisConstructionError, ResonanceBasisFunction,
                              _verify_basis, integer_matrix_rank)
 
-from conftest import mk, unit_grid, walk_end
+from conftest import mk, parity_colouring, unit_grid, walk_end
 from randgraphs import all_steps, random_graph
 
 
@@ -52,33 +53,6 @@ def test_parity_empty_subgraph(dumbbell):
     rep = parity_report(sub)
     assert rep.components == ()
     assert rep.beta1 == rep.beta0_odd == 0
-
-
-def parity_colouring(vertices, edges, n_of):
-    """Reference for parity_report: components by search, beta1 = |E| - |V| + 1
-    each, and a component is odd iff colouring its vertices by step count
-    mod 2 along a search tree leaves some edge (or loop) inconsistent."""
-    adj = {v: [] for v in vertices}
-    for e in edges:
-        adj[e.origin].append((e.terminus, e))
-        adj[e.terminus].append((e.origin, e))
-    colour, out = {}, {}
-    for s in vertices:
-        if s in colour:
-            continue
-        colour[s], comp, stack = 0, {s}, [s]
-        while stack:
-            u = stack.pop()
-            for w, e in adj[u]:
-                if w not in colour:
-                    colour[w] = (colour[u] + n_of[e.id]) % 2
-                    comp.add(w)
-                    stack.append(w)
-        cedges = [e for e in edges if e.origin in comp]
-        odd = any((colour[e.origin] + n_of[e.id]) % 2 != colour[e.terminus]
-                  for e in cedges)
-        out[frozenset(comp)] = (len(cedges) - len(comp) + 1, odd)
-    return out
 
 
 def test_parity_report_matches_colouring_random():
@@ -196,6 +170,58 @@ def test_grouped_table_matches_reference_and_oracle():
         siblings += sum(a.parity.system == b.parity.system and a.beta0_odd != b.beta0_odd
                         for a, b in zip(reports[1::2], reports[2::2]))
     assert siblings > 100
+
+
+@pytest.mark.parametrize("coeff,n,dim", [(1, 1, 0), (Fraction(1, 2), 2, 1), (Fraction(1, 3), 3, 0)])
+def test_loop_odd_and_even_step_count(unit_loop, coeff, n, dim):
+    # one loop of length n*s: odd n gives an odd component (beta0_odd 1)
+    [rep] = resonance_dimensions(unit_loop, [Step(coeff, "one")])
+    assert (rep.beta1, rep.beta0_odd, rep.dim) == (1, n % 2, dim)
+
+
+def test_even_q_has_no_odd_component():
+    # odd triangle (1, 1, 1) next to a ghost unit: at s = 1/2 and s = 1/4
+    # (q even) every n_e is even, so beta0_odd = 0 whatever the forest says
+    # at q odd; the even steps come first so they open the (unit, p) group
+    g = mk(["a", "b", "c"], [("e1", "a", "b", 1, "one"), ("e2", "b", "c", 1, "one"),
+                             ("e3", "c", "a", 1, "one")], {"one": 1.0, "ghost": 2.0})
+    steps = [Step(Fraction(1, 2), "one"), Step(Fraction(1, 4), "one"), Step(1, "one"),
+             Step(Fraction(1, 3), "one"), Step(1, "ghost"), Step(Fraction(1, 2), "ghost")]
+    got = [(r.beta1, r.beta0_odd, r.dim) for r in resonance_dimensions(g, steps)]
+    assert got == [(1, 0, 1), (1, 0, 1), (1, 1, 0), (1, 1, 0), (0, 0, 0), (0, 0, 0)]
+
+
+def test_table_is_count_only(monkeypatch):
+    # the table builds no step subgraph, cycle system or parity report, and
+    # one forest per distinct (unit, p), s = (p/q)*g: both parities of q share it
+    import qglab.resonance as res
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the resonance table built a cycle or parity structure")
+
+    rng = random.Random(29)
+    cases = []
+    for _ in range(80):
+        g = random_graph(rng)
+        g = MetricGraph.build(g.vertices, g.edges, [*g.units.entries, ("ghost", 1.7)])
+        steps = [Step(1, "ghost")]
+        for s in all_steps(g, n_max=6):
+            steps += [Step(s.coeff / 2, s.unit), s]     # even q first in each pair
+        rng.shuffle(steps)
+        cases.append((g, steps, [resonance_dimension_oracle(g, s) for s in steps]))
+
+    calls = []
+    forest = res._forest
+    monkeypatch.setattr(res, "_forest", lambda *a: calls.append(1) or forest(*a))
+    for name in ("cycle_system", "parity_report", "build_lambda_subgraph"):
+        monkeypatch.setattr(res, name, refuse)
+    for g, steps, want in cases:
+        calls.clear()
+        assert [r.dim for r in resonance_dimensions(g, steps)] == want, g
+        gcd = {u: fraction_gcd(*(e.length.coeff for e in g.edges if e.length.unit == u))
+               for u in {e.length.unit for e in g.edges}}
+        groups = {(s.unit, (s.coeff / gcd.get(s.unit, s.coeff)).numerator) for s in steps}
+        assert len(calls) == len(groups)
 
 
 def test_grouped_table_rejects_an_undeclared_unit(dumbbell):
