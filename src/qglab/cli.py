@@ -28,7 +28,7 @@ OK, ERROR, WARNINGS = 0, 1, 2
 
 def _emit(rows: list[dict], fmt: str, meta: dict, out) -> None:
     if fmt == "json":
-        out.write(json.dumps({"meta": meta, "rows": rows}, indent=2, default=str) + "\n")
+        out.write(json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n")
     elif fmt == "csv":
         if rows:
             w = csv.DictWriter(out, fieldnames=list(rows[0]))

@@ -26,8 +26,7 @@ beta0_odd = 0.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graphs import CycleSystem, CycleWalk, MetricGraph, _forest, cycle_system
@@ -126,17 +125,11 @@ class ResonanceReport:
     beta1: int
     beta0_odd: int
     dim: int
-    graph: MetricGraph = field(repr=False, compare=False)
     basis: Optional[tuple[ResonanceBasisFunction, ...]] = None
 
     @property
     def is_resonance(self) -> bool:
         return self.dim > 0
-
-    @cached_property
-    def parity(self) -> ParityReport:
-        """Forest, components and odd witnesses of G_s, built on first access."""
-        return parity_report(build_lambda_subgraph(self.graph, self.step))
 
 
 def resonance_dimensions(graph: MetricGraph, steps: Sequence[Step]) -> list[ResonanceReport]:
@@ -160,14 +153,14 @@ def resonance_dimensions(graph: MetricGraph, steps: Sequence[Step]) -> list[Reso
         beta1, odd = forests[step.unit, p]
         odd = odd if q % 2 else 0
         out.append(ResonanceReport(step, step.lambda_value(graph.units), beta1, odd,
-                                   beta1 - odd, graph))
+                                   beta1 - odd))
     return out
 
 
 def resonance_dimension(graph: MetricGraph, step: Step,
                         with_basis: bool = False) -> ResonanceReport:
-    """`resonance_dimensions` at one step; with `with_basis`, from the forest
-    and fundamental cycles of G_s instead, with an explicit basis."""
+    """`resonance_dimensions` at one step; with `with_basis`, from the
+    `parity_report` of G_s instead, with an explicit basis."""
     if not with_basis:
         return resonance_dimensions(graph, [step])[0]
     sub = build_lambda_subgraph(graph, step)
@@ -176,7 +169,7 @@ def resonance_dimension(graph: MetricGraph, step: Step,
     basis = tuple(_construct_basis(sub, rep))
     _verify_basis(graph, sub, basis, dim)
     return ResonanceReport(step, step.lambda_value(graph.units), rep.beta1, rep.beta0_odd,
-                           dim, graph, basis)
+                           dim, basis)
 
 
 # ---------------------------------------------------------------------------

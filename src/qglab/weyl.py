@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .graphs import MetricGraph, betti_graph, core_decomposition
+from .graphs import MetricGraph, core_decomposition
 from .lengths import candidate_steps
 from .resonance import ResonanceReport, resonance_dimension
 from .spectral import (SEPARATION_TOL, Spectrum, _edge_arrays, _null_vectors,
@@ -99,13 +99,6 @@ def ntd_matrix(graph: MetricGraph, selection: VertexSelection, mu: complex) -> n
     return np.linalg.inv(lam[0])[np.ix_(rv, rv)]
 
 
-# The benchmark tracer (perfbench/spans.py) still reads the deleted contour's
-# ResidueOptions().max_nodes and ResidueEstimate.nodes; these class attributes
-# keep its contour figures at 0.  Drop them together with that hook.
-class ResidueOptions:
-    max_nodes = 1
-
-
 @dataclass(frozen=True)
 class ResidueEstimate:
     lam: float
@@ -113,7 +106,6 @@ class ResidueEstimate:
     rank: int
     singular_values: np.ndarray
     separation: float             # of the eigenspace, see spectral._null_vectors
-    nodes = 0                     # not a field: see ResidueOptions
 
 
 def residue(graph: MetricGraph, selection: VertexSelection, lam: float,
@@ -239,6 +231,4 @@ def visibility_report(graph: MetricGraph, selection: VertexSelection,
             identity_ok=identity_ok,
             classification=_classify(hit.multiplicity, res.rank),
             notes=notes, residue=res, resonance=res_rep))
-    b0 = betti_graph(graph).beta0
-    assert rows and rows[0].lam == 0.0 and rows[0].dim_ker == b0
     return VisibilityReport(tuple(rows), selection, spec, tuple(warnings))

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import math
 import os
@@ -336,3 +337,12 @@ def test_bad_usage_exit_1(capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == OK
     capsys.readouterr()
+
+
+def test_tracer_targets_resolve(monkeypatch):
+    # the benchmark tracer wraps these names and stops on any it cannot find
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spans
+    missing = [(mod, attr) for _, mod, attr, _ in spans.TARGETS
+               if not hasattr(importlib.import_module(mod), attr)]
+    assert missing == []

@@ -159,16 +159,15 @@ def test_grouped_table_matches_reference_and_oracle():
         for s in candidate_steps(g, 1000.0):
             steps += [s, Step(s.coeff / 2, s.unit)]
         reports = resonance_dimensions(g, steps)
+        refs = [parity_report(build_lambda_subgraph(g, step)) for step in steps]
         assert [r.step for r in reports] == steps
-        for step, rep in zip(steps, reports):
-            ref = parity_report(build_lambda_subgraph(g, step))
-            assert rep.parity == ref, (g, str(step))
+        for step, rep, ref in zip(steps, reports, refs):
             assert (rep.beta1, rep.beta0_odd) == (ref.beta1, ref.beta0_odd)
             assert rep.dim == resonance_dimension_oracle(g, step), (g, str(step))
             assert rep.lam == step.lambda_value(g.units)
-        assert reports[0].parity.components == () and reports[0].dim == 0
-        siblings += sum(a.parity.system == b.parity.system and a.beta0_odd != b.beta0_odd
-                        for a, b in zip(reports[1::2], reports[2::2]))
+        assert refs[0].components == () and reports[0].dim == 0
+        siblings += sum(a.system == b.system and a.beta0_odd != b.beta0_odd
+                        for a, b in zip(refs[1::2], refs[2::2]))
     assert siblings > 100
 
 
@@ -380,10 +379,11 @@ def test_basis_one_function_per_non_anchor_chord_random():
         g = random_graph(rng)
         for step in all_steps(g, n_max=6):
             rep = resonance_dimension(g, step, with_basis=True)
-            chords = {c.steps[0][0] for comp in rep.parity.components
+            parity = parity_report(build_lambda_subgraph(g, step))
+            chords = {c.steps[0][0] for comp in parity.components
                       for c in comp.cycles}
             funcs = iter(rep.basis)
-            for comp in rep.parity.components:
+            for comp in parity.components:
                 anchor = comp.odd_witness
                 allowed = {anchor.steps[0][0]} if anchor else set()
                 for cyc in comp.cycles:
