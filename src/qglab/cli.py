@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import sys
+from itertools import chain
 
 from .graphfile import GraphFileError, parse_graph
 from .lengths import Step, candidate_steps, resonance_floor
@@ -26,9 +28,61 @@ from .weyl import NearSpectrumError, ntd_matrix, select_vertices, visibility_rep
 OK, ERROR, WARNINGS = 0, 1, 2
 
 
+@functools.cache
+def _flat_encoder(level: int):
+    """The C encoder's `encode` for containers whose items sit at `level`:
+    two-space-indented JSON without the brackets' own line breaks."""
+    return json.JSONEncoder(separators=(",\n" + "  " * level, ": ")).encode
+
+
+_CONTAINERS = (dict, list, tuple)
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _is_flat(values) -> bool:
+    """Whether `values` are all of the types the encoder writes as scalars."""
+    return set(map(type, values)) <= _SCALARS
+
+
+def _dumps(obj, level: int = 0) -> str:
+    """The bytes `json.dumps` writes for `obj` with an indent of 2, with
+    `obj` at depth `level`.
+
+    `json.dumps` takes its pure-Python encoder whenever it indents.  Here
+    the C encoder (`_flat_encoder`), whose item separator carries the
+    indentation, runs once per container of scalars only (`_is_flat`), once
+    for a whole list of such non-empty dicts, whose row boundaries are then
+    re-indented, and once for the scalars of any other dict.  An encoded
+    string holds no newline (the encoder escapes it), so "},\n<indent>{"
+    occurs only between rows and ",\n" only between items.
+    """
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return _flat_encoder(level)(obj)
+    pad, close = "\n" + "  " * (level + 1), "\n" + "  " * level
+    is_dict = isinstance(obj, dict)
+    values = obj.values() if is_dict else obj
+    if _is_flat(values):
+        text = _flat_encoder(level + 1)(obj)
+        return text[0] + pad + text[1:-1] + close + text[-1]
+    if not is_dict:
+        if (set(map(type, obj)) == {dict} and all(obj)
+                and _is_flat(chain.from_iterable(map(dict.values, obj)))):
+            deep = "\n" + "  " * (level + 2)
+            text = _flat_encoder(level + 2)(obj)[2:-2]
+            text = text.replace("}," + deep + "{", pad + "}," + pad + "{" + deep)
+            return "[" + pad + "{" + deep + text + pad + "}" + close + "]"
+        return "[" + pad + ("," + pad).join(_dumps(v, level + 1) for v in obj) + close + "]"
+    # one '"key": value' line per item, with null in place of each container
+    lines = _flat_encoder(0)({k: None if isinstance(v, _CONTAINERS) else v
+                              for k, v in obj.items()})[1:-1].split(",\n")
+    items = (line[:-4] + _dumps(v, level + 1) if isinstance(v, _CONTAINERS) else line
+             for line, v in zip(lines, values))
+    return "{" + pad + ("," + pad).join(items) + close + "}"
+
+
 def _emit(rows: list[dict], fmt: str, meta: dict, out) -> None:
     if fmt == "json":
-        out.write(json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n")
+        out.write(_dumps({"meta": meta, "rows": rows}) + "\n")
     elif fmt == "csv":
         if rows:
             w = csv.DictWriter(out, fieldnames=list(rows[0]))
@@ -134,7 +188,7 @@ def cmd_basis(args) -> int:
         "functions": [f.coefficients for f in rep.basis],
     }
     with _output(args) as out:
-        out.write(json.dumps(payload, indent=2) + "\n")
+        out.write(_dumps(payload) + "\n")
     return OK
 
 

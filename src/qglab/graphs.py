@@ -22,6 +22,15 @@ class CycleBudgetExceeded(RuntimeError):
     """Raised when simple-cycle enumeration exceeds its configured budget."""
 
 
+def _read_fraction(x) -> Fraction:
+    """Fraction(x), with the ASCII forms ``p`` and ``p/q`` read as integers."""
+    if type(x) is str:
+        p, slash, q = x.partition("/")
+        if p.isascii() and p.isdigit() and (not slash or q.isascii() and q.isdigit()):
+            return Fraction(int(p), int(q) if slash else 1)
+    return Fraction(x)
+
+
 @dataclass(frozen=True)
 class ExactLength:
     """Positive rational coefficient times a declared unit token: an edge
@@ -35,16 +44,20 @@ class ExactLength:
     unit: str
 
     def __post_init__(self):
-        try:
-            coeff = Fraction(self.coeff)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"bad coefficient {self.coeff!r}") from None
-        if coeff <= 0:
+        coeff = self.coeff
+        if type(coeff) is not Fraction:
+            try:
+                coeff = _read_fraction(coeff)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"bad coefficient {self.coeff!r}") from None
+        if coeff.numerator <= 0:      # the denominator is always positive
             raise ValueError(f"coefficient must be positive: {self.coeff}")
         object.__setattr__(self, "coeff", coeff)
 
     def value(self, units: "UnitTable") -> float:
-        return float(self.coeff) * units.approx(self.unit)
+        # float(c) is numerator / denominator (numbers.Rational.__float__)
+        c = self.coeff
+        return c.numerator / c.denominator * units.approx(self.unit)
 
     def lambda_value(self, units: "UnitTable") -> float:
         return math.pi ** 2 / self.value(units) ** 2

@@ -93,6 +93,13 @@ def _step_ratio(step: Step, g: Fraction) -> tuple[int, int]:
     return num // d, den // d
 
 
+# The most (edge, n) pairs, sum_e floor(L_e*sqrt(lambda_max)/pi), that
+# `candidate_steps` enumerates; more is a ValueError.  Each pair costs about
+# a microsecond and, as a distinct step, a few hundred bytes, and the
+# spectral commands count at about as many points.
+MAX_STEP_PAIRS = 100_000
+
+
 def candidate_steps(graph: MetricGraph, lambda_max: float) -> list[Step]:
     """All distinct steps s = L(e)/n with pi^2/s^2 <= lambda_max.
 
@@ -100,16 +107,26 @@ def candidate_steps(graph: MetricGraph, lambda_max: float) -> list[Step]:
     nonempty.  Sorted by ascending lambda (unit approximations are used for
     ordering only), ties in the order the steps are first met.  A step is
     named exactly by its unit and the integers (m_e/d, n/d), d = gcd(m_e, n):
-    s = L(e)/n = (m_e/d)/(n/d)*g.
+    s = L(e)/n = (m_e/d)/(n/d)*g.  Above `MAX_STEP_PAIRS` (edge, n) pairs,
+    counted in O(E) before any is made, this is a ValueError.
     """
     if not 0 < lambda_max < math.inf:
         raise ValueError("lambda_max must be positive and finite")
     smin = math.pi / math.sqrt(lambda_max)
+    lengths = [e.length.value(graph.units) for e in graph.edges]
+    # each count capped, so the sum stays a small int and exceeds the cap
+    # exactly when the true sum does
+    nmaxes = [int(min(x / smin + 1e-12, MAX_STEP_PAIRS + 1)) for x in lengths]
+    if sum(nmaxes) > MAX_STEP_PAIRS:
+        raise ValueError(
+            f"lambda_max = {lambda_max:g} needs more than MAX_STEP_PAIRS = "
+            f"{MAX_STEP_PAIRS} candidate (edge, n) pairs; Weyl's estimate "
+            f"L_tot*sqrt(lambda_max)/pi of the eigenvalue count is "
+            f"{math.fsum(lengths) / smin:.3g}")
     _, mults = _unit_multiples(graph)
     steps: dict[tuple[str, int, int], tuple[float, Step]] = {}   # insertion order breaks ties
-    for e, m in zip(graph.edges, mults):
+    for e, m, nmax in zip(graph.edges, mults, nmaxes):
         unit = e.length.unit
-        nmax = int(math.floor(e.length.value(graph.units) / smin + 1e-12))
         for n in range(1, nmax + 1):
             d = math.gcd(m, n)
             key = (unit, m // d, n // d)

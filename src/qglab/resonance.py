@@ -26,7 +26,7 @@ beta0_odd = 0.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .graphs import CycleSystem, CycleWalk, MetricGraph, _forest, cycle_system
@@ -159,17 +159,16 @@ def resonance_dimensions(graph: MetricGraph, steps: Sequence[Step]) -> list[Reso
 
 def resonance_dimension(graph: MetricGraph, step: Step,
                         with_basis: bool = False) -> ResonanceReport:
-    """`resonance_dimensions` at one step; with `with_basis`, from the
-    `parity_report` of G_s instead, with an explicit basis."""
+    """`resonance_dimensions` at one step.  With `with_basis`, also an
+    explicit basis, built from the `parity_report` of G_s and checked
+    against the dimension of the table's `_forest`, an independent count."""
+    rep = resonance_dimensions(graph, [step])[0]
     if not with_basis:
-        return resonance_dimensions(graph, [step])[0]
+        return rep
     sub = build_lambda_subgraph(graph, step)
-    rep = parity_report(sub)
-    dim = rep.beta1 - rep.beta0_odd
-    basis = tuple(_construct_basis(sub, rep))
-    _verify_basis(graph, sub, basis, dim)
-    return ResonanceReport(step, step.lambda_value(graph.units), rep.beta1, rep.beta0_odd,
-                           dim, basis)
+    basis = tuple(_construct_basis(sub, parity_report(sub)))
+    _verify_basis(graph, sub, basis, rep.dim)
+    return replace(rep, basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +229,12 @@ def _construct_basis(sub: LambdaSubgraph, rep: ParityReport):
 def _verify_basis(graph: MetricGraph, sub: LambdaSubgraph, basis, dim: int):
     """Exact a-posteriori checks; failure means a bug in the constructor.
 
-    Full rank is certified by private edges: each function touches an edge
-    that no other function touches, so those edges pick out a dim x dim
-    diagonal submatrix with a nonzero diagonal.
+    `dim` is beta1 - beta0_odd of the forest that `resonance_dimensions`
+    grows over G_s, not of the cycle system the basis was spooled from, so
+    the size check compares two independent counts.  Full rank is
+    certified by private edges: each function touches an edge that no
+    other function touches, so those edges pick out a dim x dim diagonal
+    submatrix with a nonzero diagonal.
     """
     if len(basis) != dim:
         raise BasisConstructionError(

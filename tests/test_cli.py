@@ -5,13 +5,15 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import qglab
-from qglab import serialize_graph
-from qglab.cli import ERROR, OK, WARNINGS, main
+from qglab import (candidate_steps, lengths, parse_graph, resonance_dimensions,
+                   serialize_graph)
+from qglab.cli import ERROR, OK, WARNINGS, _dumps, main
 
 from conftest import mk, unit_grid
 
@@ -329,6 +331,26 @@ def test_infinite_lambda_max_exit_1(paths, capsys, command):
     assert err == "error: lambda_max must be positive and finite\n"
 
 
+@pytest.mark.parametrize("command", ["spectrum", "resonances", "visibility"])
+def test_huge_lambda_max_exit_1_fast(paths, capsys, command):
+    # about 1e150 (edge, n) pairs: refused from their O(E) count
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, [command, paths["dumbbell"], "--lambda-max", "1e300"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == ERROR and not out
+    assert "MAX_STEP_PAIRS = 100000" in err and "Weyl's estimate" in err
+    assert err.startswith("error: lambda_max = 1e+300 ") and err.endswith(" is 5.72e+150\n")
+
+
+def test_step_pair_cap_is_exact(paths, monkeypatch):
+    # interval-pi has one edge of length pi: floor(sqrt(lambda_max)) pairs
+    monkeypatch.setattr(lengths, "MAX_STEP_PAIRS", 10)
+    graph = parse_graph(paths["interval-pi"])
+    assert len(candidate_steps(graph, 100)) == 10
+    with pytest.raises(ValueError, match="MAX_STEP_PAIRS = 10 "):
+        candidate_steps(graph, 121)
+
+
 def test_bad_usage_exit_1(capsys):
     assert main(["spectrum"]) == ERROR
     capsys.readouterr()
@@ -346,3 +368,58 @@ def test_tracer_targets_resolve(monkeypatch):
     missing = [(mod, attr) for _, mod, attr, _ in spans.TARGETS
                if not hasattr(importlib.import_module(mod), attr)]
     assert missing == []
+
+
+# ---------------------------------------------------------------------------
+# JSON output
+
+
+DATA = Path(str(qglab.bundled_graph_path("tree.qg"))).parent
+BUNDLED = sorted(p.name for p in DATA.glob("*.qg"))
+
+
+def _largest_resonance_step(path):
+    graph = parse_graph(path)
+    rep = max(resonance_dimensions(graph, candidate_steps(graph, 30)), key=lambda r: r.dim)
+    return [f"{rep.step.coeff}", rep.step.unit]
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+@pytest.mark.parametrize("command", ["spectrum", "resonances", "visibility", "ntd", "basis"])
+def test_json_output_is_json_dumps_indent_2(capsys, name, command):
+    path = str(qglab.bundled_graph_path(name))
+    if command == "basis":
+        argv = ["basis", path, "--step", *_largest_resonance_step(path)]
+    elif command == "ntd":
+        argv = ["ntd", path, "--mu-re", "-1", "--format", "json"]
+    else:
+        argv = [command, path, "--lambda-max", "30", "--format", "json"]
+    code, out, _ = run(capsys, argv)
+    assert code in (OK, WARNINGS)
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    {"meta": {"command": "resonances"}, "rows": []},
+    {},
+    [],
+    None,
+    [None, math.inf, -math.inf, math.nan, 0.1, -0.0, 10 ** 30, True, ""],
+    {"meta": {"lambda_floor": None, "lambda_max": math.inf, "x": math.nan},
+     "rows": [{"lambda": "1", "residue_diagnostics": {
+         "singular_values": [1.0, 2e-300], "separation": math.inf}},
+              {"lambda": "2", "residue_diagnostics": {
+                  "singular_values": [], "separation": math.nan}}]},
+    {"meta": {"vertices": ["\u00e9", "\u03bb\u2081", "\U0001d53b"]},
+     "rows": [{"vertex": "\u00e9", "\u00e9": "1+0j"}]},
+    {"rows": [{"a": "}", "b": "{"}, {"a": "},\n      {", "b": "\"quoted\""},
+              {"a": "line\nbreak", "b": "\\"}]},
+    {"rows": [{"a": 1}, {}, {"a": []}, {"a": {}}]},
+    {"rows": [{"a": 1}, {}]},
+    [{}, {}],
+    {"functions": [{"e1": 1, "e2": -1}, {"e3": 1}], "beta1": 2},
+    [[1, [2, [3, {}]]], ({"a": (1, 2)},)],
+    {1: "int key", 2.5: "float key", None: "null key", True: "bool key"},
+])
+def test_dumps_is_json_dumps_indent_2(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2)

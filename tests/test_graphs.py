@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from qglab import (betti, betti_graph, core_decomposition, cycle_system,
-                   simple_cycles, validate)
+from qglab import (ExactLength, UnitTable, betti, betti_graph, core_decomposition,
+                   cycle_system, simple_cycles, validate)
 from qglab.graphs import CycleBudgetExceeded, _forest
 
 from conftest import mk, parity_colouring, walk_end
@@ -30,6 +31,49 @@ def test_validate_nonpositive_length():
     for coeff in (0, -1):
         with pytest.raises(ValueError, match=f"coefficient must be positive: {coeff}$"):
             mk(["v1", "v2"], [("e1", "v1", "v2", coeff, "u")], {"u": 1.0})
+
+
+# ---------------------------------------------------------------------------
+# coefficients
+
+
+class _Quarter(Fraction):
+    pass
+
+
+def read_coefficient(x):
+    """ExactLength's coefficient by the definition: Fraction(x), positive."""
+    try:
+        c = Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad coefficient {x!r}") from None
+    if c <= 0:
+        raise ValueError(f"coefficient must be positive: {x}")
+    return c
+
+
+@pytest.mark.parametrize("x", [
+    "3", "6/4", "007/2", "2/", "/2", "1/0", "0", "0/5", "-1", "+3", "1.5", "1e3",
+    " 3", "\u0663", "abc", "-2/4", _Quarter(1, 4), _Quarter(-1, 4), Fraction(6, 4), 3, 0.5])
+def test_coefficient_as_fraction_reads_it(x):
+    try:
+        want = read_coefficient(x)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            ExactLength(x, "u")
+        assert str(got.value) == str(exc)
+    else:
+        coeff = ExactLength(x, "u").coeff
+        assert type(coeff) is Fraction and coeff == want
+
+
+def test_value_is_float_of_the_coefficient():
+    rng = random.Random(5)
+    units = UnitTable.of({"u": 1.7320508075688772})
+    for _ in range(5000):
+        digits = rng.choice((3, 20, 400))
+        c = Fraction(rng.randrange(1, 10 ** digits), rng.randrange(1, 10 ** digits))
+        assert ExactLength(c, "u").value(units) == float(c) * units.approx("u")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -416,6 +417,24 @@ def test_dumbbell_floor_not_attained(dumbbell):
     rep = resonance_dimension(dumbbell, Step(Fraction(1), "sqrt3"))
     assert rep.lam == pytest.approx(floor.lam, rel=1e-12)
     assert rep.dim == 0
+
+
+def test_basis_size_is_checked_against_the_table_forest(dumbbell, monkeypatch):
+    # the basis is spooled from parity_report's cycles and its size checked
+    # against the forest count of the table, so a report that lost a cycle fails
+    import qglab.resonance as res
+    step = Step(Fraction(1, 2), "sqrt3")    # two even sqrt3 triangles, dim 2
+    assert resonance_dimension(dumbbell, step, with_basis=True).dim == 2
+    report = res.parity_report
+
+    def lost_cycle(sub):
+        rep = report(sub)
+        first = replace(rep.components[0], cycles=rep.components[0].cycles[:-1])
+        return replace(rep, components=(first, *rep.components[1:]))
+
+    monkeypatch.setattr(res, "parity_report", lost_cycle)
+    with pytest.raises(BasisConstructionError, match="constructed 1 functions, expected 2"):
+        resonance_dimension(dumbbell, step, with_basis=True)
 
 
 def test_verify_basis_rejects_corrupted_bases(dumbbell):
