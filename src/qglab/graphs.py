@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 class CycleBudgetExceeded(RuntimeError):
@@ -128,13 +128,22 @@ class MetricGraph:
         return cls(tuple(vertices), tuple(edges), units)
 
 
-def validate(graph: MetricGraph) -> list[str]:
-    """Check the MetricGraph invariants; returns a list of violations.
-
-    An edge length L must keep L^2, 1/L^2 and pi^2/L^2 finite and normal
-    floats, with a factor 4 to spare for their rounding."""
-    problems = []
+def out_of_range(length: ExactLength, units: UnitTable) -> Optional[str]:
+    """What is wrong with an edge length or step L whose value leaves the
+    range that keeps L^2, 1/L^2 and pi^2/L^2 finite and normal floats, with
+    a factor 4 to spare for their rounding; None inside it."""
     lo, hi = 4 / math.sqrt(sys.float_info.max), 1 / math.sqrt(4 * sys.float_info.min)
+    try:
+        value = length.value(units)
+    except OverflowError:
+        value = math.inf
+    return None if lo <= value <= hi else f"length {value:.3g}, outside [{lo:.3g}, {hi:.3g}]"
+
+
+def validate(graph: MetricGraph) -> list[str]:
+    """Check the MetricGraph invariants (edge lengths: `out_of_range`);
+    returns a list of violations."""
+    problems = []
     if not graph.vertices:
         problems.append("empty-graph: no vertices declared")
     seen_v = set()
@@ -153,13 +162,9 @@ def validate(graph: MetricGraph) -> list[str]:
         if e.length.unit not in graph.units:
             problems.append(f"unknown-unit: edge {e.id} uses {e.length.unit!r}")
             continue
-        try:
-            length = e.length.value(graph.units)
-        except OverflowError:
-            length = math.inf
-        if not lo <= length <= hi:
-            problems.append(f"length-range: edge {e.id} has length {length:.3g}, "
-                            f"outside [{lo:.3g}, {hi:.3g}]")
+        wrong = out_of_range(e.length, graph.units)
+        if wrong:
+            problems.append(f"length-range: edge {e.id} has {wrong}")
     return problems
 
 

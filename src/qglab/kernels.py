@@ -5,8 +5,10 @@ come the Friedlander eigenvalue count (`vertex_count`), the stacks by width
 (`vertex_matrices`) that eigenspace, residue and Neumann-to-Dirichlet map
 take, and sigma_min, the smallest |mu_j| of Lambda(k).
 
-Stacks go in chunks of at most CHUNK_BYTES per stacked matrix array, so a
-long array of wavenumbers never holds more than that in matrices.
+The count and the stacks both take Lambda(k) one width V + |split| at a
+time (`_stacks`), in chunks of at most CHUNK_BYTES of matrices, so a long
+array of wavenumbers never holds more than that in matrices and no matrix
+is padded to another's width.
 """
 
 from __future__ import annotations
@@ -25,11 +27,16 @@ SPLITS = np.array([(3 - math.sqrt(5)) / 2, math.sqrt(2) - 1, (math.sqrt(3) - 1) 
                    1 / math.pi])
 
 
-def chunks(n: int, matrix_bytes: int):
-    """Slices of range(n) holding at most CHUNK_BYTES of matrices each."""
-    step = max(1, CHUNK_BYTES // matrix_bytes)
-    for i in range(0, n, step):
-        yield slice(i, min(i + step, n))
+def _stacks(dim):
+    """Each width n of dim, ascending, with its rows in chunks of at most
+    CHUNK_BYTES of n x n matrices: index arrays, or slices where dim has one
+    width, so that the rows are views."""
+    widths = sorted(set(dim.tolist()))
+    for n in widths:
+        at = np.flatnonzero(dim == n)
+        step = max(1, CHUNK_BYTES // (16 * n * n))
+        for i in range(0, at.size, step):
+            yield n, at[i:i + step] if len(widths) > 1 else slice(i, i + step)
 
 
 def dtn_entries(k, lengths):
@@ -116,12 +123,9 @@ def vertex_matrices(eo, et, lengths, n_vertices, ks):
     d, o = np.where(k == 0, 1 / ell, d), np.where(k == 0, -1 / ell, o)
     vals = np.concatenate([d, d, o, o], axis=1) * np.tile(on, 4)
     size = np.max(np.abs(vals), axis=1)
-    for n in sorted(set(dim.tolist())):
-        at = np.flatnonzero(dim == n)
-        for sl in chunks(at.size, 16 * n * n):
-            i = at[sl]
-            lam = _dense(_flat(org[i], ter[i], n), vals[i], n)
-            yield i, lam, size[i], ter[i, :len(eo)], ell[i, :len(eo)]
+    for n, rows in _stacks(dim):
+        lam = _dense(_flat(org[rows], ter[rows], n), vals[rows], n)
+        yield np.arange(ks.size)[rows], lam, size[rows], ter[rows, :len(eo)], ell[rows, :len(eo)]
 
 
 def scan_sigma_min(eo, et, lengths, n_vertices, ks) -> np.ndarray:
@@ -137,32 +141,26 @@ def vertex_count(eo, et, lengths, n_vertices, ks, tol=SPLIT_TOL):
     """Number of eigenvalues lambda < k^2, lambda = 0 included, at each k in
     ks > 0, with the eigenvalues mu_j(k) of Lambda(k) of the split graph
     (`split_graph`, at tol) in ascending order and their derivatives
-    d mu_j / dk, shape (len(ks), W), each row V + |split| of them, then NaN.
+    d mu_j / dk, shape (len(ks), V + E), each row V + |split| of them, then
+    NaN.
 
     With D(k) = sum (ceil(kl/pi) - 1) over the pieces l the count is
     D(k) + n_-(Lambda(k)) (Friedlander, Arch. Rational Mech. Anal. 116, 1991;
     Behrndt & Luger, J. Phys. A 43, 2010), and d mu_j / dk =
     v_j' Lambda'(k) v_j.  Between two poles each mu_j decreases.  One stacked
-    `eigh` is W = V + the most edges split at one k wide; a row that splits
-    fewer is padded with decoupled vertices at twice its Gershgorin bound,
-    above all of its mu_j, which leaves n_- as it is.
+    `eigh` per width V + |split| in chunks, as in `vertex_matrices`.
     """
     ks = np.asarray(ks, dtype=float)
     org, ter, ell, on, dim = split_graph(eo, et, lengths, n_vertices, ks, tol)
-    n = int(np.max(dim, initial=n_vertices))
-    pad = np.arange(n) >= dim[:, None]
-    flat = np.broadcast_to(_flat(org, ter, n), (ks.size, 4 * on.shape[1]))
+    org, ter = (np.broadcast_to(x, on.shape) for x in (org, ter))
     d, o, dd, do = dtn_entries(ks[:, None], ell)
     # Lambda(k) at each k, then Lambda'(k); a loop's four entries add up in one
     vals = [np.concatenate([a, a, b, b], axis=1) * np.tile(on, 4) for a, b in ((d, o), (dd, do))]
-    mu, dmu = np.empty((2, ks.size, n))
-    for sl in chunks(ks.size, 16 * n * n):
-        lam, dlam = (_dense(flat[sl], v[sl], n) for v in vals)
-        if n > n_vertices:
-            gershgorin = np.max(np.sum(np.abs(lam), axis=2), axis=1)
-            lam[:, np.arange(n), np.arange(n)] += 2 * gershgorin[:, None] * pad[sl]
-        mu[sl], vec = np.linalg.eigh(lam)
-        dmu[sl] = np.sum(vec * (dlam @ vec), axis=1)
-    mu[pad] = dmu[pad] = np.nan
+    mu, dmu = np.full((2, ks.size, n_vertices + len(eo)), np.nan)
+    for n, rows in _stacks(dim):
+        flat = _flat(org[rows], ter[rows], n)
+        lam, dlam = (_dense(flat, v[rows], n) for v in vals)
+        mu[rows, :n], vec = np.linalg.eigh(lam)
+        dmu[rows, :n] = np.sum(vec * (dlam @ vec), axis=1)
     dirichlet = np.sum((np.ceil(ks[:, None] * ell / np.pi) - 1) * on, axis=1)
     return dirichlet.astype(np.int64) + np.count_nonzero(mu < 0, axis=1), mu, dmu

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graphs import CycleWalk, Edge, ExactLength, MetricGraph, betti, cycle_system
+from .graphs import (CycleWalk, Edge, ExactLength, MetricGraph, betti, cycle_system,
+                     out_of_range)
 # Not called here.  The benchmark tracer (perfbench/spans.py) looks this name
 # up in this module; drop the import together with that target.
 from .graphs import simple_cycles  # noqa: F401
@@ -42,6 +43,9 @@ class LambdaSubgraph:
 def _check_unit(graph: MetricGraph, step: Step) -> None:
     if step.unit not in graph.units:
         raise ValueError(f"step unit {step.unit!r} not declared in graph")
+    wrong = out_of_range(step, graph.units)
+    if wrong:
+        raise ValueError(f"step has {wrong}")
 
 
 def build_lambda_subgraph(graph: MetricGraph, step: Step) -> LambdaSubgraph:

@@ -170,16 +170,14 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
     uncertified: list[float] = []
 
     def count(ks: np.ndarray, n_lo=0, n_hi=math.inf):
-        """N and the vertex eigenvalues and their slopes, padded with NaN to
-        V + E, at each k in ks, inside brackets whose ends count n_lo, n_hi."""
-        n, m, dm = kernels.vertex_count(eo, et, ln, nv, ks)
-        mu, dmu = np.full((2, ks.size, nv + len(ln)), np.nan)
-        mu[:, :m.shape[1]], dmu[:, :m.shape[1]] = m, dm
+        """N and the vertex eigenvalues and their slopes, V + E per row with
+        NaN after each row's V + |split| (`kernels.vertex_count`), at each k
+        in ks, inside brackets whose ends count n_lo, n_hi."""
+        n, mu, dmu = kernels.vertex_count(eo, et, ln, nv, ks)
         bad = (n < n_lo) | (n > n_hi)
         outside.extend(zip(ks[bad].tolist(), n[bad].tolist()))
         if bad.any():
-            c, m, dm = kernels.vertex_count(eo, et, ln, nv, ks[bad], math.inf)
-            n[bad], mu[bad, :m.shape[1]], dmu[bad, :m.shape[1]] = c, m, dm
+            n[bad], mu[bad], dmu[bad] = kernels.vertex_count(eo, et, ln, nv, ks[bad], math.inf)
         eps = np.sum(~np.isnan(mu), axis=1) * np.finfo(float).eps * np.fmax.reduce(np.abs(mu), 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             far = ~(np.abs(mu / dmu) <= REFINE_TOL * np.maximum(1.0, ks[:, None]) / 2)

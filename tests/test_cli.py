@@ -234,6 +234,15 @@ def test_ntd_single_edge(capsys, tmp_path):
     assert float(doc["rows"][0]["a"].split("+")[0]) == pytest.approx(coth1, abs=1e-9)
 
 
+def test_ntd_negative_exponent_with_equals(paths, capsys):
+    # argparse reads "-1e6" after a space as an option; the "=" form is
+    # the one the README gives
+    code, out, err = run(capsys, ["ntd", paths["dumbbell"], "--mu-re=-1e6",
+                                  "--format", "json"])
+    assert code == OK and not err
+    assert json.loads(out)["meta"]["mu"] == "(-1000000+0j)"
+
+
 def test_ntd_near_spectrum_errors(paths, capsys):
     code, _, err = run(capsys, ["ntd", paths["interval-pi"],
                                 "--mu-re", str(1 + 1e-13)])
@@ -306,7 +315,12 @@ def test_basis_zero_denominator_exit_1(paths, capsys):
 
 
 @pytest.mark.parametrize("coeff, message", [
-    ("abc", "bad coefficient 'abc'"), ("0", "coefficient must be positive: 0")])
+    ("abc", "bad coefficient 'abc'"), ("0", "coefficient must be positive: 0"),
+    # steps outside the float range of edge lengths
+    ("1e400", "step has length inf, outside [2.98e-154, 3.35e+153]"),
+    ("1e300", "step has length 1e+300, outside [2.98e-154, 3.35e+153]"),
+    ("1e-200", "step has length 1e-200, outside [2.98e-154, 3.35e+153]"),
+    ("1e-160", "step has length 1e-160, outside [2.98e-154, 3.35e+153]")])
 def test_basis_bad_step_exit_1(paths, capsys, coeff, message):
     code, out, err = run(capsys, ["basis", paths["dumbbell"], "--step", coeff, "one"])
     assert code == ERROR and not out

@@ -94,6 +94,26 @@ def test_batched_assembly_matches_per_point(dumbbell, loop_pendant):
                     kernels.CHUNK_BYTES // (16 * nv * nv)
 
 
+def test_count_over_mixed_widths_sees_the_stacked_matrices(dumbbell, loop_pendant):
+    # one count call over points of several widths V + |split|: each row
+    # holds its own V + |split| mu_j, then NaN up to V + E, and those mu_j
+    # are the eigenvalues of that point's matrix in `vertex_matrices`
+    for graph in (dumbbell, loop_pendant):
+        eo, et, ln, nv = arrays(graph)
+        ks = points(ln)[0][1:]                       # k > 0
+        _, mu, dmu = kernels.vertex_count(eo, et, ln, nv, ks)
+        assert mu.shape == dmu.shape == (len(ks), nv + len(ln))
+        widths = set()
+        for at, lam, size, *_ in kernels.vertex_matrices(eo, et, ln, nv, ks):
+            n = lam.shape[1]
+            widths.add(n)
+            assert np.all(np.isfinite(mu[at, :n])) and np.all(np.isfinite(dmu[at, :n]))
+            assert np.all(np.isnan(mu[at, n:])) and np.all(np.isnan(dmu[at, n:]))
+            assert np.all(np.abs(mu[at, :n] - np.linalg.eigvalsh(lam))
+                          <= 1e-13 * n * size[:, None])
+        assert len(widths) > 1
+
+
 def test_batched_scan_matches_per_point_eigvalsh(dumbbell, loop_pendant):
     for graph in (dumbbell, loop_pendant):
         eo, et, ln, nv = arrays(graph)
@@ -166,6 +186,8 @@ def test_vertex_count_slopes_are_derivatives(dumbbell, loop_pendant):
         _, mu, dmu = kernels.vertex_count(eo, et, ln, nv, ks)
         _, up, _ = kernels.vertex_count(eo, et, ln, nv, ks + h)
         _, down, _ = kernels.vertex_count(eo, et, ln, nv, ks - h)
+        assert np.all(np.isnan(mu[:, nv:])) and np.all(np.isnan(dmu[:, nv:]))
+        mu, dmu, up, down = (x[:, :nv] for x in (mu, dmu, up, down))
         assert np.all(np.diff(mu, axis=1) > 1e-3)
         assert np.all(dmu < 0)
         assert np.allclose(dmu, (up - down) / (2 * h), rtol=1e-5, atol=1e-5)
