@@ -250,9 +250,24 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = build_parser()
 
 
+def _join_numbers(argv):
+    """argv with a value that starts with "-" after --lambda-max, --mu-re or
+    --mu-im, or a prefix of them, joined to the option by "=": after a space
+    argparse reads a negative number in exponent form, such as -1e6, as an
+    option."""
+    out = []
+    for arg in argv:
+        if (out and len(out[-1]) > 2 and arg.startswith("-")
+                and any(o.startswith(out[-1]) for o in ("--lambda-max", "--mu-re", "--mu-im"))):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser.parse_args(argv)
+        args = _parser.parse_args(_join_numbers(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return ERROR if exc.code else OK
     try:

@@ -6,9 +6,12 @@ come the Friedlander eigenvalue count (`vertex_count`), the stacks by width
 take, and sigma_min, the smallest |mu_j| of Lambda(k).
 
 The count and the stacks both take Lambda(k) one width V + |split| at a
-time (`_stacks`), in chunks of at most CHUNK_BYTES of matrices, so a long
+time (`_stacked`), in chunks of at most CHUNK_BYTES of matrices, so a long
 array of wavenumbers never holds more than that in matrices and no matrix
-is padded to another's width.
+is padded to another's width.  Both take their points in chunks too
+(`_points`), CHUNK_BYTES of V + E floats each, so their per-point arrays
+(pieces, entries, scatter indices) stay the size of one chunk: only the
+count's results grow with the number of points.
 """
 
 from __future__ import annotations
@@ -27,16 +30,12 @@ SPLITS = np.array([(3 - math.sqrt(5)) / 2, math.sqrt(2) - 1, (math.sqrt(3) - 1) 
                    1 / math.pi])
 
 
-def _stacks(dim):
-    """Each width n of dim, ascending, with its rows in chunks of at most
-    CHUNK_BYTES of n x n matrices: index arrays, or slices where dim has one
-    width, so that the rows are views."""
-    widths = sorted(set(dim.tolist()))
-    for n in widths:
-        at = np.flatnonzero(dim == n)
-        step = max(1, CHUNK_BYTES // (16 * n * n))
-        for i in range(0, at.size, step):
-            yield n, at[i:i + step] if len(widths) > 1 else slice(i, i + step)
+def _points(ks, width):
+    """Consecutive slices of ks, each of the points whose `width` floats
+    fill CHUNK_BYTES, so that a chunk's per-point arrays stay a few times
+    CHUNK_BYTES."""
+    step = max(1, CHUNK_BYTES // (8 * width))
+    return [slice(i, i + step) for i in range(0, len(ks), step)]
 
 
 def dtn_entries(k, lengths):
@@ -51,17 +50,39 @@ def dtn_entries(k, lengths):
         return -1j * k * (1 + g * g) / (1 - g * g), 2j * k * g / (1 - g * g)
     kl = k * lengths
     sn, cs = np.sin(kl), np.cos(kl)
-    return k * cs / sn, -k / sn, (cs * sn - kl) / sn ** 2, (kl * cs - sn) / sn ** 2
+    sn2 = sn ** 2
+    return k * cs / sn, -k / sn, (cs * sn - kl) / sn2, (kl * cs - sn) / sn2
 
 
-def _dense(flat, vals, n) -> np.ndarray:
-    """n x n matrices, one per row of vals, each with vals[i, j] added at
-    flat[i, j] = row * n + col: a loop's or parallel edges' entries add up."""
+def _stacked(org, ter, dim, *vals):
+    """Each width n of dim, ascending, with its rows in chunks of at most
+    CHUNK_BYTES of n x n matrices (index arrays, or slices where dim has one
+    width, so that the rows are views), and per array of vals, shape
+    (len(dim), 4 |pieces|), one n x n matrix per row: all of them from one
+    scatter index, vals[i, j] added at the place of piece entry j (`_flat`)
+    in row i's matrix, so that a loop's or parallel edges' entries add up.
+    Pieces of shape (E,), the graph's own edges, have the same places in
+    every row."""
+    widths = sorted(set(dim.tolist()))
+    for n in widths:
+        at = np.flatnonzero(dim == n) if len(widths) > 1 else None
+        step = max(1, CHUNK_BYTES // (16 * n * n))
+        for i in range(0, dim.size if at is None else at.size, step):
+            rows = slice(i, i + step) if at is None else at[i:i + step]
+            flat = _flat(org, ter, n) if org.ndim == 1 else _flat(org[rows], ter[rows], n)
+            vs = [v[rows] for v in vals]
+            m = vs[0].shape[0]
+            place = (np.arange(0, m * n * n, n * n)[:, None] + flat).ravel()
+            yield n, rows, [_dense(place, v, n) for v in vs]
+
+
+def _dense(place, vals, n) -> np.ndarray:
+    """n x n matrices, one per row of vals, whose flat entries are the sums
+    of vals at `place`."""
     m = vals.shape[0]
-    at = (np.arange(m)[:, None] * (n * n) + flat).ravel()
-    out = np.bincount(at, vals.real.ravel(), minlength=m * n * n)
+    out = np.bincount(place, vals.real.ravel(), minlength=m * n * n)
     if np.iscomplexobj(vals):
-        out = out + 1j * np.bincount(at, vals.imag.ravel(), minlength=m * n * n)
+        out = out + 1j * np.bincount(place, vals.imag.ravel(), minlength=m * n * n)
     return out.reshape(m, n, n)
 
 
@@ -74,21 +95,22 @@ def split_graph(eo, et, lengths, n_vertices, ks, tol=SPLIT_TOL):
     k is tested by |Re k|, since |sin kL| >= |sin(Re k L)|.
 
     Returns the origin, terminus and length of each piece and whether it is
-    there, shape (len(ks), E + |cut|) (the first three of shape (E,) where
-    no k splits an edge), and the number of vertices V + |split| at each k.
+    there, shape (len(ks), E + |cut|), and the number of vertices
+    V + |split| at each k; where no k splits an edge, the pieces are the
+    edges, shape (E,), and all there (None).
     Piece 1 of each edge runs from its origin to the vertex w where it is
     split, else to its terminus; piece 2 of each edge split at some k (cut)
     runs from w to its terminus and is there where it is split.  The w of
     one k are vertices V, V + 1, ...
     """
-    kl = np.multiply.outer(np.abs(np.real(ks)), lengths)
-    turns = np.round(kl / np.pi)
-    split = (np.abs(np.sin(kl)) < tol) & (turns > 0)
+    kl = np.multiply.outer(np.abs(ks.real), lengths)
+    turns = kl / np.pi
+    split = (np.abs(np.sin(kl)) < tol) & (turns > 0.5)     # round(turns) > 0
+    if not split.any():
+        return eo, et, lengths, None, np.full(kl.shape[0], n_vertices)
     cut = np.flatnonzero(split.any(axis=0))
-    if not cut.size:
-        return eo, et, lengths, np.ones(kl.shape), np.full(kl.shape[0], n_vertices)
-    split = split[:, cut]
-    best = np.argmax(np.abs(np.sin(np.multiply.outer(turns[:, cut], np.pi * SPLITS))), 2)
+    split, turns = split[:, cut], np.round(turns[:, cut])
+    best = np.argmax(np.abs(np.sin(np.multiply.outer(turns, np.pi * SPLITS))), 2)
     t = np.where(split, SPLITS[best], 1.0)
     w = n_vertices - 1 + np.cumsum(split, axis=1)
     org = np.concatenate([np.broadcast_to(eo, kl.shape), w], axis=1)
@@ -109,23 +131,27 @@ def _flat(org, ter, n):
 def vertex_matrices(eo, et, lengths, n_vertices, ks):
     """Lambda(k) of the split graph at each k in ks, all float k >= 0, with
     Lambda(0) the graph Laplacian weighted by 1/L_e, or all complex k with
-    Im k >= 0, stacked per width V + |split| in chunks.  Yields the indices
-    into ks of each stack, its matrices, the size of their entries (the
-    largest magnitude one piece puts into an entry: entries of several
-    pieces can cancel, as in the 1 x 1 Lambda(k) of one vertex with loops),
-    and the terminus and length of piece 1 of each edge."""
+    Im k >= 0, stacked per width V + |split| in chunks of points and of
+    matrices.  Yields the indices into ks of each stack, its matrices, the
+    size of their entries (the largest magnitude one piece puts into an
+    entry: entries of several pieces can cancel, as in the 1 x 1 Lambda(k)
+    of one vertex with loops), and the terminus and length of piece 1 of
+    each edge."""
     ks = np.asarray(ks)
-    org, ter, ell, on, dim = split_graph(eo, et, lengths, n_vertices, ks)
-    org, ter, ell = (np.broadcast_to(x, on.shape) for x in (org, ter, ell))
-    k = ks[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d, o = dtn_entries(k, ell)[:2]
-    d, o = np.where(k == 0, 1 / ell, d), np.where(k == 0, -1 / ell, o)
-    vals = np.concatenate([d, d, o, o], axis=1) * np.tile(on, 4)
-    size = np.max(np.abs(vals), axis=1)
-    for n, rows in _stacks(dim):
-        lam = _dense(_flat(org[rows], ter[rows], n), vals[rows], n)
-        yield np.arange(ks.size)[rows], lam, size[rows], ter[rows, :len(eo)], ell[rows, :len(eo)]
+    index = np.arange(ks.size)
+    for at in _points(ks, n_vertices + len(eo)):
+        org, ter, ell, on, dim = split_graph(eo, et, lengths, n_vertices, ks[at])
+        k = ks[at, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d, o = dtn_entries(k, ell)[:2]
+        d, o = np.where(k == 0, 1 / ell, d), np.where(k == 0, -1 / ell, o)
+        vals = np.concatenate([d, d, o, o], axis=1)
+        if on is not None:
+            vals *= np.tile(on, 4)
+        size = np.max(np.abs(vals), axis=1)
+        ter1, ell1 = (np.broadcast_to(x, d.shape)[:, :len(eo)] for x in (ter, ell))
+        for n, rows, (lam,) in _stacked(org, ter, dim, vals):
+            yield index[at][rows], lam, size[rows], ter1[rows], ell1[rows]
 
 
 def scan_sigma_min(eo, et, lengths, n_vertices, ks) -> np.ndarray:
@@ -142,7 +168,7 @@ def vertex_count(eo, et, lengths, n_vertices, ks, tol=SPLIT_TOL):
     ks > 0, with the eigenvalues mu_j(k) of Lambda(k) of the split graph
     (`split_graph`, at tol) in ascending order and their derivatives
     d mu_j / dk, shape (len(ks), V + E), each row V + |split| of them, then
-    NaN.
+    NaN.  The points are taken in chunks of CHUNK_BYTES of mu_j.
 
     With D(k) = sum (ceil(kl/pi) - 1) over the pieces l the count is
     D(k) + n_-(Lambda(k)) (Friedlander, Arch. Rational Mech. Anal. 116, 1991;
@@ -151,16 +177,21 @@ def vertex_count(eo, et, lengths, n_vertices, ks, tol=SPLIT_TOL):
     `eigh` per width V + |split| in chunks, as in `vertex_matrices`.
     """
     ks = np.asarray(ks, dtype=float)
-    org, ter, ell, on, dim = split_graph(eo, et, lengths, n_vertices, ks, tol)
-    org, ter = (np.broadcast_to(x, on.shape) for x in (org, ter))
-    d, o, dd, do = dtn_entries(ks[:, None], ell)
-    # Lambda(k) at each k, then Lambda'(k); a loop's four entries add up in one
-    vals = [np.concatenate([a, a, b, b], axis=1) * np.tile(on, 4) for a, b in ((d, o), (dd, do))]
+    count = np.empty(ks.size, dtype=np.int64)
     mu, dmu = np.full((2, ks.size, n_vertices + len(eo)), np.nan)
-    for n, rows in _stacks(dim):
-        flat = _flat(org[rows], ter[rows], n)
-        lam, dlam = (_dense(flat, v[rows], n) for v in vals)
-        mu[rows, :n], vec = np.linalg.eigh(lam)
-        dmu[rows, :n] = np.sum(vec * (dlam @ vec), axis=1)
-    dirichlet = np.sum((np.ceil(ks[:, None] * ell / np.pi) - 1) * on, axis=1)
-    return dirichlet.astype(np.int64) + np.count_nonzero(mu < 0, axis=1), mu, dmu
+    for at in _points(ks, mu.shape[1]):
+        k, mu_k, dmu_k = ks[at], mu[at], dmu[at]
+        org, ter, ell, on, dim = split_graph(eo, et, lengths, n_vertices, k, tol)
+        d, o, dd, do = dtn_entries(k[:, None], ell)
+        # Lambda(k) at each k, then Lambda'(k)
+        vals = [np.concatenate([a, a, b, b], axis=1) for a, b in ((d, o), (dd, do))]
+        dirichlet = np.ceil(k[:, None] * ell / np.pi) - 1
+        if on is not None:              # pieces not there add nothing
+            for v in vals:
+                v *= np.tile(on, 4)
+            dirichlet *= on
+        for n, rows, (lam, dlam) in _stacked(org, ter, dim, *vals):
+            mu_k[rows, :n], vec = np.linalg.eigh(lam)
+            dmu_k[rows, :n] = (vec * (dlam @ vec)).sum(axis=1)
+        count[at] = dirichlet.sum(axis=1).astype(np.int64) + (mu_k < 0).sum(axis=1)
+    return count, mu, dmu

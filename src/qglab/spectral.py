@@ -80,55 +80,61 @@ def assemble_secular(graph: MetricGraph, k: float) -> np.ndarray:
     return next(kernels.vertex_matrices(eo, et, ln, len(graph.vertices), [float(k)]))[1][0]
 
 
-def _theta(k, n, mu, dmu):
+def _theta(k, jump, mu, dmu):
     """theta = arctan(mu_j/k) and d theta/dk at both ends of each bracket for
     the mu_j that crosses 0 first in it: j = n_-(lo) at lo, n_-(hi) less the
     jump of N at hi (NaN where there is none)."""
-    j = np.sum(mu < 0, axis=2)
-    j[1] -= n[1] - n[0]
-    jc = np.clip(j, 0, mu.shape[2] - 1)
+    j = (mu < 0).sum(axis=2)
+    j[1] -= jump
+    jc = np.minimum(np.maximum(j, 0), mu.shape[2] - 1)
     at = (np.arange(2)[:, None], np.arange(j.shape[1]), jc)
     mu_j, dmu_j = np.where(j == jc, mu[at], np.nan), dmu[at]
     return np.arctan(mu_j / k), (k * dmu_j - mu_j) / (k * k + mu_j * mu_j)
 
 
-def _secant(k, theta):
+def _secant(k, width, theta):
     """The root of the secant of theta across each bracket, NaN off it."""
     lo, hi = k
     with np.errstate(divide="ignore", invalid="ignore"):
-        root = lo + theta[0] * (hi - lo) / (theta[0] - theta[1])
+        root = lo + theta[0] * width / (theta[0] - theta[1])
     return np.where((root >= lo) & (root <= hi), root, np.nan)
 
 
-def _split(k, theta, slope, forced, tol):
+def _split(k, width, theta, slope, root, forced, tol):
     """The two points a < b at which each open bracket [lo, hi] is counted
-    next, given theta and its slope at both ends (`_theta`).
+    next, given its width, theta and its slope at both ends (`_theta`) and
+    the secant root of theta across it (`_secant`).
 
     Between two poles the vertex eigenvalue of `_theta` decreases and
     crosses 0 at the bracket's first eigenvalue; so does its theta, which
     stays bounded where mu_j has a pole.  Newton's step on theta from the
-    end where |theta| is smaller gives a; the secant root of theta across
-    the bracket gives b, or, without it, a second Newton step does.  Two
-    points closer than tol become the pair tol/2 wide around their midpoint,
-    so a bracket whose root they hit closes now (a pair tol wide can round
-    to a width above tol and never close).  Without an estimate, and where
+    end where |theta| is smaller gives a; the secant root gives b, or,
+    without theta at both ends, a second Newton step does.  Two points
+    closer than tol become the pair tol/2 wide around their midpoint, so a
+    bracket whose root they hit closes now (a pair tol wide can round to a
+    width above tol and never close).  Without an estimate, and where
     `forced` (first splits of brackets with several eigenvalues, and those
     after a step that neither halved the bracket nor split one off), the
     GOLDEN points.
     """
     lo, hi = k
-    at = np.arange(lo.size)
-    step = -theta / np.where(slope < 0, slope, np.nan)
-    end = ((np.abs(theta[1]) < np.abs(theta[0])) | np.isnan(theta[0])).astype(np.int64)
-    step = step[end, at]
-    a = k[end, at] + step
-    b = np.where(np.isnan(theta).any(axis=0), a + step, _secant(k, theta))
+    nan = np.isnan(theta)
+    end = (np.abs(theta[1]) < np.abs(theta[0])) | nan[0]
+    th, sl, x = (np.where(end, v[1], v[0]) for v in (theta, slope, k))
+    step = -th / np.where(sl < 0, sl, np.nan)
+    a = x + step
+    b = np.where(nan[0] | nan[1], a + step, root)
     a, b = np.minimum(a, b), np.maximum(a, b)
     ok = ~forced & (a >= lo) & (b <= hi)
-    a = np.where(ok, np.clip(a, lo + tol / 2, hi - tol / 2), lo + GOLDEN * (hi - lo))
-    b = np.where(ok, np.clip(b, lo + tol / 2, hi - tol / 2), hi - GOLDEN * (hi - lo))
-    mid = np.where(b - a < tol, (a + b) / 2, np.nan)
-    return np.fmin(a, mid - tol / 4), np.fmax(b, mid + tol / 4)
+    half, golden = tol / 2, GOLDEN * width
+    inner_lo, inner_hi = lo + half, hi - half
+    a = np.where(ok, np.minimum(np.maximum(a, inner_lo), inner_hi), lo + golden)
+    b = np.where(ok, np.minimum(np.maximum(b, inner_lo), inner_hi), hi - golden)
+    close = b - a < tol
+    if close.any():
+        mid = np.where(close, (a + b) / 2, np.nan)
+        a, b = np.fmin(a, mid - tol / 4), np.fmax(b, mid + tol / 4)
+    return a, b
 
 
 def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
@@ -168,6 +174,7 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
     steps.sort(key=lambda st: st[0])    # ascending k_s, also where lambdas round equal
     outside: list[tuple[float, int]] = []
     uncertified: list[float] = []
+    eps = np.finfo(float).eps
 
     def count(ks: np.ndarray, n_lo=0, n_hi=math.inf):
         """N and the vertex eigenvalues and their slopes, V + E per row with
@@ -175,13 +182,17 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
         in ks, inside brackets whose ends count n_lo, n_hi."""
         n, mu, dmu = kernels.vertex_count(eo, et, ln, nv, ks)
         bad = (n < n_lo) | (n > n_hi)
-        outside.extend(zip(ks[bad].tolist(), n[bad].tolist()))
         if bad.any():
+            outside.extend(zip(ks[bad].tolist(), n[bad].tolist()))
             n[bad], mu[bad], dmu[bad] = kernels.vertex_count(eo, et, ln, nv, ks[bad], math.inf)
-        eps = np.sum(~np.isnan(mu), axis=1) * np.finfo(float).eps * np.fmax.reduce(np.abs(mu), 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            far = ~(np.abs(mu / dmu) <= REFINE_TOL * np.maximum(1.0, ks[:, None]) / 2)
-        uncertified.extend(ks[((np.abs(mu) <= eps[:, None]) & far).any(axis=1)].tolist())
+        size = np.abs(mu)               # V + |split| of them per row, then NaN
+        small = size <= ((size >= 0).sum(axis=1) * eps * np.fmax.reduce(size, 1))[:, None]
+        near = small.any(axis=1)
+        if near.any():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                far = ~(np.abs(mu[near] / dmu[near])
+                        <= REFINE_TOL * np.maximum(1.0, ks[near, None]) / 2)
+            uncertified.extend(ks[near][(small[near] & far).any(axis=1)].tolist())
         return n, mu, dmu
 
     k_s = np.array([st[0] for st in steps])
@@ -198,28 +209,37 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
     fin = on_step & (jump != 0)
     done = [(*x, math.nan) for x in zip(k[0, fin].tolist(), k[1, fin].tolist(),
                                         jump[fin].tolist())]
-    k, n, mu, dmu = (x[:, ~on_step] for x in (k, n, mu, dmu))
-    forced = n[1] - n[0] > 1
+    rest = ~on_step & (jump != 0)
+    k, n, mu, dmu = (x[:, rest] for x in (k, n, mu, dmu))
+    width, jump = k[1] - k[0], jump[rest]
+    forced = jump > 1
     while True:
         tol = REFINE_TOL * np.maximum(1.0, k[1])
-        jump = n[1] - n[0]
-        fin = (jump != 0) & (k[1] - k[0] <= tol)
-        theta, slope = _theta(k, n, mu, dmu)
-        root = _secant(k, theta)[fin]
-        done.extend(zip(k[0, fin].tolist(), k[1, fin].tolist(), jump[fin].tolist(), root.tolist()))
-        go = (jump != 0) & ~fin
-        if not go.any():
+        theta, slope = _theta(k, jump, mu, dmu)
+        root = _secant(k, width, theta)
+        fin = width <= tol
+        if fin.any():
+            done.extend(zip(k[0, fin].tolist(), k[1, fin].tolist(), jump[fin].tolist(),
+                            root[fin].tolist()))
+            go = ~fin
+            k, n, mu, dmu, theta, slope = (x[:, go] for x in (k, n, mu, dmu, theta, slope))
+            width, jump, root, forced, tol = (x[go] for x in (width, jump, root, forced, tol))
+        if not jump.size:
             break
-        k, n, mu, dmu = (x[:, go] for x in (k, n, mu, dmu))
-        x = np.concatenate(_split(k, theta[:, go], slope[:, go], forced[go], tol[go]))
-        at_x = count(x, np.tile(n[0], 2), np.tile(n[1], 2))
-        width = k[1] - k[0]
-        # ends lo, a, b, hi of each bracket; children [lo, a], [a, b], [b, hi]
-        ends = [np.concatenate([e[:1], e_x.reshape(2, *e.shape[1:]), e[1:]])
-                for e, e_x in zip((k, n, mu, dmu), (x, *at_x))]
-        k, n, mu, dmu = (np.stack([e[:-1], e[1:]]).reshape(2, -1, *e.shape[2:])
-                         for e in ends)
-        forced = (k[1] - k[0] > np.tile(width, 3) / 2) & (n[1] - n[0] == np.tile(jump[go], 3))
+        x = np.concatenate(_split(k, width, theta, slope, root, forced, tol))
+        n_x, mu_x, dmu_x = count(x, np.concatenate([n[0], n[0]]), np.concatenate([n[1], n[1]]))
+        # ends lo, a, b, hi of each bracket; of its children [lo, a], [a, b]
+        # and [b, hi] those across which N jumps stay open
+        m = jump.size
+        ends = np.concatenate([n[0], n_x, n[1]])
+        keep = np.flatnonzero(ends[m:] - ends[:-m])
+        pairs, parent = np.add.outer([0, m], keep), keep % m
+        n = ends[pairs]
+        k, mu, dmu = (np.concatenate([e[0], e_x, e[1]])[pairs]
+                      for e, e_x in ((k, x), (mu, mu_x), (dmu, dmu_x)))
+        half, was = width[parent] / 2, jump[parent]
+        width, jump = k[1] - k[0], n[1] - n[0]
+        forced = (width > half) & (jump == was)
 
     merged: list[list] = []
     for a, b, jump, root in sorted(done):

@@ -235,12 +235,18 @@ def test_ntd_single_edge(capsys, tmp_path):
 
 
 def test_ntd_negative_exponent_with_equals(paths, capsys):
-    # argparse reads "-1e6" after a space as an option; the "=" form is
-    # the one the README gives
     code, out, err = run(capsys, ["ntd", paths["dumbbell"], "--mu-re=-1e6",
                                   "--format", "json"])
     assert code == OK and not err
     assert json.loads(out)["meta"]["mu"] == "(-1000000+0j)"
+
+
+def test_ntd_negative_exponent_after_a_space(paths, capsys):
+    # argparse alone reads "-1e6" after a space as an option and exits 1
+    joined = run(capsys, ["ntd", paths["dumbbell"], "--mu-re=-1e6", "--mu-im=-2e-3"])
+    assert joined[0] == OK and joined[1]
+    for argv in (["--mu-re", "-1e6", "--mu-im", "-2e-3"], ["--mu-r", "-1e6", "--mu-i", "-2e-3"]):
+        assert run(capsys, ["ntd", paths["dumbbell"], *argv]) == joined
 
 
 def test_ntd_near_spectrum_errors(paths, capsys):

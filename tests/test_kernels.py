@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,27 @@ def test_count_over_mixed_widths_sees_the_stacked_matrices(dumbbell, loop_pendan
             assert np.all(np.abs(mu[at, :n] - np.linalg.eigvalsh(lam))
                           <= 1e-13 * n * size[:, None])
         assert len(widths) > 1
+
+
+def test_count_over_point_chunks(dumbbell):
+    # one call over several chunks of points, poles of every edge among
+    # them: the bits of one call per slice, and the memory of one chunk
+    eo, et, ln, nv = arrays(dumbbell)
+    draw = np.random.default_rng(7)
+    poles = np.array(pole_points(ln, 199))
+    ks = np.concatenate([draw.uniform(0.1, 300.0, 20000 - poles.size), poles])
+    draw.shuffle(ks)
+    tracemalloc.start()
+    got = kernels.vertex_count(eo, et, ln, nv, ks)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    size = sum(x.nbytes for x in got)
+    assert got[1].nbytes > 5 * kernels.CHUNK_BYTES
+    parts = zip(*(kernels.vertex_count(eo, et, ln, nv, ks[i:i + 997])
+                  for i in range(0, ks.size, 997)))
+    for whole, part in zip(got, parts):
+        assert whole.tobytes() == np.concatenate(part).tobytes()
+    assert peak < 3 * size
 
 
 def test_batched_scan_matches_per_point_eigvalsh(dumbbell, loop_pendant):

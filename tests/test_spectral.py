@@ -289,6 +289,22 @@ def test_vertex_count_outside_its_bracket_is_recounted(dumbbell, monkeypatch):
         assert got.lam == pytest.approx(ref.lam, rel=1e-11)
 
 
+def test_refinement_counts_the_same_points(dumbbell, monkeypatch):
+    # the points counted per call on the dumbbell at lambda <= 200: a faster
+    # refinement must come from cheaper rounds, not from other points, and a
+    # change to the algorithm updates this list knowingly
+    sizes = []
+    exact = kernels.vertex_count
+
+    def recording(*args):
+        sizes.append(len(args[4]))
+        return exact(*args)
+
+    monkeypatch.setattr(kernels, "vertex_count", recording)
+    eigenvalues_in(dumbbell, 200)
+    assert sizes == [38, 34, 72, 106, 118, 88, 46, 20, 4, 4]
+
+
 def test_near_pole_points_are_counted_with_their_edges_split(monkeypatch):
     # the eigenvalue 5.3e-6 below the scar at 4 pi^2 lies between two steps
     # 1e-7 apart, so its bracket is refined next to the poles, where the
