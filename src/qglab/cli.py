@@ -20,10 +20,13 @@ import sys
 from itertools import chain
 
 from .graphfile import GraphFileError, parse_graph
-from .lengths import Step, candidate_steps, resonance_floor
-from .resonance import resonance_dimension, resonance_dimensions
+from .lengths import Step, resonance_floor, step_table
+from .resonance import resonance_dimension, table_counts
 from .spectral import eigenvalues_in
 from .weyl import NearSpectrumError, ntd_matrix, select_vertices, visibility_report
+# Not called here.  The benchmark tracer (perfbench/spans.py) looks this name
+# up in this module; drop the import together with that target.
+from .lengths import candidate_steps  # noqa: F401
 
 OK, ERROR, WARNINGS = 0, 1, 2
 
@@ -139,15 +142,16 @@ def cmd_spectrum(args) -> int:
 
 def cmd_resonances(args) -> int:
     graph = parse_graph(args.graph)
-    cands = candidate_steps(graph, args.lambda_max)
-    floor = resonance_floor(graph)
-    rows = [{"lambda": f"{rep.lam:.12g}",
-             "step": str(rep.step),
-             "beta1": rep.beta1,
-             "beta0_odd": rep.beta0_odd,
-             "dim_R": rep.dim,
-             "resonance": "yes" if rep.is_resonance else "no"}
-            for rep in resonance_dimensions(graph, cands)]
+    table = step_table(graph, args.lambda_max)
+    floor = resonance_floor(graph, (table.gcds, table.mults))
+    rows = [{"lambda": f"{lam:.12g}",
+             "step": text,
+             "beta1": beta1,
+             "beta0_odd": odd,
+             "dim_R": beta1 - odd,
+             "resonance": "yes" if beta1 > odd else "no"}
+            for (lam, _, _), text, (beta1, odd) in zip(table.rows, table.texts(),
+                                                       table_counts(graph, table))]
     meta = {"command": "resonances", "graph": args.graph,
             "lambda_max": args.lambda_max,
             "lambda_floor": None if math.isinf(floor.lam) else floor.lam}

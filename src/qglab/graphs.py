@@ -129,14 +129,20 @@ class MetricGraph:
 
 
 def out_of_range(length: ExactLength, units: UnitTable) -> Optional[str]:
-    """What is wrong with an edge length or step L whose value leaves the
-    range that keeps L^2, 1/L^2 and pi^2/L^2 finite and normal floats, with
-    a factor 4 to spare for their rounding; None inside it."""
-    lo, hi = 4 / math.sqrt(sys.float_info.max), 1 / math.sqrt(4 * sys.float_info.min)
+    """`value_out_of_range` of an edge length or step, its value taken as
+    inf where it overflows."""
     try:
         value = length.value(units)
     except OverflowError:
         value = math.inf
+    return value_out_of_range(value)
+
+
+def value_out_of_range(value: float) -> Optional[str]:
+    """What is wrong with a length L whose value leaves the range that keeps
+    L^2, 1/L^2 and pi^2/L^2 finite and normal floats, with a factor 4 to
+    spare for their rounding; None inside it."""
+    lo, hi = 4 / math.sqrt(sys.float_info.max), 1 / math.sqrt(4 * sys.float_info.min)
     return None if lo <= value <= hi else f"length {value:.3g}, outside [{lo:.3g}, {hi:.3g}]"
 
 

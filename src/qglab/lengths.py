@@ -5,6 +5,13 @@ A step s = L(e)/n is an exact length like the edge lengths themselves, so
 lambda = pi^2/s^2.  Membership of an edge in the step subgraph is an exact
 rational divisibility test and never depends on the floating approximations
 of the units.
+
+The candidate steps up to a cutoff are one `StepTable` (`step_table`): each
+distinct step once, named by its integer key (unit, p, q), s = (p/q)*g with
+g the gcd of the unit's edge coefficients, with its value and lambda
+computed once from those integers, bit for bit those of its `Step`.  The
+resonance table (`resonance.table_counts`), the spectral brackets and
+`candidate_steps` all read it; a `Step` is made only where one is asked for.
 """
 
 from __future__ import annotations
@@ -12,10 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from .graphs import (CycleWalk, Edge, ExactLength, MetricGraph, betti, cycle_system,
-                     out_of_range)
+                     out_of_range, value_out_of_range)
 # Not called here.  The benchmark tracer (perfbench/spans.py) looks this name
 # up in this module; drop the import together with that target.
 from .graphs import simple_cycles  # noqa: F401
@@ -44,6 +52,13 @@ def _check_unit(graph: MetricGraph, step: Step) -> None:
     if step.unit not in graph.units:
         raise ValueError(f"step unit {step.unit!r} not declared in graph")
     wrong = out_of_range(step, graph.units)
+    if wrong:
+        raise ValueError(f"step has {wrong}")
+
+
+def _check_value(value: float) -> None:
+    """`_check_unit` of a table row's step, whose unit an edge declares."""
+    wrong = value_out_of_range(value)
     if wrong:
         raise ValueError(f"step has {wrong}")
 
@@ -97,47 +112,103 @@ def _step_ratio(step: Step, g: Fraction) -> tuple[int, int]:
     return num // d, den // d
 
 
-# The most (edge, n) pairs, sum_e floor(L_e*sqrt(lambda_max)/pi), that
-# `candidate_steps` enumerates; more is a ValueError.  Each pair costs about
+# The most (edge, n) pairs, sum_e max{n : pi^2/(L_e/n)^2 <= lambda_max},
+# that `step_table` enumerates; more is a ValueError.  Each pair costs about
 # a microsecond and, as a distinct step, a few hundred bytes, and the
 # spectral commands count at about as many points.
 MAX_STEP_PAIRS = 100_000
 
 
-def candidate_steps(graph: MetricGraph, lambda_max: float) -> list[Step]:
-    """All distinct steps s = L(e)/n with pi^2/s^2 <= lambda_max.
+@dataclass(frozen=True)
+class StepTable:
+    """The distinct candidate steps s with pi^2/s^2 <= lambda_max
+    (`step_table`), one row (lambda, s, key) each, lambda and s as floats,
+    in ascending lambda, ties in the order first met.  The key
+    (unit, p, q) names s exactly: s = (p/q)*g with gcd(p, q) = 1, where
+    g = gcds[unit] is the gcd of the unit's edge coefficients and
+    L(e) = mults[e]*g for the e-th edge (`_unit_multiples`)."""
 
-    These are exactly the spectral points where the step subgraph is
-    nonempty.  Sorted by ascending lambda (unit approximations are used for
-    ordering only), ties in the order the steps are first met.  A step is
-    named exactly by its unit and the integers (m_e/d, n/d), d = gcd(m_e, n):
-    s = L(e)/n = (m_e/d)/(n/d)*g.  Above `MAX_STEP_PAIRS` (edge, n) pairs,
-    counted in O(E) before any is made, this is a ValueError.
+    rows: list[tuple[float, float, tuple[str, int, int]]]
+    gcds: dict[str, Fraction]
+    mults: list[int]
+
+    def steps(self) -> list[Step]:
+        gcds = self.gcds
+        return [Step(Fraction(p * gcds[u].numerator, q * gcds[u].denominator), u)
+                for _, _, (u, p, q) in self.rows]
+
+    def texts(self) -> list[str]:
+        """str(step) of each row, from the reduced integers."""
+        scale = {u: (g.numerator, g.denominator) for u, g in self.gcds.items()}
+        out = []
+        for _, _, (u, p, q) in self.rows:
+            num, den = scale[u]
+            num, den = p * num, q * den
+            d = math.gcd(num, den)
+            out.append(f"{num // d}*{u}" if d == den else f"{num // d}/{den // d}*{u}")
+        return out
+
+
+def step_table(graph: MetricGraph, lambda_max: float) -> StepTable:
+    """All distinct steps s = L(e)/n with pi^2/s^2 <= lambda_max: exactly
+    the spectral points where the step subgraph is nonempty.
+
+    Each step is met as its key (unit, m_e/d, n/d), d = gcd(m_e, n), and its
+    value and lambda are computed once by the float operations of
+    `ExactLength.value` and `lambda_value`: int/int division is correctly
+    rounded, so (p*G)/(q*D) for g = G/D is the float of the reduced
+    coefficient, bit for bit.  Lambda does not decrease in n, so each edge's
+    n run up to the last one with lambda <= lambda_max, which that lambda
+    decides next to the estimate L_e*sqrt(lambda_max)/pi.  Their count is
+    formed in O(E) before any step is made; above `MAX_STEP_PAIRS` it is a
+    ValueError.
     """
     if not 0 < lambda_max < math.inf:
         raise ValueError("lambda_max must be positive and finite")
+    units = graph.units
+    gcds, mults = _unit_multiples(graph)
+    scale = {u: (g.numerator, g.denominator, units.approx(u)) for u, g in gcds.items()}
+    pi2 = math.pi ** 2
+
+    def value(unit: str, num: int, den: int) -> float:
+        g_num, g_den, approx = scale[unit]
+        return num * g_num / (den * g_den) * approx
+
     smin = math.pi / math.sqrt(lambda_max)
-    lengths = [e.length.value(graph.units) for e in graph.edges]
-    # each count capped, so the sum stays a small int and exceeds the cap
-    # exactly when the true sum does
-    nmaxes = [int(min(x / smin + 1e-12, MAX_STEP_PAIRS + 1)) for x in lengths]
+    lengths = [e.length.value(units) for e in graph.edges]
+    nmaxes = []
+    for e, m, x in zip(graph.edges, mults, lengths):
+        # each count capped, so the sum stays a small int and exceeds the cap
+        # exactly when the true sum does
+        n = int(min(x / smin, MAX_STEP_PAIRS + 1))
+        while n > 0 and pi2 / value(e.length.unit, m, n) ** 2 > lambda_max:
+            n -= 1
+        while n <= MAX_STEP_PAIRS and pi2 / value(e.length.unit, m, n + 1) ** 2 <= lambda_max:
+            n += 1
+        nmaxes.append(n)
     if sum(nmaxes) > MAX_STEP_PAIRS:
         raise ValueError(
             f"lambda_max = {lambda_max:g} needs more than MAX_STEP_PAIRS = "
             f"{MAX_STEP_PAIRS} candidate (edge, n) pairs; Weyl's estimate "
             f"L_tot*sqrt(lambda_max)/pi of the eigenvalue count is "
             f"{math.fsum(lengths) / smin:.3g}")
-    _, mults = _unit_multiples(graph)
-    steps: dict[tuple[str, int, int], tuple[float, Step]] = {}   # insertion order breaks ties
+    keys: dict[tuple[str, int, int], None] = {}    # insertion order breaks ties
     for e, m, nmax in zip(graph.edges, mults, nmaxes):
         unit = e.length.unit
         for n in range(1, nmax + 1):
             d = math.gcd(m, n)
-            key = (unit, m // d, n // d)
-            if key not in steps:
-                step = Step(e.length.coeff / n, unit)
-                steps[key] = (step.lambda_value(graph.units), step)
-    return [s for lam, s in sorted(steps.values(), key=lambda x: x[0]) if lam <= lambda_max]
+            keys[unit, m // d, n // d] = None
+    rows = []
+    for key in keys:
+        s = value(*key)
+        rows.append((pi2 / s ** 2, s, key))
+    rows.sort(key=itemgetter(0))
+    return StepTable(rows, gcds, mults)
+
+
+def candidate_steps(graph: MetricGraph, lambda_max: float) -> list[Step]:
+    """The steps of `step_table`, in its order."""
+    return step_table(graph, lambda_max).steps()
 
 
 def _divisors(m: int) -> set[int]:
@@ -154,7 +225,9 @@ class ResonanceFloor:
     cycle: Optional[CycleWalk]
 
 
-def resonance_floor(graph: MetricGraph) -> ResonanceFloor:
+def resonance_floor(graph: MetricGraph,
+                    multiples: Optional[tuple[dict[str, Fraction], list[int]]] = None
+                    ) -> ResonanceFloor:
     """inf of pi^2/u_C^2 over cycles C with commensurate edges.
 
     A cycle is commensurate iff all its edges carry the same unit token
@@ -171,11 +244,13 @@ def resonance_floor(graph: MetricGraph) -> ResonanceFloor:
     u_C a multiple of s* and at most s*, so a fundamental cycle of G_{s*}
     is a witness whose gcd is exactly s*.  Units are compared by
     `Step.value`.  Each divisor is tested by a `betti` count; the witness
-    comes from one `cycle_system`, at the s* returned.
+    comes from one `cycle_system`, at the s* returned.  `multiples` are
+    `_unit_multiples(graph)` where the caller has them, as a `StepTable`
+    does.
     """
     best: Optional[tuple[Step, list[Edge]]] = None
     best_val = -math.inf
-    gcds, mults = _unit_multiples(graph)
+    gcds, mults = multiples or _unit_multiples(graph)
     for unit in graph.units.tokens():
         pairs = [(e, m) for e, m in zip(graph.edges, mults) if e.length.unit == unit]
         edges = [e for e, _ in pairs]

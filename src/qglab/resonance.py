@@ -30,8 +30,8 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .graphs import CycleSystem, CycleWalk, MetricGraph, _forest, cycle_system
-from .lengths import (LambdaSubgraph, Step, _check_unit, _step_ratio, _unit_multiples,
-                      build_lambda_subgraph)
+from .lengths import (LambdaSubgraph, Step, StepTable, _check_unit, _check_value,
+                      _step_ratio, _unit_multiples, build_lambda_subgraph)
 
 
 class BasisConstructionError(RuntimeError):
@@ -132,29 +132,44 @@ class ResonanceReport:
         return self.dim > 0
 
 
-def resonance_dimensions(graph: MetricGraph, steps: Sequence[Step]) -> list[ResonanceReport]:
-    """dim of the resonance space at lambda = pi^2/s^2 for each step s, by
-    the cycle count minus the odd-component count.  Steps that agree in
-    (unit, p), s = (p/q)*g, share one `_forest` (module docstring): beta1 is
-    its chord count, beta0_odd its odd-tree count if q is odd, else 0.  A
-    declared unit that no edge uses is its own g and gives the empty G_s."""
-    gcds, mults = _unit_multiples(graph)
+def _counts(graph: MetricGraph, mults: list[int], keys, check) -> list[tuple[int, int]]:
+    """(beta1, beta0_odd) at each step key (unit, p, q), s = (p/q)*g.  Keys
+    that agree in (unit, p) share one `_forest` (module docstring): beta1 is
+    its chord count, beta0_odd its odd-tree count if q is odd, else 0.
+    `check(i)` vets the step of key i, the first of its (unit, p), before
+    that forest is grown."""
     forests: dict[tuple[str, int], tuple[int, int]] = {}
     out = []
-    for step in steps:
-        p, q = _step_ratio(step, gcds.get(step.unit, step.coeff))
-        if (step.unit, p) not in forests:
-            _check_unit(graph, step)
+    for i, (unit, p, q) in enumerate(keys):
+        counts = forests.get((unit, p))
+        if counts is None:
+            check(i)
             pairs = [(e, m // p % 2) for e, m in zip(graph.edges, mults)
-                     if e.length.unit == step.unit and m % p == 0]
+                     if e.length.unit == unit and m % p == 0]
             _, chords, odd = _forest(graph.vertices, [e for e, _ in pairs],
                                      [w for _, w in pairs])
-            forests[step.unit, p] = (len(chords), odd)
-        beta1, odd = forests[step.unit, p]
-        odd = odd if q % 2 else 0
-        out.append(ResonanceReport(step, step.lambda_value(graph.units), beta1, odd,
-                                   beta1 - odd))
+            counts = forests[unit, p] = (len(chords), odd)
+        out.append(counts if q % 2 else (counts[0], 0))
     return out
+
+
+def table_counts(graph: MetricGraph, table: StepTable) -> list[tuple[int, int]]:
+    """(beta1, beta0_odd) at each row of `table`, by `_counts`; dim R is
+    their difference."""
+    rows = table.rows
+    return _counts(graph, table.mults, [key for _, _, key in rows],
+                   lambda i: _check_value(rows[i][1]))
+
+
+def resonance_dimensions(graph: MetricGraph, steps: Sequence[Step]) -> list[ResonanceReport]:
+    """dim of the resonance space at lambda = pi^2/s^2 for each step s, by
+    the cycle count minus the odd-component count (`_counts`).  A declared
+    unit that no edge uses is its own g and gives the empty G_s."""
+    gcds, mults = _unit_multiples(graph)
+    keys = [(s.unit, *_step_ratio(s, gcds.get(s.unit, s.coeff))) for s in steps]
+    counts = _counts(graph, mults, keys, lambda i: _check_unit(graph, steps[i]))
+    return [ResonanceReport(s, s.lambda_value(graph.units), beta1, odd, beta1 - odd)
+            for s, (beta1, odd) in zip(steps, counts)]
 
 
 def resonance_dimension(graph: MetricGraph, step: Step,

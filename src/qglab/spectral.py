@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .graphs import MetricGraph, betti_graph
-from .lengths import Step, candidate_steps
+from .lengths import Step, step_table
 
 
 REFINE_TOL = 1e-12     # a bracket is done at width <= REFINE_TOL * max(1, k)
@@ -55,6 +55,7 @@ class EigenvalueHit:
 class Spectrum:
     eigenvalues: tuple[EigenvalueHit, ...]
     warnings: tuple[str, ...] = ()
+    steps: tuple[Step, ...] = ()   # the candidate steps, in `lengths.step_table` order
 
 
 def _edge_arrays(graph: MetricGraph):
@@ -151,9 +152,9 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
     refinement leaves its sign open anyway.  An uncertified count and one
     outside its bracket's, then recounted with every edge split, are warnings.
 
-    Every candidate step s (`lengths.candidate_steps`: pi^2/s^2 <=
-    lambda_max) is a bracket of its own, REFINE_TOL*k_s wide around
-    k_s = pi/s; a jump of N across it is an eigenvalue on that step, reported
+    Every candidate step s (`lengths.step_table`: pi^2/s^2 <= lambda_max),
+    which the result carries, is a bracket of its own, REFINE_TOL*k_s wide
+    around k_s = pi/s; a jump of N across it is an eigenvalue on that step, reported
     at k_s exactly and carrying the step.  The steps are the poles of the
     vertex matrix, so the brackets between them, the last one ending at
     sqrt(lambda_max), hold none.  Those with N(hi) > N(lo) are split in
@@ -169,9 +170,10 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
     nv = len(graph.vertices)
     k0 = math.pi / (2.0 * float(np.sum(ln)))
     kmax = math.sqrt(lambda_max)
-    steps = [(math.pi / s.value(graph.units), s.lambda_value(graph.units), s)
-             for s in candidate_steps(graph, lambda_max)]
-    steps.sort(key=lambda st: st[0])    # ascending k_s, also where lambdas round equal
+    table = step_table(graph, lambda_max)
+    cands = table.steps()
+    steps = sorted(((math.pi / s, lam, step) for (lam, s, _), step in zip(table.rows, cands)),
+                   key=lambda st: st[0])    # ascending k_s, also where lambdas round equal
     outside: list[tuple[float, int]] = []
     uncertified: list[float] = []
     eps = np.finfo(float).eps
@@ -272,7 +274,7 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
                          sigma_min=0.0)]
     out.extend(EigenvalueHit(lam=lam, multiplicity=m, k=k, sigma_min=sg, step=step)
                for (k, lam, step, m), sg in zip(hits, sigmas.tolist()))
-    return Spectrum(tuple(out), tuple(warnings))
+    return Spectrum(tuple(out), tuple(warnings), tuple(cands))
 
 
 # Nothing calls this name; the benchmark tracer (perfbench/spans.py) wraps it

@@ -20,10 +20,13 @@ import numpy as np
 
 from . import kernels
 from .graphs import MetricGraph, core_decomposition
-from .lengths import candidate_steps
-from .resonance import ResonanceReport, resonance_dimension
+from .resonance import ResonanceReport, resonance_dimensions
 from .spectral import (SEPARATION_TOL, Spectrum, _edge_arrays, _null_vectors,
                        eigenvalues_in)
+# Not called here.  The benchmark tracer (perfbench/spans.py) looks these
+# names up in this module; drop each import together with its target.
+from .lengths import candidate_steps  # noqa: F401
+from .resonance import resonance_dimension  # noqa: F401
 
 RESIDUE_FLOOR = 1e-12    # residue rank floor, relative to ||G^-1||_2
 RANK_TOL = 1e-8          # residue rank threshold, relative to its sigma_1
@@ -194,12 +197,13 @@ def visibility_report(graph: MetricGraph, selection: VertexSelection,
     """Classify every eigenvalue <= lambda_max by its visibility for M_B.
 
     A hit's step is the one `eigenvalues_in` bracketed it at.  The paper's
-    lower bound dim ker >= dim R is checked at every candidate step, with or
-    without a hit: a count jump below dim R is a warning.
+    lower bound dim ker >= dim R is checked at every candidate step that
+    the spectrum carries, with or without a hit, by one
+    `resonance_dimensions` table: a count jump below dim R is a warning.
     """
     spec = eigenvalues_in(graph, lambda_max)
     warnings = list(spec.warnings) + list(selection.warnings)
-    reports = {s: resonance_dimension(graph, s) for s in candidate_steps(graph, lambda_max)}
+    reports = dict(zip(spec.steps, resonance_dimensions(graph, spec.steps)))
     jumps = {h.step: h.multiplicity for h in spec.eigenvalues if h.step is not None}
     for step, rep in reports.items():
         if jumps.get(step, 0) < rep.dim:

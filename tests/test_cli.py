@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,11 +12,13 @@ from pathlib import Path
 import pytest
 
 import qglab
-from qglab import (candidate_steps, lengths, parse_graph, resonance_dimensions,
-                   serialize_graph)
+from qglab import (candidate_steps, lengths, parse_graph, resonance_dimension_oracle,
+                   resonance_dimensions, serialize_graph)
 from qglab.cli import ERROR, OK, WARNINGS, _dumps, main
 
 from conftest import mk, unit_grid
+from fraction_steps import candidate_steps_reference
+from randgraphs import random_graph
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +102,38 @@ def test_resonances_tree_empty(capsys, tmp_path):
     code, out, _ = run(capsys, ["resonances", p, "--lambda-max", "2"])
     assert code == OK
     assert "(no rows)" in out
+
+
+def _resonance_rows(out: str, fmt: str) -> list[dict]:
+    if fmt == "json":
+        return json.loads(out)["rows"]
+    if fmt == "csv":
+        return list(csv.DictReader(out.splitlines()))
+    header, *lines = out.splitlines()        # "(no rows)" and no lines when empty
+    return [dict(zip(header.split(), line.split())) for line in lines]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_resonance_rows_match_fraction_reference_and_oracle(capsys, tmp_path, fmt):
+    # rows built from the Fraction path: one Step per (edge, n), its
+    # lambda_value, and the nullity of the vertex balance system
+    graphs = [(parse_graph(qglab.bundled_graph_path(n)), 200.0) for n in BUNDLED]
+    rng = random.Random(23)
+    graphs += [(random_graph(rng), rng.choice([30.0, 200.0, 1000.0])) for _ in range(40)]
+    steps = 0
+    for i, (g, lambda_max) in enumerate(graphs):
+        path = tmp_path / f"g{i}.qg"
+        path.write_text(serialize_graph(g))
+        code, out, err = run(capsys, ["resonances", str(path), "--lambda-max",
+                                      repr(lambda_max), "--format", fmt])
+        assert code == OK, err
+        ref = candidate_steps_reference(g, lambda_max)
+        want = [(f"{s.lambda_value(g.units):.12g}", str(s), resonance_dimension_oracle(g, s))
+                for s in ref]
+        got = [(r["lambda"], r["step"], int(r["dim_R"])) for r in _resonance_rows(out, fmt)]
+        assert got == want, (i, fmt)
+        steps += len(ref)
+    assert steps > 1000
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 import qglab
 from qglab import (ExactLength, MetricGraph, Step, build_lambda_subgraph,
                    candidate_steps, parse_graph, resonance_floor, simple_cycles)
-from qglab.lengths import fraction_gcd
+from qglab.lengths import fraction_gcd, step_table
 
 from conftest import mk, unit_grid
 from fraction_steps import candidate_steps_reference
@@ -94,6 +94,46 @@ def test_candidate_steps_match_fraction_reference(lambda_max):
         lams = [s.lambda_value(g.units) for s in got]
         ties += sum(a == b for a, b in zip(lams, lams[1:]))
     assert ties > 0
+
+
+def test_step_at_lambda_max_is_kept():
+    # lambda_max is lambda of 7/13648*r2 = (7/4*r2)/3412, and x/smin there
+    # is 3411.9999999999986: an absolute slack of 1e-12 on the last n left
+    # the step out (4873 steps); lambda_max one ulp lower leaves it out
+    g = mk(["a", "b"], [("e", "a", "b", Fraction(7, 4), "r2"), ("f", "a", "b", 1, "r2")],
+           {"r2": 1.4142135623730951})
+    step = Step(Fraction(7, 13648), "r2")
+    lam = step.lambda_value(g.units)
+    assert lam == 18759086.990817238
+    got = candidate_steps(g, lam)
+    assert len(got) == 4874 and got[-1] == step
+    assert got == candidate_steps_reference(g, lam)
+    below = candidate_steps(g, math.nextafter(lam, 0))
+    assert below == got[:-1] == candidate_steps_reference(g, math.nextafter(lam, 0))
+
+
+def test_table_values_are_the_steps_bits():
+    # the table's s and lambda, from the integer keys, are bit for bit
+    # Step.value and Step.lambda_value; coefficients that reduce (6/4, 10/4),
+    # gcds with a denominator and a unit no edge uses
+    graphs = [mk(["a", "b", "c"],
+                 [("x", "a", "b", "6/4", "u"), ("y", "b", "c", "10/4", "u"),
+                  ("z", "c", "a", "9/7", "w"), ("l", "a", "a", "3", "w")],
+                 {"u": 1.4142135623730951, "w": 0.7390851332151607, "ghost": 2.0})]
+    rng = random.Random(5)
+    for _ in range(60):
+        g = random_graph(rng)
+        graphs.append(MetricGraph.build(g.vertices, g.edges, [*g.units.entries, ("ghost", 1.7)]))
+    rows = 0
+    for g in graphs:
+        table = step_table(g, 3000.0)
+        steps = table.steps()
+        assert [lam for lam, _, _ in table.rows] == \
+            [s.lambda_value(g.units) for s in steps]
+        assert [s for _, s, _ in table.rows] == [s.value(g.units) for s in steps]
+        assert table.texts() == [str(s) for s in steps]
+        rows += len(steps)
+    assert rows > 5000
 
 
 def test_cutoff_below_smallest_lambda_is_empty():
