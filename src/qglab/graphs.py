@@ -128,22 +128,19 @@ class MetricGraph:
         return cls(tuple(vertices), tuple(edges), units)
 
 
-def out_of_range(length: ExactLength, units: UnitTable) -> Optional[str]:
-    """`value_out_of_range` of an edge length or step, its value taken as
-    inf where it overflows."""
-    try:
-        value = length.value(units)
-    except OverflowError:
-        value = math.inf
-    return value_out_of_range(value)
-
-
-def value_out_of_range(value: float) -> Optional[str]:
-    """What is wrong with a length L whose value leaves the range that keeps
-    L^2, 1/L^2 and pi^2/L^2 finite and normal floats, with a factor 4 to
-    spare for their rounding; None inside it."""
+def out_of_range(length: ExactLength | float, units: Optional[UnitTable] = None
+                 ) -> Optional[str]:
+    """What is wrong with a length L, an `ExactLength` valued in `units` or
+    a float, whose value leaves the range that keeps L^2, 1/L^2 and
+    pi^2/L^2 finite and normal floats, with a factor 4 to spare for their
+    rounding; None inside it.  A value too large for a float is inf."""
+    if units is not None:
+        try:
+            length = length.value(units)
+        except OverflowError:
+            length = math.inf
     lo, hi = 4 / math.sqrt(sys.float_info.max), 1 / math.sqrt(4 * sys.float_info.min)
-    return None if lo <= value <= hi else f"length {value:.3g}, outside [{lo:.3g}, {hi:.3g}]"
+    return None if lo <= length <= hi else f"length {length:.3g}, outside [{lo:.3g}, {hi:.3g}]"
 
 
 def validate(graph: MetricGraph) -> list[str]:
@@ -299,7 +296,8 @@ def _forest(vertices: Sequence[str], edges: Sequence[Edge],
     Math. 4, 1982).  Each vertex carries its parity to its leader; a chord
     whose end parities and weight XOR to 1 marks its root odd, and a union
     moves the mark to the new root.  Serves `betti`, `cycle_system`, the
-    resonance table (one forest per (unit, p)) and the resonance floor."""
+    resonance count (one forest per step, or per (unit, p) of a step table)
+    and the resonance floor."""
     leader = {v: (v, 0) for v in vertices}     # v -> (leader, weight parity to it)
     odd: set[str] = set()                      # roots of odd trees
 

@@ -10,8 +10,11 @@ The candidate steps up to a cutoff are one `StepTable` (`step_table`): each
 distinct step once, named by its integer key (unit, p, q), s = (p/q)*g with
 g the gcd of the unit's edge coefficients, with its value and lambda
 computed once from those integers, bit for bit those of its `Step`.  The
-resonance table (`resonance.table_counts`), the spectral brackets and
-`candidate_steps` all read it; a `Step` is made only where one is asked for.
+spectral brackets, `candidate_steps` and the resonance count of every row
+(`resonance.table_counts`) read it: `resonances` straight from
+`step_table`, `visibility` from the table its `Spectrum` carries.  A `Step`
+is made only where one is asked for.  A step given on its own is valued
+through `build_lambda_subgraph`, one exact division per edge.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .graphs import (CycleWalk, Edge, ExactLength, MetricGraph, betti, cycle_system,
-                     out_of_range, value_out_of_range)
+                     out_of_range)
 # Not called here.  The benchmark tracer (perfbench/spans.py) looks this name
 # up in this module; drop the import together with that target.
 from .graphs import simple_cycles  # noqa: F401
@@ -48,26 +51,15 @@ class LambdaSubgraph:
         return not self.members
 
 
-def _check_unit(graph: MetricGraph, step: Step) -> None:
+def build_lambda_subgraph(graph: MetricGraph, step: Step) -> LambdaSubgraph:
+    """Subgraph of edges with L(e) = n*s for a positive integer n (exact):
+    the definition, one rational division (a/b)/(c/d) = (a*d)/(b*c) per
+    edge in integers, which the oracle and `resonance_dimension` use."""
     if step.unit not in graph.units:
         raise ValueError(f"step unit {step.unit!r} not declared in graph")
     wrong = out_of_range(step, graph.units)
     if wrong:
         raise ValueError(f"step has {wrong}")
-
-
-def _check_value(value: float) -> None:
-    """`_check_unit` of a table row's step, whose unit an edge declares."""
-    wrong = value_out_of_range(value)
-    if wrong:
-        raise ValueError(f"step has {wrong}")
-
-
-def build_lambda_subgraph(graph: MetricGraph, step: Step) -> LambdaSubgraph:
-    """Subgraph of edges with L(e) = n*s for a positive integer n (exact):
-    the definition, one rational division (a/b)/(c/d) = (a*d)/(b*c) per
-    edge in integers, which the oracle uses."""
-    _check_unit(graph, step)
     c, d = step.coeff.numerator, step.coeff.denominator
     members = []
     for e in graph.edges:
@@ -98,18 +90,6 @@ def _unit_multiples(graph: MetricGraph) -> tuple[dict[str, Fraction], list[int]]
         c, g = e.length.coeff, gcds[e.length.unit]
         mults.append(c.numerator // g.numerator * (g.denominator // c.denominator))
     return gcds, mults
-
-
-def _step_ratio(step: Step, g: Fraction) -> tuple[int, int]:
-    """(p, q) with s = (p/q)*g and gcd(p, q) = 1.
-
-    An edge with L(e) = m_e*g is a multiple of s exactly when p | m_e, and
-    then n_e = (m_e/p)*q.
-    """
-    num = step.coeff.numerator * g.denominator
-    den = step.coeff.denominator * g.numerator
-    d = math.gcd(num, den)
-    return num // d, den // d
 
 
 # The most (edge, n) pairs, sum_e max{n : pi^2/(L_e/n)^2 <= lambda_max},

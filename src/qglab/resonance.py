@@ -17,21 +17,21 @@ both triangles are odd (beta0_odd = 2, dim 0) and at q = 2 neither is
 
 A component is odd exactly when the signed graph with edge signs
 (-1)^{n_e} is unbalanced (Harary's balance test, Michigan Math. J. 2, 1953),
-so the table walks no cycle: one `graphs._forest` per (unit, p) over the
-edges with p | m_e and weights (m_e/p) mod 2 gives beta1 (its chords) and,
-for odd q, beta0_odd (its odd trees); for even q every n_e is even and
-beta0_odd = 0.
+so no count walks a cycle.  At one step (`resonance_dimension`) one
+`graphs._forest` over G_s with weights n_e mod 2 gives beta1 (its chords)
+and beta0_odd (its odd trees).  Over a step table (`table_counts`) one
+forest per (unit, p) over the edges with p | m_e and weights (m_e/p) mod 2
+serves every q: for even q every n_e is even and beta0_odd = 0.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
-from .graphs import CycleSystem, CycleWalk, MetricGraph, _forest, cycle_system
-from .lengths import (LambdaSubgraph, Step, StepTable, _check_unit, _check_value,
-                      _step_ratio, _unit_multiples, build_lambda_subgraph)
+from .graphs import CycleSystem, CycleWalk, MetricGraph, _forest, cycle_system, out_of_range
+from .lengths import LambdaSubgraph, Step, StepTable, build_lambda_subgraph
 
 
 class BasisConstructionError(RuntimeError):
@@ -132,19 +132,21 @@ class ResonanceReport:
         return self.dim > 0
 
 
-def _counts(graph: MetricGraph, mults: list[int], keys, check) -> list[tuple[int, int]]:
-    """(beta1, beta0_odd) at each step key (unit, p, q), s = (p/q)*g.  Keys
-    that agree in (unit, p) share one `_forest` (module docstring): beta1 is
-    its chord count, beta0_odd its odd-tree count if q is odd, else 0.
-    `check(i)` vets the step of key i, the first of its (unit, p), before
-    that forest is grown."""
+def table_counts(graph: MetricGraph, table: StepTable) -> list[tuple[int, int]]:
+    """(beta1, beta0_odd) at each row (unit, p, q) of `table`, s = (p/q)*g;
+    dim R is their difference.  Rows that agree in (unit, p) share one
+    `_forest` (module docstring), grown once the first of them is found in
+    the length range: beta1 is its chord count, beta0_odd its odd-tree
+    count if q is odd, else 0."""
     forests: dict[tuple[str, int], tuple[int, int]] = {}
     out = []
-    for i, (unit, p, q) in enumerate(keys):
+    for _, s, (unit, p, q) in table.rows:
         counts = forests.get((unit, p))
         if counts is None:
-            check(i)
-            pairs = [(e, m // p % 2) for e, m in zip(graph.edges, mults)
+            wrong = out_of_range(s)
+            if wrong:
+                raise ValueError(f"step has {wrong}")
+            pairs = [(e, m // p % 2) for e, m in zip(graph.edges, table.mults)
                      if e.length.unit == unit and m % p == 0]
             _, chords, odd = _forest(graph.vertices, [e for e, _ in pairs],
                                      [w for _, w in pairs])
@@ -153,34 +155,19 @@ def _counts(graph: MetricGraph, mults: list[int], keys, check) -> list[tuple[int
     return out
 
 
-def table_counts(graph: MetricGraph, table: StepTable) -> list[tuple[int, int]]:
-    """(beta1, beta0_odd) at each row of `table`, by `_counts`; dim R is
-    their difference."""
-    rows = table.rows
-    return _counts(graph, table.mults, [key for _, _, key in rows],
-                   lambda i: _check_value(rows[i][1]))
-
-
-def resonance_dimensions(graph: MetricGraph, steps: Sequence[Step]) -> list[ResonanceReport]:
-    """dim of the resonance space at lambda = pi^2/s^2 for each step s, by
-    the cycle count minus the odd-component count (`_counts`).  A declared
-    unit that no edge uses is its own g and gives the empty G_s."""
-    gcds, mults = _unit_multiples(graph)
-    keys = [(s.unit, *_step_ratio(s, gcds.get(s.unit, s.coeff))) for s in steps]
-    counts = _counts(graph, mults, keys, lambda i: _check_unit(graph, steps[i]))
-    return [ResonanceReport(s, s.lambda_value(graph.units), beta1, odd, beta1 - odd)
-            for s, (beta1, odd) in zip(steps, counts)]
-
-
 def resonance_dimension(graph: MetricGraph, step: Step,
                         with_basis: bool = False) -> ResonanceReport:
-    """`resonance_dimensions` at one step.  With `with_basis`, also an
-    explicit basis, built from the `parity_report` of G_s and checked
-    against the dimension of the table's `_forest`, an independent count."""
-    rep = resonance_dimensions(graph, [step])[0]
+    """dim of the resonance space at lambda = pi^2/s^2: the cycle count
+    minus the odd-component count of G_s, from one `_forest` over
+    `build_lambda_subgraph` with weights n_e mod 2 (module docstring).
+    With `with_basis`, also an explicit basis, built from the
+    `parity_report` of the same G_s and checked against that count."""
+    sub = build_lambda_subgraph(graph, step)
+    _, chords, odd = _forest(sub.vertices, sub.edges, [n % 2 for _, n in sub.members])
+    beta1 = len(chords)
+    rep = ResonanceReport(step, step.lambda_value(graph.units), beta1, odd, beta1 - odd)
     if not with_basis:
         return rep
-    sub = build_lambda_subgraph(graph, step)
     basis = tuple(_construct_basis(sub, parity_report(sub)))
     _verify_basis(graph, sub, basis, rep.dim)
     return replace(rep, basis=basis)
@@ -244,9 +231,10 @@ def _construct_basis(sub: LambdaSubgraph, rep: ParityReport):
 def _verify_basis(graph: MetricGraph, sub: LambdaSubgraph, basis, dim: int):
     """Exact a-posteriori checks; failure means a bug in the constructor.
 
-    `dim` is beta1 - beta0_odd of the forest that `resonance_dimensions`
-    grows over G_s, not of the cycle system the basis was spooled from, so
-    the size check compares two independent counts.  Full rank is
+    `dim` is beta1 - beta0_odd of the weighted forest that
+    `resonance_dimension` grows over G_s, not of the cycle system and the
+    walked parities the basis was spooled from, so the size check compares
+    two independent counts.  Full rank is
     certified by private edges: each function touches an edge that no
     other function touches, so those edges pick out a dim x dim diagonal
     submatrix with a nonzero diagonal.

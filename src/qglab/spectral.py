@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .graphs import MetricGraph, betti_graph
-from .lengths import Step, step_table
+from .lengths import Step, StepTable, step_table
 
 
 REFINE_TOL = 1e-12     # a bracket is done at width <= REFINE_TOL * max(1, k)
@@ -54,8 +54,8 @@ class EigenvalueHit:
 @dataclass(frozen=True)
 class Spectrum:
     eigenvalues: tuple[EigenvalueHit, ...]
-    warnings: tuple[str, ...] = ()
-    steps: tuple[Step, ...] = ()   # the candidate steps, in `lengths.step_table` order
+    warnings: tuple[str, ...]
+    table: StepTable        # the candidate steps it bracketed with
 
 
 def _edge_arrays(graph: MetricGraph):
@@ -153,7 +153,7 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
     outside its bracket's, then recounted with every edge split, are warnings.
 
     Every candidate step s (`lengths.step_table`: pi^2/s^2 <= lambda_max),
-    which the result carries, is a bracket of its own, REFINE_TOL*k_s wide
+    whose table the result carries, is a bracket of its own, REFINE_TOL*k_s wide
     around k_s = pi/s; a jump of N across it is an eigenvalue on that step, reported
     at k_s exactly and carrying the step.  The steps are the poles of the
     vertex matrix, so the brackets between them, the last one ending at
@@ -171,8 +171,8 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
     k0 = math.pi / (2.0 * float(np.sum(ln)))
     kmax = math.sqrt(lambda_max)
     table = step_table(graph, lambda_max)
-    cands = table.steps()
-    steps = sorted(((math.pi / s, lam, step) for (lam, s, _), step in zip(table.rows, cands)),
+    steps = sorted(((math.pi / s, lam, step)
+                    for (lam, s, _), step in zip(table.rows, table.steps())),
                    key=lambda st: st[0])    # ascending k_s, also where lambdas round equal
     outside: list[tuple[float, int]] = []
     uncertified: list[float] = []
@@ -274,7 +274,7 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
                          sigma_min=0.0)]
     out.extend(EigenvalueHit(lam=lam, multiplicity=m, k=k, sigma_min=sg, step=step)
                for (k, lam, step, m), sg in zip(hits, sigmas.tolist()))
-    return Spectrum(tuple(out), tuple(warnings), tuple(cands))
+    return Spectrum(tuple(out), tuple(warnings), table)
 
 
 # Nothing calls this name; the benchmark tracer (perfbench/spans.py) wraps it

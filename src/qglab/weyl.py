@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .graphs import MetricGraph, core_decomposition
-from .resonance import ResonanceReport, resonance_dimensions
+from .resonance import table_counts
 from .spectral import (SEPARATION_TOL, Spectrum, _edge_arrays, _null_vectors,
                        eigenvalues_in)
 # Not called here.  The benchmark tracer (perfbench/spans.py) looks these
@@ -169,7 +169,6 @@ class VisibilityRow:
     classification: str          # fully-visible | partially-visible | invisible
     notes: tuple[str, ...] = ()
     residue: Optional[ResidueEstimate] = None
-    resonance: Optional[ResonanceReport] = None
 
 
 @dataclass(frozen=True)
@@ -197,26 +196,28 @@ def visibility_report(graph: MetricGraph, selection: VertexSelection,
     """Classify every eigenvalue <= lambda_max by its visibility for M_B.
 
     A hit's step is the one `eigenvalues_in` bracketed it at.  The paper's
-    lower bound dim ker >= dim R is checked at every candidate step that
-    the spectrum carries, with or without a hit, by one
-    `resonance_dimensions` table: a count jump below dim R is a warning.
+    lower bound dim ker >= dim R is checked at every candidate step of the
+    table that the spectrum carries, with or without a hit, by one
+    `table_counts` call: a count jump below dim R is a warning.
     """
     spec = eigenvalues_in(graph, lambda_max)
     warnings = list(spec.warnings) + list(selection.warnings)
-    reports = dict(zip(spec.steps, resonance_dimensions(graph, spec.steps)))
+    table = spec.table
+    dims = {}
     jumps = {h.step: h.multiplicity for h in spec.eigenvalues if h.step is not None}
-    for step, rep in reports.items():
-        if jumps.get(step, 0) < rep.dim:
+    for (lam, _, _), step, (beta1, odd) in zip(table.rows, table.steps(),
+                                               table_counts(graph, table)):
+        dims[step] = dim = beta1 - odd
+        if jumps.get(step, 0) < dim:
             warnings.append(
                 f"count jump {jumps.get(step, 0)} at step {step} "
-                f"(lambda={rep.lam:.12g}) is below dim R {rep.dim}: eigenvalues missed")
+                f"(lambda={lam:.12g}) is below dim R {dim}: eigenvalues missed")
 
     rows = []
     residues = _residues(graph, selection, [h.lam for h in spec.eigenvalues],
                          [h.multiplicity for h in spec.eigenvalues])
     for hit, res in zip(spec.eigenvalues, residues):
-        res_rep = reports.get(hit.step)
-        dim_res = 0 if res_rep is None else res_rep.dim
+        dim_res = dims.get(hit.step, 0)
         notes = (("no commensurate structure detected",)
                  if hit.step is None and hit.lam > 0.0 else ())
         if not res.separation <= SEPARATION_TOL:
@@ -234,5 +235,5 @@ def visibility_report(graph: MetricGraph, selection: VertexSelection,
             step=None if hit.step is None else str(hit.step),
             identity_ok=identity_ok,
             classification=_classify(hit.multiplicity, res.rank),
-            notes=notes, residue=res, resonance=res_rep))
+            notes=notes, residue=res))
     return VisibilityReport(tuple(rows), selection, spec, tuple(warnings))

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import qglab
-from qglab import (candidate_steps, lengths, parse_graph, resonance_dimension_oracle,
-                   resonance_dimensions, serialize_graph)
+from qglab import (candidate_steps, lengths, parse_graph, resonance_dimension,
+                   resonance_dimension_oracle, serialize_graph)
 from qglab.cli import ERROR, OK, WARNINGS, _dumps, main
 
 from conftest import mk, unit_grid
@@ -182,7 +182,7 @@ def test_visibility_warns_on_unseparated_eigenspace(paths, capsys, monkeypatch):
         spec = exact(graph, lambda_max)
         false = EigenvalueHit(lam=2.5, multiplicity=1, k=math.sqrt(2.5), sigma_min=0.0)
         return Spectrum(tuple(sorted(spec.eigenvalues + (false,), key=lambda h: h.lam)),
-                        spec.warnings)
+                        spec.warnings, spec.table)
 
     monkeypatch.setattr(qglab.weyl, "eigenvalues_in", with_false_hit)
     code, out, err = run(capsys, ["visibility", paths["interval-pi"], "--lambda-max", "3"])
@@ -435,7 +435,8 @@ BUNDLED = sorted(p.name for p in DATA.glob("*.qg"))
 
 def _largest_resonance_step(path):
     graph = parse_graph(path)
-    rep = max(resonance_dimensions(graph, candidate_steps(graph, 30)), key=lambda r: r.dim)
+    rep = max((resonance_dimension(graph, s) for s in candidate_steps(graph, 30)),
+              key=lambda r: r.dim)
     return [f"{rep.step.coeff}", rep.step.unit]
 
 

@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from qglab import (MetricGraph, Step, build_lambda_subgraph, candidate_steps,
-                   parity_report, resonance_dimension, resonance_dimension_oracle,
-                   resonance_dimensions, resonance_floor)
-from qglab.lengths import fraction_gcd
+from qglab import (MetricGraph, Step, build_lambda_subgraph, parity_report,
+                   resonance_dimension, resonance_dimension_oracle, resonance_floor)
+from qglab.lengths import step_table
 from qglab.resonance import (BasisConstructionError, ResonanceBasisFunction,
-                             _verify_basis, integer_matrix_rank)
+                             _verify_basis, integer_matrix_rank, table_counts)
 
 from conftest import mk, parity_colouring, unit_grid, walk_end
 from randgraphs import all_steps, random_graph
@@ -149,46 +148,70 @@ def test_theorem_equals_oracle_randomized():
 
 
 def test_grouped_table_matches_reference_and_oracle():
-    # every candidate step up to lambda = 1000, each followed by its half:
-    # s = (p/q)*g and s/2 share G_s when p is odd and differ in q mod 2
+    # table_counts at every row of step_table(g, 1000), and resonance_dimension
+    # at each row's half: s = (p/q)*g and s/2 share G_s when p is odd and
+    # differ in q mod 2
     rng = random.Random(11)
     siblings = 0
     for _ in range(100):
         g = random_graph(rng)
         g = MetricGraph.build(g.vertices, g.edges, [*g.units.entries, ("ghost", 1.7)])
-        steps = [Step(1, "ghost")]
-        for s in candidate_steps(g, 1000.0):
-            steps += [s, Step(s.coeff / 2, s.unit)]
-        reports = resonance_dimensions(g, steps)
-        refs = [parity_report(build_lambda_subgraph(g, step)) for step in steps]
-        assert [r.step for r in reports] == steps
-        for step, rep, ref in zip(steps, reports, refs):
-            assert (rep.beta1, rep.beta0_odd) == (ref.beta1, ref.beta0_odd)
-            assert rep.dim == resonance_dimension_oracle(g, step), (g, str(step))
-            assert rep.lam == step.lambda_value(g.units)
-        assert refs[0].components == () and reports[0].dim == 0
-        siblings += sum(a.system == b.system and a.beta0_odd != b.beta0_odd
-                        for a, b in zip(refs[1::2], refs[2::2]))
+        table = step_table(g, 1000.0)
+        for step, (beta1, odd) in zip(table.steps(), table_counts(g, table)):
+            ref = parity_report(build_lambda_subgraph(g, step))
+            assert (beta1, odd) == (ref.beta1, ref.beta0_odd)
+            assert beta1 - odd == resonance_dimension_oracle(g, step), (g, str(step))
+            half = Step(step.coeff / 2, step.unit)
+            ref_half = parity_report(build_lambda_subgraph(g, half))
+            rep = resonance_dimension(g, half)
+            assert (rep.step, rep.beta1, rep.beta0_odd) == (half, ref_half.beta1,
+                                                           ref_half.beta0_odd)
+            assert rep.dim == resonance_dimension_oracle(g, half), (g, str(half))
+            assert rep.lam == half.lambda_value(g.units)
+            siblings += ref.system == ref_half.system and ref.beta0_odd != ref_half.beta0_odd
+        ghost = resonance_dimension(g, Step(1, "ghost"))
+        assert (ghost.beta1, ghost.beta0_odd, ghost.dim) == (0, 0, 0)
     assert siblings > 100
+
+
+def test_one_step_route_equals_table_and_oracle():
+    rng = random.Random(17)
+    rows = 0
+    for _ in range(100):
+        g = random_graph(rng)
+        table = step_table(g, 500.0)
+        for step, (beta1, odd) in zip(table.steps(), table_counts(g, table)):
+            rep = resonance_dimension(g, step)
+            assert (rep.beta1, rep.beta0_odd) == (beta1, odd), (g, str(step))
+            assert rep.dim == resonance_dimension_oracle(g, step), (g, str(step))
+            rows += 1
+    assert rows > 1000
 
 
 @pytest.mark.parametrize("coeff,n,dim", [(1, 1, 0), (Fraction(1, 2), 2, 1), (Fraction(1, 3), 3, 0)])
 def test_loop_odd_and_even_step_count(unit_loop, coeff, n, dim):
     # one loop of length n*s: odd n gives an odd component (beta0_odd 1)
-    [rep] = resonance_dimensions(unit_loop, [Step(coeff, "one")])
+    rep = resonance_dimension(unit_loop, Step(coeff, "one"))
     assert (rep.beta1, rep.beta0_odd, rep.dim) == (1, n % 2, dim)
 
 
 def test_even_q_has_no_odd_component():
     # odd triangle (1, 1, 1) next to a ghost unit: at s = 1/2 and s = 1/4
     # (q even) every n_e is even, so beta0_odd = 0 whatever the forest says
-    # at q odd; the even steps come first so they open the (unit, p) group
+    # at q odd
     g = mk(["a", "b", "c"], [("e1", "a", "b", 1, "one"), ("e2", "b", "c", 1, "one"),
                              ("e3", "c", "a", 1, "one")], {"one": 1.0, "ghost": 2.0})
     steps = [Step(Fraction(1, 2), "one"), Step(Fraction(1, 4), "one"), Step(1, "one"),
              Step(Fraction(1, 3), "one"), Step(1, "ghost"), Step(Fraction(1, 2), "ghost")]
-    got = [(r.beta1, r.beta0_odd, r.dim) for r in resonance_dimensions(g, steps)]
+    got = [(r.beta1, r.beta0_odd, r.dim) for r in (resonance_dimension(g, s) for s in steps)]
     assert got == [(1, 0, 1), (1, 0, 1), (1, 1, 0), (1, 1, 0), (0, 0, 0), (0, 0, 0)]
+    # in the table, rows with even q first, so they open the (unit, p) group
+    table = step_table(g, 400.0)
+    table = replace(table, rows=sorted(table.rows, key=lambda row: row[2][2] % 2))
+    assert table.rows[0][2] == ("one", 1, 2)
+    want = [(r.beta1, r.beta0_odd) for r in (resonance_dimension(g, s) for s in table.steps())]
+    assert table_counts(g, table) == want
+    assert (1, 1) in want and (1, 0) in want
 
 
 def test_table_is_count_only(monkeypatch):
@@ -203,30 +226,28 @@ def test_table_is_count_only(monkeypatch):
     cases = []
     for _ in range(80):
         g = random_graph(rng)
-        g = MetricGraph.build(g.vertices, g.edges, [*g.units.entries, ("ghost", 1.7)])
-        steps = [Step(1, "ghost")]
-        for s in all_steps(g, n_max=6):
-            steps += [Step(s.coeff / 2, s.unit), s]     # even q first in each pair
-        rng.shuffle(steps)
-        cases.append((g, steps, [resonance_dimension_oracle(g, s) for s in steps]))
+        table = step_table(g, 300.0)
+        rows = list(table.rows)
+        rng.shuffle(rows)                   # an even q opens some groups
+        table = replace(table, rows=rows)
+        cases.append((g, table, [resonance_dimension_oracle(g, s) for s in table.steps()]))
 
     calls = []
     forest = res._forest
     monkeypatch.setattr(res, "_forest", lambda *a: calls.append(1) or forest(*a))
     for name in ("cycle_system", "parity_report", "build_lambda_subgraph"):
         monkeypatch.setattr(res, name, refuse)
-    for g, steps, want in cases:
+    for g, table, want in cases:
         calls.clear()
-        assert [r.dim for r in resonance_dimensions(g, steps)] == want, g
-        gcd = {u: fraction_gcd(*(e.length.coeff for e in g.edges if e.length.unit == u))
-               for u in {e.length.unit for e in g.edges}}
-        groups = {(s.unit, (s.coeff / gcd.get(s.unit, s.coeff)).numerator) for s in steps}
-        assert len(calls) == len(groups)
+        assert [beta1 - odd for beta1, odd in table_counts(g, table)] == want, g
+        assert len(calls) == len({(unit, p) for _, _, (unit, p, _) in table.rows})
 
 
 def test_grouped_table_rejects_an_undeclared_unit(dumbbell):
+    # a table row's unit is always an edge's; one step's unit is checked
+    resonance_dimension(dumbbell, Step(1, "one"))
     with pytest.raises(ValueError, match="not declared"):
-        resonance_dimensions(dumbbell, [Step(1, "one"), Step(1, "nope")])
+        resonance_dimension(dumbbell, Step(1, "nope"))
 
 
 def test_equilateral_oddness_is_nonbipartiteness():
@@ -421,7 +442,7 @@ def test_dumbbell_floor_not_attained(dumbbell):
 
 def test_basis_size_is_checked_against_the_table_forest(dumbbell, monkeypatch):
     # the basis is spooled from parity_report's cycles and its size checked
-    # against the forest count of the table, so a report that lost a cycle fails
+    # against the weighted forest count of G_s, so a report that lost a cycle fails
     import qglab.resonance as res
     step = Step(Fraction(1, 2), "sqrt3")    # two even sqrt3 triangles, dim 2
     assert resonance_dimension(dumbbell, step, with_basis=True).dim == 2

@@ -8,8 +8,7 @@ import pytest
 
 from qglab import (MetricGraph, Step, VertexSelection, bundled_graph_path, candidate_steps,
                    eigenspace, eigenvalues_in, kernels, ntd_matrix, parse_graph, residue,
-                   resonance_dimension, resonance_dimensions, select_vertices,
-                   visibility_report)
+                   resonance_dimension, select_vertices, visibility_report)
 from qglab.spectral import _edge_arrays
 from qglab.weyl import COND_MAX, NearSpectrumError
 
@@ -403,7 +402,7 @@ def test_visibility_explicit_subset_flagged(dumbbell):
 def test_results_do_not_keep_their_graph_alive():
     graph = parse_graph(bundled_graph_path("dumbbell.qg"))
     ref = weakref.ref(graph)
-    table = resonance_dimensions(graph, candidate_steps(graph, 200.0))
+    table = [resonance_dimension(graph, s) for s in candidate_steps(graph, 200.0)]
     vis = visibility_report(graph, select_vertices(graph), 45.0)
     basis = resonance_dimension(graph, Step(1, "one"), with_basis=True)
     assert table and vis.rows and basis.basis is not None
