@@ -22,12 +22,25 @@ class CycleBudgetExceeded(RuntimeError):
     """Raised when simple-cycle enumeration exceeds its configured budget."""
 
 
+# The largest decimal exponent of a coefficient, as in ``1e200``, that is read.
+# `int` reads at most 4,300 digits in each part of the mantissa, so past this
+# exponent a coefficient lies beyond 10^+-700.  A length L = c*u in range
+# (`out_of_range`, within 10^+-155) with a positive float unit u (within
+# 10^-324 and 10^309) needs c within 10^+-480, so no such coefficient can be
+# in range; it is refused before `Fraction` builds 10^exp.
+MAX_EXPONENT = 5000
+
+
 def _read_fraction(x) -> Fraction:
-    """Fraction(x), with the ASCII forms ``p`` and ``p/q`` read as integers."""
+    """Fraction(x), with the ASCII forms ``p`` and ``p/q`` read as integers
+    and a decimal exponent past MAX_EXPONENT refused."""
     if type(x) is str:
         p, slash, q = x.partition("/")
         if p.isascii() and p.isdigit() and (not slash or q.isascii() and q.isdigit()):
             return Fraction(int(p), int(q) if slash else 1)
+        _, e, exp = x.upper().rpartition("E")
+        if e and abs(int(exp)) > MAX_EXPONENT:
+            raise ValueError(f"decimal exponent beyond {MAX_EXPONENT}")
     return Fraction(x)
 
 

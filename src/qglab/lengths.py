@@ -19,6 +19,7 @@ through `build_lambda_subgraph`, one exact division per edge.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -191,9 +192,10 @@ def candidate_steps(graph: MetricGraph, lambda_max: float) -> list[Step]:
     return step_table(graph, lambda_max).steps()
 
 
-def _divisors(m: int) -> set[int]:
-    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
-    return {*small, *(m // d for d in small)}
+# The most candidates k that `resonance_floor` pops in one unit, each for a
+# `betti` count over the unit's edges.  No bundled, test or benchmark graph
+# pops more than 14.
+MAX_FLOOR_POPS = 2_000
 
 
 @dataclass(frozen=True)
@@ -219,12 +221,17 @@ def resonance_floor(graph: MetricGraph,
     of s, so u_C is a multiple of s and s <= s*; conversely the cycle
     attaining s* lies in G_{s*}.  So s* is the largest step s with
     beta1(G_s) > 0.  With g the gcd of the unit's coefficients and
-    L(e) = m_e*g, every u_C is k*g for a divisor k of some m_e, so only
-    those steps are tried, in descending order.  Any cycle of G_{s*} has
-    u_C a multiple of s* and at most s*, so a fundamental cycle of G_{s*}
-    is a witness whose gcd is exactly s*.  Units are compared by
-    `Step.value`.  Each divisor is tested by a `betti` count; the witness
-    comes from one `cycle_system`, at the s* returned.  `multiples` are
+    L(e) = m_e*g, every u_C is k*g for k the gcd of the m_e of a set of
+    edges.  Those k are tried largest first, from a max-heap seeded with
+    the distinct m_e: a popped k whose edges with k | m_e hold a cycle (a
+    `betti` count) gives s* = k*g; otherwise each gcd(k, m_e) not seen
+    before is pushed.  The gcd of a set A plus an edge e is gcd(gcd(A), m_e),
+    so every such k is pushed before anything below it is popped, and k = 1
+    holds every edge.  More than MAX_FLOOR_POPS pops in one unit is a
+    ValueError.  Any cycle of G_{s*} has u_C a multiple of s* and at most
+    s*, so a fundamental cycle of G_{s*} is a witness whose gcd is exactly
+    s*.  Units are compared by `Step.value`; the witness comes from one
+    `cycle_system`, at the s* returned.  `multiples` are
     `_unit_multiples(graph)` where the caller has them, as a `StepTable`
     does.
     """
@@ -233,18 +240,29 @@ def resonance_floor(graph: MetricGraph,
     gcds, mults = multiples or _unit_multiples(graph)
     for unit in graph.units.tokens():
         pairs = [(e, m) for e, m in zip(graph.edges, mults) if e.length.unit == unit]
-        edges = [e for e, _ in pairs]
-        if betti(graph.vertices, edges).beta1 == 0:
+        if betti(graph.vertices, [e for e, _ in pairs]).beta1 == 0:
             continue
-        g = gcds[unit]
-        for k in sorted(set().union(*(_divisors(m) for _, m in pairs)), reverse=True):
+        distinct = {m for _, m in pairs}
+        heap = [-m for m in distinct]
+        heapq.heapify(heap)
+        seen = set(distinct)
+        for _ in range(MAX_FLOOR_POPS):
+            k = -heapq.heappop(heap)
             sub = [e for e, m in pairs if m % k == 0]
             if betti(graph.vertices, sub).beta1:
-                u = Step(k * g, unit)
-                if u.value(graph.units) > best_val:
-                    best_val = u.value(graph.units)
-                    best = (u, sub)
                 break
+            for m in distinct:
+                d = math.gcd(k, m)
+                if d not in seen:
+                    seen.add(d)
+                    heapq.heappush(heap, -d)
+        else:
+            raise ValueError(f"the resonance floor of unit {unit!r} needs more than "
+                             f"MAX_FLOOR_POPS = {MAX_FLOOR_POPS} common-step candidates")
+        u = Step(k * gcds[unit], unit)
+        if u.value(graph.units) > best_val:
+            best_val = u.value(graph.units)
+            best = (u, sub)
     if best is None:
         return ResonanceFloor(math.inf, None, None)
     u, sub = best

@@ -163,6 +163,8 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
     them (`_secant`), or their midpoint where it is none.  Touching brackets
     merge into one hit at their midpoint, whose multiplicity is the jump of
     N across it; a hit holding two steps is a warning and takes neither.
+    N does not decrease, so a bracket across which it falls is a warning,
+    and a hit of multiplicity below 1 is not reported.
     """
     if not 0 < lambda_max < math.inf:
         raise ValueError("lambda_max must be positive and finite")
@@ -254,6 +256,8 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
     warnings = []
     hits = []                           # (k, lambda, step, multiplicity)
     for a, b, m, root in merged:
+        if m <= 0:
+            continue
         held = steps[np.searchsorted(k_s, a):np.searchsorted(k_s, b, side="right")]
         if len(held) > 1:
             warnings.append(f"steps {', '.join(str(st[2]) for st in held)} share one "
@@ -270,6 +274,12 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
         warnings.append(f"vertex count not certified at {len(uncertified)} points, e.g. "
                         f"k={uncertified[0]:.12g}: a vertex eigenvalue within rounding of 0 "
                         f"lies off its root; eigenvalues may be missed")
+    falls = [(a, jump) for a, _, jump, _ in done if jump < 0]
+    if falls:
+        k_fall, jump = min(falls)
+        warnings.append(f"vertex count falls across {len(falls)} brackets, e.g. by {-jump} "
+                        f"at k={k_fall:.12g}: {len(merged) - len(hits)} hits of multiplicity "
+                        f"below 1 not reported")
     out = [EigenvalueHit(lam=0.0, multiplicity=betti_graph(graph).beta0, k=0.0,
                          sigma_min=0.0)]
     out.extend(EigenvalueHit(lam=lam, multiplicity=m, k=k, sigma_min=sg, step=step)

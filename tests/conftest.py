@@ -133,3 +133,15 @@ def two_triangles_shared_vertex():
 
 
 PI = math.pi
+
+
+def floor_over_cap():
+    """A star of edges 1/p over the first 12 primes p next to a 2-cycle of
+    edges 1/N, N the product of the primes: with g = 1/N every gcd
+    N/prod(A) of a set A of primes is tried, 4,094 of them, before the
+    2-cycle's k = 1."""
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    n = math.prod(primes)
+    spec = [(f"s{p}", "c", f"l{p}", Fraction(1, p), "one") for p in primes]
+    spec += [("a", "x", "y", Fraction(1, n), "one"), ("b", "x", "y", Fraction(1, n), "one")]
+    return mk(["c", "x", "y", *(f"l{p}" for p in primes)], spec, {"one": 1.0})

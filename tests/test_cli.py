@@ -16,7 +16,7 @@ from qglab import (candidate_steps, lengths, parse_graph, resonance_dimension,
                    resonance_dimension_oracle, serialize_graph)
 from qglab.cli import ERROR, OK, WARNINGS, _dumps, main
 
-from conftest import mk, unit_grid
+from conftest import floor_over_cap, mk, unit_grid
 from fraction_steps import candidate_steps_reference
 from randgraphs import random_graph
 
@@ -366,6 +366,66 @@ def test_basis_bad_step_exit_1(paths, capsys, coeff, message):
     code, out, err = run(capsys, ["basis", paths["dumbbell"], "--step", coeff, "one"])
     assert code == ERROR and not out
     assert err == f"error: {message}\n"
+
+
+def test_falling_vertex_count_exit_2(capsys, tmp_path):
+    graph = tmp_path / "two-cycle.qg"
+    graph.write_text("unit one 1.0\nvertex a\nvertex b\n"
+                     "edge e1 a b 1 one\nedge e2 a b 1/100000007 one\n")
+    code, out, err = run(capsys, ["spectrum", str(graph), "--lambda-max", "200",
+                                  "--format", "csv"])
+    assert code == WARNINGS
+    assert "warning: vertex count falls across" in err
+    assert all(int(r["multiplicity"]) >= 1 for r in csv.DictReader(out.splitlines()))
+
+
+def _run_process(argv, timeout):
+    env = dict(os.environ, PYTHONPATH=str(Path(qglab.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "qglab.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=timeout)
+
+
+def test_huge_exponent_coefficient_exit_1(capsys, tmp_path):
+    # Fraction would build 10^exp first: 0.7 s at 1e3000000, and no end at
+    # 1e1000000000; past the exponent bound no coefficient can be in range
+    graph = tmp_path / "huge.qg"
+    graph.write_text("unit one 1.0\nvertex a\nedge x a a 1e1000000000 one\n")
+    proc = _run_process(["spectrum", str(graph), "--lambda-max", "5"], timeout=10)
+    assert proc.returncode == ERROR
+    assert proc.stderr == f"error: {graph}:3: bad coefficient '1e1000000000'\n"
+    graph.write_text("unit one 1.0\nvertex a\nedge x a a 1e3000000 one\n")
+    start = time.perf_counter()
+    code, _, err = run(capsys, ["spectrum", str(graph), "--lambda-max", "5"])
+    assert code == ERROR and "bad coefficient" in err
+    assert time.perf_counter() - start < 0.1
+    graph.write_text("unit one 1.0\nvertex a\nedge x a a 1e200 one\n")
+    code, _, err = run(capsys, ["spectrum", str(graph), "--lambda-max", "5"])
+    assert code == ERROR
+    assert err == (f"error: {graph}: length-range: edge x has length 1e+200, "
+                   f"outside [2.98e-154, 3.35e+153]\n")
+
+
+def test_resonance_floor_of_a_huge_denominator(tmp_path):
+    # edges 1 and 1/N, N = 10^30 + 57 (prime): the floor step is 1/N, found
+    # without trying the divisors of N
+    n = 10 ** 30 + 57
+    graph = tmp_path / "two-cycle.qg"
+    graph.write_text(f"unit one 1.0\nvertex a\nvertex b\n"
+                     f"edge e1 a b 1 one\nedge e2 a b 1/{n} one\n")
+    proc = _run_process(["resonances", str(graph), "--lambda-max", "200",
+                         "--format", "json"], timeout=10)
+    assert proc.returncode == OK, proc.stderr
+    assert json.loads(proc.stdout)["meta"]["lambda_floor"] == pytest.approx(
+        math.pi ** 2 * n ** 2, rel=1e-12)
+
+
+def test_resonance_floor_over_its_cap_exit_1(capsys, tmp_path):
+    graph = tmp_path / "star.qg"
+    graph.write_text(serialize_graph(floor_over_cap()))
+    code, out, err = run(capsys, ["resonances", str(graph), "--lambda-max", "1"])
+    assert code == ERROR and not out
+    assert err == ("error: the resonance floor of unit 'one' needs more than "
+                   f"MAX_FLOOR_POPS = {lengths.MAX_FLOOR_POPS} common-step candidates\n")
 
 
 def test_each_bad_line_reported(capsys, tmp_path):

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 import qglab
-from qglab import (ExactLength, MetricGraph, Step, build_lambda_subgraph,
+from qglab import (ExactLength, MetricGraph, Step, betti, build_lambda_subgraph,
                    candidate_steps, parse_graph, resonance_floor, simple_cycles)
-from qglab.lengths import fraction_gcd, step_table
+from qglab.lengths import MAX_FLOOR_POPS, _unit_multiples, fraction_gcd, step_table
 
-from conftest import mk, unit_grid
+from conftest import floor_over_cap, mk, unit_grid
 from fraction_steps import candidate_steps_reference
 from randgraphs import all_steps, random_graph
 
@@ -318,3 +318,43 @@ def test_floor_triangle_strip_is_infinite():
     floor = resonance_floor(mk([f"c{i}" for i in range(m + 2)], spec, units))
     assert math.isinf(floor.lam)
     assert floor.unit_length is None and floor.cycle is None
+
+
+def _divisors(m):
+    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    return {*small, *(m // d for d in small)}
+
+
+def floor_by_divisors(graph):
+    """Reference floor step: within each unit with a cycle, the divisors k
+    of every m_e, by trial division, in descending order, until the edges
+    with k | m_e hold a cycle."""
+    gcds, mults = _unit_multiples(graph)
+    best = None
+    for unit in graph.units.tokens():
+        pairs = [(e, m) for e, m in zip(graph.edges, mults) if e.length.unit == unit]
+        if betti(graph.vertices, [e for e, _ in pairs]).beta1 == 0:
+            continue
+        for k in sorted(set().union(*(_divisors(m) for _, m in pairs)), reverse=True):
+            if betti(graph.vertices, [e for e, m in pairs if m % k == 0]).beta1:
+                u = Step(k * gcds[unit], unit)
+                if best is None or u.value(graph.units) > best.value(graph.units):
+                    best = u
+                break
+    return best
+
+
+def test_floor_matches_divisor_reference():
+    rng = random.Random(5)
+    with_floor = 0
+    for _ in range(1000):
+        g = random_graph(rng)
+        floor = resonance_floor(g)
+        assert floor.unit_length == floor_by_divisors(g), g
+        with_floor += floor.unit_length is not None
+    assert with_floor > 500
+
+
+def test_floor_over_its_cap_raises():
+    with pytest.raises(ValueError, match=f"more than MAX_FLOOR_POPS = {MAX_FLOOR_POPS} "):
+        resonance_floor(floor_over_cap())

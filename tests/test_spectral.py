@@ -509,3 +509,14 @@ def test_off_step_hits_sit_at_their_eigenvalue(graph, lambda_max):
     for h in hits:
         ref = math.sqrt(min(want, key=lambda lam: abs(lam - h.lam)))
         assert abs(h.k - ref) <= 1e-14 * ref, (h, ref)
+
+
+@pytest.mark.parametrize("n", [1_000_003, 100_000_007])
+def test_count_jump_below_one_gives_no_row(n):
+    # a 2-cycle of lengths 1 and 1/n: near 2*pi the vertex count rises and
+    # falls by rounding, so brackets with jumps of 0 and -1 appear
+    g = mk(["a", "b"], [("e1", "a", "b", 1, "one"), ("e2", "a", "b", Fraction(1, n), "one")],
+           {"one": 1.0})
+    spec = eigenvalues_in(g, 200.0)
+    assert min(h.multiplicity for h in spec.eigenvalues) >= 1
+    assert any(w.startswith("vertex count falls across") for w in spec.warnings)
