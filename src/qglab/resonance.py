@@ -234,10 +234,9 @@ def _verify_basis(graph: MetricGraph, sub: LambdaSubgraph, basis, dim: int):
     `dim` is beta1 - beta0_odd of the weighted forest that
     `resonance_dimension` grows over G_s, not of the cycle system and the
     walked parities the basis was spooled from, so the size check compares
-    two independent counts.  Full rank is
-    certified by private edges: each function touches an edge that no
-    other function touches, so those edges pick out a dim x dim diagonal
-    submatrix with a nonzero diagonal.
+    two independent counts.  Full rank is certified by private edges: each
+    function touches an edge that no other function touches, so those edges
+    pick out a dim x dim diagonal submatrix with a nonzero diagonal.
     """
     if len(basis) != dim:
         raise BasisConstructionError(
