@@ -11,8 +11,7 @@ from .lengths import (LambdaSubgraph, Step, build_lambda_subgraph,
                       candidate_steps, resonance_floor)
 from .resonance import (ParityReport, ResonanceReport, parity_report,
                         resonance_dimension, resonance_dimension_oracle)
-from .spectral import (EdgeFunction, Spectrum, assemble_secular, eigenspace,
-                       eigenvalues_in)
+from .spectral import Spectrum, assemble_secular, eigenvalues_in
 from .weyl import (ResidueEstimate, VertexSelection, ntd_matrix, residue,
                    select_vertices, visibility_report)
 from .graphfile import parse_graph, parse_graph_text, serialize_graph

@@ -2,8 +2,9 @@
 the vertex Dirichlet-to-Neumann matrix Lambda(k) of the graph with its edges
 on a pole split (`split_graph`), whose entries `dtn_entries` owns.  From it
 come the Friedlander eigenvalue count (`vertex_count`), the stacks by width
-(`vertex_matrices`) that eigenspace, residue and Neumann-to-Dirichlet map
-take, and sigma_min, the smallest |mu_j| of Lambda(k).
+(`vertex_matrices`) that the residue, with its eigenspace, and the
+Neumann-to-Dirichlet map take, and sigma_min, the smallest |mu_j| of
+Lambda(k).
 
 The count and the stacks both take Lambda(k) one width V + |split| at a
 time (`_stacked`), in chunks of at most CHUNK_BYTES of matrices, so a long

@@ -142,7 +142,9 @@ def step_table(graph: MetricGraph, lambda_max: float) -> StepTable:
     n run up to the last one with lambda <= lambda_max, which that lambda
     decides next to the estimate L_e*sqrt(lambda_max)/pi.  Their count is
     formed in O(E) before any step is made; above `MAX_STEP_PAIRS` it is a
-    ValueError.
+    ValueError.  So is a smallest step outside `graphs.out_of_range`, with
+    the message of `build_lambda_subgraph`, so that every step of the table
+    is one the single-step route takes.
     """
     if not 0 < lambda_max < math.inf:
         raise ValueError("lambda_max must be positive and finite")
@@ -184,6 +186,9 @@ def step_table(graph: MetricGraph, lambda_max: float) -> StepTable:
         s = value(*key)
         rows.append((pi2 / s ** 2, s, key))
     rows.sort(key=itemgetter(0))
+    wrong = out_of_range(min(s for _, s, _ in rows)) if rows else None
+    if wrong:
+        raise ValueError(f"step has {wrong}")
     return StepTable(rows, gcds, mults)
 
 

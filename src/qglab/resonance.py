@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .graphs import CycleSystem, CycleWalk, MetricGraph, _forest, cycle_system, out_of_range
+from .graphs import CycleSystem, CycleWalk, MetricGraph, _forest, cycle_system
 from .lengths import LambdaSubgraph, Step, StepTable, build_lambda_subgraph
 
 
@@ -135,17 +135,14 @@ class ResonanceReport:
 def table_counts(graph: MetricGraph, table: StepTable) -> list[tuple[int, int]]:
     """(beta1, beta0_odd) at each row (unit, p, q) of `table`, s = (p/q)*g;
     dim R is their difference.  Rows that agree in (unit, p) share one
-    `_forest` (module docstring), grown once the first of them is found in
-    the length range: beta1 is its chord count, beta0_odd its odd-tree
-    count if q is odd, else 0."""
+    `_forest` (module docstring), grown at the first of them: beta1 is its
+    chord count, beta0_odd its odd-tree count if q is odd, else 0.  The
+    table's steps are in the length range (`lengths.step_table`)."""
     forests: dict[tuple[str, int], tuple[int, int]] = {}
     out = []
-    for _, s, (unit, p, q) in table.rows:
+    for _, _, (unit, p, q) in table.rows:
         counts = forests.get((unit, p))
         if counts is None:
-            wrong = out_of_range(s)
-            if wrong:
-                raise ValueError(f"step has {wrong}")
             pairs = [(e, m // p % 2) for e, m in zip(graph.edges, table.mults)
                      if e.length.unit == unit and m % p == 0]
             _, chords, odd = _forest(graph.vertices, [e for e, _ in pairs],

@@ -5,9 +5,10 @@ vertex count of `kernels.vertex_count`, which brackets each one together with
 its multiplicity.  The candidate steps s of `lengths` are brackets of their
 own, so this module alone decides which eigenvalue lies on which step
 pi^2/s^2; they are the poles of the vertex matrix Lambda(k), next to which
-the edges on a pole are split (`kernels.split_graph`).  The eigenspace at
-lambda = k^2 is the null space of Lambda(k) of that split graph, whose
-smallest |mu_j| at each hit is reported with it as sigma_min, not checked.
+the edges on a pole are split (`kernels.split_graph`).  Each hit carries
+sigma_min, the smallest |mu_j| of Lambda(k) of that split graph, reported
+and not checked.  The eigenspace at lambda = k^2, the null space of that
+Lambda(k), is read only by the residue (`weyl._residues`).
 """
 
 from __future__ import annotations
@@ -24,22 +25,12 @@ from .lengths import Step, StepTable, step_table
 
 
 REFINE_TOL = 1e-12     # a bracket is done at width <= REFINE_TOL * max(1, k)
-SEPARATION_TOL = 1e-6  # largest sigma_{n-m+1}/sigma_{n-m} of an m-fold eigenvalue
 # A bracket split without an estimate is cut at these fractions, not at 1/2
 # or 1/3: a point within tol of an eigenvalue moves its hit by up to tol/2,
 # and symmetric graphs put eigenvalues at simple fractions of the gap between
 # two steps (the near-step test: 2/3 of it, where 1e-13 relative raises a
 # separation warning).
 GOLDEN = (3 - math.sqrt(5)) / 2
-
-
-@dataclass(frozen=True)
-class EdgeFunction:
-    """f_e(x) = a_e cos(kx) + b_e sin(kx) per edge; a_e + b_e x when k=0."""
-
-    k: float
-    coeffs: dict        # edge id -> (a, b)
-    vertex_values: dict  # vertex id -> value
 
 
 @dataclass(frozen=True)
@@ -290,57 +281,3 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
 # Nothing calls this name; the benchmark tracer (perfbench/spans.py) wraps it
 # as its "spectral.refine" span.  Drop it together with that target.
 _golden_min = kernels.vertex_count
-
-
-def _null_vectors(eo, et, ln, nv: int, lams, multiplicities) -> list[tuple]:
-    """At each lam of lams, k = sqrt(lam) and m its multiplicity: k; the
-    coefficients a_e, b_e and vertex values c_v, as columns, of the functions
-    of the m eigenvectors of Lambda(k) of the split graph with the smallest
-    |mu_j|, one stack per width; those |mu_j| relative to the size of
-    Lambda's entries; and their separation, the m-th smallest |mu_j| over the
-    (m+1)-th, or over that size when m = n.  On piece 1 of each edge, of
-    length l from c_o to c_w, a_e = c_o and b_e = (c_w - c_o cos kl) / sin kl,
-    or (c_w - c_o) / l at k = 0."""
-    if min(lams, default=0.0) < 0:
-        raise ValueError("lambda must be nonnegative")
-    ks = np.sqrt(np.asarray(lams, dtype=float))
-    out: list = [None] * ks.size
-    for at, stack, sizes, ters, ells in kernels.vertex_matrices(eo, et, ln, nv, ks):
-        n = stack.shape[1]
-        for i, mu, vec, size, ter, ell in zip(at, *np.linalg.eigh(stack), sizes, ters, ells):
-            m = multiplicities[i]
-            if not 0 < m <= n:
-                raise ValueError(f"multiplicity must lie in 1..{n}")
-            order = np.argsort(np.abs(mu))
-            small, c = np.abs(mu[order]), vec[:, order[:m]]
-            last = small[m] if m < n else size
-            separation = float(small[m - 1] / last) if last > 0 else math.inf
-            k, ell = float(ks[i]), ell[:, None]
-            b = (c[ter] - c[eo] * np.cos(k * ell)) / (np.sin(k * ell) if k else ell)
-            out[i] = (k, c[eo], b, c[:nv], small[:m] / size, separation)
-    return out
-
-
-def eigenspace(graph: MetricGraph, lam: float,
-               multiplicity: int) -> tuple[list[EdgeFunction], list[str]]:
-    """Basis of the `multiplicity`-dimensional null space of Lambda(sqrt(lam))
-    as per-edge trigonometric coefficient functions, orthonormal in their
-    coefficients and vertex values together.  A separation above
-    SEPARATION_TOL is flagged: then lam is not an eigenvalue of that
-    multiplicity."""
-    k, a, b, c, resid, separation = _null_vectors(*_edge_arrays(graph)[:3], len(graph.vertices),
-                                                  [lam], [multiplicity])[0]
-    a, b, c = np.split(np.linalg.qr(np.concatenate([a, b, c]))[0], [len(a), 2 * len(a)])
-    flags: list[str] = []
-    if not separation <= SEPARATION_TOL:
-        flags.append(f"nullspace not separated: sigma ratio {separation:.3g} "
-                     f"> {SEPARATION_TOL:g}")
-    ids = [e.id for e in graph.edges]
-    funcs = []
-    for i in range(multiplicity):
-        coeffs = dict(zip(ids, zip(a[:, i].tolist(), b[:, i].tolist())))
-        vvals = dict(zip(graph.vertices, c[:, i].tolist()))
-        funcs.append(EdgeFunction(k=k, coeffs=coeffs, vertex_values=vvals))
-        if resid[i] > 1e-10:
-            flags.append(f"relative residual {resid[i]:.3g} above 1e-10 for nullvector {i}")
-    return funcs, flags

@@ -6,12 +6,16 @@ the graph Laplacian appear as order-one poles of M_B unless their
 eigenfunctions vanish on B; residue ranks quantify exactly how much of each
 eigenspace is visible from the vertex data.  Both come from one matrix, the
 vertex Dirichlet-to-Neumann matrix Lambda(k) = M(k^2)^-1 of the graph with its
-edges on a pole split (`kernels.vertex_matrices`).
+edges on a pole split (`kernels.vertex_matrices`).  The residue takes the
+eigenspace, the null space of Lambda(k) at an eigenvalue, from the same
+stacked `eigh` that separates it from the rest of the spectrum of Lambda(k)
+(`_residues`); nothing else reads it.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
@@ -21,13 +25,13 @@ import numpy as np
 from . import kernels
 from .graphs import MetricGraph, core_decomposition
 from .resonance import table_counts
-from .spectral import (SEPARATION_TOL, Spectrum, _edge_arrays, _null_vectors,
-                       eigenvalues_in)
+from .spectral import Spectrum, _edge_arrays, eigenvalues_in
 # Not called here.  The benchmark tracer (perfbench/spans.py) looks these
 # names up in this module; drop each import together with its target.
 from .lengths import candidate_steps  # noqa: F401
 from .resonance import resonance_dimension  # noqa: F401
 
+SEPARATION_TOL = 1e-6    # largest sigma_{n-m+1}/sigma_{n-m} of an m-fold eigenvalue
 RESIDUE_FLOOR = 1e-12    # residue rank floor, relative to ||G^-1||_2
 RANK_TOL = 1e-8          # residue rank threshold, relative to its sigma_1
 COND_MAX = 1e12          # largest condition number of Lambda(k) at an NtD sample
@@ -108,7 +112,7 @@ class ResidueEstimate:
     matrix: np.ndarray            # Res_lam M_B, real symmetric
     rank: int
     singular_values: np.ndarray
-    separation: float             # of the eigenspace, see spectral._null_vectors
+    separation: float             # of the eigenspace, see `_residues`
 
 
 def residue(graph: MetricGraph, selection: VertexSelection, lam: float,
@@ -120,11 +124,17 @@ def residue(graph: MetricGraph, selection: VertexSelection, lam: float,
 def _residues(graph: MetricGraph, selection: VertexSelection, lams,
               multiplicities) -> list[ResidueEstimate]:
     """Residue of M_B at each eigenvalue of lams, of the multiplicity at the
-    same place, from one stack of null vectors per width.
+    same place, from one stacked `eigh` of Lambda(k) per width
+    (`kernels.vertex_matrices`), k = sqrt(lam).
 
-    With W the functions of the m null vectors of Lambda(k), C_B their vertex
-    values on B and G their L2 Gram matrix, the eigenfunctions W G^{-1/2} are
-    orthonormal, so M_B(mu) = -sum_n phi_n(B) phi_n(B)^T / (mu - lam_n) gives
+    The eigenspace is spanned by the functions W of the m eigenvectors of
+    Lambda(k) of the split graph with the smallest |mu_j|; its separation is
+    the m-th smallest |mu_j| over the (m+1)-th, or over the size of
+    Lambda's entries when m = n.  On piece 1 of each edge, of length l from
+    c_o to c_w, a function has a_e = c_o and b_e = (c_w - c_o cos kl) / sin kl,
+    or (c_w - c_o) / l at k = 0.  With C_B the vertex values on B and G the
+    L2 Gram matrix of W, the eigenfunctions W G^{-1/2} are orthonormal, so
+    M_B(mu) = -sum_n phi_n(B) phi_n(B)^T / (mu - lam_n) gives
     Res_lam M_B = -C_B G^{-1} C_B^T.  Its rank counts the singular
     values above max(RANK_TOL * sigma_1, RESIDUE_FLOOR * ||G^-1||_2): the
     floor is the size the residue would have with vertex values as large as
@@ -132,24 +142,37 @@ def _residues(graph: MetricGraph, selection: VertexSelection, lams,
     """
     eo, et, ln, vix = _edge_arrays(graph)
     rows = [vix[u] for u in selection.vertices]
-    out = []
-    for lam, (k, a, b, c, _, separation) in zip(
-            lams, _null_vectors(eo, et, ln, len(vix), lams, multiplicities)):
-        # integrals over [0, L] of cos^2, sin*cos, sin^2; of 1, x, x^2 at k = 0
-        if k == 0.0:
-            icc, ics, iss = ln, ln ** 2 / 2, ln ** 3 / 3
-        else:
-            half = np.sin(2 * k * ln) / (4 * k)
-            icc, ics, iss = ln / 2 + half, np.sin(k * ln) ** 2 / (2 * k), ln / 2 - half
-        cross = a.T @ (ics[:, None] * b)
-        gram = a.T @ (icc[:, None] * a) + b.T @ (iss[:, None] * b) + cross + cross.T
-        g, v = np.linalg.eigh(gram)               # G^-1 = V diag(1/g) V^T, g > 0
-        cv = c[rows] @ v
-        mat = -(cv / g) @ cv.T
-        sv = np.linalg.svd(mat, compute_uv=False)
-        thresh = max(RANK_TOL * (sv[0] if len(sv) else 0.0), RESIDUE_FLOOR / g[0])
-        out.append(ResidueEstimate(lam=lam, matrix=mat, rank=int(np.sum(sv > thresh)),
-                                   singular_values=sv, separation=separation))
+    if min(lams, default=0.0) < 0:
+        raise ValueError("lambda must be nonnegative")
+    ks = np.sqrt(np.asarray(lams, dtype=float))
+    out: list = [None] * ks.size
+    for at, stack, sizes, ters, ells in kernels.vertex_matrices(eo, et, ln, len(vix), ks):
+        n = stack.shape[1]
+        for i, mu, vec, size, ter, ell in zip(at, *np.linalg.eigh(stack), sizes, ters, ells):
+            m = multiplicities[i]
+            if not 0 < m <= n:
+                raise ValueError(f"multiplicity must lie in 1..{n}")
+            order = np.argsort(np.abs(mu))
+            small, c = np.abs(mu[order]), vec[:, order[:m]]
+            last = small[m] if m < n else size
+            separation = float(small[m - 1] / last) if last > 0 else math.inf
+            k, ell, a = float(ks[i]), ell[:, None], c[eo]
+            b = (c[ter] - a * np.cos(k * ell)) / (np.sin(k * ell) if k else ell)
+            # integrals over [0, L] of cos^2, sin*cos, sin^2; of 1, x, x^2 at k = 0
+            if k == 0.0:
+                icc, ics, iss = ln, ln ** 2 / 2, ln ** 3 / 3
+            else:
+                half = np.sin(2 * k * ln) / (4 * k)
+                icc, ics, iss = ln / 2 + half, np.sin(k * ln) ** 2 / (2 * k), ln / 2 - half
+            cross = a.T @ (ics[:, None] * b)
+            gram = a.T @ (icc[:, None] * a) + b.T @ (iss[:, None] * b) + cross + cross.T
+            g, v = np.linalg.eigh(gram)               # G^-1 = V diag(1/g) V^T, g > 0
+            cv = c[rows] @ v
+            mat = -(cv / g) @ cv.T
+            sv = np.linalg.svd(mat, compute_uv=False)
+            thresh = max(RANK_TOL * (sv[0] if len(sv) else 0.0), RESIDUE_FLOOR / g[0])
+            out[i] = ResidueEstimate(lam=lams[i], matrix=mat, rank=int(np.sum(sv > thresh)),
+                                     singular_values=sv, separation=separation)
     return out
 
 

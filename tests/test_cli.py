@@ -307,6 +307,13 @@ def test_repeated_vertex_selection_exit_1(paths, capsys, command):
     assert err.splitlines() == ["error: repeated vertices in selection: ['c']"]
 
 
+def test_unknown_vertex_selection_exit_1(paths, capsys):
+    code, out, err = run(capsys, ["visibility", paths["loop-pendant"], "--lambda-max", "10",
+                                  "--vertices", "v,nope"])
+    assert code == ERROR and not out
+    assert err == "error: unknown vertices in selection: ['nope']\n"
+
+
 # ---------------------------------------------------------------------------
 # error handling
 
@@ -455,6 +462,21 @@ def test_huge_lambda_max_exit_1_fast(paths, capsys, command):
     assert code == ERROR and not out
     assert "MAX_STEP_PAIRS = 100000" in err and "Weyl's estimate" in err
     assert err.startswith("error: lambda_max = 1e+300 ") and err.endswith(" is 5.72e+150\n")
+
+
+@pytest.mark.parametrize("command", ["spectrum", "resonances", "visibility"])
+def test_step_below_length_range_exit_1(capsys, tmp_path, command):
+    # the smallest steps, down to 3e-150/12450 = 2.41e-154, lie below the
+    # range of lengths: the table refuses them as `resonance_dimension` does
+    graph = tmp_path / "tiny.qg"
+    graph.write_text("unit one 1.0\nvertex a\nvertex b\n"
+                     "edge e1 a b 1e-150 one\nedge e2 a b 3e-150 one\n")
+    code, out, err = run(capsys, [command, str(graph), "--lambda-max", "1.7e308"])
+    assert code == ERROR and not out
+    assert err == "error: step has length 2.41e-154, outside [2.98e-154, 3.35e+153]\n"
+    with pytest.raises(ValueError) as ei:
+        resonance_dimension(parse_graph(graph), qglab.Step("2.41e-154", "one"))
+    assert err == f"error: {ei.value}\n"
 
 
 def test_step_pair_cap_is_exact(paths, monkeypatch):

@@ -141,6 +141,18 @@ def test_wrong_arity_reports_expected_shape():
     assert "expected: unit" in ei.value.errors[0]
 
 
+@pytest.mark.parametrize("line, error", [
+    ("unit w x1", "bad unit approximation 'x1'"),
+    ("vertex c d", "expected: vertex <id>"),
+    ("edge e2 a b 1", "expected: edge <id> <from> <to> <p>/<q> <unit>"),
+    ("edge e1 a b 2 u", "duplicate edge 'e1'"),
+], ids=["unit-approximation", "vertex-arity", "edge-arity", "duplicate-edge"])
+def test_bad_line_reported(line, error):
+    with pytest.raises(GraphFileError) as ei:
+        parse_graph_text(f"unit u 1.0\nvertex a\nvertex b\nedge e1 a b 1 u\n{line}\n")
+    assert ei.value.errors == [f"<string>:5: {error}"]
+
+
 def test_comments_and_blank_lines_ignored():
     g = parse_graph_text("\n# nothing\n   \nunit u 1.0\nvertex a\n")
     assert g.vertices == ("a",)

@@ -33,6 +33,17 @@ def test_validate_nonpositive_length():
             mk(["v1", "v2"], [("e1", "v1", "v2", coeff, "u")], {"u": 1.0})
 
 
+@pytest.mark.parametrize("vertices, edges, problem", [
+    ([], [], "empty-graph: no vertices declared"),
+    (["a", "a"], [], "duplicate-vertex: a"),
+    (["a", "b"], [("e", "a", "b", 1, "u"), ("e", "b", "a", 2, "u")], "duplicate-edge: e"),
+    (["a", "b"], [("e", "a", "b", 1, "w")], "unknown-unit: edge e uses 'w'"),
+], ids=["empty", "duplicate-vertex", "duplicate-edge", "unknown-unit"])
+def test_validate_code_built_graph(vertices, edges, problem):
+    # graphs built in code, not read from a file, are checked by validate alone
+    assert validate(mk(vertices, edges, {"u": 1.0})) == [problem]
+
+
 # ---------------------------------------------------------------------------
 # coefficients
 

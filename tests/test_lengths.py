@@ -112,6 +112,17 @@ def test_step_at_lambda_max_is_kept():
     assert below == got[:-1] == candidate_steps_reference(g, math.nextafter(lam, 0))
 
 
+def test_step_estimate_corrected_down(unit_loop):
+    # one ulp below lambda(1/3*one) = 9 pi^2, x/smin rounds to 3.0: the
+    # estimate n = 3 is one too many and the table stops at n = 2
+    lam = math.nextafter(9 * math.pi ** 2, 0)
+    assert lam == 88.82643960980421
+    assert 1.0 / (math.pi / math.sqrt(lam)) == 3.0
+    got = candidate_steps(unit_loop, lam)
+    assert [str(s) for s in got] == ["1*one", "1/2*one"]
+    assert got == candidate_steps_reference(unit_loop, lam)
+
+
 def test_table_values_are_the_steps_bits():
     # the table's s and lambda, from the integer keys, are bit for bit
     # Step.value and Step.lambda_value; coefficients that reduce (6/4, 10/4),

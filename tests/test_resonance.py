@@ -8,7 +8,7 @@ from qglab import (MetricGraph, Step, build_lambda_subgraph, parity_report,
                    resonance_dimension, resonance_dimension_oracle, resonance_floor)
 from qglab.lengths import step_table
 from qglab.resonance import (BasisConstructionError, ResonanceBasisFunction,
-                             _verify_basis, integer_matrix_rank, table_counts)
+                             _spool, _verify_basis, integer_matrix_rank, table_counts)
 
 from conftest import mk, parity_colouring, unit_grid, walk_end
 from randgraphs import all_steps, random_graph
@@ -344,6 +344,12 @@ def test_basis_even_loop(unit_loop):
     assert rep.basis[0].support() == {"e"}
 
 
+def test_spool_refuses_odd_walk():
+    # sin(pi x/s) wound once around a loop of 3 steps does not close
+    with pytest.raises(BasisConstructionError, match="odd total step count"):
+        _spool((("e", 1),), {"e": 3})
+
+
 def test_basis_odd_loop_alone(unit_loop):
     rep = check_basis(unit_loop, Step(Fraction(1), "one"))
     assert rep.dim == 0
@@ -471,6 +477,7 @@ def test_verify_basis_rejects_corrupted_bases(dumbbell):
     outside = dict(f1.coefficients, d1=1)       # d1 is not in G_s
     corrupted = {
         "balance": (ResonanceBasisFunction(changed), f1),
+        "trivial basis function": (ResonanceBasisFunction({}), f1),
         "expected 2": (f0,),
         "leaves the subgraph": (f0, ResonanceBasisFunction(outside)),
         "rank deficient": (f0, f0),

@@ -10,7 +10,7 @@ import pytest
 
 import qglab.cli
 from qglab import (Edge, ExactLength, MetricGraph, Step, assemble_secular, betti_graph,
-                   eigenspace, eigenvalues_in, kernels)
+                   eigenvalues_in, kernels)
 
 from qglab.spectral import _edge_arrays
 
@@ -71,6 +71,11 @@ def test_isolated_vertex_rejected():
     g = mk(["a", "b", "z"], [("e", "a", "b", 1, "u")], {"u": 1.0})
     with pytest.raises(ValueError, match="isolated"):
         assemble_secular(g, 1.0)
+
+
+def test_negative_wavenumber_rejected(interval_pi):
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        assemble_secular(interval_pi, -1.0)
 
 
 def test_nullity_invariant_under_orientation_flip(loop_pendant):
@@ -329,78 +334,6 @@ def test_near_pole_points_are_counted_with_their_edges_split(monkeypatch):
     near = [(k, size) for k, size in seen if on_a_pole([k], ln).any()]
     assert any(abs(k - hit.k) < 1e-9 for k, _ in near)
     assert all(size > len(g.vertices) for _, size in near)
-
-
-# ---------------------------------------------------------------------------
-# eigenspace extraction
-
-
-def test_eigenspace_at_zero(path3):
-    funcs, flags = eigenspace(path3, 0.0, 1)
-    assert len(funcs) == 1
-    # constant: no slope anywhere
-    for a, b in funcs[0].coeffs.values():
-        assert b == pytest.approx(0.0, abs=1e-10)
-
-
-def test_eigenspace_loop_pendant_scar(loop_pendant):
-    funcs, flags = eigenspace(loop_pendant, 4 * math.pi ** 2, 1)
-    assert len(funcs) == 1
-    f = funcs[0]
-    a1, b1 = f.coeffs["e1"]
-    a2, b2 = f.coeffs["e2"]
-    # zero on the pendant edge, pure sine on the loop
-    assert abs(a1) < 1e-9 and abs(b1) < 1e-9
-    assert abs(a2) < 1e-9
-    assert abs(b2) == pytest.approx(1.0, abs=1e-9)
-    assert all(abs(v) < 1e-9 for v in f.vertex_values.values())
-
-
-def test_eigenspace_residuals_small(interval_pi):
-    funcs, flags = eigenspace(interval_pi, 4.0, 1)
-    assert len(funcs) == 1
-    assert not any("residual" in fl for fl in flags)
-
-
-def test_eigenspace_coefficients_match_vertex_values(interval_pi):
-    # f = a cos x on [0, pi] from v1 to v2: b = 0, f(v1) = a, f(v2) = -a
-    (f,), flags = eigenspace(interval_pi, 1.0, 1)
-    assert flags == []
-    a, b = f.coeffs["e1"]
-    assert abs(a) > 0.1 and abs(b) < 1e-12
-    assert f.vertex_values["v1"] == pytest.approx(a, abs=1e-12)
-    assert f.vertex_values["v2"] == pytest.approx(-a, abs=1e-12)
-
-
-def test_eigenspace_empty_off_spectrum(interval_pi):
-    # 2.5 is no eigenvalue: the vector asked for is not separated from the rest
-    funcs, flags = eigenspace(interval_pi, 2.5, 1)
-    assert len(funcs) == 1
-    assert any("not separated" in fl for fl in flags)
-
-
-def test_eigenspace_as_large_as_the_system(unit_loop):
-    # at 4 pi^2 the unit loop's Lambda(k) is 2 x 2 (its vertex and the one
-    # that splits it) and its null space is all of it: cos and sin of 2 pi x
-    funcs, flags = eigenspace(unit_loop, 4 * math.pi ** 2, 2)
-    assert len(funcs) == 2 and flags == []
-    for f in funcs:
-        (a, _), = f.coeffs.values()
-        assert f.vertex_values["w"] == pytest.approx(a, abs=1e-12)
-
-
-def test_triangle_resonance_eigenfunction(unit_triangle):
-    # at lambda = 4 pi^2 the triangle (a circle of length 3) has a
-    # 2-dimensional eigenspace carrying one scar (six half-waves)
-    funcs, flags = eigenspace(unit_triangle, 4 * math.pi ** 2, 2)
-    assert flags == []
-    from qglab import Step, resonance_dimension_oracle
-    assert resonance_dimension_oracle(unit_triangle, Step(Fraction(1, 2), "one")) == 1
-    # the scar lives in the span: vertex-value matrix must be rank deficient
-    vv = np.array([[f.vertex_values[v] for v in unit_triangle.vertices]
-                   for f in funcs])
-    rank = np.linalg.matrix_rank(vv, tol=1e-8)
-    assert len(funcs) - rank == 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qglab import (MetricGraph, Step, VertexSelection, bundled_graph_path, candidate_steps,
-                   eigenspace, eigenvalues_in, kernels, ntd_matrix, parse_graph, residue,
+                   eigenvalues_in, kernels, ntd_matrix, parse_graph, residue,
                    resonance_dimension, select_vertices, visibility_report)
 from qglab.spectral import _edge_arrays
 from qglab.weyl import COND_MAX, NearSpectrumError
@@ -126,12 +126,11 @@ def test_ntd_rejects_non_finite_mu(mu):
 
 @pytest.mark.parametrize("call", [
     lambda g, sel: eigenvalues_in(g, 5.0),
-    lambda g, sel: eigenspace(g, math.pi ** 2, 1),
     lambda g, sel: residue(g, sel, math.pi ** 2, 1),
     lambda g, sel: ntd_matrix(g, sel, -1.0),
     lambda g, sel: ntd_matrix(g, sel, 0.0),
     lambda g, sel: visibility_report(g, sel, 5.0),
-], ids=["eigenvalues_in", "eigenspace", "residue", "ntd_matrix", "ntd_matrix_at_0",
+], ids=["eigenvalues_in", "residue", "ntd_matrix", "ntd_matrix_at_0",
         "visibility_report"])
 def test_isolated_vertex_rejected_everywhere(call):
     g = mk(["a", "b", "z"], [("e", "a", "b", 1, "u")], {"u": 1.0})
@@ -252,6 +251,25 @@ def test_residue_at_zero_counts_components():
     assert est.rank == 2
     # constants normalised per component: -1/L on each component's block
     assert np.allclose(est.matrix, -np.kron(np.eye(2), np.ones((2, 2))), atol=1e-12)
+
+
+def test_residue_as_large_as_the_system(unit_loop):
+    # at 4 pi^2 the unit loop's Lambda(k) is 2 x 2 (its vertex and the one
+    # that splits it) and its null space is all of it: cos and sin of 2 pi x,
+    # of which w sees sqrt(2) cos 2 pi x, normalised, alone
+    est = residue(unit_loop, select_vertices(unit_loop), 4 * math.pi ** 2, 2)
+    assert est.separation <= 1e-6 and est.rank == 1
+    assert est.matrix == pytest.approx(np.array([[-2.0]]), abs=1e-12)
+
+
+@pytest.mark.parametrize("lam, multiplicity, message", [
+    (-1.0, 1, "lambda must be nonnegative"),
+    (2.5, 0, r"multiplicity must lie in 1\.\.2$"),
+    (2.5, 3, r"multiplicity must lie in 1\.\.2$"),
+])
+def test_residue_rejects_bad_arguments(interval_pi, lam, multiplicity, message):
+    with pytest.raises(ValueError, match=message):
+        residue(interval_pi, select_vertices(interval_pi), lam, multiplicity)
 
 
 def residue_rows(graph, lambda_max):
