@@ -22,7 +22,7 @@ from itertools import chain
 from .graphfile import GraphFileError, parse_graph
 from .lengths import Step, resonance_floor, step_table
 from .resonance import resonance_dimension, table_counts
-from .spectral import eigenvalues_in
+from .spectral import eigenvalues_in, sigma_min
 from .weyl import NearSpectrumError, ntd_matrix, select_vertices, visibility_report
 # Not called here.  The benchmark tracer (perfbench/spans.py) looks this name
 # up in this module; drop the import together with that target.
@@ -131,10 +131,12 @@ def _finish(args, rows, meta, warnings) -> int:
 def cmd_spectrum(args) -> int:
     graph = parse_graph(args.graph)
     spec = eigenvalues_in(graph, args.lambda_max)
+    # sigma_min at each hit's k but the first, lambda = 0, which prints 0
+    sigmas = [0.0, *sigma_min(graph, [h.k for h in spec.eigenvalues[1:]]).tolist()]
     rows = [{"lambda": f"{h.lam:.12g}", "k": f"{h.k:.12g}",
              "multiplicity": h.multiplicity,
-             "sigma_min": f"{h.sigma_min:.3g}"}
-            for h in spec.eigenvalues]
+             "sigma_min": f"{sg:.3g}"}
+            for h, sg in zip(spec.eigenvalues, sigmas)]
     meta = {"command": "spectrum", "graph": args.graph,
             "lambda_max": args.lambda_max}
     return _finish(args, rows, meta, spec.warnings)

@@ -4,7 +4,7 @@ on a pole split (`split_graph`), whose entries `dtn_entries` owns.  From it
 come the Friedlander eigenvalue count (`vertex_count`), the stacks by width
 (`vertex_matrices`) that the residue, with its eigenspace, and the
 Neumann-to-Dirichlet map take, and sigma_min, the smallest |mu_j| of
-Lambda(k).
+Lambda(k), which only the `spectrum` command prints (`scan_sigma_min`).
 
 The count and the stacks both take Lambda(k) one width V + |split| at a
 time (`_stacked`), in chunks of at most CHUNK_BYTES of matrices, so a long

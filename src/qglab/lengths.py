@@ -48,9 +48,6 @@ class LambdaSubgraph:
     def edges(self) -> tuple[Edge, ...]:
         return tuple(e for e, _ in self.members)
 
-    def is_empty(self) -> bool:
-        return not self.members
-
 
 def build_lambda_subgraph(graph: MetricGraph, step: Step) -> LambdaSubgraph:
     """Subgraph of edges with L(e) = n*s for a positive integer n (exact):

@@ -127,10 +127,6 @@ class ResonanceReport:
     dim: int
     basis: Optional[tuple[ResonanceBasisFunction, ...]] = None
 
-    @property
-    def is_resonance(self) -> bool:
-        return self.dim > 0
-
 
 def table_counts(graph: MetricGraph, table: StepTable) -> list[tuple[int, int]]:
     """(beta1, beta0_odd) at each row (unit, p, q) of `table`, s = (p/q)*g;

@@ -5,10 +5,11 @@ vertex count of `kernels.vertex_count`, which brackets each one together with
 its multiplicity.  The candidate steps s of `lengths` are brackets of their
 own, so this module alone decides which eigenvalue lies on which step
 pi^2/s^2; they are the poles of the vertex matrix Lambda(k), next to which
-the edges on a pole are split (`kernels.split_graph`).  Each hit carries
-sigma_min, the smallest |mu_j| of Lambda(k) of that split graph, reported
-and not checked.  The eigenspace at lambda = k^2, the null space of that
-Lambda(k), is read only by the residue (`weyl._residues`).
+the edges on a pole are split (`kernels.split_graph`).  A hit does not
+carry sigma_min, the smallest |mu_j| of Lambda(k) of that split graph: the
+`spectrum` command computes it (`sigma_min`) and reports it unchecked.  The
+eigenspace at lambda = k^2, the null space of that Lambda(k), is read only
+by the residue (`weyl._residues`).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class EigenvalueHit:
     lam: float
     multiplicity: int
     k: float
-    sigma_min: float
     step: Optional[Step] = None   # the candidate step whose bracket holds it
 
 
@@ -72,6 +72,13 @@ def assemble_secular(graph: MetricGraph, k: float) -> np.ndarray:
     return next(kernels.vertex_matrices(eo, et, ln, len(graph.vertices), [float(k)]))[1][0]
 
 
+def sigma_min(graph: MetricGraph, ks) -> np.ndarray:
+    """sigma_min of Lambda(k) of the split graph, its smallest |mu_j|, at
+    each k in ks >= 0 (`kernels.scan_sigma_min`)."""
+    eo, et, ln, _ = _edge_arrays(graph)
+    return kernels.scan_sigma_min(eo, et, ln, len(graph.vertices), ks)
+
+
 def _theta(k, jump, mu, dmu):
     """theta = arctan(mu_j/k) and d theta/dk at both ends of each bracket for
     the mu_j that crosses 0 first in it: j = n_-(lo) at lo, n_-(hi) less the
@@ -81,7 +88,10 @@ def _theta(k, jump, mu, dmu):
     jc = np.minimum(np.maximum(j, 0), mu.shape[2] - 1)
     at = (np.arange(2)[:, None], np.arange(j.shape[1]), jc)
     mu_j, dmu_j = np.where(j == jc, mu[at], np.nan), dmu[at]
-    return np.arctan(mu_j / k), (k * dmu_j - mu_j) / (k * k + mu_j * mu_j)
+    # past k ~ 1e154 the denominator can overflow: a slope of 0 there takes
+    # no Newton step (`_split`)
+    with np.errstate(over="ignore"):
+        return np.arctan(mu_j / k), (k * dmu_j - mu_j) / (k * k + mu_j * mu_j)
 
 
 def _secant(k, width, theta):
@@ -157,13 +167,11 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
     N does not decrease, so a bracket across which it falls is a warning,
     and a hit of multiplicity below 1 is not reported.
     """
-    if not 0 < lambda_max < math.inf:
-        raise ValueError("lambda_max must be positive and finite")
+    table = step_table(graph, lambda_max)
     eo, et, ln, _ = _edge_arrays(graph)
     nv = len(graph.vertices)
     k0 = math.pi / (2.0 * float(np.sum(ln)))
     kmax = math.sqrt(lambda_max)
-    table = step_table(graph, lambda_max)
     steps = sorted(((math.pi / s, lam, step)
                     for (lam, s, _), step in zip(table.rows, table.steps())),
                    key=lambda st: st[0])    # ascending k_s, also where lambdas round equal
@@ -255,7 +263,6 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
                             f"count bracket at k={a:.12g}: no step assigned")
         c = (a + b) / 2 if math.isnan(root) else root
         hits.append((*held[0], m) if len(held) == 1 else (c, c ** 2, None, m))
-    sigmas = kernels.scan_sigma_min(eo, et, ln, nv, np.array([h[0] for h in hits]))
     if outside:
         k_out, n_out = outside[0]
         warnings.append(f"vertex count outside its bracket's counts at {len(outside)} "
@@ -271,10 +278,9 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
         warnings.append(f"vertex count falls across {len(falls)} brackets, e.g. by {-jump} "
                         f"at k={k_fall:.12g}: {len(merged) - len(hits)} hits of multiplicity "
                         f"below 1 not reported")
-    out = [EigenvalueHit(lam=0.0, multiplicity=betti_graph(graph).beta0, k=0.0,
-                         sigma_min=0.0)]
-    out.extend(EigenvalueHit(lam=lam, multiplicity=m, k=k, sigma_min=sg, step=step)
-               for (k, lam, step, m), sg in zip(hits, sigmas.tolist()))
+    out = [EigenvalueHit(lam=0.0, multiplicity=betti_graph(graph).beta0, k=0.0)]
+    out.extend(EigenvalueHit(lam=lam, multiplicity=m, k=k, step=step)
+               for k, lam, step, m in hits)
     return Spectrum(tuple(out), tuple(warnings), table)
 
 

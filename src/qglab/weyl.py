@@ -9,7 +9,8 @@ vertex Dirichlet-to-Neumann matrix Lambda(k) = M(k^2)^-1 of the graph with its
 edges on a pole split (`kernels.vertex_matrices`).  The residue takes the
 eigenspace, the null space of Lambda(k) at an eigenvalue, from the same
 stacked `eigh` that separates it from the rest of the spectrum of Lambda(k)
-(`_residues`); nothing else reads it.
+(`_residues`); nothing else reads it, and in a visibility report that `eigh`
+is the only factorization of each hit's Lambda(k).
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ class VertexSelection:
     vertices: tuple[str, ...]
     mode: str                    # "auto" | "explicit"
     warnings: tuple[str, ...] = ()
-
-    @property
-    def hypotheses_verified(self) -> bool:
-        return not any("unverified" in w for w in self.warnings)
 
 
 def select_vertices(graph: MetricGraph,
@@ -190,7 +187,6 @@ class VisibilityRow:
     step: Optional[str]
     identity_ok: bool
     classification: str          # fully-visible | partially-visible | invisible
-    notes: tuple[str, ...] = ()
     residue: Optional[ResidueEstimate] = None
 
 
@@ -200,10 +196,6 @@ class VisibilityReport:
     selection: VertexSelection
     spectrum: Spectrum
     warnings: tuple[str, ...] = ()
-
-    @property
-    def all_identities_hold(self) -> bool:
-        return all(r.identity_ok for r in self.rows)
 
 
 def _classify(dim_ker: int, rank: int) -> str:
@@ -226,9 +218,9 @@ def visibility_report(graph: MetricGraph, selection: VertexSelection,
     spec = eigenvalues_in(graph, lambda_max)
     warnings = list(spec.warnings) + list(selection.warnings)
     table = spec.table
-    dims = {}
-    jumps = {h.step: h.multiplicity for h in spec.eigenvalues if h.step is not None}
-    for (lam, _, _), step, (beta1, odd) in zip(table.rows, table.steps(),
+    dims = {}                           # dim R by str(step)
+    jumps = {str(h.step): h.multiplicity for h in spec.eigenvalues if h.step is not None}
+    for (lam, _, _), step, (beta1, odd) in zip(table.rows, table.texts(),
                                                table_counts(graph, table)):
         dims[step] = dim = beta1 - odd
         if jumps.get(step, 0) < dim:
@@ -240,9 +232,8 @@ def visibility_report(graph: MetricGraph, selection: VertexSelection,
     residues = _residues(graph, selection, [h.lam for h in spec.eigenvalues],
                          [h.multiplicity for h in spec.eigenvalues])
     for hit, res in zip(spec.eigenvalues, residues):
-        dim_res = dims.get(hit.step, 0)
-        notes = (("no commensurate structure detected",)
-                 if hit.step is None and hit.lam > 0.0 else ())
+        step = None if hit.step is None else str(hit.step)
+        dim_res = dims.get(step, 0)
         if not res.separation <= SEPARATION_TOL:
             warnings.append(
                 f"eigenspace at lambda={hit.lam:.12g} not separated: sigma ratio "
@@ -255,8 +246,6 @@ def visibility_report(graph: MetricGraph, selection: VertexSelection,
         rows.append(VisibilityRow(
             lam=hit.lam, k=hit.k, dim_ker=hit.multiplicity,
             rank_residue=res.rank, dim_resonance=dim_res,
-            step=None if hit.step is None else str(hit.step),
-            identity_ok=identity_ok,
-            classification=_classify(hit.multiplicity, res.rank),
-            notes=notes, residue=res))
+            step=step, identity_ok=identity_ok,
+            classification=_classify(hit.multiplicity, res.rank), residue=res))
     return VisibilityReport(tuple(rows), selection, spec, tuple(warnings))

@@ -180,7 +180,7 @@ def test_visibility_warns_on_unseparated_eigenspace(paths, capsys, monkeypatch):
 
     def with_false_hit(graph, lambda_max):
         spec = exact(graph, lambda_max)
-        false = EigenvalueHit(lam=2.5, multiplicity=1, k=math.sqrt(2.5), sigma_min=0.0)
+        false = EigenvalueHit(lam=2.5, multiplicity=1, k=math.sqrt(2.5))
         return Spectrum(tuple(sorted(spec.eigenvalues + (false,), key=lambda h: h.lam)),
                         spec.warnings, spec.table)
 
@@ -208,7 +208,7 @@ def test_visibility_step_of_a_near_step_eigenvalue(capsys, tmp_path):
     g = qglab.parse_graph(str(graph))
     rep = qglab.visibility_report(g, qglab.select_vertices(g), 45)
     near = min(rep.rows, key=lambda r: abs(r.lam - 39.4784123406))
-    assert near.notes == ("no commensurate structure detected",)
+    assert near.step is None
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +477,37 @@ def test_step_below_length_range_exit_1(capsys, tmp_path, command):
     with pytest.raises(ValueError) as ei:
         resonance_dimension(parse_graph(graph), qglab.Step("2.41e-154", "one"))
     assert err == f"error: {ei.value}\n"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "visibility"])
+def test_theta_slope_overflow_exit_0(capsys, tmp_path, command):
+    # the circle of `test_step_below_length_range_exit_1` at lambda_max =
+    # 1e308, where every step is in range: the denominator of the
+    # refinement's slope overflows near k = 1e154, and no numpy warning
+    # reaches stderr
+    graph = tmp_path / "tiny.qg"
+    graph.write_text("unit one 1.0\nvertex a\nvertex b\n"
+                     "edge e1 a b 1e-150 one\nedge e2 a b 3e-150 one\n")
+    code, out, err = run(capsys, [command, str(graph), "--lambda-max", "1e308"])
+    assert (code, err) == (OK, "")
+    assert len(out.splitlines()) == 1 + 1 + 6366
+
+
+def test_sigma_min_only_for_the_spectrum_table(paths, capsys, monkeypatch):
+    # visibility factors each hit's Lambda(k) once, in the residue; the
+    # spectrum command's column is `spectral.sigma_min` at the hits' k
+    from qglab import kernels, spectral
+    scan, calls = kernels.scan_sigma_min, []
+    monkeypatch.setattr(kernels, "scan_sigma_min", lambda *a: calls.append(a) or scan(*a))
+    g = parse_graph(paths["dumbbell"])
+    assert qglab.visibility_report(g, qglab.select_vertices(g), 45).rows
+    assert not calls
+    code, out, _ = run(capsys, ["spectrum", paths["dumbbell"], "--lambda-max", "45",
+                                "--format", "json"])
+    assert code == OK and len(calls) == 1
+    ks = [h.k for h in qglab.eigenvalues_in(g, 45).eigenvalues[1:]]
+    assert [r["sigma_min"] for r in json.loads(out)["rows"]] == [
+        "0", *(f"{x:.3g}" for x in spectral.sigma_min(g, ks))]
 
 
 def test_step_pair_cap_is_exact(paths, monkeypatch):

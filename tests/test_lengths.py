@@ -47,7 +47,7 @@ def test_dumbbell_step_half_sqrt3(dumbbell):
 def test_unused_unit_gives_empty_subgraph(dumbbell):
     g = mk(["a", "b"], [("e", "a", "b", 1, "one")], {"one": 1.0, "ghost": 2.5})
     sub = build_lambda_subgraph(g, Step(Fraction(1), "ghost"))
-    assert sub.is_empty()
+    assert not sub.members
 
 
 def test_unknown_unit_rejected(dumbbell):
@@ -160,12 +160,12 @@ def test_candidate_completeness_random():
         cands = candidate_steps(g, lam_max)
         listed = set(cands)
         for step in cands:
-            assert not build_lambda_subgraph(g, step).is_empty()
+            assert build_lambda_subgraph(g, step).members
         # steps just off the list give empty subgraphs below the cutoff
         for step in all_steps(g, n_max=4):
             lam = step.lambda_value(g.units)
             if lam <= lam_max and step not in listed:
-                assert build_lambda_subgraph(g, step).is_empty()
+                assert not build_lambda_subgraph(g, step).members
 
 
 # ---------------------------------------------------------------------------

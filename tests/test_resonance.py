@@ -49,7 +49,7 @@ def test_parity_odd_loop(unit_loop):
 
 def test_parity_empty_subgraph(dumbbell):
     sub = build_lambda_subgraph(dumbbell, Step(Fraction(7, 5), "one"))
-    assert sub.is_empty()
+    assert not sub.members
     rep = parity_report(sub)
     assert rep.components == ()
     assert rep.beta1 == rep.beta0_odd == 0
@@ -88,7 +88,7 @@ def test_parity_report_matches_colouring_random():
 def test_dumbbell_table(dumbbell, coeff, unit, beta1, beta0_odd, dim):
     rep = resonance_dimension(dumbbell, Step(coeff, unit))
     assert (rep.beta1, rep.beta0_odd, rep.dim) == (beta1, beta0_odd, dim)
-    assert rep.is_resonance == (dim > 0)
+    assert (rep.dim > 0) == (dim > 0)
 
 
 def test_tree_never_resonates(path3):

@@ -453,3 +453,18 @@ def test_count_jump_below_one_gives_no_row(n):
     spec = eigenvalues_in(g, 200.0)
     assert min(h.multiplicity for h in spec.eigenvalues) >= 1
     assert any(w.startswith("vertex count falls across") for w in spec.warnings)
+
+
+def test_circle_where_the_theta_slope_overflows():
+    # a circle of length L = 4e-150 in two edges, up to lambda_max = 1e308:
+    # near k = 1e154 the denominator of theta's slope overflows, which drops
+    # the Newton step there, and every double eigenvalue (2 pi n / L)^2 is found
+    g = mk(["a", "b"], [("e1", "a", "b", Fraction("1e-150"), "one"),
+                        ("e2", "a", "b", Fraction("3e-150"), "one")], {"one": 1.0})
+    spec = eigenvalues_in(g, 1e308)
+    assert not spec.warnings and spec.eigenvalues[0].multiplicity == 1
+    hits = spec.eigenvalues[1:]
+    assert len(hits) == 6366
+    for n, h in enumerate(hits, 1):
+        want = (2 * math.pi * n / 4e-150) ** 2
+        assert h.multiplicity == 2 and abs(h.lam - want) <= 1e-12 * want, (n, h)
