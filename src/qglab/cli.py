@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import functools
 import json
 import math
 import sys
@@ -31,56 +30,43 @@ from .lengths import candidate_steps  # noqa: F401
 OK, ERROR, WARNINGS = 0, 1, 2
 
 
-@functools.cache
-def _flat_encoder(level: int):
-    """The C encoder's `encode` for containers whose items sit at `level`:
-    two-space-indented JSON without the brackets' own line breaks."""
-    return json.JSONEncoder(separators=(",\n" + "  " * level, ": ")).encode
-
-
-_CONTAINERS = (dict, list, tuple)
 _SCALARS = frozenset((str, int, float, bool, type(None)))
+# The C encoder, with the indentation in its item separator, for the items
+# of a flat dict and for the rows of a list of flat dicts, one level below
+# a top-level key.
+_ITEMS = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+_ROWS = json.JSONEncoder(separators=(",\n      ", ": ")).encode
 
 
-def _is_flat(values) -> bool:
-    """Whether `values` are all of the types the encoder writes as scalars."""
+def _scalars(values) -> bool:
     return set(map(type, values)) <= _SCALARS
 
 
-def _dumps(obj, level: int = 0) -> str:
-    """The bytes `json.dumps` writes for `obj` with an indent of 2, with
-    `obj` at depth `level`.
+def _dumps(obj) -> str:
+    """Exactly the bytes `json.dumps(obj, indent=2)` writes.
 
-    `json.dumps` takes its pure-Python encoder whenever it indents.  Here
-    the C encoder (`_flat_encoder`), whose item separator carries the
-    indentation, runs once per container of scalars only (`_is_flat`), once
-    for a whole list of such non-empty dicts, whose row boundaries are then
-    re-indented, and once for the scalars of any other dict.  An encoded
+    `json.dumps` takes its pure-Python encoder whenever it indents.  Under a
+    top-level dict with `str` keys, a non-empty list of non-empty dicts of
+    scalars (the rows) and a non-empty dict of scalars each take one call of
+    the C encoder, and the row boundaries are then re-indented; an encoded
     string holds no newline (the encoder escapes it), so "},\n<indent>{"
-    occurs only between rows and ",\n" only between items.
+    occurs only between rows.  Every other value is `json.dumps`'s, indented
+    one level by its line breaks.
     """
-    if not isinstance(obj, _CONTAINERS) or not obj:
-        return _flat_encoder(level)(obj)
-    pad, close = "\n" + "  " * (level + 1), "\n" + "  " * level
-    is_dict = isinstance(obj, dict)
-    values = obj.values() if is_dict else obj
-    if _is_flat(values):
-        text = _flat_encoder(level + 1)(obj)
-        return text[0] + pad + text[1:-1] + close + text[-1]
-    if not is_dict:
-        if (set(map(type, obj)) == {dict} and all(obj)
-                and _is_flat(chain.from_iterable(map(dict.values, obj)))):
-            deep = "\n" + "  " * (level + 2)
-            text = _flat_encoder(level + 2)(obj)[2:-2]
-            text = text.replace("}," + deep + "{", pad + "}," + pad + "{" + deep)
-            return "[" + pad + "{" + deep + text + pad + "}" + close + "]"
-        return "[" + pad + ("," + pad).join(_dumps(v, level + 1) for v in obj) + close + "]"
-    # one '"key": value' line per item, with null in place of each container
-    lines = _flat_encoder(0)({k: None if isinstance(v, _CONTAINERS) else v
-                              for k, v in obj.items()})[1:-1].split(",\n")
-    items = (line[:-4] + _dumps(v, level + 1) if isinstance(v, _CONTAINERS) else line
-             for line, v in zip(lines, values))
-    return "{" + pad + ("," + pad).join(items) + close + "}"
+    if type(obj) is not dict or not obj or set(map(type, obj)) != {str}:
+        return json.dumps(obj, indent=2)
+    items = []
+    for key, v in obj.items():
+        if (type(v) is list and v and set(map(type, v)) == {dict} and all(v)
+                and _scalars(chain.from_iterable(map(dict.values, v)))):
+            text = _ROWS(v)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+            text = "[\n    {\n      " + text + "\n    }\n  ]"
+        elif type(v) is dict and v and _scalars(v.values()):
+            text = "{\n    " + _ITEMS(v)[1:-1] + "\n  }"
+        else:
+            text = json.dumps(v, indent=2).replace("\n", "\n  ")
+        items.append(json.dumps(key) + ": " + text)
+    return "{\n  " + ",\n  ".join(items) + "\n}"
 
 
 def _emit(rows: list[dict], fmt: str, meta: dict, out) -> None:
@@ -201,6 +187,8 @@ def cmd_basis(args) -> int:
 def cmd_ntd(args) -> int:
     graph = parse_graph(args.graph)
     sel = select_vertices(graph, args.vertices)
+    if "vertex" in sel.vertices:
+        raise ValueError("a vertex named 'vertex' clashes with the ntd label column")
     mu = complex(args.mu_re, args.mu_im)
     m = ntd_matrix(graph, sel, mu)
     rows = []

@@ -200,7 +200,7 @@ class VisibilityReport:
 
 def _classify(dim_ker: int, rank: int) -> str:
     if rank == 0:
-        return "invisible" if dim_ker > 0 else "regular"
+        return "invisible"
     if rank < dim_ker:
         return "partially-visible"
     return "fully-visible"

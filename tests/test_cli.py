@@ -284,6 +284,16 @@ def test_ntd_negative_exponent_after_a_space(paths, capsys):
         assert run(capsys, ["ntd", paths["dumbbell"], *argv]) == joined
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_ntd_vertex_named_vertex_exit_1(capsys, tmp_path, fmt):
+    # the label column of each row is keyed "vertex", as a column of that id would be
+    g = tmp_path / "g.qg"
+    g.write_text("unit one 1.0\nvertex vertex\nvertex b\nedge e1 vertex b 1 one\n")
+    code, out, err = run(capsys, ["ntd", str(g), "--mu-re", "2", "--format", fmt])
+    assert code == ERROR and not out
+    assert "'vertex'" in err and "clashes" in err
+
+
 def test_ntd_near_spectrum_errors(paths, capsys):
     code, _, err = run(capsys, ["ntd", paths["interval-pi"],
                                 "--mu-re", str(1 + 1e-13)])
@@ -589,6 +599,13 @@ def test_json_output_is_json_dumps_indent_2(capsys, name, command):
     {"functions": [{"e1": 1, "e2": -1}, {"e3": 1}], "beta1": 2},
     [[1, [2, [3, {}]]], ({"a": (1, 2)},)],
     {1: "int key", 2.5: "float key", None: "null key", True: "bool key"},
+    {"meta": {"rows": [{"a": 1}, {"b": "2"}]}, "x": [[{"a": 1}]]},
+    {"rows": ({"a": 1}, {"b": 2})},
+    {"rows": [{"a": 1}, {"a": [2, 3]}], "more": [{"a": 1}, {"a": {"b": 2}}]},
+    {"vertices": ["a", "b\u00e9"], "ids": [1, 2.5, None]},
+    {"meta": {"t": True, "f": False, "n": None, "inf": math.inf,
+              "-inf": -math.inf, "nan": math.nan, "x": -0.0}},
+    {"a\"b\n\u00e9\\": {"c\td": 1}, "rows\u2028": [{"\u00e9": "\n"}]},
 ])
 def test_dumps_is_json_dumps_indent_2(obj):
     assert _dumps(obj) == json.dumps(obj, indent=2)
