@@ -6,7 +6,10 @@
     edge   <id> <from> <to> <p>/<q> <unit>
 
 Units and vertices must be declared before use; coefficients are accepted in
-any rational form (``3``, ``3/2``, ``6/4``) and normalized on load.
+any rational form (``3``, ``3/2``, ``6/4``) and normalized on load.  Each
+distinct (coefficient text, unit) is read into one `ExactLength`, which every
+edge that repeats it shares, so `graphs.validate` ranges it once; an error is
+still reported on each line and each edge it concerns.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ def parse_graph_text(text: str, source: str = "<string>") -> MetricGraph:
     units: dict[str, float] = {}
     vertices: dict[str, None] = {}      # ordered set
     edges: dict[str, Edge] = {}
+    lengths: dict[tuple[str, str], ExactLength] = {}   # (coefficient text, unit)
     errors: list[str] = []
 
     def err(lineno, msg):
@@ -77,10 +81,14 @@ def parse_graph_text(text: str, source: str = "<string>") -> MetricGraph:
             if unit not in units:
                 err(lineno, f"undeclared unit {unit!r}")
                 continue
-            try:
-                edges[eid] = Edge(eid, vfrom, vto, ExactLength(coeff_s, unit))
-            except ValueError as exc:   # a bad or nonpositive coefficient
-                err(lineno, str(exc))
+            length = lengths.get((coeff_s, unit))
+            if length is None:
+                try:
+                    length = lengths[coeff_s, unit] = ExactLength(coeff_s, unit)
+                except ValueError as exc:   # a bad or nonpositive coefficient
+                    err(lineno, str(exc))
+                    continue
+            edges[eid] = Edge(eid, vfrom, vto, length)
         else:
             err(lineno, f"unknown directive {kw!r}")
     if errors:

@@ -158,8 +158,11 @@ def out_of_range(length: ExactLength | float, units: Optional[UnitTable] = None
 
 def validate(graph: MetricGraph) -> list[str]:
     """Check the MetricGraph invariants (edge lengths: `out_of_range`);
-    returns a list of violations."""
+    returns a list of violations.  A length object that several edges share
+    (the parser makes one per distinct coefficient text and unit) is ranged
+    once, and each of its edges reported."""
     problems = []
+    ranged: dict[int, Optional[str]] = {}       # id(length) -> out_of_range
     if not graph.vertices:
         problems.append("empty-graph: no vertices declared")
     seen_v = set()
@@ -178,7 +181,10 @@ def validate(graph: MetricGraph) -> list[str]:
         if e.length.unit not in graph.units:
             problems.append(f"unknown-unit: edge {e.id} uses {e.length.unit!r}")
             continue
-        wrong = out_of_range(e.length, graph.units)
+        key = id(e.length)
+        if key not in ranged:
+            ranged[key] = out_of_range(e.length, graph.units)
+        wrong = ranged[key]
         if wrong:
             problems.append(f"length-range: edge {e.id} has {wrong}")
     return problems
@@ -343,14 +349,17 @@ def _forest(vertices: Sequence[str], edges: Sequence[Edge],
     return tree, chords, len(odd)
 
 
-def cycle_system(vertices: Sequence[str], edges: Sequence[Edge]) -> CycleSystem:
+def cycle_system(vertices: Sequence[str], edges: Sequence[Edge],
+                 forest: Optional[tuple] = None) -> CycleSystem:
     """Spanning forest plus one fundamental cycle per chord.
 
     Deterministic: edges are considered in sorted id order, so the forest is
     the lexicographically smallest one; each cycle is its chord, taken
     forward from the chord's origin, closed by the forest path back.
+    `forest` is what `_forest` returned for these vertices and edges, with
+    any weights (they decide no tree edge), when the caller has grown it.
     """
-    tree, chords, _ = _forest(vertices, edges)
+    tree, chords, _ = forest or _forest(vertices, edges)
     adj: dict[str, list[tuple[str, str, int]]] = {v: [] for v in vertices}
     for e in tree:
         adj[e.origin].append((e.terminus, e.id, 1))

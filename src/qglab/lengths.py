@@ -23,11 +23,12 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 from typing import Optional
 
-from .graphs import (CycleWalk, Edge, ExactLength, MetricGraph, betti, cycle_system,
-                     out_of_range)
+from .graphs import (CycleWalk, Edge, ExactLength, MetricGraph, _forest, betti,
+                     cycle_system, out_of_range)
 # Not called here.  The benchmark tracer (perfbench/spans.py) looks this name
 # up in this module; drop the import together with that target.
 from .graphs import simple_cycles  # noqa: F401
@@ -47,6 +48,13 @@ class LambdaSubgraph:
     @property
     def edges(self) -> tuple[Edge, ...]:
         return tuple(e for e, _ in self.members)
+
+    @cached_property
+    def forest(self) -> tuple[list[Edge], list[Edge], int]:
+        """`graphs._forest` over these edges with weights n mod 2: tree
+        edges, chords and odd-tree count, grown once for the resonance count
+        and the cycle system of the basis."""
+        return _forest(self.vertices, self.edges, [n & 1 for _, n in self.members])
 
 
 def build_lambda_subgraph(graph: MetricGraph, step: Step) -> LambdaSubgraph:

@@ -22,11 +22,16 @@ so no count walks a cycle.  At one step (`resonance_dimension`) one
 and beta0_odd (its odd trees).  Over a step table (`table_counts`) one
 forest per (unit, p) over the edges with p | m_e and weights (m_e/p) mod 2
 serves every q: for even q every n_e is even and beta0_odd = 0.
+
+The explicit basis (`with_basis`) walks cycles, each piece of work once:
+the cycle system reuses the forest the count grew (`LambdaSubgraph.forest`),
+`parity_report` walks each fundamental cycle of G_s until its component's
+first odd one, `_construct_basis` winds each cycle once and reads its parity
+off the winding, and `_verify_basis` reads each function's support once.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -85,9 +90,10 @@ def parity_report(sub: LambdaSubgraph) -> ParityReport:
     is linear on that space.  So a component contains an odd cycle exactly
     when one of its fundamental cycles is odd.  Its beta1 is its chord count
     and its witness is its first odd fundamental cycle in chord-id order.
+    The forest is the step subgraph's own (`LambdaSubgraph.forest`).
     """
     edges = sub.edges
-    system = cycle_system(sub.vertices, edges)
+    system = cycle_system(sub.vertices, edges, sub.forest)
     n_of = {e.id: n for e, n in sub.members}
     parts = {system.root[v]: ([], [], []) for v in sub.vertices}
     for v in sub.vertices:
@@ -152,11 +158,12 @@ def resonance_dimension(graph: MetricGraph, step: Step,
                         with_basis: bool = False) -> ResonanceReport:
     """dim of the resonance space at lambda = pi^2/s^2: the cycle count
     minus the odd-component count of G_s, from one `_forest` over
-    `build_lambda_subgraph` with weights n_e mod 2 (module docstring).
-    With `with_basis`, also an explicit basis, built from the
-    `parity_report` of the same G_s and checked against that count."""
+    `build_lambda_subgraph` with weights n_e mod 2 (module docstring,
+    `LambdaSubgraph.forest`).  With `with_basis`, also an explicit basis,
+    built from the `parity_report` of the same G_s, whose cycle system
+    reuses that forest, and checked against that count."""
     sub = build_lambda_subgraph(graph, step)
-    _, chords, odd = _forest(sub.vertices, sub.edges, [n % 2 for _, n in sub.members])
+    _, chords, odd = sub.forest
     beta1 = len(chords)
     rep = ResonanceReport(step, step.lambda_value(graph.units), beta1, odd, beta1 - odd)
     if not with_basis:
@@ -170,25 +177,34 @@ def resonance_dimension(graph: MetricGraph, step: Step,
 # Constructive basis
 
 
-def _spool(walk_steps, n_of) -> dict[str, int]:
-    """Wind sin(pi*x/s) along a closed walk; accumulate per-edge coefficients.
+def _wind(b: dict[str, int], walk_steps, n_of, odd: int = 0) -> int:
+    """Wind sin(pi*x/s) along a walk from a total step count of parity
+    `odd`, adding per-edge coefficients into b; returns the parity at its end.
 
     Traversing an edge forward after total step count p contributes (-1)^p;
-    backward it contributes -(-1)^(p+n_e).  Closure requires the total step
-    count of the walk to be even.  An edge walked more than once can cancel
-    to 0; only the nonzero coefficients are returned.
+    backward it contributes -(-1)^(p+n_e).
+    """
+    for eid, d in walk_steps:
+        n = n_of[eid] & 1
+        b[eid] = b.get(eid, 0) + (1 - 2 * odd if d > 0 else 2 * (odd ^ n) - 1)
+        odd ^= n
+    return odd
+
+
+def _spool(walk_steps, n_of, detour=None) -> dict[str, int]:
+    """The coefficients of sin(pi*x/s) wound along a closed walk (`_wind`).
+
+    Closure requires the total step count of the walk to be even.  If it is
+    odd and `detour` is given, the winding goes on along `detour()`, a
+    closed walk of odd total step count from the same start, so the walk is
+    wound once and its parity read off the winding.  An edge walked more
+    than once can cancel to 0; only the nonzero coefficients are returned.
     """
     b: dict[str, int] = {}
-    p = 0
-    for eid, d in walk_steps:
-        n = n_of[eid]
-        sgn = 1 if p % 2 == 0 else -1
-        if d > 0:
-            b[eid] = b.get(eid, 0) + sgn
-        else:
-            b[eid] = b.get(eid, 0) - sgn * (1 if n % 2 == 0 else -1)
-        p += n
-    if p % 2 != 0:
+    odd = _wind(b, walk_steps, n_of)
+    if odd and detour is not None:
+        odd = _wind(b, detour(), n_of, odd)
+    if odd:
         raise BasisConstructionError("spooled walk has odd total step count")
     return {eid: c for eid, c in b.items() if c}
 
@@ -203,58 +219,68 @@ def _construct_basis(sub: LambdaSubgraph, rep: ParityReport):
     odd + odd + 2|P|, which is even.  The functions are independent: each
     fundamental cycle holds exactly one chord and P holds none, so the
     function for cj has coefficient +-1 on cj's chord, touches no chord but
-    the anchor's besides, and no other function touches cj's chord.
+    the anchor's besides, and no other function touches cj's chord.  Each
+    cycle is walked once here; its parity is the one its winding ends at.
     """
     n_of = {e.id: n for e, n in sub.members}
     out = []
     for comp in rep.components:
         anchor = comp.odd_witness       # smallest chord id among the odd ones
+
+        def detour(start):
+            path = rep.system.path(start, anchor.start)
+            return path + anchor.steps + tuple((eid, -d) for eid, d in reversed(path))
+
         for cj in comp.cycles:
-            if cj is anchor:
-                continue
-            steps = cj.steps
-            if _walk_parity(cj, n_of):
-                path = rep.system.path(cj.start, anchor.start)
-                back = tuple((eid, -d) for eid, d in reversed(path))
-                steps = steps + path + anchor.steps + back
-            out.append(ResonanceBasisFunction(_spool(steps, n_of)))
+            if cj is not anchor:
+                out.append(ResonanceBasisFunction(
+                    _spool(cj.steps, n_of, lambda: detour(cj.start))))
     return out
 
 
 def _verify_basis(graph: MetricGraph, sub: LambdaSubgraph, basis, dim: int):
     """Exact a-posteriori checks; failure means a bug in the constructor.
 
-    `dim` is beta1 - beta0_odd of the weighted forest that
-    `resonance_dimension` grows over G_s, not of the cycle system and the
-    walked parities the basis was spooled from, so the size check compares
-    two independent counts.  Full rank is certified by private edges: each
-    function touches an edge that no other function touches, so those edges
-    pick out a dim x dim diagonal submatrix with a nonzero diagonal.
+    `dim` is beta1 - beta0_odd of the weighted forest of G_s: its chords
+    less its odd trees (Harary's test).  The basis has one function per
+    chord less one per component whose walked parities found an odd cycle,
+    so the size check compares two independent odd-component counts.  Each
+    function's support (its nonzero coefficients) is read once, for
+    membership in G_s, the Kirchhoff balance at every vertex and the count
+    of functions touching each edge.  Full rank is certified by private
+    edges: each function touches an edge that no other function touches, so
+    those edges pick out a dim x dim diagonal submatrix with a nonzero
+    diagonal.
     """
     if len(basis) != dim:
         raise BasisConstructionError(
             f"constructed {len(basis)} functions, expected {dim}")
-    members = {e.id: (e, n) for e, n in sub.members}
-    member_ids = set(members)
+    # edge id -> (origin, terminus, (-1)^n_e)
+    ends = {e.id: (e.origin, e.terminus, 1 - 2 * (n & 1)) for e, n in sub.members}
+    touches: dict[str, int] = {}
+    supports = []
     for f in basis:
-        support = f.support()
+        support = []
+        bal: dict[str, int] = {}
+        for eid, b in f.coefficients.items():
+            if not b:
+                continue
+            if eid not in ends:
+                raise BasisConstructionError("basis function leaves the subgraph")
+            o, t, sign = ends[eid]
+            bal[t] = bal.get(t, 0) + b * sign
+            bal[o] = bal.get(o, 0) - b
+            touches[eid] = touches.get(eid, 0) + 1
+            support.append(eid)
         if not support:
             raise BasisConstructionError("trivial basis function")
-        if not support <= member_ids:
-            raise BasisConstructionError("basis function leaves the subgraph")
-        bal: dict[str, int] = {}
-        for eid in support:
-            e, n = members[eid]
-            b = f.coefficients[eid]
-            bal[e.terminus] = bal.get(e.terminus, 0) + b * (1 if n % 2 == 0 else -1)
-            bal[e.origin] = bal.get(e.origin, 0) - b
         if any(bal.values()):
             v = next(v for v in graph.vertices if bal.get(v))
             raise BasisConstructionError(
                 f"Kirchhoff balance violated at vertex {v}")
-    touches = Counter(eid for f in basis for eid in f.support())
-    for i, f in enumerate(basis):
-        if all(touches[eid] > 1 for eid in f.support()):
+        supports.append(support)
+    for i, support in enumerate(supports):
+        if all(touches[eid] > 1 for eid in support):
             raise BasisConstructionError(
                 f"rank deficient or uncertified: function {i} has no edge of its own")
 

@@ -57,6 +57,38 @@ def test_coefficient_forms_normalized():
     assert g.edges[1].length.coeff == Fraction(3)
 
 
+def test_equal_coefficients_in_other_forms_share_a_value():
+    # the parser keeps one length per coefficient text and unit; 6/4 and 3/2
+    # are two texts of one value, and each edge reads it
+    g = parse_graph_text("unit u 1.0\nvertex a\nvertex b\n"
+                         "edge e1 a b 6/4 u\nedge e2 b a 3/2 u\nedge e3 a a 6/4 u\n")
+    assert [e.length.coeff for e in g.edges] == [Fraction(3, 2)] * 3
+    assert g.edges[0].length == g.edges[1].length
+    assert g.edges[0].length is g.edges[2].length
+
+
+def test_each_out_of_range_edge_reported_in_file_order():
+    # validate ranges a shared length once but reports every edge that has it
+    with pytest.raises(GraphFileError) as ei:
+        parse_graph_text("unit one 1.0\nvertex a\nvertex b\n"
+                         "edge y a b 1e200 one\nedge m a a 1 one\nedge x b b 1e200 one\n",
+                         source="f.qg")
+    wrong = "length 1e+200, outside [2.98e-154, 3.35e+153]"
+    assert ei.value.errors == [f"f.qg: length-range: edge y has {wrong}",
+                               f"f.qg: length-range: edge x has {wrong}"]
+
+
+@pytest.mark.parametrize("coeff, error", [
+    ("one", "bad coefficient 'one'"),
+    ("0/3", "coefficient must be positive: 0/3"),
+])
+def test_repeated_bad_coefficient_reported_on_each_line(coeff, error):
+    with pytest.raises(GraphFileError) as ei:
+        parse_graph_text(f"unit u 1.0\nvertex a\nedge e1 a a {coeff} u\n"
+                         f"edge e2 a a 1 u\nedge e3 a a {coeff} u\n")
+    assert ei.value.errors == [f"<string>:3: {error}", f"<string>:5: {error}"]
+
+
 def test_undeclared_vertex_has_line_number():
     with pytest.raises(GraphFileError) as ei:
         parse_graph_text("unit u 1.0\nvertex a\nedge e a zz 1/1 u\n", source="f.qg")

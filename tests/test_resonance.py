@@ -6,9 +6,11 @@ import pytest
 
 from qglab import (MetricGraph, Step, build_lambda_subgraph, parity_report,
                    resonance_dimension, resonance_dimension_oracle, resonance_floor)
+from qglab.graphs import cycle_system
 from qglab.lengths import step_table
-from qglab.resonance import (BasisConstructionError, ResonanceBasisFunction,
-                             _spool, _verify_basis, integer_matrix_rank, table_counts)
+from qglab.resonance import (BasisConstructionError, ResonanceBasisFunction, _spool,
+                             _verify_basis, _walk_parity, integer_matrix_rank,
+                             table_counts)
 
 from conftest import mk, parity_colouring, unit_grid, walk_end
 from randgraphs import all_steps, random_graph
@@ -425,6 +427,46 @@ def test_basis_one_function_per_non_anchor_chord_random():
             assert next(funcs, None) is None
 
 
+def reference_basis(sub):
+    """The basis spooled walk by walk: each fundamental cycle of
+    `cycle_system` with its parity from `_walk_parity`, an odd one along
+    cycle, forest path to its component's first odd cycle, that cycle and
+    the path back; and the number of such detours."""
+    system = cycle_system(sub.vertices, sub.edges)
+    n_of = {e.id: n for e, n in sub.members}
+    comps = {system.root[v]: [] for v in sub.vertices}
+    for c in system.cycles:
+        comps[system.root[c.start]].append(c)
+    out, detours = [], 0
+    for cycles in comps.values():
+        anchor = next((c for c in cycles if _walk_parity(c, n_of)), None)
+        for c in cycles:
+            if c is anchor:
+                continue
+            steps = c.steps
+            if _walk_parity(c, n_of):
+                path = system.path(c.start, anchor.start)
+                steps += path + anchor.steps + tuple((e, -d) for e, d in reversed(path))
+                detours += 1
+            out.append(list(_spool(steps, n_of).items()))
+    return out, detours
+
+
+def test_basis_matches_the_walk_by_walk_reference_random():
+    # same functions, in the same order, with the same coefficient order
+    # (which the JSON output keeps), at every step of each table
+    rng = random.Random(31)
+    detoured = 0
+    for _ in range(60):
+        g = random_graph(rng, max_edges=12)
+        for step in step_table(g, 200.0).steps():
+            rep = resonance_dimension(g, step, with_basis=True)
+            want, detours = reference_basis(build_lambda_subgraph(g, step))
+            assert [list(f.coefficients.items()) for f in rep.basis] == want
+            detoured += detours
+    assert detoured > 50
+
+
 # ---------------------------------------------------------------------------
 # floor gate
 
@@ -462,6 +504,19 @@ def test_basis_size_is_checked_against_the_table_forest(dumbbell, monkeypatch):
     monkeypatch.setattr(res, "parity_report", lost_cycle)
     with pytest.raises(BasisConstructionError, match="constructed 1 functions, expected 2"):
         resonance_dimension(dumbbell, step, with_basis=True)
+
+
+def test_basis_grows_one_forest(dumbbell, monkeypatch):
+    # the count and the cycle system of the basis share the step subgraph's forest
+    import qglab.graphs as graphs
+    import qglab.lengths as lengths
+    import qglab.resonance as res
+    calls = []
+    forest = graphs._forest
+    for module in (graphs, lengths, res):
+        monkeypatch.setattr(module, "_forest", lambda *a: calls.append(1) or forest(*a))
+    rep = resonance_dimension(dumbbell, Step(Fraction(1, 2), "sqrt3"), with_basis=True)
+    assert (rep.dim, len(rep.basis), len(calls)) == (2, 2, 1)
 
 
 def test_verify_basis_rejects_corrupted_bases(dumbbell):

@@ -9,7 +9,9 @@ checkout's `src/`, on:
   temporary directory as the benchmark writes them;
 - `spectrum`, `visibility` and `resonances` at --lambda-max 45, 200 and
   1000, and `ntd` at mu = -1, 2 + 0.5i and 30, on each bundled graph, in
-  the table, CSV and JSON formats.
+  the table, CSV and JSON formats;
+- `basis` at every step of each bundled graph's step table at
+  lambda <= 200 (`qglab.lengths.step_table`).
 
 Prints one line per call: its names and arguments, then the sha1 of its
 stdout and of its stderr and its exit code, with the bundled and the
@@ -39,6 +41,8 @@ import gen  # noqa: E402
 import workloads  # noqa: E402
 import qglab  # noqa: E402
 import qglab.cli  # noqa: E402
+from qglab.graphfile import parse_graph  # noqa: E402
+from qglab.lengths import step_table  # noqa: E402
 
 WORKLOADS = ("spectrum", "visibility", "exact")
 FORMATS = ("table", "csv", "json")
@@ -54,6 +58,8 @@ def bundled_calls(bundled: str):
                     yield name, [command, path, "--lambda-max", lam, "--format", fmt]
             for mu in (["--mu-re", "-1"], ["--mu-re", "2", "--mu-im", "0.5"], ["--mu-re", "30"]):
                 yield name, ["ntd", path, *mu, "--format", fmt]
+        for step in step_table(parse_graph(path), 200.0).steps():
+            yield name, ["basis", path, "--step", str(step.coeff), step.unit]
 
 
 def workload_calls(seeds, bundled: str, work: Path):
