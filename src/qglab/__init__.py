@@ -9,8 +9,8 @@ from .graphs import (BettiData, CoreDecomposition, CycleSystem, CycleWalk,
                      simple_cycles, validate)
 from .lengths import (LambdaSubgraph, Step, build_lambda_subgraph,
                       candidate_steps, resonance_floor)
-from .resonance import (ParityReport, ResonanceReport, parity_report,
-                        resonance_dimension, resonance_dimension_oracle)
+from .resonance import (ResonanceReport, resonance_dimension,
+                        resonance_dimension_oracle)
 from .spectral import Spectrum, assemble_secular, eigenvalues_in
 from .weyl import (ResidueEstimate, VertexSelection, ntd_matrix, residue,
                    select_vertices, visibility_report)

@@ -202,7 +202,7 @@ class BettiData:
 
 def betti(vertices: Sequence[str], edges: Sequence[Edge]) -> BettiData:
     """Trees and chords of the one union-find forest, `_forest`."""
-    tree, chords, _ = _forest(vertices, edges)
+    tree, chords, *_ = _forest(vertices, edges)
     return BettiData(beta0=len(vertices) - len(tree), beta1=len(chords))
 
 
@@ -307,16 +307,19 @@ def _climb(up, depth, a: str, b: str) -> tuple[tuple[str, int], ...]:
 
 
 def _forest(vertices: Sequence[str], edges: Sequence[Edge],
-            weights: Sequence[int] | None = None) -> tuple[list[Edge], list[Edge], int]:
+            weights: Sequence[int] | None = None
+            ) -> tuple[list[Edge], list[Edge], int, list[int]]:
     """Tree edges and chords of the spanning forest that union-find builds
-    taking edges in sorted id order, and how many trees hold a cycle of odd
-    total 0/1 edge weight: Harary's balance test of the signed graph with
-    signs (-1)^weight (Michigan Math. J. 2, 1953; Zaslavsky, Discrete Appl.
-    Math. 4, 1982).  Each vertex carries its parity to its leader; a chord
-    whose end parities and weight XOR to 1 marks its root odd, and a union
-    moves the mark to the new root.  Serves `betti`, `cycle_system`, the
-    resonance count (one forest per step, or per (unit, p) of a step table)
-    and the resonance floor."""
+    taking edges in sorted id order, how many trees hold a cycle of odd
+    total 0/1 edge weight, and the weight parity of each chord's fundamental
+    cycle, in chord order.  The count is Harary's balance test of the signed
+    graph with signs (-1)^weight (Michigan Math. J. 2, 1953; Zaslavsky,
+    Discrete Appl. Math. 4, 1982).  Each vertex carries its parity to its
+    leader, so a chord's end parities and weight XOR to the parity of its
+    fundamental cycle; an odd one marks its root odd, and a union moves the
+    mark to the new root.  Serves `betti`, `cycle_system`, the resonance
+    count (one forest per step, or per (unit, p) of a step table), the
+    resonance basis and the resonance floor."""
     leader = {v: (v, 0) for v in vertices}     # v -> (leader, weight parity to it)
     odd: set[str] = set()                      # roots of odd trees
 
@@ -333,12 +336,14 @@ def _forest(vertices: Sequence[str], edges: Sequence[Edge],
 
     tree: list[Edge] = []
     chords: list[Edge] = []
+    parities: list[int] = []
     pairs = zip(edges, weights if weights is not None else repeat(0))
     for e, w in sorted(pairs, key=lambda ew: ew[0].id):
         (ro, po), (rt, pt) = find(e.origin), find(e.terminus)
         if ro == rt:
             chords.append(e)
-            if po ^ pt ^ w:
+            parities.append(po ^ pt ^ w)
+            if parities[-1]:
                 odd.add(ro)
         else:
             leader[ro] = (rt, po ^ pt ^ w)
@@ -346,7 +351,7 @@ def _forest(vertices: Sequence[str], edges: Sequence[Edge],
                 odd.remove(ro)
                 odd.add(rt)
             tree.append(e)
-    return tree, chords, len(odd)
+    return tree, chords, len(odd), parities
 
 
 def cycle_system(vertices: Sequence[str], edges: Sequence[Edge],
@@ -359,7 +364,7 @@ def cycle_system(vertices: Sequence[str], edges: Sequence[Edge],
     `forest` is what `_forest` returned for these vertices and edges, with
     any weights (they decide no tree edge), when the caller has grown it.
     """
-    tree, chords, _ = forest or _forest(vertices, edges)
+    tree, chords, *_ = forest or _forest(vertices, edges)
     adj: dict[str, list[tuple[str, str, int]]] = {v: [] for v in vertices}
     for e in tree:
         adj[e.origin].append((e.terminus, e.id, 1))

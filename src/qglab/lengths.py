@@ -27,8 +27,8 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Optional
 
-from .graphs import (CycleWalk, Edge, ExactLength, MetricGraph, _forest, betti,
-                     cycle_system, out_of_range)
+from .graphs import (CycleWalk, Edge, ExactLength, MetricGraph, _forest, cycle_system,
+                     out_of_range)
 # Not called here.  The benchmark tracer (perfbench/spans.py) looks this name
 # up in this module; drop the import together with that target.
 from .graphs import simple_cycles  # noqa: F401
@@ -50,10 +50,11 @@ class LambdaSubgraph:
         return tuple(e for e, _ in self.members)
 
     @cached_property
-    def forest(self) -> tuple[list[Edge], list[Edge], int]:
+    def forest(self) -> tuple[list[Edge], list[Edge], int, list[int]]:
         """`graphs._forest` over these edges with weights n mod 2: tree
-        edges, chords and odd-tree count, grown once for the resonance count
-        and the cycle system of the basis."""
+        edges, chords, odd-tree count and the step-count parity of each
+        chord's fundamental cycle, grown once for the resonance count and
+        the basis (its cycle system and its anchors)."""
         return _forest(self.vertices, self.edges, [n & 1 for _, n in self.members])
 
 
@@ -203,7 +204,7 @@ def candidate_steps(graph: MetricGraph, lambda_max: float) -> list[Step]:
 
 
 # The most candidates k that `resonance_floor` pops in one unit, each for a
-# `betti` count over the unit's edges.  No bundled, test or benchmark graph
+# `_forest` over the unit's edges.  No bundled, test or benchmark graph
 # pops more than 14.
 MAX_FLOOR_POPS = 2_000
 
@@ -234,23 +235,23 @@ def resonance_floor(graph: MetricGraph,
     L(e) = m_e*g, every u_C is k*g for k the gcd of the m_e of a set of
     edges.  Those k are tried largest first, from a max-heap seeded with
     the distinct m_e: a popped k whose edges with k | m_e hold a cycle (a
-    `betti` count) gives s* = k*g; otherwise each gcd(k, m_e) not seen
-    before is pushed.  The gcd of a set A plus an edge e is gcd(gcd(A), m_e),
-    so every such k is pushed before anything below it is popped, and k = 1
-    holds every edge.  More than MAX_FLOOR_POPS pops in one unit is a
-    ValueError.  Any cycle of G_{s*} has u_C a multiple of s* and at most
-    s*, so a fundamental cycle of G_{s*} is a witness whose gcd is exactly
-    s*.  Units are compared by `Step.value`; the witness comes from one
-    `cycle_system`, at the s* returned.  `multiples` are
-    `_unit_multiples(graph)` where the caller has them, as a `StepTable`
-    does.
+    chord of their `_forest`) gives s* = k*g; otherwise each gcd(k, m_e)
+    not seen before is pushed.  The gcd of a set A plus an edge e is
+    gcd(gcd(A), m_e), so every such k is pushed before anything below it is
+    popped, and k = 1 holds every edge.  More than MAX_FLOOR_POPS pops in
+    one unit is a ValueError.  Any cycle of G_{s*} has u_C a multiple of s*
+    and at most s*, so a fundamental cycle of G_{s*} is a witness whose gcd
+    is exactly s*.  Units are compared by `Step.value`; the witness comes
+    from the `cycle_system` of the forest that found the s* returned.
+    `multiples` are `_unit_multiples(graph)` where the caller has them, as a
+    `StepTable` does.
     """
-    best: Optional[tuple[Step, list[Edge]]] = None
+    best: Optional[tuple[Step, list[Edge], tuple]] = None
     best_val = -math.inf
     gcds, mults = multiples or _unit_multiples(graph)
     for unit in graph.units.tokens():
         pairs = [(e, m) for e, m in zip(graph.edges, mults) if e.length.unit == unit]
-        if betti(graph.vertices, [e for e, _ in pairs]).beta1 == 0:
+        if not _forest(graph.vertices, [e for e, _ in pairs])[1]:
             continue
         distinct = {m for _, m in pairs}
         heap = [-m for m in distinct]
@@ -259,7 +260,8 @@ def resonance_floor(graph: MetricGraph,
         for _ in range(MAX_FLOOR_POPS):
             k = -heapq.heappop(heap)
             sub = [e for e, m in pairs if m % k == 0]
-            if betti(graph.vertices, sub).beta1:
+            forest = _forest(graph.vertices, sub)
+            if forest[1]:
                 break
             for m in distinct:
                 d = math.gcd(k, m)
@@ -272,9 +274,9 @@ def resonance_floor(graph: MetricGraph,
         u = Step(k * gcds[unit], unit)
         if u.value(graph.units) > best_val:
             best_val = u.value(graph.units)
-            best = (u, sub)
+            best = (u, sub, forest)
     if best is None:
         return ResonanceFloor(math.inf, None, None)
-    u, sub = best
+    u, sub, forest = best
     return ResonanceFloor(math.pi ** 2 / best_val ** 2, u,
-                          cycle_system(graph.vertices, sub).cycles[0])
+                          cycle_system(graph.vertices, sub, forest).cycles[0])

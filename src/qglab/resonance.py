@@ -23,11 +23,11 @@ and beta0_odd (its odd trees).  Over a step table (`table_counts`) one
 forest per (unit, p) over the edges with p | m_e and weights (m_e/p) mod 2
 serves every q: for even q every n_e is even and beta0_odd = 0.
 
-The explicit basis (`with_basis`) walks cycles, each piece of work once:
-the cycle system reuses the forest the count grew (`LambdaSubgraph.forest`),
-`parity_report` walks each fundamental cycle of G_s until its component's
-first odd one, `_construct_basis` winds each cycle once and reads its parity
-off the winding, and `_verify_basis` reads each function's support once.
+The explicit basis (`with_basis`) reads the parity of each fundamental
+cycle of G_s from the forest the count grew (`LambdaSubgraph.forest`), whose
+tree its cycle system reuses.  `_construct_basis` winds each cycle once,
+and the winding checks the forest's parity; `_verify_basis` reads each
+function's support once.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .graphs import CycleSystem, CycleWalk, MetricGraph, _forest, cycle_system
+from .graphs import CycleWalk, MetricGraph, _forest, cycle_system
 from .lengths import LambdaSubgraph, Step, StepTable, build_lambda_subgraph
 
 
@@ -45,69 +45,6 @@ class BasisConstructionError(RuntimeError):
     This always signals an implementation bug, never a property of the
     input; it is raised instead of silently returning a bad basis.
     """
-
-
-@dataclass(frozen=True)
-class ParityComponent:
-    vertices: tuple[str, ...]
-    edge_ids: tuple[str, ...]
-    cycles: tuple[CycleWalk, ...]   # fundamental cycles, by chord id
-    odd_witness: Optional[CycleWalk]  # the first odd one of them
-
-    @property
-    def beta1(self) -> int:
-        return len(self.cycles)
-
-    @property
-    def is_odd(self) -> bool:
-        """Whether the component contains a cycle of odd total step count."""
-        return self.odd_witness is not None
-
-
-@dataclass(frozen=True)
-class ParityReport:
-    components: tuple[ParityComponent, ...]
-    system: CycleSystem             # forest of the whole step subgraph
-
-    @property
-    def beta1(self) -> int:
-        return sum(c.beta1 for c in self.components)
-
-    @property
-    def beta0_odd(self) -> int:
-        return sum(1 for c in self.components if c.is_odd)
-
-
-def _walk_parity(walk: CycleWalk, n_of) -> int:
-    return sum(n_of[eid] for eid, _ in walk.steps) % 2
-
-
-def parity_report(sub: LambdaSubgraph) -> ParityReport:
-    """Per-component cycle count and oddness of the step subgraph.
-
-    The fundamental cycles of a spanning forest form a basis of the cycle
-    space over GF(2), and the parity of a cycle (its total step count mod 2)
-    is linear on that space.  So a component contains an odd cycle exactly
-    when one of its fundamental cycles is odd.  Its beta1 is its chord count
-    and its witness is its first odd fundamental cycle in chord-id order.
-    The forest is the step subgraph's own (`LambdaSubgraph.forest`).
-    """
-    edges = sub.edges
-    system = cycle_system(sub.vertices, edges, sub.forest)
-    n_of = {e.id: n for e, n in sub.members}
-    parts = {system.root[v]: ([], [], []) for v in sub.vertices}
-    for v in sub.vertices:
-        parts[system.root[v]][0].append(v)
-    for e in edges:
-        parts[system.root[e.origin]][1].append(e.id)
-    for c in system.cycles:
-        parts[system.root[c.start]][2].append(c)
-    comps = []
-    for verts, eids, cycles in parts.values():
-        witness = next((c for c in cycles if _walk_parity(c, n_of)), None)
-        comps.append(ParityComponent(tuple(verts), tuple(eids), tuple(cycles),
-                                     witness))
-    return ParityReport(tuple(comps), system)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +84,8 @@ def table_counts(graph: MetricGraph, table: StepTable) -> list[tuple[int, int]]:
         if counts is None:
             pairs = [(e, m // p % 2) for e, m in zip(graph.edges, table.mults)
                      if e.length.unit == unit and m % p == 0]
-            _, chords, odd = _forest(graph.vertices, [e for e, _ in pairs],
-                                     [w for _, w in pairs])
+            _, chords, odd, _ = _forest(graph.vertices, [e for e, _ in pairs],
+                                        [w for _, w in pairs])
             counts = forests[unit, p] = (len(chords), odd)
         out.append(counts if q % 2 else (counts[0], 0))
     return out
@@ -160,15 +97,15 @@ def resonance_dimension(graph: MetricGraph, step: Step,
     minus the odd-component count of G_s, from one `_forest` over
     `build_lambda_subgraph` with weights n_e mod 2 (module docstring,
     `LambdaSubgraph.forest`).  With `with_basis`, also an explicit basis,
-    built from the `parity_report` of the same G_s, whose cycle system
-    reuses that forest, and checked against that count."""
+    built from the cycles and chord parities of that forest and checked
+    against that count."""
     sub = build_lambda_subgraph(graph, step)
-    _, chords, odd = sub.forest
+    _, chords, odd, _ = sub.forest
     beta1 = len(chords)
     rep = ResonanceReport(step, step.lambda_value(graph.units), beta1, odd, beta1 - odd)
     if not with_basis:
         return rep
-    basis = tuple(_construct_basis(sub, parity_report(sub)))
+    basis = tuple(_construct_basis(sub))
     _verify_basis(graph, sub, basis, rep.dim)
     return replace(rep, basis=basis)
 
@@ -177,41 +114,29 @@ def resonance_dimension(graph: MetricGraph, step: Step,
 # Constructive basis
 
 
-def _wind(b: dict[str, int], walk_steps, n_of, odd: int = 0) -> int:
-    """Wind sin(pi*x/s) along a walk from a total step count of parity
-    `odd`, adding per-edge coefficients into b; returns the parity at its end.
+def _spool(walk_steps, n_of) -> tuple[dict[str, int], int]:
+    """The coefficients of sin(pi*x/s) wound along a walk, and the parity of
+    the walk's total step count; on a closed walk the winding closes
+    exactly when that parity is even.
 
     Traversing an edge forward after total step count p contributes (-1)^p;
-    backward it contributes -(-1)^(p+n_e).
+    backward it contributes -(-1)^(p+n_e).  An edge walked more than once
+    can cancel to 0; only the nonzero coefficients are returned.
     """
+    b: dict[str, int] = {}
+    odd = 0
     for eid, d in walk_steps:
         n = n_of[eid] & 1
         b[eid] = b.get(eid, 0) + (1 - 2 * odd if d > 0 else 2 * (odd ^ n) - 1)
         odd ^= n
-    return odd
+    return {eid: c for eid, c in b.items() if c}, odd
 
 
-def _spool(walk_steps, n_of, detour=None) -> dict[str, int]:
-    """The coefficients of sin(pi*x/s) wound along a closed walk (`_wind`).
-
-    Closure requires the total step count of the walk to be even.  If it is
-    odd and `detour` is given, the winding goes on along `detour()`, a
-    closed walk of odd total step count from the same start, so the walk is
-    wound once and its parity read off the winding.  An edge walked more
-    than once can cancel to 0; only the nonzero coefficients are returned.
-    """
-    b: dict[str, int] = {}
-    odd = _wind(b, walk_steps, n_of)
-    if odd and detour is not None:
-        odd = _wind(b, detour(), n_of, odd)
-    if odd:
-        raise BasisConstructionError("spooled walk has odd total step count")
-    return {eid: c for eid, c in b.items() if c}
-
-
-def _construct_basis(sub: LambdaSubgraph, rep: ParityReport):
-    """One function per fundamental cycle, except the odd witness (anchor) of
-    an odd component.
+def _construct_basis(sub: LambdaSubgraph):
+    """One function per fundamental cycle of G_s, except the anchor of each
+    odd component: its first odd cycle in chord order.  Components come in
+    the order of their roots in `sub.vertices`, each cycle's parity from the
+    forest (`LambdaSubgraph.forest`).
 
     An even cycle is spooled as it is.  An odd cycle cj is spooled along the
     closed walk cj, P, anchor, P reversed, where P is the forest path from
@@ -220,21 +145,30 @@ def _construct_basis(sub: LambdaSubgraph, rep: ParityReport):
     fundamental cycle holds exactly one chord and P holds none, so the
     function for cj has coefficient +-1 on cj's chord, touches no chord but
     the anchor's besides, and no other function touches cj's chord.  Each
-    cycle is walked once here; its parity is the one its winding ends at.
+    winding checks the forest: every spooled walk must end even and each
+    anchor, wound once, odd.
     """
+    system = cycle_system(sub.vertices, sub.edges, sub.forest)
+    root = system.root
+    pos = {v: i for i, v in enumerate(sub.vertices)}
     n_of = {e.id: n for e, n in sub.members}
+    anchors: dict[str, CycleWalk] = {}
     out = []
-    for comp in rep.components:
-        anchor = comp.odd_witness       # smallest chord id among the odd ones
-
-        def detour(start):
-            path = rep.system.path(start, anchor.start)
-            return path + anchor.steps + tuple((eid, -d) for eid, d in reversed(path))
-
-        for cj in comp.cycles:
-            if cj is not anchor:
-                out.append(ResonanceBasisFunction(
-                    _spool(cj.steps, n_of, lambda: detour(cj.start))))
+    for cj, odd in sorted(zip(system.cycles, sub.forest[3]),
+                          key=lambda c: pos[root[c[0].start]]):
+        steps = cj.steps
+        if odd:
+            anchor = anchors.setdefault(root[cj.start], cj)
+            if anchor is cj:
+                if not _spool(steps, n_of)[1]:
+                    raise BasisConstructionError("anchor cycle has even total step count")
+                continue
+            path = system.path(cj.start, anchor.start)
+            steps += path + anchor.steps + tuple((eid, -d) for eid, d in reversed(path))
+        b, end = _spool(steps, n_of)
+        if end:
+            raise BasisConstructionError("spooled walk has odd total step count")
+        out.append(ResonanceBasisFunction(b))
     return out
 
 
@@ -243,11 +177,11 @@ def _verify_basis(graph: MetricGraph, sub: LambdaSubgraph, basis, dim: int):
 
     `dim` is beta1 - beta0_odd of the weighted forest of G_s: its chords
     less its odd trees (Harary's test).  The basis has one function per
-    chord less one per component whose walked parities found an odd cycle,
-    so the size check compares two independent odd-component counts.  Each
-    function's support (its nonzero coefficients) is read once, for
-    membership in G_s, the Kirchhoff balance at every vertex and the count
-    of functions touching each edge.  Full rank is certified by private
+    fundamental cycle less one per component with an odd chord, whose
+    oddness the winding confirmed, so the size check compares the odd-tree
+    count with the walked parities.  Each function's support (its nonzero
+    coefficients) is read once, for membership in G_s, the Kirchhoff
+    balance at every vertex and the count of functions touching each edge.  Full rank is certified by private
     edges: each function touches an edge that no other function touches, so
     those edges pick out a dim x dim diagonal submatrix with a nonzero
     diagonal.

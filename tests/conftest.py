@@ -35,7 +35,7 @@ def walk_end(start, steps, edges_by_id):
 
 
 def parity_colouring(vertices, edges, n_of):
-    """Reference for parity_report and the odd count of graphs._forest:
+    """Reference for the odd count and chord parities of graphs._forest:
     components by search, beta1 = |E| - |V| + 1 each, and a component is odd
     iff colouring its vertices by step count (or weight) mod 2 along a search
     tree leaves some edge (or loop) inconsistent."""

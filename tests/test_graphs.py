@@ -369,10 +369,19 @@ def test_parity_forest_matches_colouring_random():
     for _ in range(300):
         g = random_graph(rng, max_vertices=8, max_edges=12)
         weight = {e.id: rng.randint(0, 1) for e in g.edges}
-        tree, chords, odd = _forest(g.vertices, g.edges, [weight[e.id] for e in g.edges])
-        assert odd == sum(o for _, o in parity_colouring(g.vertices, g.edges, weight).values())
+        tree, chords, odd, parities = _forest(g.vertices, g.edges,
+                                              [weight[e.id] for e in g.edges])
+        want = parity_colouring(g.vertices, g.edges, weight)
+        assert odd == sum(o for _, o in want.values())
         assert (tree, chords) == _forest(g.vertices, g.edges)[:2]
         assert _forest(g.vertices, g.edges)[2] == 0
+        # each chord's parity is its fundamental cycle's, walked edge by edge,
+        # and a tree has an odd chord iff the colouring finds it odd
+        cs = cycle_system(g.vertices, g.edges)
+        assert parities == [sum(weight[eid] for eid in c.edge_ids()) % 2 for c in cs.cycles]
+        odd_roots = {cs.root[c.start] for c, p in zip(cs.cycles, parities) if p}
+        for comp, (_, comp_odd) in want.items():
+            assert any(v in odd_roots for v in comp) == comp_odd
 
 
 # ---------------------------------------------------------------------------

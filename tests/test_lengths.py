@@ -366,6 +366,27 @@ def test_floor_matches_divisor_reference():
     assert with_floor > 500
 
 
+def test_floor_grows_one_forest_per_candidate(dumbbell, monkeypatch):
+    # one `_forest` per unit (does it hold a cycle?) and one per popped k;
+    # the witness's cycle system reuses the forest of the winning k
+    import heapq
+    import qglab.graphs as graphs
+    import qglab.lengths as lengths
+    forest, heappop = graphs._forest, heapq.heappop
+    calls = []
+    for module in (graphs, lengths):
+        monkeypatch.setattr(module, "_forest", lambda *a: calls.append("forest") or forest(*a))
+    monkeypatch.setattr(heapq, "heappop", lambda h: calls.append("pop") or heappop(h))
+    rng = random.Random(13)
+    found = 0
+    for g in [dumbbell] + [random_graph(rng) for _ in range(100)]:
+        calls.clear()
+        floor = resonance_floor(g)
+        assert calls.count("forest") == len(g.units.tokens()) + calls.count("pop"), g
+        found += floor.cycle is not None
+    assert found > 50
+
+
 def test_floor_over_its_cap_raises():
     with pytest.raises(ValueError, match=f"more than MAX_FLOOR_POPS = {MAX_FLOOR_POPS} "):
         resonance_floor(floor_over_cap())

@@ -4,60 +4,96 @@ from fractions import Fraction
 
 import pytest
 
-from qglab import (MetricGraph, Step, build_lambda_subgraph, parity_report,
-                   resonance_dimension, resonance_dimension_oracle, resonance_floor)
+from qglab import (MetricGraph, Step, build_lambda_subgraph, resonance_dimension,
+                   resonance_dimension_oracle, resonance_floor)
 from qglab.graphs import cycle_system
 from qglab.lengths import step_table
 from qglab.resonance import (BasisConstructionError, ResonanceBasisFunction, _spool,
-                             _verify_basis, _walk_parity, integer_matrix_rank,
-                             table_counts)
+                             _verify_basis, integer_matrix_rank, table_counts)
 
 from conftest import mk, parity_colouring, unit_grid, walk_end
 from randgraphs import all_steps, random_graph
 
 
+def walk_parity(walk, n_of) -> int:
+    """Total step count of a walk mod 2, walked edge by edge."""
+    return sum(n_of[eid] for eid, _ in walk.steps) % 2
+
+
+def parity_components(sub):
+    """Per tree of G_s's cycle system, by root in vertex order: its
+    vertices, edge ids, fundamental cycles (by chord id) and the first of
+    them the forest's chord parities call odd (None if none is)."""
+    system = cycle_system(sub.vertices, sub.edges, sub.forest)
+    root = system.root
+    parts = {root[v]: ([], [], [], []) for v in sub.vertices}
+    for v in sub.vertices:
+        parts[root[v]][0].append(v)
+    for e in sub.edges:
+        parts[root[e.origin]][1].append(e.id)
+    for c, odd in zip(system.cycles, sub.forest[3]):
+        parts[root[c.start]][2].append(c)
+        if odd:
+            parts[root[c.start]][3].append(c)
+    return [(verts, eids, cycles, odd[0] if odd else None)
+            for verts, eids, cycles, odd in parts.values()]
+
+
+def with_forest(monkeypatch, tamper):
+    """Make `resonance_dimension` take (subgraph, forest) = `tamper(sub)`
+    for each step subgraph sub it builds, the forest set in place of the
+    subgraph's own."""
+    import qglab.resonance as res
+    build = res.build_lambda_subgraph
+
+    def tampered(graph, step):
+        sub, forest = tamper(build(graph, step))
+        vars(sub)["forest"] = forest
+        return sub
+
+    monkeypatch.setattr(res, "build_lambda_subgraph", tampered)
+
+
 # ---------------------------------------------------------------------------
-# parity report
+# per-component parity: the forest's chord parities
 
 
 def test_parity_dashed_component(dumbbell):
     sub = build_lambda_subgraph(dumbbell, Step(Fraction(1), "one"))
-    rep = parity_report(sub)
-    assert len(rep.components) == 1
-    comp = rep.components[0]
-    assert comp.beta1 == 2
-    assert comp.is_odd
-    assert comp.odd_witness is not None
+    comps = parity_components(sub)
+    assert len(comps) == 1
+    _, _, cycles, witness = comps[0]
+    assert len(cycles) == 2
+    assert witness is not None
     n_of = {e.id: n for e, n in sub.members}
-    assert sum(n_of[eid] for eid in comp.odd_witness.edge_ids()) % 2 == 1
+    assert sum(n_of[eid] for eid in witness.edge_ids()) % 2 == 1
 
 
 def test_parity_sqrt3_components(dumbbell):
     sub = build_lambda_subgraph(dumbbell, Step(Fraction(1, 2), "sqrt3"))
-    rep = parity_report(sub)
-    assert len(rep.components) == 2
-    for comp in rep.components:
-        assert comp.beta1 == 1
-        assert not comp.is_odd
-    assert rep.beta0_odd == 0
+    comps = parity_components(sub)
+    assert len(comps) == 2
+    for _, _, cycles, witness in comps:
+        assert len(cycles) == 1
+        assert witness is None
+    assert sub.forest[2] == 0
 
 
 def test_parity_odd_loop(unit_loop):
     sub = build_lambda_subgraph(unit_loop, Step(Fraction(1), "one"))
-    rep = parity_report(sub)
-    assert rep.components[0].beta1 == 1
-    assert rep.components[0].is_odd
+    (_, _, cycles, witness), = parity_components(sub)
+    assert len(cycles) == 1
+    assert witness is not None
 
 
 def test_parity_empty_subgraph(dumbbell):
     sub = build_lambda_subgraph(dumbbell, Step(Fraction(7, 5), "one"))
     assert not sub.members
-    rep = parity_report(sub)
-    assert rep.components == ()
-    assert rep.beta1 == rep.beta0_odd == 0
+    assert parity_components(sub) == []
+    assert sub.forest[1:] == ([], 0, [])
 
 
-def test_parity_report_matches_colouring_random():
+def test_parity_components_match_colouring_random():
     rng = random.Random(61)
     for _ in range(120):
         g = random_graph(rng)
@@ -66,15 +102,15 @@ def test_parity_report_matches_colouring_random():
             n_of = {e.id: n for e, n in sub.members}
             edges_by_id = {e.id: e for e in sub.edges}
             want = parity_colouring(sub.vertices, sub.edges, n_of)
-            rep = parity_report(sub)
-            assert len(rep.components) == len(want)
-            for comp in rep.components:
-                assert (comp.beta1, comp.is_odd) == want[frozenset(comp.vertices)]
-                if comp.is_odd:
-                    w = comp.odd_witness
-                    assert set(w.edge_ids()) <= set(comp.edge_ids)
+            comps = parity_components(sub)
+            assert len(comps) == len(want)
+            for verts, eids, cycles, w in comps:
+                assert (len(cycles), w is not None) == want[frozenset(verts)]
+                if w is not None:
+                    assert set(w.edge_ids()) <= set(eids)
                     assert walk_end(w.start, w.steps, edges_by_id) == w.start
                     assert sum(n_of[eid] for eid in w.edge_ids()) % 2 == 1
+            assert sub.forest[2] == sum(odd for _, odd in want.values())
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +185,14 @@ def test_theorem_equals_oracle_randomized():
             assert got == want, (g, str(step))
 
 
+def colouring_counts(graph, step):
+    """(beta1, beta0_odd) of G_s by `parity_colouring`, and its cycle system."""
+    sub = build_lambda_subgraph(graph, step)
+    want = parity_colouring(sub.vertices, sub.edges, {e.id: n for e, n in sub.members})
+    return ((sum(b for b, _ in want.values()), sum(odd for _, odd in want.values())),
+            cycle_system(sub.vertices, sub.edges))
+
+
 def test_grouped_table_matches_reference_and_oracle():
     # table_counts at every row of step_table(g, 1000), and resonance_dimension
     # at each row's half: s = (p/q)*g and s/2 share G_s when p is odd and
@@ -160,17 +204,16 @@ def test_grouped_table_matches_reference_and_oracle():
         g = MetricGraph.build(g.vertices, g.edges, [*g.units.entries, ("ghost", 1.7)])
         table = step_table(g, 1000.0)
         for step, (beta1, odd) in zip(table.steps(), table_counts(g, table)):
-            ref = parity_report(build_lambda_subgraph(g, step))
-            assert (beta1, odd) == (ref.beta1, ref.beta0_odd)
+            ref, system = colouring_counts(g, step)
+            assert (beta1, odd) == ref
             assert beta1 - odd == resonance_dimension_oracle(g, step), (g, str(step))
             half = Step(step.coeff / 2, step.unit)
-            ref_half = parity_report(build_lambda_subgraph(g, half))
+            ref_half, system_half = colouring_counts(g, half)
             rep = resonance_dimension(g, half)
-            assert (rep.step, rep.beta1, rep.beta0_odd) == (half, ref_half.beta1,
-                                                           ref_half.beta0_odd)
+            assert (rep.step, rep.beta1, rep.beta0_odd) == (half, *ref_half)
             assert rep.dim == resonance_dimension_oracle(g, half), (g, str(half))
             assert rep.lam == half.lambda_value(g.units)
-            siblings += ref.system == ref_half.system and ref.beta0_odd != ref_half.beta0_odd
+            siblings += system == system_half and ref[1] != ref_half[1]
         ghost = resonance_dimension(g, Step(1, "ghost"))
         assert (ghost.beta1, ghost.beta0_odd, ghost.dim) == (0, 0, 0)
     assert siblings > 100
@@ -217,7 +260,7 @@ def test_even_q_has_no_odd_component():
 
 
 def test_table_is_count_only(monkeypatch):
-    # the table builds no step subgraph, cycle system or parity report, and
+    # the table builds no step subgraph, cycle system or basis, and
     # one forest per distinct (unit, p), s = (p/q)*g: both parities of q share it
     import qglab.resonance as res
 
@@ -237,7 +280,7 @@ def test_table_is_count_only(monkeypatch):
     calls = []
     forest = res._forest
     monkeypatch.setattr(res, "_forest", lambda *a: calls.append(1) or forest(*a))
-    for name in ("cycle_system", "parity_report", "build_lambda_subgraph"):
+    for name in ("cycle_system", "_construct_basis", "build_lambda_subgraph"):
         monkeypatch.setattr(res, name, refuse)
     for g, table, want in cases:
         calls.clear()
@@ -289,10 +332,9 @@ def test_equilateral_oddness_is_nonbipartiteness():
         verts = tuple(v for v in g.vertices
                       if any(v in (e.origin, e.terminus) for e, _ in eq_members))
         sub1 = LambdaSubgraph(sub.step, tuple(eq_members), verts)
-        rep = parity_report(sub1)
-        for comp in rep.components:
-            edges = [e for e, _ in eq_members if e.id in comp.edge_ids]
-            assert comp.is_odd == (not bipartite(comp.vertices, edges))
+        for verts, eids, _, witness in parity_components(sub1):
+            edges = [e for e, _ in eq_members if e.id in eids]
+            assert (witness is not None) == (not bipartite(verts, edges))
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +388,13 @@ def test_basis_even_loop(unit_loop):
     assert rep.basis[0].support() == {"e"}
 
 
-def test_spool_refuses_odd_walk():
-    # sin(pi x/s) wound once around a loop of 3 steps does not close
+def test_spool_refuses_odd_walk(unit_loop, monkeypatch):
+    # sin(pi x/s) wound once around a loop of 3 steps does not close: the
+    # winding ends odd, and a basis whose forest calls that loop even refuses it
+    assert _spool((("e", 1),), {"e": 3}) == ({"e": 1}, 1)
+    with_forest(monkeypatch, lambda sub: (sub, (*sub.forest[:2], 0, [0])))
     with pytest.raises(BasisConstructionError, match="odd total step count"):
-        _spool((("e", 1),), {"e": 3})
+        resonance_dimension(unit_loop, Step(Fraction(1, 3), "one"), with_basis=True)
 
 
 def test_basis_odd_loop_alone(unit_loop):
@@ -409,14 +454,12 @@ def test_basis_one_function_per_non_anchor_chord_random():
         g = random_graph(rng)
         for step in all_steps(g, n_max=6):
             rep = resonance_dimension(g, step, with_basis=True)
-            parity = parity_report(build_lambda_subgraph(g, step))
-            chords = {c.steps[0][0] for comp in parity.components
-                      for c in comp.cycles}
+            comps = parity_components(build_lambda_subgraph(g, step))
+            chords = {c.steps[0][0] for _, _, cycles, _ in comps for c in cycles}
             funcs = iter(rep.basis)
-            for comp in parity.components:
-                anchor = comp.odd_witness
+            for _, _, cycles, anchor in comps:
                 allowed = {anchor.steps[0][0]} if anchor else set()
-                for cyc in comp.cycles:
+                for cyc in cycles:
                     if cyc is anchor:
                         continue
                     f = next(funcs)
@@ -429,7 +472,7 @@ def test_basis_one_function_per_non_anchor_chord_random():
 
 def reference_basis(sub):
     """The basis spooled walk by walk: each fundamental cycle of
-    `cycle_system` with its parity from `_walk_parity`, an odd one along
+    `cycle_system` with its parity from `walk_parity`, an odd one along
     cycle, forest path to its component's first odd cycle, that cycle and
     the path back; and the number of such detours."""
     system = cycle_system(sub.vertices, sub.edges)
@@ -439,16 +482,18 @@ def reference_basis(sub):
         comps[system.root[c.start]].append(c)
     out, detours = [], 0
     for cycles in comps.values():
-        anchor = next((c for c in cycles if _walk_parity(c, n_of)), None)
+        anchor = next((c for c in cycles if walk_parity(c, n_of)), None)
         for c in cycles:
             if c is anchor:
                 continue
             steps = c.steps
-            if _walk_parity(c, n_of):
+            if walk_parity(c, n_of):
                 path = system.path(c.start, anchor.start)
                 steps += path + anchor.steps + tuple((e, -d) for e, d in reversed(path))
                 detours += 1
-            out.append(list(_spool(steps, n_of).items()))
+            b, end = _spool(steps, n_of)
+            assert end == 0
+            out.append(list(b.items()))
     return out, detours
 
 
@@ -489,20 +534,41 @@ def test_dumbbell_floor_not_attained(dumbbell):
 
 
 def test_basis_size_is_checked_against_the_table_forest(dumbbell, monkeypatch):
-    # the basis is spooled from parity_report's cycles and its size checked
-    # against the weighted forest count of G_s, so a report that lost a cycle fails
+    # the basis is spooled from the cycle system's cycles and its size checked
+    # against the weighted forest count of G_s, so a system that lost a cycle fails
     import qglab.resonance as res
     step = Step(Fraction(1, 2), "sqrt3")    # two even sqrt3 triangles, dim 2
     assert resonance_dimension(dumbbell, step, with_basis=True).dim == 2
-    report = res.parity_report
+    system_of = res.cycle_system
 
-    def lost_cycle(sub):
-        rep = report(sub)
-        first = replace(rep.components[0], cycles=rep.components[0].cycles[:-1])
-        return replace(rep, components=(first, *rep.components[1:]))
+    def lost_cycle(*args):
+        system = system_of(*args)
+        return replace(system, cycles=system.cycles[:-1])
 
-    monkeypatch.setattr(res, "parity_report", lost_cycle)
+    monkeypatch.setattr(res, "cycle_system", lost_cycle)
     with pytest.raises(BasisConstructionError, match="constructed 1 functions, expected 2"):
+        resonance_dimension(dumbbell, step, with_basis=True)
+
+
+def test_basis_refuses_a_forest_parity_its_walk_contradicts(dumbbell, monkeypatch):
+    # the two sqrt3 triangles at s = 1/2*sqrt3 are even (n_e = 2) and the
+    # forest is grown from that, but the winding reads chord s3 as n = 3: a
+    # chord the forest calls even, so no anchor, whose walk ends odd
+    step = Step(Fraction(1, 2), "sqrt3")
+    with_forest(monkeypatch, lambda sub: (replace(
+        sub, members=tuple((e, 3 if e.id == "s3" else n) for e, n in sub.members)),
+        sub.forest))
+    with pytest.raises(BasisConstructionError, match="odd total step count"):
+        resonance_dimension(dumbbell, step, with_basis=True)
+
+
+def test_basis_refuses_an_even_anchor(dumbbell, monkeypatch):
+    # a forest that calls the first chord's triangle odd and counts one odd
+    # tree makes it the anchor, and dim 2 - 1 = 1; only its winding, which
+    # ends even, catches that: the other function alone passes the size check
+    step = Step(Fraction(1, 2), "sqrt3")
+    with_forest(monkeypatch, lambda sub: (sub, (*sub.forest[:2], 1, [1, 0])))
+    with pytest.raises(BasisConstructionError, match="anchor cycle has even total step count"):
         resonance_dimension(dumbbell, step, with_basis=True)
 
 

@@ -7,6 +7,8 @@ checkout's `src/`, on:
 - every operation of the benchmark's three workloads (`perfbench/workloads.build`)
   for each seed (0-9 by default), with the random graphs written to a
   temporary directory as the benchmark writes them;
+- `basis` at every step of each random `exact` graph's own step table, at
+  that operation's --lambda-max;
 - `spectrum`, `visibility` and `resonances` at --lambda-max 45, 200 and
   1000, and `ntd` at mu = -1, 2 + 0.5i and 30, on each bundled graph, in
   the table, CSV and JSON formats;
@@ -58,13 +60,19 @@ def bundled_calls(bundled: str):
                     yield name, [command, path, "--lambda-max", lam, "--format", fmt]
             for mu in (["--mu-re", "-1"], ["--mu-re", "2", "--mu-im", "0.5"], ["--mu-re", "30"]):
                 yield name, ["ntd", path, *mu, "--format", fmt]
-        for step in step_table(parse_graph(path), 200.0).steps():
-            yield name, ["basis", path, "--step", str(step.coeff), step.unit]
+        yield from basis_calls(name, path, 200.0)
+
+
+def basis_calls(name: str, path: str, lambda_max: float):
+    """(name, argv) of `basis` at every step of the graph's step table."""
+    for step in step_table(parse_graph(path), lambda_max).steps():
+        yield name, ["basis", path, "--step", str(step.coeff), step.unit]
 
 
 def workload_calls(seeds, bundled: str, work: Path):
     """(name, argv) of every operation of each workload and seed, with the
-    workload's random graphs written under `work` (overwritten per seed)."""
+    workload's random graphs written under `work` (overwritten per seed),
+    each random `exact` graph followed by `basis_calls` on it."""
     for w in WORKLOADS:
         for seed in seeds:
             ops, _ = workloads.build(w, seed, bundled)
@@ -73,6 +81,9 @@ def workload_calls(seeds, bundled: str, work: Path):
                     op.file = str(work / f"{op.name}.qg")
                     Path(op.file).write_text(gen.to_qg(op.graph))
                 yield f"{w} {seed} {op.name}", op.argv()
+                if w == "exact" and op.drawn:
+                    yield from basis_calls(f"{w} {seed} {op.name}", op.file,
+                                           float(op.lambda_max))
 
 
 def digest(argv, dirs) -> str:
