@@ -92,10 +92,10 @@ class UnitTable:
     _by_token: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        by_token: dict[str, float] = {}
-        for t, a in self.entries:
-            by_token.setdefault(t, a)
-        object.__setattr__(self, "_by_token", by_token)
+        # floats, numpy scalars too; a token given twice maps to its first
+        entries = tuple((t, float(a)) for t, a in self.entries)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_by_token", dict(reversed(entries)))
 
     @classmethod
     def of(cls, mapping: Mapping[str, float] | Iterable[tuple[str, float]]) -> "UnitTable":
@@ -157,26 +157,27 @@ def out_of_range(length: ExactLength | float, units: Optional[UnitTable] = None
 
 
 def validate(graph: MetricGraph) -> list[str]:
-    """Check the MetricGraph invariants (edge lengths: `out_of_range`);
-    returns a list of violations.  A length object that several edges share
-    (the parser makes one per distinct coefficient text and unit) is ranged
-    once, and each of its edges reported."""
+    """Check the MetricGraph invariants, among them that a .qg file holds
+    the graph (`graphfile.serialize_graph`): names of one token without '#',
+    units declared once with a positive finite approximation; edge lengths:
+    `out_of_range`.  Returns a list of violations.  A length object that
+    several edges share (the parser makes one per distinct coefficient text
+    and unit) is ranged once, and each of its edges reported."""
     problems = []
     ranged: dict[int, Optional[str]] = {}       # id(length) -> out_of_range
     if not graph.vertices:
         problems.append("empty-graph: no vertices declared")
-    seen_v = set()
-    for v in graph.vertices:
-        if v in seen_v:
-            problems.append(f"duplicate-vertex: {v}")
-        seen_v.add(v)
-    seen_e = set()
+    for kind, names in (("unit", graph.units.tokens()), ("vertex", graph.vertices),
+                        ("edge", [e.id for e in graph.edges])):
+        problems += [f"bad-name: {kind} {n!r} is not one token without '#'"
+                     for n in names if str(n).split() != [n] or "#" in n]
+        problems += [f"duplicate-{kind}: {n}" for n, m in Counter(names).items() if m > 1]
+    problems += [f"unit-approx: unit {t} has {a!r}, not positive and finite"
+                 for t, a in graph.units.entries if not 0 < a < math.inf]
+    vertices = set(graph.vertices)
     for e in graph.edges:
-        if e.id in seen_e:
-            problems.append(f"duplicate-edge: {e.id}")
-        seen_e.add(e.id)
         for v in (e.origin, e.terminus):
-            if v not in seen_v:
+            if v not in vertices:
                 problems.append(f"unknown-vertex: edge {e.id} references {v}")
         if e.length.unit not in graph.units:
             problems.append(f"unknown-unit: edge {e.id} uses {e.length.unit!r}")

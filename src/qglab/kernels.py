@@ -2,9 +2,9 @@
 the vertex Dirichlet-to-Neumann matrix Lambda(k) of the graph with its edges
 on a pole split (`split_graph`), whose entries `dtn_entries` owns.  From it
 come the Friedlander eigenvalue count (`vertex_count`), the stacks by width
-(`vertex_matrices`) that the residue, with its eigenspace, and the
-Neumann-to-Dirichlet map take, and sigma_min, the smallest |mu_j| of
-Lambda(k), which only the `spectrum` command prints (`scan_sigma_min`).
+of Lambda and of Lambda_lambda = d Lambda / d lambda (`vertex_matrices`)
+that the residue and the Neumann-to-Dirichlet map take, and sigma_min, the
+smallest |mu_j| of Lambda(k), which only `spectrum` prints (`scan_sigma_min`).
 
 The count and the stacks both take Lambda(k) one width V + |split| at a
 time (`_stacked`), in chunks of at most CHUNK_BYTES of matrices, so a long
@@ -130,29 +130,32 @@ def _flat(org, ter, n):
 
 
 def vertex_matrices(eo, et, lengths, n_vertices, ks):
-    """Lambda(k) of the split graph at each k in ks, all float k >= 0, with
-    Lambda(0) the graph Laplacian weighted by 1/L_e, or all complex k with
-    Im k >= 0, stacked per width V + |split| in chunks of points and of
-    matrices.  Yields the indices into ks of each stack, its matrices, the
-    size of their entries (the largest magnitude one piece puts into an
-    entry: entries of several pieces can cancel, as in the 1 x 1 Lambda(k)
-    of one vertex with loops), and the terminus and length of piece 1 of
-    each edge."""
+    """Lambda(k) of the split graph at each k in ks, all float k >= 0, or
+    all complex k with Im k >= 0, stacked per width V + |split| in chunks of
+    points and of matrices.  Yields the indices into ks of each stack, its
+    matrices, the size of their entries (the largest magnitude one piece
+    puts into an entry: entries of several pieces can cancel, as in the
+    1 x 1 Lambda(k) of one vertex with loops), and for real k the matrices
+    Lambda_lambda = Lambda'(k) / 2k.  At k = 0 both take their limits, the
+    graph Laplacian weighted by 1/L and the mass matrix, -L/3 and -L/6 per
+    piece."""
     ks = np.asarray(ks)
     index = np.arange(ks.size)
     for at in _points(ks, n_vertices + len(eo)):
         org, ter, ell, on, dim = split_graph(eo, et, lengths, n_vertices, ks[at])
         k = ks[at, None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            d, o = dtn_entries(k, ell)[:2]
-        d, o = np.where(k == 0, 1 / ell, d), np.where(k == 0, -1 / ell, o)
-        vals = np.concatenate([d, d, o, o], axis=1)
+            d, o, *dk = dtn_entries(k, ell)
+            # diagonal and off-diagonal entries of Lambda, then of Lambda_lambda
+            e = [d, o, *(x / (2 * k) for x in dk)]
+        e = [np.where(k == 0, x0, x) for x, x0 in zip(e, (1 / ell, -1 / ell, -ell / 3, -ell / 6))]
+        vals = [np.concatenate([d, d, o, o], axis=1) for d, o in zip(e[::2], e[1::2])]
         if on is not None:
-            vals *= np.tile(on, 4)
-        size = np.max(np.abs(vals), axis=1)
-        ter1, ell1 = (np.broadcast_to(x, d.shape)[:, :len(eo)] for x in (ter, ell))
-        for n, rows, (lam,) in _stacked(org, ter, dim, vals):
-            yield index[at][rows], lam, size[rows], ter1[rows], ell1[rows]
+            for v in vals:
+                v *= np.tile(on, 4)
+        size = np.max(np.abs(vals[0]), axis=1)
+        for n, rows, mats in _stacked(org, ter, dim, *vals):
+            yield index[at][rows], mats[0], size[rows], *mats[1:]
 
 
 def scan_sigma_min(eo, et, lengths, n_vertices, ks) -> np.ndarray:

@@ -6,11 +6,13 @@ the graph Laplacian appear as order-one poles of M_B unless their
 eigenfunctions vanish on B; residue ranks quantify exactly how much of each
 eigenspace is visible from the vertex data.  Both come from one matrix, the
 vertex Dirichlet-to-Neumann matrix Lambda(k) = M(k^2)^-1 of the graph with its
-edges on a pole split (`kernels.vertex_matrices`).  The residue takes the
-eigenspace, the null space of Lambda(k) at an eigenvalue, from the same
-stacked `eigh` that separates it from the rest of the spectrum of Lambda(k)
-(`_residues`); nothing else reads it, and in a visibility report that `eigh`
-is the only factorization of each hit's Lambda(k).
+edges on a pole split (`kernels.vertex_matrices`), and its derivative
+Lambda_lambda = d Lambda / d lambda.  The residue takes the eigenspace, the
+null space C of Lambda(k) at an eigenvalue, from the same stacked `eigh`
+that separates it from the rest of the spectrum of Lambda(k), and is
+C (C^T Lambda_lambda C)^-1 C^T on B (`_residues`); nothing else reads the
+eigenspace, and in a visibility report that `eigh` is the only
+factorization of each hit's Lambda(k).
 """
 
 from __future__ import annotations
@@ -124,18 +126,20 @@ def _residues(graph: MetricGraph, selection: VertexSelection, lams,
     same place, from one stacked `eigh` of Lambda(k) per width
     (`kernels.vertex_matrices`), k = sqrt(lam).
 
-    The eigenspace is spanned by the functions W of the m eigenvectors of
-    Lambda(k) of the split graph with the smallest |mu_j|; its separation is
-    the m-th smallest |mu_j| over the (m+1)-th, or over the size of
-    Lambda's entries when m = n.  On piece 1 of each edge, of length l from
-    c_o to c_w, a function has a_e = c_o and b_e = (c_w - c_o cos kl) / sin kl,
-    or (c_w - c_o) / l at k = 0.  With C_B the vertex values on B and G the
-    L2 Gram matrix of W, the eigenfunctions W G^{-1/2} are orthonormal, so
-    M_B(mu) = -sum_n phi_n(B) phi_n(B)^T / (mu - lam_n) gives
-    Res_lam M_B = -C_B G^{-1} C_B^T.  Its rank counts the singular
-    values above max(RANK_TOL * sigma_1, RESIDUE_FLOOR * ||G^-1||_2): the
-    floor is the size the residue would have with vertex values as large as
-    the null vectors' entries.
+    The eigenspace holds the functions whose vertex values are the m
+    eigenvectors C of Lambda(k) of the split graph with the smallest |mu_j|;
+    its separation is the m-th smallest |mu_j| over the (m+1)-th, or over
+    the size of Lambda's entries when m = n.  For vertex values c,
+    c^T Lambda(lambda) c = int |f_c'|^2 - lambda |f_c|^2, f_c solving
+    -f'' = lambda f on each piece with those end values; f_c is stationary
+    for that form, so d(c^T Lambda c)/d lambda = -||f_c||^2, and
+    G = -C^T Lambda_lambda C is the L2 Gram matrix of the eigenspace.  Its
+    eigenfunctions have vertex values C G^{-1/2}, so M_B(mu) = -sum_n
+    phi_n(B) phi_n(B)^T / (mu - lam_n) gives Res_lam M_B = -C_B G^{-1} C_B^T,
+    C_B the rows of C on B.  Its rank counts the singular values above
+    max(RANK_TOL * sigma_1, RESIDUE_FLOOR * ||G^-1||_2): the floor is the
+    size the residue would have with vertex values as large as the null
+    vectors' entries.
     """
     eo, et, ln, vix = _edge_arrays(graph)
     rows = [vix[u] for u in selection.vertices]
@@ -143,9 +147,9 @@ def _residues(graph: MetricGraph, selection: VertexSelection, lams,
         raise ValueError("lambda must be nonnegative")
     ks = np.sqrt(np.asarray(lams, dtype=float))
     out: list = [None] * ks.size
-    for at, stack, sizes, ters, ells in kernels.vertex_matrices(eo, et, ln, len(vix), ks):
+    for at, stack, sizes, dstack in kernels.vertex_matrices(eo, et, ln, len(vix), ks):
         n = stack.shape[1]
-        for i, mu, vec, size, ter, ell in zip(at, *np.linalg.eigh(stack), sizes, ters, ells):
+        for i, mu, vec, size, dlam in zip(at, *np.linalg.eigh(stack), sizes, dstack):
             m = multiplicities[i]
             if not 0 < m <= n:
                 raise ValueError(f"multiplicity must lie in 1..{n}")
@@ -153,17 +157,7 @@ def _residues(graph: MetricGraph, selection: VertexSelection, lams,
             small, c = np.abs(mu[order]), vec[:, order[:m]]
             last = small[m] if m < n else size
             separation = float(small[m - 1] / last) if last > 0 else math.inf
-            k, ell, a = float(ks[i]), ell[:, None], c[eo]
-            b = (c[ter] - a * np.cos(k * ell)) / (np.sin(k * ell) if k else ell)
-            # integrals over [0, L] of cos^2, sin*cos, sin^2; of 1, x, x^2 at k = 0
-            if k == 0.0:
-                icc, ics, iss = ln, ln ** 2 / 2, ln ** 3 / 3
-            else:
-                half = np.sin(2 * k * ln) / (4 * k)
-                icc, ics, iss = ln / 2 + half, np.sin(k * ln) ** 2 / (2 * k), ln / 2 - half
-            cross = a.T @ (ics[:, None] * b)
-            gram = a.T @ (icc[:, None] * a) + b.T @ (iss[:, None] * b) + cross + cross.T
-            g, v = np.linalg.eigh(gram)               # G^-1 = V diag(1/g) V^T, g > 0
+            g, v = np.linalg.eigh(-c.T @ dlam @ c)    # G^-1 = V diag(1/g) V^T, g > 0
             cv = c[rows] @ v
             mat = -(cv / g) @ cv.T
             sv = np.linalg.svd(mat, compute_uv=False)

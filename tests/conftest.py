@@ -81,6 +81,18 @@ def unit_grid(n):
     return mk([vid(i, j) for i in range(n) for j in range(n)], spec, {"one": 1.0})
 
 
+def random_length_grid(n, rng):
+    """n x n square grid whose edges have lengths p/q and p/q sqrt 2,
+    p, q <= 6, drawn from rng: poles of many widths."""
+    vid = lambda i, j: f"g{i}_{j}"
+    spec = [(f"{d}{i}_{j}", vid(i, j), vid(i + di, j + dj),
+             Fraction(rng.randint(1, 6), rng.randint(1, 6)), rng.choice(["one", "r2"]))
+            for i in range(n) for j in range(n) for d, di, dj in (("h", 0, 1), ("v", 1, 0))
+            if i + di < n and j + dj < n]
+    return mk([vid(i, j) for i in range(n) for j in range(n)], spec,
+              {"one": 1.0, "r2": math.sqrt(2)})
+
+
 @pytest.fixture(scope="session")
 def dumbbell():
     return parse_graph(qglab.bundled_graph_path("dumbbell.qg"))

@@ -1,14 +1,19 @@
+import math
+import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import qglab
-from qglab import Step, parse_graph, parse_graph_text, resonance_dimension, serialize_graph
+from qglab import (Edge, ExactLength, MetricGraph, Step, UnitTable, parse_graph,
+                   parse_graph_text, resonance_dimension, serialize_graph, validate)
 from qglab.graphfile import GraphFileError
 from qglab.spectral import _edge_arrays
 
 from conftest import unit_grid
+from randgraphs import random_graph
 
 
 GOOD = """\
@@ -189,3 +194,54 @@ def test_comments_and_blank_lines_ignored():
     g = parse_graph_text("\n# nothing\n   \nunit u 1.0\nvertex a\n")
     assert g.vertices == ("a",)
     assert g.edges == ()
+
+
+# validate refuses every graph whose .qg file the parser would refuse
+
+def _edge(eid, o, t, unit="u"):
+    return Edge(eid, o, t, ExactLength(Fraction(1), unit))
+
+
+@pytest.mark.parametrize("vertices, edges, units, problem", [
+    (["", "b"], [_edge("e", "", "b")], {"u": 1.0}, "bad-name: vertex ''"),
+    (["a b", "c"], [_edge("e", "a b", "c")], {"u": 1.0}, "bad-name: vertex 'a b'"),
+    (["a#", "c"], [_edge("e", "a#", "c")], {"u": 1.0}, "bad-name: vertex 'a#'"),
+    (["a", "b"], [_edge("", "a", "b")], {"u": 1.0}, "bad-name: edge ''"),
+    (["a", "b"], [_edge("e\tf", "a", "b")], {"u": 1.0}, "bad-name: edge 'e\\tf'"),
+    (["a", "b"], [_edge("#e", "a", "b")], {"u": 1.0}, "bad-name: edge '#e'"),
+    (["a", "b"], [_edge("e", "a", "b", "")], [("", 1.0)], "bad-name: unit ''"),
+    (["a", "b"], [_edge("e", "a", "b", "u v")], [("u v", 1.0)],
+     "bad-name: unit 'u\\u2028v'"),
+    (["a", "b"], [_edge("e", "a", "b", "u#")], [("u#", 1.0)], "bad-name: unit 'u#'"),
+    (["a", "b"], [_edge("e", "a", "b")], [("u", 1.0), ("u", 2.0)], "duplicate-unit: u"),
+    (["a"], [], [("u", 1.0), ("w", 0.0)], "unit-approx: unit w has 0.0"),
+    (["a"], [], [("u", 1.0), ("w", math.inf)], "unit-approx: unit w has inf"),
+    (["a"], [], [("u", 1.0), ("w", math.nan)], "unit-approx: unit w has nan"),
+], ids=["empty-vertex", "space-vertex", "hash-vertex", "empty-edge", "tab-edge", "hash-edge",
+        "empty-unit", "line-separator-unit", "hash-unit", "duplicate-unit", "zero-unit",
+        "inf-unit", "nan-unit"])
+def test_validate_refuses_what_a_file_cannot_hold(vertices, edges, units, problem):
+    graph = MetricGraph.build(vertices, edges, UnitTable.of(units))
+    assert any(p.startswith(problem) for p in validate(graph)), validate(graph)
+    with pytest.raises(GraphFileError):
+        parse_graph_text(serialize_graph(graph))
+
+
+def test_serialize_parse_round_trip_over_random_graphs():
+    # names of one token without '#', approximations of several float types
+    rng = random.Random(4)
+    alphabet = "abcxyz019_-./:é*"
+    for i in range(300):
+        g = random_graph(rng)
+        name = {v: "".join(rng.choices(alphabet, k=rng.randint(1, 4))) + str(j)
+                for j, v in enumerate(g.vertices)}
+        kind = (float, np.float64, np.float32, int)[i % 4]
+        units = UnitTable.of([(f"{t}{rng.choice(alphabet)}", kind(rng.uniform(1, 9)))
+                              for t in g.units.tokens()])
+        token = dict(zip(g.units.tokens(), units.tokens()))
+        edges = [Edge(f"{e.id}/{rng.choice(alphabet)}", name[e.origin], name[e.terminus],
+                      ExactLength(e.length.coeff, token[e.length.unit])) for e in g.edges]
+        graph = MetricGraph.build([name[v] for v in g.vertices], edges, units)
+        assert validate(graph) == []
+        back = parse_graph_text(serialize_graph(graph))
+        assert back == graph and serialize_graph(back) == serialize_graph(graph)

@@ -10,7 +10,7 @@ from qglab import betti_graph, kernels
 from qglab.lengths import candidate_steps
 from qglab.spectral import _edge_arrays
 
-from conftest import on_a_pole, unit_grid
+from conftest import on_a_pole, random_length_grid, unit_grid
 from eigenphase import eigenphase_count
 from randgraphs import degree, random_graph
 
@@ -23,15 +23,12 @@ def arrays(graph):
 # Per-point reference: one Lambda(k) at a time, entry by entry from the
 # pieces of its split graph.
 
-def reference_lambda(eo, et, ln, nv, k):
-    """Lambda(k) of the graph with each edge of |sin(Re k L_e)| < SPLIT_TOL
-    and |Re k| L_e >= pi/2 split at the fraction t of SPLITS with the largest
-    |sin n pi t|, n = round(|Re k| L_e / pi), by a new vertex V, V + 1, ...;
-    the largest magnitude one piece puts into an entry; and the terminus and
-    length of the first piece of each edge.  At k = 0 the entries are 1/L and
-    -1/L."""
-    trig = cmath if isinstance(k, complex) else math
-    pieces, first, n = [], [], nv
+def reference_pieces(eo, et, ln, nv, k):
+    """The pieces (origin, terminus, length) of the graph with each edge of
+    |sin(Re k L_e)| < SPLIT_TOL and |Re k| L_e >= pi/2 split at the fraction
+    t of SPLITS with the largest |sin n pi t|, n = round(|Re k| L_e / pi), by
+    a new vertex V, V + 1, ...; and its number of vertices."""
+    pieces, n = [], nv
     for o, t, length in zip(eo.tolist(), et.tolist(), ln.tolist()):
         turns = round(abs(k.real) * length / math.pi)
         if abs(math.sin(abs(k.real) * length)) < kernels.SPLIT_TOL and turns > 0:
@@ -40,19 +37,32 @@ def reference_lambda(eo, et, ln, nv, k):
             n += 1
         else:
             pieces.append((o, t, length))
-        first.append(pieces[-2] if pieces[-1][0] >= nv else pieces[-1])
-    lam, size = np.zeros((n, n), dtype=type(k)), 0.0
+    return pieces, n
+
+
+def reference_lambda(eo, et, ln, nv, k):
+    """Lambda(k) of the split graph (`reference_pieces`), the largest
+    magnitude one piece puts into an entry, and Lambda_lambda =
+    Lambda'(k) / 2k.  At k = 0 the entries are 1/L and -1/L, and
+    Lambda_lambda's -L/3 and -L/6."""
+    trig = cmath if isinstance(k, complex) else math
+    pieces, n = reference_pieces(eo, et, ln, nv, k)
+    lam, dlam, size = np.zeros((n, n), dtype=type(k)), np.zeros((n, n), dtype=type(k)), 0.0
     for o, t, length in pieces:
         if k == 0:
-            diag, off = 1 / length, -1 / length
+            diag, off, ddiag, doff = 1 / length, -1 / length, -length / 3, -length / 6
         else:
-            diag, off = k * trig.cos(k * length) / trig.sin(k * length), -k / trig.sin(k * length)
-        lam[o, o] += diag
-        lam[t, t] += diag
-        lam[o, t] += off
-        lam[t, o] += off
+            sin, cos, kl = trig.sin(k * length), trig.cos(k * length), k * length
+            diag, off = k * cos / sin, -k / sin
+            ddiag = (cos * sin - kl) / (2 * k * sin ** 2)
+            doff = (kl * cos - sin) / (2 * k * sin ** 2)
+        for m, d, f in ((lam, diag, off), (dlam, ddiag, doff)):
+            m[o, o] += d
+            m[t, t] += d
+            m[o, t] += f
+            m[t, o] += f
         size = max(size, abs(diag), abs(off))
-    return lam, size, [p[1] for p in first], [p[2] for p in first]
+    return lam, size, dlam
 
 
 def pole_points(ln, n=3):
@@ -78,21 +88,80 @@ def test_batched_assembly_matches_per_point(dumbbell, loop_pendant):
         eo, et, ln, nv = arrays(graph)
         for ks in points(ln):
             seen, stacks = np.zeros(len(ks), dtype=int), []
-            for at, lam, size, ter, ell in kernels.vertex_matrices(eo, et, ln, nv, ks):
+            for at, lam, size, *dlam in kernels.vertex_matrices(eo, et, ln, nv, ks):
                 stacks.append(lam.shape[1])
-                for i, a, sz, t, l in zip(at.tolist(), lam, size, ter, ell):
-                    ref, ref_size, ref_ter, ref_ell = reference_lambda(eo, et, ln, nv,
-                                                                       ks[i].item())
+                # Lambda_lambda for real k only
+                assert len(dlam) == (not np.iscomplexobj(ks))
+                for j, (i, a, sz) in enumerate(zip(at.tolist(), lam, size)):
+                    ref, ref_size, ref_dlam = reference_lambda(eo, et, ln, nv, ks[i].item())
                     assert a.shape == ref.shape
                     assert np.allclose(a, ref, rtol=1e-12, atol=1e-12 * ref_size)
                     assert sz == pytest.approx(ref_size, rel=1e-12)
-                    assert t.tolist() == ref_ter and np.allclose(l, ref_ell, rtol=1e-15)
+                    if dlam:
+                        assert np.allclose(dlam[0][j], ref_dlam, rtol=1e-12,
+                                           atol=1e-12 * np.max(np.abs(ref_dlam)))
                     seen[i] += 1
             assert np.all(seen == 1) and len(set(stacks)) > 1
             if graph is dumbbell and not np.iscomplexobj(ks):
                 assert stacks.count(nv) > 1          # a chunk boundary
                 assert np.sum(~on_a_pole(ks, ln, kernels.SPLIT_TOL).any(axis=1)) > \
                     kernels.CHUNK_BYTES // (16 * nv * nv)
+
+
+def per_point(eo, et, ln, nv, ks):
+    """Lambda(k) and Lambda_lambda at each real k of ks, in its order."""
+    out = [None] * len(ks)
+    for at, lam, _, dlam in kernels.vertex_matrices(eo, et, ln, nv, ks):
+        for i, a, d in zip(at.tolist(), lam, dlam):
+            out[i] = a, d
+    return out
+
+
+def l2_norm(pieces, c, k):
+    """||f_c||^2 in closed form: f_c solves -f'' = k^2 f on each piece
+    (o, t, l) with the vertex values c at its ends; on [0, l] it is
+    a cos kx + b sin kx, a = c_o, b = (c_t - c_o cos kl) / sin kl, or
+    a + b x, b = (c_t - c_o) / l, at k = 0."""
+    total = 0.0
+    for o, t, l in pieces:
+        a = c[o]
+        if k == 0:
+            b = (c[t] - a) / l
+            icc, ics, iss = l, l ** 2 / 2, l ** 3 / 3          # of 1, x, x^2
+        else:
+            b = (c[t] - a * math.cos(k * l)) / math.sin(k * l)
+            half = math.sin(2 * k * l) / (4 * k)              # of cos^2, sin cos, sin^2
+            icc, ics, iss = l / 2 + half, math.sin(k * l) ** 2 / (2 * k), l / 2 - half
+        total += a * a * icc + 2 * a * b * ics + b * b * iss
+    return total
+
+
+def test_lambda_derivative_is_minus_the_l2_norm(dumbbell, loop_pendant, interval_pi,
+                                                unit_triangle, path3):
+    # c^T Lambda(lambda) c = int |f_c'|^2 - lambda |f_c|^2 and f_c is
+    # stationary for it, so -c^T Lambda_lambda c = ||f_c||^2: the Gram
+    # matrix of the residue.  At k = 0, on a pole of an edge (split there)
+    # and at 50 random k; Lambda_lambda also against central differences
+    # of Lambda in k, (Lambda(k + h) - Lambda(k - h)) / 4kh.
+    draw = np.random.default_rng(5)
+    graphs = [dumbbell, loop_pendant, interval_pi, unit_triangle, path3,
+              random_length_grid(4, random.Random(3))]
+    for graph in graphs:
+        eo, et, ln, nv = arrays(graph)
+        ks = np.concatenate([[0.0, 2 * math.pi / ln[0]], draw.uniform(0.05, 30.0, 50)])
+        assert reference_pieces(eo, et, ln, nv, ks[1])[1] > nv        # edge 0 is split
+        h = 1e-7 * ks
+        at_k, up, down = (per_point(eo, et, ln, nv, x) for x in (ks, ks + h, ks - h))
+        for i, k in enumerate(ks.tolist()):
+            dlam = at_k[i][1]
+            pieces, n = reference_pieces(eo, et, ln, nv, k)
+            for c in draw.standard_normal((3, n)):
+                norm = l2_norm(pieces, c, k)
+                assert -c @ dlam @ c == pytest.approx(norm, rel=1e-9)
+            if k > 0:
+                assert up[i][0].shape == down[i][0].shape == dlam.shape
+                diff = (up[i][0] - down[i][0]) / (4 * k * h[i])
+                assert np.allclose(diff, dlam, rtol=1e-5, atol=1e-5 * np.max(np.abs(dlam)))
 
 
 def test_count_over_mixed_widths_sees_the_stacked_matrices(dumbbell, loop_pendant):
@@ -142,7 +211,7 @@ def test_batched_scan_matches_per_point_eigvalsh(dumbbell, loop_pendant):
         ks = points(ln)[0]
         act = kernels.scan_sigma_min(eo, et, ln, nv, ks)
         for k, sig in zip(ks.tolist(), act.tolist()):
-            ref, size, _, _ = reference_lambda(eo, et, ln, nv, k)
+            ref, size, _ = reference_lambda(eo, et, ln, nv, k)
             assert abs(sig - np.min(np.abs(np.linalg.eigvalsh(ref)))) <= 1e-13 * size
 
 

@@ -14,7 +14,7 @@ from qglab import (Edge, ExactLength, MetricGraph, Step, assemble_secular, betti
 
 from qglab.spectral import _edge_arrays
 
-from conftest import mk, on_a_pole, unit_grid
+from conftest import mk, on_a_pole, random_length_grid, unit_grid
 from eigenphase import eigenphase_count
 from randgraphs import degree, random_graph
 from secular import assemble_real
@@ -238,14 +238,7 @@ def test_grid_multiplicity_at_half_pi():
 def test_random_length_grid_matches_eigenphase_count():
     # a 6 x 6 grid whose edges have lengths p/q and p/q sqrt 2, p, q <= 6:
     # poles of many widths, where every other grid here is equilateral
-    rng = random.Random(0)
-    vid = lambda i, j: f"g{i}_{j}"
-    spec = [(f"{d}{i}_{j}", vid(i, j), vid(i + di, j + dj),
-             Fraction(rng.randint(1, 6), rng.randint(1, 6)), rng.choice(["one", "r2"]))
-            for i in range(6) for j in range(6) for d, di, dj in (("h", 0, 1), ("v", 1, 0))
-            if i + di < 6 and j + dj < 6]
-    graph = mk([vid(i, j) for i in range(6) for j in range(6)], spec,
-               {"one": 1.0, "r2": math.sqrt(2)})
+    graph = random_length_grid(6, random.Random(0))
     got = eigenvalues_in(graph, 12)
     assert not got.warnings
     eo, et, ln, _ = _edge_arrays(graph)

@@ -12,6 +12,8 @@ checkout's `src/`, on:
 - `spectrum`, `visibility` and `resonances` at --lambda-max 45, 200 and
   1000, and `ntd` at mu = -1, 2 + 0.5i and 30, on each bundled graph, in
   the table, CSV and JSON formats;
+- `visibility` at --lambda-max 200 in JSON on each bundled graph with
+  --vertices its first vertex, and all of its vertices;
 - `basis` at every step of each bundled graph's step table at
   lambda <= 200 (`qglab.lengths.step_table`).
 
@@ -60,6 +62,10 @@ def bundled_calls(bundled: str):
                     yield name, [command, path, "--lambda-max", lam, "--format", fmt]
             for mu in (["--mu-re", "-1"], ["--mu-re", "2", "--mu-im", "0.5"], ["--mu-re", "30"]):
                 yield name, ["ntd", path, *mu, "--format", fmt]
+        vertices = parse_graph(path).vertices
+        for selection in (vertices[:1], vertices):
+            yield name, ["visibility", path, "--lambda-max", "200",
+                         "--vertices", ",".join(selection), "--format", "json"]
         yield from basis_calls(name, path, 200.0)
 
 
