@@ -1,8 +1,12 @@
 """Command-line front end.
 
 One binary, subcommands ``spectrum``, ``resonances``, ``visibility``,
-``basis`` and ``ntd``.  JSON output records the command's inputs under
-``meta``.
+``basis`` and ``ntd``.  Each ``cmd_*`` takes the parsed arguments and the
+graph and returns its body (``{"rows": [...]}``, or the ``basis`` dict),
+its ``meta`` entries and its warnings.  `main` alone parses the graph
+file, opens ``--output`` or stdout, writes ``meta`` with ``command`` and
+``graph`` first, prints the warnings after the output and sets the exit
+code; a record that every command adds to ``meta`` belongs there.
 
 Exit codes: 0 clean, 1 usage/parse/command errors, 2 completed but with
 numerical-confidence warnings.
@@ -69,18 +73,19 @@ def _dumps(obj) -> str:
     return "{\n  " + ",\n  ".join(items) + "\n}"
 
 
-def _emit(rows: list[dict], fmt: str, meta: dict, out) -> None:
+def _emit(body: dict, fmt: str, meta: dict, out) -> None:
     if fmt == "json":
-        out.write(_dumps({"meta": meta, "rows": rows}) + "\n")
-    elif fmt == "csv":
+        out.write(_dumps({"meta": meta, **body}) + "\n")
+        return
+    rows = body["rows"]
+    if fmt == "csv":
         if rows:
             w = csv.DictWriter(out, fieldnames=list(rows[0]))
             w.writeheader()
             w.writerows(rows)
+    elif not rows:
+        out.write("(no rows)\n")
     else:
-        if not rows:
-            out.write("(no rows)\n")
-            return
         cols = list(rows[0])
         widths = [max(len(c), *(len(str(r[c])) for r in rows)) for c in cols]
         out.write("  ".join(c.ljust(w) for c, w in zip(cols, widths)).rstrip() + "\n")
@@ -101,21 +106,7 @@ def _add_vertices(p):
                    help="'auto' (default) or comma-separated vertex ids")
 
 
-def _output(args):
-    """The file named by --output, or stdout, which leaving the `with` keeps open."""
-    return open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout)
-
-
-def _finish(args, rows, meta, warnings) -> int:
-    with _output(args) as out:
-        _emit(rows, args.format, meta, out)
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    return WARNINGS if warnings else OK
-
-
-def cmd_spectrum(args) -> int:
-    graph = parse_graph(args.graph)
+def cmd_spectrum(args, graph):
     spec = eigenvalues_in(graph, args.lambda_max)
     # sigma_min at each hit's k but the first, lambda = 0, which prints 0
     sigmas = [0.0, *sigma_min(graph, [h.k for h in spec.eigenvalues[1:]]).tolist()]
@@ -123,13 +114,10 @@ def cmd_spectrum(args) -> int:
              "multiplicity": h.multiplicity,
              "sigma_min": f"{sg:.3g}"}
             for h, sg in zip(spec.eigenvalues, sigmas)]
-    meta = {"command": "spectrum", "graph": args.graph,
-            "lambda_max": args.lambda_max}
-    return _finish(args, rows, meta, spec.warnings)
+    return {"rows": rows}, {"lambda_max": args.lambda_max}, spec.warnings
 
 
-def cmd_resonances(args) -> int:
-    graph = parse_graph(args.graph)
+def cmd_resonances(args, graph):
     table = step_table(graph, args.lambda_max)
     floor = resonance_floor(graph, (table.gcds, table.mults))
     rows = [{"lambda": f"{lam:.12g}",
@@ -140,14 +128,12 @@ def cmd_resonances(args) -> int:
              "resonance": "yes" if beta1 > odd else "no"}
             for (lam, _, _), text, (beta1, odd) in zip(table.rows, table.texts(),
                                                        table_counts(graph, table))]
-    meta = {"command": "resonances", "graph": args.graph,
-            "lambda_max": args.lambda_max,
+    meta = {"lambda_max": args.lambda_max,
             "lambda_floor": None if math.isinf(floor.lam) else floor.lam}
-    return _finish(args, rows, meta, [])
+    return {"rows": rows}, meta, ()
 
 
-def cmd_visibility(args) -> int:
-    graph = parse_graph(args.graph)
+def cmd_visibility(args, graph):
     sel = select_vertices(graph, args.vertices)
     rep = visibility_report(graph, sel, args.lambda_max)
     rows = []
@@ -161,31 +147,20 @@ def cmd_visibility(args) -> int:
                 "singular_values": [float(s) for s in r.residue.singular_values],
                 "separation": r.residue.separation}
         rows.append(row)
-    meta = {"command": "visibility", "graph": args.graph,
-            "lambda_max": args.lambda_max, "vertices": list(sel.vertices),
+    meta = {"lambda_max": args.lambda_max, "vertices": list(sel.vertices),
             "mode": sel.mode}
-    return _finish(args, rows, meta, rep.warnings)
+    return {"rows": rows}, meta, rep.warnings
 
 
-def cmd_basis(args) -> int:
-    graph = parse_graph(args.graph)
+def cmd_basis(args, graph):
     step = Step(*args.step)
     rep = resonance_dimension(graph, step, with_basis=True)
-    payload = {
-        "meta": {"command": "basis", "graph": args.graph, "step": str(step),
-                 "lambda": rep.lam},
-        "beta1": rep.beta1,
-        "beta0_odd": rep.beta0_odd,
-        "dim_R": rep.dim,
-        "functions": [f.coefficients for f in rep.basis],
-    }
-    with _output(args) as out:
-        out.write(_dumps(payload) + "\n")
-    return OK
+    body = {"beta1": rep.beta1, "beta0_odd": rep.beta0_odd, "dim_R": rep.dim,
+            "functions": [f.coefficients for f in rep.basis]}
+    return body, {"step": str(step), "lambda": rep.lam}, ()
 
 
-def cmd_ntd(args) -> int:
-    graph = parse_graph(args.graph)
+def cmd_ntd(args, graph):
     sel = select_vertices(graph, args.vertices)
     if "vertex" in sel.vertices:
         raise ValueError("a vertex named 'vertex' clashes with the ntd label column")
@@ -198,9 +173,7 @@ def cmd_ntd(args) -> int:
             z = m[i, j]
             row[w] = f"{z.real:.12g}{z.imag:+.12g}j"
         rows.append(row)
-    meta = {"command": "ntd", "graph": args.graph, "mu": str(mu),
-            "vertices": list(sel.vertices)}
-    return _finish(args, rows, meta, sel.warnings)
+    return {"rows": rows}, {"mu": str(mu), "vertices": list(sel.vertices)}, sel.warnings
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,27 +183,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "metric graph Laplacians.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", help="eigenvalues up to a cutoff")
-    _add_common(p)
-    p.add_argument("--lambda-max", type=float, required=True)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("resonances", help="exact resonance table")
-    _add_common(p)
-    p.add_argument("--lambda-max", type=float, required=True)
-    p.set_defaults(func=cmd_resonances)
-
-    p = sub.add_parser("visibility", help="per-eigenvalue visibility table")
-    _add_common(p)
-    p.add_argument("--lambda-max", type=float, required=True)
-    _add_vertices(p)
-    p.set_defaults(func=cmd_visibility)
+    for name, func, text in (("spectrum", cmd_spectrum, "eigenvalues up to a cutoff"),
+                             ("resonances", cmd_resonances, "exact resonance table"),
+                             ("visibility", cmd_visibility, "per-eigenvalue visibility table")):
+        p = sub.add_parser(name, help=text)
+        _add_common(p)
+        p.add_argument("--lambda-max", type=float, required=True)
+        p.set_defaults(func=func)
+    _add_vertices(p)    # the last of the three, visibility, also selects vertices
 
     p = sub.add_parser("basis", help="resonance eigenfunction coefficients (JSON)")
     p.add_argument("graph")
     p.add_argument("--step", nargs=2, metavar=("P/Q", "UNIT"), required=True)
     p.add_argument("--output", "-o", default=None)
-    p.set_defaults(func=cmd_basis)
+    p.set_defaults(func=cmd_basis, format="json")
 
     p = sub.add_parser("ntd", help="sample the Neumann-to-Dirichlet matrix")
     _add_common(p)
@@ -265,11 +231,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return ERROR if exc.code else OK
     try:
-        return args.func(args)
+        body, meta, warnings = args.func(args, parse_graph(args.graph))
+        with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as out:
+            _emit(body, args.format, {"command": args.command, "graph": args.graph, **meta}, out)
     except (OSError, ValueError, NearSpectrumError) as exc:
         for e in exc.errors if isinstance(exc, GraphFileError) else [exc]:
             print(f"error: {e}", file=sys.stderr)
         return ERROR
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    return WARNINGS if warnings else OK
 
 
 if __name__ == "__main__":

@@ -102,7 +102,7 @@ def parse_graph_text(text: str, source: str = "<string>") -> MetricGraph:
 
 def parse_graph(path: str | Path) -> MetricGraph:
     p = Path(path)
-    return parse_graph_text(p.read_text(), source=str(p))
+    return parse_graph_text(p.read_text(encoding="utf-8-sig"), source=str(p))
 
 
 def serialize_graph(graph: MetricGraph) -> str:

@@ -159,7 +159,8 @@ def out_of_range(length: ExactLength | float, units: Optional[UnitTable] = None
 def validate(graph: MetricGraph) -> list[str]:
     """Check the MetricGraph invariants, among them that a .qg file holds
     the graph (`graphfile.serialize_graph`): names of one token without '#',
-    units declared once with a positive finite approximation; edge lengths:
+    vertex names also without ',' (the separator of `--vertices`), units
+    declared once with a positive finite approximation; edge lengths:
     `out_of_range`.  Returns a list of violations.  A length object that
     several edges share (the parser makes one per distinct coefficient text
     and unit) is ranged once, and each of its edges reported."""
@@ -172,6 +173,8 @@ def validate(graph: MetricGraph) -> list[str]:
         problems += [f"bad-name: {kind} {n!r} is not one token without '#'"
                      for n in names if str(n).split() != [n] or "#" in n]
         problems += [f"duplicate-{kind}: {n}" for n, m in Counter(names).items() if m > 1]
+    problems += [f"bad-name: vertex {v!r} holds ',', which separates the ids of --vertices"
+                 for v in graph.vertices if "," in v]
     problems += [f"unit-approx: unit {t} has {a!r}, not positive and finite"
                  for t, a in graph.units.entries if not 0 < a < math.inf]
     vertices = set(graph.vertices)

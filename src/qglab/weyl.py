@@ -28,7 +28,7 @@ import numpy as np
 from . import kernels
 from .graphs import MetricGraph, core_decomposition
 from .resonance import table_counts
-from .spectral import Spectrum, _edge_arrays, eigenvalues_in
+from .spectral import _edge_arrays, eigenvalues_in
 # Not called here.  The benchmark tracer (perfbench/spans.py) looks these
 # names up in this module; drop each import together with its target.
 from .lengths import candidate_steps  # noqa: F401
@@ -187,8 +187,6 @@ class VisibilityRow:
 @dataclass(frozen=True)
 class VisibilityReport:
     rows: tuple[VisibilityRow, ...]
-    selection: VertexSelection
-    spectrum: Spectrum
     warnings: tuple[str, ...] = ()
 
 
@@ -242,4 +240,4 @@ def visibility_report(graph: MetricGraph, selection: VertexSelection,
             rank_residue=res.rank, dim_resonance=dim_res,
             step=step, identity_ok=identity_ok,
             classification=_classify(hit.multiplicity, res.rank), residue=res))
-    return VisibilityReport(tuple(rows), selection, spec, tuple(warnings))
+    return VisibilityReport(tuple(rows), tuple(warnings))

@@ -352,18 +352,34 @@ def test_length_outside_the_float_range_exit_1(capsys, tmp_path, command, unit, 
     assert err.startswith("error:") and "edge e1" in err and "length" in err
 
 
-def test_missing_file_exit_1(capsys):
-    code, _, err = run(capsys, ["spectrum", "/no/such/file.qg",
-                                "--lambda-max", "5"])
-    assert code == ERROR
+# every command parses its graph and writes its output through `main`
+ARGS = {"spectrum": ["--lambda-max", "5"], "resonances": ["--lambda-max", "5"],
+        "visibility": ["--lambda-max", "5"], "basis": ["--step", "1", "pi"],
+        "ntd": ["--mu-re", "-1"]}
 
 
-def test_unwritable_output_exit_1(paths, capsys, tmp_path):
+@pytest.mark.parametrize("command", ARGS)
+def test_missing_file_exit_1(capsys, command):
+    code, out, err = run(capsys, [command, "/no/such/file.qg", *ARGS[command]])
+    assert code == ERROR and not out
+    assert err.startswith("error:") and "/no/such/file.qg" in err
+
+
+@pytest.mark.parametrize("command", ARGS)
+def test_unwritable_output_exit_1(paths, capsys, tmp_path, command):
     target = tmp_path / "missing" / "x"
-    code, out, err = run(capsys, ["spectrum", paths["interval-pi"], "--lambda-max", "5",
+    code, out, err = run(capsys, [command, paths["interval-pi"], *ARGS[command],
                                   "-o", str(target)])
     assert code == ERROR and not out
     assert err.startswith("error:") and str(target) in err
+
+
+def test_graph_file_with_a_byte_order_mark(paths, capsys, tmp_path):
+    bom = tmp_path / "bom.qg"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(paths["dumbbell"]).read_bytes())
+    assert serialize_graph(parse_graph(bom)) == serialize_graph(parse_graph(paths["dumbbell"]))
+    code, _, err = run(capsys, ["spectrum", str(bom), "--lambda-max", "5"])
+    assert code == OK and not err
 
 
 def test_basis_zero_denominator_exit_1(paths, capsys):

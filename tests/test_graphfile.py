@@ -206,6 +206,8 @@ def _edge(eid, o, t, unit="u"):
     (["", "b"], [_edge("e", "", "b")], {"u": 1.0}, "bad-name: vertex ''"),
     (["a b", "c"], [_edge("e", "a b", "c")], {"u": 1.0}, "bad-name: vertex 'a b'"),
     (["a#", "c"], [_edge("e", "a#", "c")], {"u": 1.0}, "bad-name: vertex 'a#'"),
+    # --vertices splits on ',', so no selection could name this vertex
+    (["a,b", "c"], [_edge("e", "a,b", "c")], {"u": 1.0}, "bad-name: vertex 'a,b'"),
     (["a", "b"], [_edge("", "a", "b")], {"u": 1.0}, "bad-name: edge ''"),
     (["a", "b"], [_edge("e\tf", "a", "b")], {"u": 1.0}, "bad-name: edge 'e\\tf'"),
     (["a", "b"], [_edge("#e", "a", "b")], {"u": 1.0}, "bad-name: edge '#e'"),
@@ -217,14 +219,20 @@ def _edge(eid, o, t, unit="u"):
     (["a"], [], [("u", 1.0), ("w", 0.0)], "unit-approx: unit w has 0.0"),
     (["a"], [], [("u", 1.0), ("w", math.inf)], "unit-approx: unit w has inf"),
     (["a"], [], [("u", 1.0), ("w", math.nan)], "unit-approx: unit w has nan"),
-], ids=["empty-vertex", "space-vertex", "hash-vertex", "empty-edge", "tab-edge", "hash-edge",
-        "empty-unit", "line-separator-unit", "hash-unit", "duplicate-unit", "zero-unit",
-        "inf-unit", "nan-unit"])
+], ids=["empty-vertex", "space-vertex", "hash-vertex", "comma-vertex", "empty-edge",
+        "tab-edge", "hash-edge", "empty-unit", "line-separator-unit", "hash-unit",
+        "duplicate-unit", "zero-unit", "inf-unit", "nan-unit"])
 def test_validate_refuses_what_a_file_cannot_hold(vertices, edges, units, problem):
     graph = MetricGraph.build(vertices, edges, UnitTable.of(units))
     assert any(p.startswith(problem) for p in validate(graph)), validate(graph)
     with pytest.raises(GraphFileError):
         parse_graph_text(serialize_graph(graph))
+
+
+def test_edge_and_unit_names_keep_commas():
+    # no option lists them, and the CSV writer quotes them
+    g = parse_graph_text("unit u,v 1.0\nvertex a\nvertex b\nedge e,f a b 1 u,v\n")
+    assert g.units.tokens() == ("u,v",) and [e.id for e in g.edges] == ["e,f"]
 
 
 def test_serialize_parse_round_trip_over_random_graphs():

@@ -15,13 +15,17 @@ checkout's `src/`, on:
 - `visibility` at --lambda-max 200 in JSON on each bundled graph with
   --vertices its first vertex, and all of its vertices;
 - `basis` at every step of each bundled graph's step table at
-  lambda <= 200 (`qglab.lengths.step_table`).
+  lambda <= 200 (`qglab.lengths.step_table`);
+- each subcommand on a missing graph file, with an unwritable --output, on
+  a graph that fails `qglab.graphs.validate`, and on the bundled dumbbell
+  with --output a file (CSV, JSON for `basis`).
 
 Prints one line per call: its names and arguments, then the sha1 of its
-stdout and of its stderr and its exit code, with the bundled and the
-temporary directory replaced by <bundled> and <work>.  `diff` of the output
-on two checkouts shows every call whose stdout, stderr or exit code
-changed.  Only imports from `perfbench/`, which it does not change.
+stdout and of its stderr and its exit code, and the sha1 of the file it
+wrote, if any, with the bundled and the temporary directory replaced by
+<bundled> and <work>.  `diff` of the output on two checkouts shows every
+call whose output or exit code changed.  Only imports from `perfbench/`,
+which it does not change.
 """
 
 from __future__ import annotations
@@ -92,8 +96,30 @@ def workload_calls(seeds, bundled: str, work: Path):
                                            float(op.lambda_max))
 
 
-def digest(argv, dirs) -> str:
-    """sha1 of stdout and of stderr, and the exit code, of one call."""
+# arguments that make each subcommand run on the bundled dumbbell
+COMMAND_ARGS = {"spectrum": ["--lambda-max", "45"], "resonances": ["--lambda-max", "45"],
+                "visibility": ["--lambda-max", "45"], "basis": ["--step", "1", "one"],
+                "ntd": ["--mu-re", "-1"]}
+
+
+def write_path_calls(bundled: str, work: Path):
+    """(name, argv) of each subcommand on a missing graph file, with an
+    unwritable --output, on a graph whose edge length `validate` refuses,
+    and with --output `work / "out"`."""
+    invalid = work / "invalid.qg"
+    invalid.write_text("unit one 1.0\nvertex a\nvertex b\nedge e a b 1e400 one\n")
+    dumbbell = f"{bundled}/dumbbell.qg"
+    for command, args in COMMAND_ARGS.items():
+        yield "missing", [command, str(work / "missing.qg"), *args]
+        yield "unwritable", [command, dumbbell, *args, "-o", str(work / "missing" / "out")]
+        yield "invalid", [command, str(invalid), *args]
+        fmt = [] if command == "basis" else ["--format", "csv"]
+        yield "output", [command, dumbbell, *args, *fmt, "-o", str(work / "out")]
+
+
+def digest(argv, dirs, written: Path) -> str:
+    """sha1 of stdout and of stderr, and the exit code, of one call, then
+    the sha1 of `written` if the call wrote it, which is then removed."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -101,12 +127,15 @@ def digest(argv, dirs) -> str:
         except Exception as exc:    # a crash is a result to compare, too
             rc = f"crash:{type(exc).__name__}"
             print(exc, file=sys.stderr)
-    texts = []
-    for text in (out.getvalue(), err.getvalue()):
+    texts = [out.getvalue(), err.getvalue()]
+    if written.exists():
+        texts.append(written.read_bytes().decode())
+        written.unlink()
+    for i, text in enumerate(texts):
         for d, tag in dirs:
             text = text.replace(d, tag)
-        texts.append(hashlib.sha1(text.encode()).hexdigest())
-    return f"{texts[0]} {texts[1]} {rc}"
+        texts[i] = hashlib.sha1(text.encode()).hexdigest()
+    return " ".join([*texts[:2], str(rc), *texts[2:]])
 
 
 def main():
@@ -117,11 +146,12 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         dirs = [(tmp, "<work>"), (bundled, "<bundled>")]
         # lazily: each seed's graph files overwrite the last seed's
-        calls = chain(workload_calls(args.seeds, bundled, Path(tmp)), bundled_calls(bundled))
+        calls = chain(workload_calls(args.seeds, bundled, Path(tmp)), bundled_calls(bundled),
+                      write_path_calls(bundled, Path(tmp)))
         for name, argv in calls:
             shown = " ".join(a.replace(tmp, "<work>").replace(bundled, "<bundled>")
                              for a in argv)
-            print(f"{name} | {shown} | {digest(argv, dirs)}", flush=True)
+            print(f"{name} | {shown} | {digest(argv, dirs, Path(tmp) / 'out')}", flush=True)
 
 
 if __name__ == "__main__":
