@@ -5,8 +5,7 @@ from importlib import resources
 
 from .graphs import (BettiData, CoreDecomposition, CycleSystem, CycleWalk,
                      Edge, ExactLength, MetricGraph, UnitTable, betti,
-                     betti_graph, core_decomposition, cycle_system,
-                     simple_cycles, validate)
+                     betti_graph, core_decomposition, cycle_system, validate)
 from .lengths import (LambdaSubgraph, Step, build_lambda_subgraph,
                       candidate_steps, resonance_floor)
 from .resonance import (ResonanceReport, resonance_dimension,

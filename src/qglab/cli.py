@@ -20,12 +20,12 @@ import csv
 import json
 import math
 import sys
-from itertools import chain
+from itertools import chain, pairwise
 
 from .graphfile import GraphFileError, parse_graph
 from .lengths import Step, resonance_floor, step_table
 from .resonance import resonance_dimension, table_counts
-from .spectral import eigenvalues_in, sigma_min
+from .spectral import REFINE_TOL, eigenvalues_in, sigma_min
 from .weyl import NearSpectrumError, ntd_matrix, select_vertices, visibility_report
 # Not called here.  The benchmark tracer (perfbench/spans.py) looks this name
 # up in this module; drop the import together with that target.
@@ -120,17 +120,25 @@ def cmd_spectrum(args, graph):
 def cmd_resonances(args, graph):
     table = step_table(graph, args.lambda_max)
     floor = resonance_floor(graph, (table.gcds, table.mults))
+    texts = table.texts()
     rows = [{"lambda": f"{lam:.12g}",
              "step": text,
              "beta1": beta1,
              "beta0_odd": odd,
              "dim_R": beta1 - odd,
              "resonance": "yes" if beta1 > odd else "no"}
-            for (lam, _, _), text, (beta1, odd) in zip(table.rows, table.texts(),
+            for (lam, _, _), text, (beta1, odd) in zip(table.rows, texts,
                                                        table_counts(graph, table))]
+    # neighbouring steps of two units whose count brackets in `eigenvalues_in`,
+    # REFINE_TOL * k wide around k = pi/s, touch
+    lo, hi = 1 - REFINE_TOL / 2, 1 + REFINE_TOL / 2
+    warnings = [f"steps {texts[i]}, {texts[i + 1]} agree within the count's resolution at "
+                f"lambda={lam:.12g}: units {u} and {w} look commensurable, dim R may be wrong"
+                for i, ((lam, s, (u, _, _)), (_, t, (w, _, _))) in enumerate(pairwise(table.rows))
+                if math.pi / t * lo <= math.pi / s * hi and u != w]
     meta = {"lambda_max": args.lambda_max,
             "lambda_floor": None if math.isinf(floor.lam) else floor.lam}
-    return {"rows": rows}, meta, ()
+    return {"rows": rows}, meta, warnings
 
 
 def cmd_visibility(args, graph):
@@ -139,8 +147,8 @@ def cmd_visibility(args, graph):
     rows = []
     for r in rep.rows:
         row = {"lambda": f"{r.lam:.12g}", "dim_ker": r.dim_ker,
-               "rank_residue": r.rank_residue, "dim_R": r.dim_resonance,
-               "step": r.step or "-", "identity": "ok" if r.identity_ok else "VIOLATED",
+               "rank_residue": r.rank_residue, "dim_R": r.dim_resonance, "step": r.step or "-",
+               "identity": {True: "ok", False: "VIOLATED", None: "n/a"}[r.identity_ok],
                "class": r.classification}
         if args.format == "json":
             row["residue_diagnostics"] = {

@@ -18,10 +18,6 @@ from itertools import repeat
 from typing import Iterable, Mapping, Optional, Sequence
 
 
-class CycleBudgetExceeded(RuntimeError):
-    """Raised when simple-cycle enumeration exceeds its configured budget."""
-
-
 # The largest decimal exponent of a coefficient, as in ``1e200``, that is read.
 # `int` reads at most 4,300 digits in each part of the mantissa, so past this
 # exponent a coefficient lies beyond 10^+-700.  A length L = c*u in range
@@ -122,10 +118,6 @@ class Edge:
     terminus: str
     length: ExactLength
 
-    @property
-    def is_loop(self) -> bool:
-        return self.origin == self.terminus
-
 
 @dataclass(frozen=True)
 class MetricGraph:
@@ -159,11 +151,12 @@ def out_of_range(length: ExactLength | float, units: Optional[UnitTable] = None
 def validate(graph: MetricGraph) -> list[str]:
     """Check the MetricGraph invariants, among them that a .qg file holds
     the graph (`graphfile.serialize_graph`): names of one token without '#',
-    vertex names also without ',' (the separator of `--vertices`), units
-    declared once with a positive finite approximation; edge lengths:
-    `out_of_range`.  Returns a list of violations.  A length object that
-    several edges share (the parser makes one per distinct coefficient text
-    and unit) is ranged once, and each of its edges reported."""
+    vertex names also without ',' (the separator of `--vertices`) and not
+    `auto` (its automatic selection), units declared once with a positive
+    finite approximation; edge lengths: `out_of_range`.  Returns a list of
+    violations.  A length object that several edges share (the parser makes
+    one per distinct coefficient text and unit) is ranged once, and each of
+    its edges reported."""
     problems = []
     ranged: dict[int, Optional[str]] = {}       # id(length) -> out_of_range
     if not graph.vertices:
@@ -175,6 +168,8 @@ def validate(graph: MetricGraph) -> list[str]:
         problems += [f"duplicate-{kind}: {n}" for n, m in Counter(names).items() if m > 1]
     problems += [f"bad-name: vertex {v!r} holds ',', which separates the ids of --vertices"
                  for v in graph.vertices if "," in v]
+    problems += ["bad-name: vertex 'auto' is the name of --vertices' automatic selection"
+                 for v in graph.vertices if v == "auto"]
     problems += [f"unit-approx: unit {t} has {a!r}, not positive and finite"
                  for t, a in graph.units.entries if not 0 < a < math.inf]
     vertices = set(graph.vertices)
@@ -394,62 +389,3 @@ def cycle_system(vertices: Sequence[str], edges: Sequence[Edge],
     return CycleSystem(tuple(e.id for e in tree), tuple(e.id for e in chords), cycles,
                        root, up, depth)
 
-
-# ---------------------------------------------------------------------------
-# Simple cycle enumeration (multigraph-aware)
-
-
-def simple_cycles(vertices: Sequence[str], edges: Sequence[Edge],
-                  budget: int = 10 ** 6) -> list[CycleWalk]:
-    """All simple cycles, each once up to rotation and reversal.
-
-    Loops are one-edge cycles; a pair of parallel edges is a two-edge cycle.
-    A simple cycle visits each of its vertices once, so it is determined by
-    its edge set; enumeration deduplicates on that.  Raises
-    CycleBudgetExceeded above `budget` cycles.
-    """
-    order = {v: i for i, v in enumerate(sorted(vertices))}
-    adj: dict[str, list[tuple[Edge, str]]] = {v: [] for v in vertices}
-    for e in edges:
-        adj[e.origin].append((e, e.terminus))
-        if not e.is_loop:
-            adj[e.terminus].append((e, e.origin))
-
-    found: dict[frozenset, CycleWalk] = {}
-
-    def record(start: str, steps: list[tuple[str, int]]):
-        key = frozenset(eid for eid, _ in steps)
-        if key not in found:
-            found[key] = CycleWalk(start, tuple(steps))
-            if len(found) > budget:
-                raise CycleBudgetExceeded(
-                    f"simple-cycle enumeration exceeded budget of {budget}")
-
-    for s in sorted(vertices, key=order.get):
-        # DFS over paths from s through vertices strictly above s.
-        def dfs(v: str, steps: list[tuple[str, int]], onpath: set[str],
-                used: set[str]):
-            for e, w in adj[v]:
-                if e.id in used:
-                    continue
-                d = 1 if e.origin == v else -1
-                if e.is_loop:
-                    if v == s and not steps:
-                        record(s, [(e.id, 1)])
-                    continue
-                if w == s:
-                    if steps:
-                        record(s, steps + [(e.id, d)])
-                    continue
-                if w in onpath or order[w] < order[s]:
-                    continue
-                onpath.add(w)
-                used.add(e.id)
-                dfs(w, steps + [(e.id, d)], onpath, used)
-                used.discard(e.id)
-                onpath.discard(w)
-
-        dfs(s, [], {s}, set())
-    # Two-edge "cycles" from traversing one edge back and forth are impossible
-    # here because each edge id is used at most once per path.
-    return [found[k] for k in sorted(found, key=lambda k: tuple(sorted(k)))]

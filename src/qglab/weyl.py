@@ -179,7 +179,7 @@ class VisibilityRow:
     rank_residue: int
     dim_resonance: int
     step: Optional[str]
-    identity_ok: bool
+    identity_ok: Optional[bool]  # None: B misses boundary/proper-core vertices
     classification: str          # fully-visible | partially-visible | invisible
     residue: Optional[ResidueEstimate] = None
 
@@ -205,7 +205,10 @@ def visibility_report(graph: MetricGraph, selection: VertexSelection,
     A hit's step is the one `eigenvalues_in` bracketed it at.  The paper's
     lower bound dim ker >= dim R is checked at every candidate step of the
     table that the spectrum carries, with or without a hit, by one
-    `table_counts` call: a count jump below dim R is a warning.
+    `table_counts` call: a count jump below dim R is a warning.  The
+    identity dim ker = rank + dim R is a theorem only when B holds the
+    boundary and proper core vertices; for a selection that `select_vertices`
+    warns misses some, it is not checked (`identity_ok` None).
     """
     spec = eigenvalues_in(graph, lambda_max)
     warnings = list(spec.warnings) + list(selection.warnings)
@@ -230,8 +233,8 @@ def visibility_report(graph: MetricGraph, selection: VertexSelection,
             warnings.append(
                 f"eigenspace at lambda={hit.lam:.12g} not separated: sigma ratio "
                 f"{res.separation:.3g} > {SEPARATION_TOL:g}, residue rank unreliable")
-        identity_ok = hit.multiplicity == res.rank + dim_res
-        if not identity_ok:
+        identity_ok = None if selection.warnings else hit.multiplicity == res.rank + dim_res
+        if identity_ok is False:
             warnings.append(
                 f"identity violated at lambda={hit.lam:.12g}: "
                 f"dim ker {hit.multiplicity} != rank {res.rank} + dimR {dim_res}")

@@ -1,4 +1,4 @@
-"""Seeded random multigraph generator for the theorem-vs-oracle sweeps."""
+"""Seeded random multigraph generator and brute-force checks for the theorem-vs-oracle sweeps."""
 
 import random
 from fractions import Fraction
@@ -21,6 +21,30 @@ def random_graph(rng: random.Random, max_vertices=6, max_edges=9,
         edges.append(Edge(f"e{j}", o, t, ExactLength(Fraction(p, q), unit)))
     table = {u: a for u, a in zip(units, (1.0, 1.4142135623730951))}
     return MetricGraph.build(vertices, edges, table)
+
+
+def is_simple_cycle(edges) -> bool:
+    """Whether an edge subset is one simple cycle: every vertex it touches
+    has degree two in it, and it is connected."""
+    deg = {}
+    for e in edges:
+        deg[e.origin] = deg.get(e.origin, 0) + 1
+        deg[e.terminus] = deg.get(e.terminus, 0) + 1
+    if any(d != 2 for d in deg.values()):
+        return False
+    vs = set(deg)
+    adj = {v: set() for v in vs}
+    for e in edges:
+        adj[e.origin].add(e.terminus)
+        adj[e.terminus].add(e.origin)
+    start = next(iter(vs))
+    seen, stack = {start}, [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == vs
 
 
 def degree(graph: MetricGraph, v: str) -> int:

@@ -104,6 +104,32 @@ def test_resonances_tree_empty(capsys, tmp_path):
     assert "(no rows)" in out
 
 
+# a circle of length 2: edge e1 of length 1*a, e2 of length 1*a or 1/2*b = 1*a
+TWO_UNITS = ("unit a 1.0\nunit b 2.0\nvertex x\nvertex y\n"
+             "edge e1 x y 1/1 a\nedge e2 y x {length}\n")
+
+
+def test_resonances_warns_on_commensurable_units(capsys, tmp_path):
+    # sin(pi x) vanishes at both vertices, so dim R is 1 at pi^2 and 4 pi^2;
+    # read as incommensurable, the two units' steps give 0 there
+    one, two = tmp_path / "one.qg", tmp_path / "two.qg"
+    one.write_text(TWO_UNITS.format(length="1/1 a"))
+    two.write_text(TWO_UNITS.format(length="1/2 b"))
+    code, out, err = run(capsys, ["resonances", str(one), "--lambda-max", "40"])
+    assert (code, err) == (OK, "")
+    assert [r.split()[4] for r in out.splitlines()[1:]] == ["1", "1"]
+    code, out, err = run(capsys, ["resonances", str(two), "--lambda-max", "40"])
+    assert code == WARNINGS
+    assert [r.split()[1] for r in out.splitlines()[1:]] == ["1*a", "1/2*b", "1/2*a", "1/4*b"]
+    warnings = err.splitlines()
+    assert len(warnings) == 2 and all("look commensurable" in w for w in warnings)
+    assert "steps 1*a, 1/2*b" in warnings[0] and "steps 1/2*a, 1/4*b" in warnings[1]
+    for command in ("spectrum", "visibility"):
+        code, _, err = run(capsys, [command, str(two), "--lambda-max", "40"])
+        assert code == WARNINGS
+        assert "share one count bracket" in err and "look commensurable" not in err
+
+
 def _resonance_rows(out: str, fmt: str) -> list[dict]:
     if fmt == "json":
         return json.loads(out)["rows"]
@@ -169,6 +195,25 @@ def test_visibility_explicit_subset_warns(paths, capsys):
                                 "--lambda-max", "2", "--vertices", "x"])
     assert code == WARNINGS
     assert "warning:" in err
+
+
+def test_visibility_partial_selection_checks_no_identity(capsys):
+    # the identity is a theorem only for B holding the boundary and proper
+    # core vertices; at the triangle's double eigenvalues one eigenfunction
+    # vanishes at v1, so the ranks are right and no row is VIOLATED
+    path = str(qglab.bundled_graph_path("triangle.qg"))
+    code, out, err = run(capsys, ["visibility", path, "--lambda-max", "200",
+                                  "--vertices", "v1"])
+    assert code == WARNINGS
+    rows = [r.split() for r in out.splitlines()[1:]]
+    assert len(rows) == 7 and {r[5] for r in rows} == {"n/a"}
+    assert [r[2] for r in rows] == ["1"] * 7
+    assert err.splitlines() == ["warning: selection misses boundary/proper-core vertices; "
+                                "visibility hypotheses unverified"]
+    code, out, err = run(capsys, ["visibility", path, "--lambda-max", "200",
+                                  "--vertices", "v1,v2,v3"])
+    assert (code, err) == (OK, "")
+    assert {r.split()[5] for r in out.splitlines()[1:]} == {"ok"}
 
 
 def test_visibility_warns_on_unseparated_eigenspace(paths, capsys, monkeypatch):
@@ -292,6 +337,16 @@ def test_ntd_vertex_named_vertex_exit_1(capsys, tmp_path, fmt):
     code, out, err = run(capsys, ["ntd", str(g), "--mu-re", "2", "--format", fmt])
     assert code == ERROR and not out
     assert "'vertex'" in err and "clashes" in err
+
+
+def test_vertex_named_auto_exit_1(capsys, tmp_path):
+    # `--vertices auto` is the automatic selection, so no such vertex could be selected
+    g = tmp_path / "g.qg"
+    g.write_text("unit one 1.0\nvertex auto\nvertex b\nvertex c\nedge e1 auto b 1 one\n"
+                 "edge e2 b c 1 one\nedge e3 c auto 1 one\nedge e4 c c 1 one\n")
+    code, out, err = run(capsys, ["ntd", str(g), "--mu-re", "-1", "--vertices", "auto"])
+    assert code == ERROR and not out
+    assert err.startswith("error:") and "g.qg: bad-name: vertex 'auto'" in err
 
 
 def test_ntd_near_spectrum_errors(paths, capsys):

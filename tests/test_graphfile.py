@@ -32,7 +32,7 @@ def test_parse_basic():
     g = parse_graph_text(GOOD)
     assert g.vertices == ("v", "w")
     assert [e.id for e in g.edges] == ["e1", "e2"]
-    assert g.edges[1].is_loop
+    assert g.edges[1].origin == g.edges[1].terminus
     assert g.edges[0].length.coeff == Fraction(1)
     assert g.units.approx("pi") == pytest.approx(3.141592653589793)
 
@@ -208,6 +208,8 @@ def _edge(eid, o, t, unit="u"):
     (["a#", "c"], [_edge("e", "a#", "c")], {"u": 1.0}, "bad-name: vertex 'a#'"),
     # --vertices splits on ',', so no selection could name this vertex
     (["a,b", "c"], [_edge("e", "a,b", "c")], {"u": 1.0}, "bad-name: vertex 'a,b'"),
+    # --vertices auto is the automatic selection, so it could not select this vertex
+    (["auto", "c"], [_edge("e", "auto", "c")], {"u": 1.0}, "bad-name: vertex 'auto'"),
     (["a", "b"], [_edge("", "a", "b")], {"u": 1.0}, "bad-name: edge ''"),
     (["a", "b"], [_edge("e\tf", "a", "b")], {"u": 1.0}, "bad-name: edge 'e\\tf'"),
     (["a", "b"], [_edge("#e", "a", "b")], {"u": 1.0}, "bad-name: edge '#e'"),
@@ -219,7 +221,7 @@ def _edge(eid, o, t, unit="u"):
     (["a"], [], [("u", 1.0), ("w", 0.0)], "unit-approx: unit w has 0.0"),
     (["a"], [], [("u", 1.0), ("w", math.inf)], "unit-approx: unit w has inf"),
     (["a"], [], [("u", 1.0), ("w", math.nan)], "unit-approx: unit w has nan"),
-], ids=["empty-vertex", "space-vertex", "hash-vertex", "comma-vertex", "empty-edge",
+], ids=["empty-vertex", "space-vertex", "hash-vertex", "comma-vertex", "auto-vertex", "empty-edge",
         "tab-edge", "hash-edge", "empty-unit", "line-separator-unit", "hash-unit",
         "duplicate-unit", "zero-unit", "inf-unit", "nan-unit"])
 def test_validate_refuses_what_a_file_cannot_hold(vertices, edges, units, problem):

@@ -1,12 +1,11 @@
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
 from qglab import (ExactLength, UnitTable, betti, betti_graph, core_decomposition,
-                   cycle_system, simple_cycles, validate)
-from qglab.graphs import CycleBudgetExceeded, _forest
+                   cycle_system, validate)
+from qglab.graphs import _forest
 
 from conftest import mk, parity_colouring, walk_end
 from randgraphs import degree, random_graph
@@ -251,70 +250,11 @@ def test_cycle_system_deterministic(dumbbell):
     assert a == b
 
 
-# ---------------------------------------------------------------------------
-# simple cycles
-
-
-def subset_cycle_count(graph):
-    """Independent oracle: a simple cycle is an edge subset where every
-    touched vertex has degree two and the subset is connected."""
-    def is_cycle(sub):
-        deg = {}
-        for e in sub:
-            deg[e.origin] = deg.get(e.origin, 0) + 1
-            deg[e.terminus] = deg.get(e.terminus, 0) + 1
-        if any(d != 2 for d in deg.values()):
-            return False
-        vs = set(deg)
-        adj = {v: set() for v in vs}
-        for e in sub:
-            adj[e.origin].add(e.terminus)
-            adj[e.terminus].add(e.origin)
-        start = next(iter(vs))
-        seen, stack = {start}, [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen == vs
-
-    return sum(1 for r in range(1, len(graph.edges) + 1)
-               for sub in combinations(graph.edges, r) if is_cycle(sub))
-
-
-def test_simple_cycles_loop(unit_loop):
-    assert len(simple_cycles(unit_loop.vertices, unit_loop.edges)) == 1
-
-
-def test_simple_cycles_theta(theta):
-    cycles = simple_cycles(theta.vertices, theta.edges)
-    assert len(cycles) == 3
-    assert all(len(c.steps) == 2 for c in cycles)
-
-
-def test_simple_cycles_dumbbell_against_subset_oracle(dumbbell):
-    cycles = simple_cycles(dumbbell.vertices, dumbbell.edges)
-    assert len(cycles) == 32
-    assert len(cycles) == subset_cycle_count(dumbbell)
-
-
-def test_simple_cycles_random_against_subset_oracle():
-    rng = random.Random(7)
-    for _ in range(25):
-        g = random_graph(rng, max_vertices=5, max_edges=7)
-        cycles = simple_cycles(g.vertices, g.edges)
-        assert len(cycles) == subset_cycle_count(g)
-
-
-def test_simple_cycles_budget(dumbbell):
-    with pytest.raises(CycleBudgetExceeded):
-        simple_cycles(dumbbell.vertices, dumbbell.edges, budget=3)
-
-
 def test_cycles_lie_in_core(dumbbell):
     cd = core_decomposition(dumbbell)
-    for cyc in simple_cycles(dumbbell.vertices, dumbbell.edges):
+    cycles = cycle_system(dumbbell.vertices, dumbbell.edges).cycles
+    assert len(cycles) == betti_graph(dumbbell).beta1
+    for cyc in cycles:
         assert set(cyc.edge_ids()) <= set(cd.core_edges)
 
 

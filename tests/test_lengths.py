@@ -1,17 +1,18 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import qglab
 from qglab import (ExactLength, MetricGraph, Step, betti, build_lambda_subgraph,
-                   candidate_steps, parse_graph, resonance_floor, simple_cycles)
+                   candidate_steps, parse_graph, resonance_floor)
 from qglab.lengths import MAX_FLOOR_POPS, _unit_multiples, fraction_gcd, step_table
 
 from conftest import floor_over_cap, mk, unit_grid
 from fraction_steps import candidate_steps_reference
-from randgraphs import all_steps, random_graph
+from randgraphs import all_steps, is_simple_cycle, random_graph
 
 
 def test_step_is_exact_length():
@@ -255,19 +256,18 @@ BUNDLED = ("dumbbell.qg", "loop-pendant.qg", "triangle.qg", "tree.qg",
 
 
 def floor_by_enumeration(graph):
-    """Brute-force floor: largest common step over same-unit simple cycles."""
-    edges = {e.id: e for e in graph.edges}
+    """Brute-force floor: largest common step over the simple cycles among
+    each unit's edge subsets."""
     best = None
-    for cyc in simple_cycles(graph.vertices, graph.edges):
-        units = {edges[eid].length.unit for eid in cyc.edge_ids()}
-        if len(units) != 1:
-            continue
-        g = Fraction(0)
-        for eid in cyc.edge_ids():
-            g = fraction_gcd(g, edges[eid].length.coeff)
-        step = Step(g, units.pop())
-        if best is None or step.value(graph.units) > best.value(graph.units):
-            best = step
+    for unit in graph.units.tokens():
+        same = [e for e in graph.edges if e.length.unit == unit]
+        for r in range(1, len(same) + 1):
+            for cyc in combinations(same, r):
+                if not is_simple_cycle(cyc):
+                    continue
+                step = Step(fraction_gcd(*(e.length.coeff for e in cyc)), unit)
+                if best is None or step.value(graph.units) > best.value(graph.units):
+                    best = step
     return best, (math.inf if best is None else best.lambda_value(graph.units))
 
 

@@ -301,7 +301,7 @@ def test_equilateral_oddness_is_nonbipartiteness():
         color = {}
         adj = {v: [] for v in vertices}
         for e in edges:
-            if e.is_loop:
+            if e.origin == e.terminus:
                 return False
             adj[e.origin].append(e.terminus)
             adj[e.terminus].append(e.origin)

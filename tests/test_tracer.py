@@ -11,6 +11,8 @@ import pytest
 
 import qglab
 import qglab.cli
+import qglab.lengths
+import qglab.spectral
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -26,6 +28,23 @@ def spans():
 def test_every_target_resolves(spans):
     for _, modname, attr, _ in spans.TARGETS:
         assert callable(getattr(importlib.import_module(modname), attr)), (modname, attr)
+
+
+def test_no_command_calls_a_tracer_only_alias(monkeypatch, capsys):
+    # these names exist only for the tracer to wrap; the program must not call them
+    def called(*args, **kwargs):
+        raise AssertionError("a tracer-only alias was called")
+
+    monkeypatch.setattr(qglab.lengths, "simple_cycles", called)
+    monkeypatch.setattr(qglab.spectral, "_golden_min", called)
+    path = str(qglab.bundled_graph_path("dumbbell.qg"))
+    for argv in (["spectrum", path, "--lambda-max", "45"],
+                 ["visibility", path, "--lambda-max", "45"],
+                 ["resonances", path, "--lambda-max", "200"],
+                 ["basis", path, "--step", "1/2", "sqrt3"],
+                 ["ntd", path, "--mu-re", "-1"]):
+        assert qglab.cli.main(argv) in (0, 2), argv
+    capsys.readouterr()
 
 
 def test_traced_ops_give_layer_metrics(spans, capsys):

@@ -18,7 +18,10 @@ checkout's `src/`, on:
   lambda <= 200 (`qglab.lengths.step_table`);
 - each subcommand on a missing graph file, with an unwritable --output, on
   a graph that fails `qglab.graphs.validate`, and on the bundled dumbbell
-  with --output a file (CSV, JSON for `basis`).
+  with --output a file (CSV, JSON for `basis`);
+- inputs outside the model's hypotheses: `spectrum`, `visibility` and
+  `resonances` on a circle of one edge in unit `a` and one in unit `b`,
+  where b = 2a, and each subcommand on a graph with a vertex named `auto`.
 
 Prints one line per call: its names and arguments, then the sha1 of its
 stdout and of its stderr and its exit code, and the sha1 of the file it
@@ -117,6 +120,24 @@ def write_path_calls(bundled: str, work: Path):
         yield "output", [command, dumbbell, *args, *fmt, "-o", str(work / "out")]
 
 
+def hypothesis_calls(work: Path):
+    """(name, argv) of the commands on inputs outside the model's
+    hypotheses, written under `work`: a circle of length 2 whose two edges
+    1*a and 1/2*b lie in commensurable units, and a graph with a vertex
+    named `auto`, with --vertices auto where the command takes it."""
+    two = work / "two-units.qg"
+    two.write_text("unit a 1.0\nunit b 2.0\nvertex x\nvertex y\n"
+                   "edge e1 x y 1/1 a\nedge e2 y x 1/2 b\n")
+    for command in ("spectrum", "visibility", "resonances"):
+        yield "two-units", [command, str(two), "--lambda-max", "40"]
+    auto = work / "auto.qg"
+    auto.write_text("unit one 1.0\nvertex auto\nvertex b\nvertex c\nedge e1 auto b 1 one\n"
+                    "edge e2 b c 1 one\nedge e3 c auto 1 one\nedge e4 c c 1 one\n")
+    for command, args in COMMAND_ARGS.items():
+        selection = ["--vertices", "auto"] if command in ("visibility", "ntd") else []
+        yield "auto-vertex", [command, str(auto), *args, *selection]
+
+
 def digest(argv, dirs, written: Path) -> str:
     """sha1 of stdout and of stderr, and the exit code, of one call, then
     the sha1 of `written` if the call wrote it, which is then removed."""
@@ -147,7 +168,7 @@ def main():
         dirs = [(tmp, "<work>"), (bundled, "<bundled>")]
         # lazily: each seed's graph files overwrite the last seed's
         calls = chain(workload_calls(args.seeds, bundled, Path(tmp)), bundled_calls(bundled),
-                      write_path_calls(bundled, Path(tmp)))
+                      write_path_calls(bundled, Path(tmp)), hypothesis_calls(Path(tmp)))
         for name, argv in calls:
             shown = " ".join(a.replace(tmp, "<work>").replace(bundled, "<bundled>")
                              for a in argv)
