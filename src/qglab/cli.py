@@ -25,7 +25,7 @@ from itertools import chain, pairwise
 from .graphfile import GraphFileError, parse_graph
 from .lengths import Step, resonance_floor, step_table
 from .resonance import resonance_dimension, table_counts
-from .spectral import REFINE_TOL, eigenvalues_in, sigma_min
+from .spectral import STEP_BRACKET, eigenvalues_in
 from .weyl import NearSpectrumError, ntd_matrix, select_vertices, visibility_report
 # Not called here.  The benchmark tracer (perfbench/spans.py) looks this name
 # up in this module; drop the import together with that target.
@@ -108,12 +108,8 @@ def _add_vertices(p):
 
 def cmd_spectrum(args, graph):
     spec = eigenvalues_in(graph, args.lambda_max)
-    # sigma_min at each hit's k but the first, lambda = 0, which prints 0
-    sigmas = [0.0, *sigma_min(graph, [h.k for h in spec.eigenvalues[1:]]).tolist()]
-    rows = [{"lambda": f"{h.lam:.12g}", "k": f"{h.k:.12g}",
-             "multiplicity": h.multiplicity,
-             "sigma_min": f"{sg:.3g}"}
-            for h, sg in zip(spec.eigenvalues, sigmas)]
+    rows = [{"lambda": f"{h.lam:.12g}", "k": f"{h.k:.12g}", "multiplicity": h.multiplicity}
+            for h in spec.eigenvalues]
     return {"rows": rows}, {"lambda_max": args.lambda_max}, spec.warnings
 
 
@@ -129,9 +125,8 @@ def cmd_resonances(args, graph):
              "resonance": "yes" if beta1 > odd else "no"}
             for (lam, _, _), text, (beta1, odd) in zip(table.rows, texts,
                                                        table_counts(graph, table))]
-    # neighbouring steps of two units whose count brackets in `eigenvalues_in`,
-    # REFINE_TOL * k wide around k = pi/s, touch
-    lo, hi = 1 - REFINE_TOL / 2, 1 + REFINE_TOL / 2
+    # neighbouring steps of two units whose count brackets in `eigenvalues_in` touch
+    lo, hi = STEP_BRACKET
     warnings = [f"steps {texts[i]}, {texts[i + 1]} agree within the count's resolution at "
                 f"lambda={lam:.12g}: units {u} and {w} look commensurable, dim R may be wrong"
                 for i, ((lam, s, (u, _, _)), (_, t, (w, _, _))) in enumerate(pairwise(table.rows))

@@ -3,8 +3,7 @@ the vertex Dirichlet-to-Neumann matrix Lambda(k) of the graph with its edges
 on a pole split (`split_graph`), whose entries `dtn_entries` owns.  From it
 come the Friedlander eigenvalue count (`vertex_count`), the stacks by width
 of Lambda and of Lambda_lambda = d Lambda / d lambda (`vertex_matrices`)
-that the residue and the Neumann-to-Dirichlet map take, and sigma_min, the
-smallest |mu_j| of Lambda(k), which only `spectrum` prints (`scan_sigma_min`).
+that the residue and the Neumann-to-Dirichlet map take.
 
 The count and the stacks both take Lambda(k) one width V + |split| at a
 time (`_stacked`), in chunks of at most CHUNK_BYTES of matrices, so a long
@@ -158,15 +157,6 @@ def vertex_matrices(eo, et, lengths, n_vertices, ks):
             yield index[at][rows], mats[0], size[rows], *mats[1:]
 
 
-def scan_sigma_min(eo, et, lengths, n_vertices, ks) -> np.ndarray:
-    """sigma_min of Lambda(k) of the split graph, its smallest |mu_j|, at
-    each k in ks >= 0."""
-    out = np.empty(len(ks))
-    for at, lam, *_ in vertex_matrices(eo, et, lengths, n_vertices, np.asarray(ks, dtype=float)):
-        out[at] = np.min(np.abs(np.linalg.eigvalsh(lam)), axis=1)
-    return out
-
-
 def vertex_count(eo, et, lengths, n_vertices, ks, tol=SPLIT_TOL):
     """Number of eigenvalues lambda < k^2, lambda = 0 included, at each k in
     ks > 0, with the eigenvalues mu_j(k) of Lambda(k) of the split graph
@@ -199,3 +189,8 @@ def vertex_count(eo, et, lengths, n_vertices, ks, tol=SPLIT_TOL):
             dmu_k[rows, :n] = (vec * (dlam @ vec)).sum(axis=1)
         count[at] = dirichlet.sum(axis=1).astype(np.int64) + (mu_k < 0).sum(axis=1)
     return count, mu, dmu
+
+
+# Nothing calls this name; the benchmark tracer (perfbench/spans.py) wraps it
+# as its "kernels.scan_sigma_min" span.  Drop it together with that target.
+scan_sigma_min = vertex_count

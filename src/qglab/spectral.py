@@ -5,10 +5,8 @@ vertex count of `kernels.vertex_count`, which brackets each one together with
 its multiplicity.  The candidate steps s of `lengths` are brackets of their
 own, so this module alone decides which eigenvalue lies on which step
 pi^2/s^2; they are the poles of the vertex matrix Lambda(k), next to which
-the edges on a pole are split (`kernels.split_graph`).  A hit does not
-carry sigma_min, the smallest |mu_j| of Lambda(k) of that split graph: the
-`spectrum` command computes it (`sigma_min`) and reports it unchecked.  The
-eigenspace at lambda = k^2, the null space of that Lambda(k), is read only
+the edges on a pole are split (`kernels.split_graph`).  The eigenspace at
+lambda = k^2, the null space of Lambda(k) of that split graph, is read only
 by the residue (`weyl._residues`).
 """
 
@@ -26,6 +24,9 @@ from .lengths import Step, StepTable, step_table
 
 
 REFINE_TOL = 1e-12     # a bracket is done at width <= REFINE_TOL * max(1, k)
+# the count bracket of a candidate step s, REFINE_TOL * k_s wide around
+# k_s = pi/s, runs from k_s * STEP_BRACKET[0] to k_s * STEP_BRACKET[1]
+STEP_BRACKET = (1 - REFINE_TOL / 2, 1 + REFINE_TOL / 2)
 # A bracket split without an estimate is cut at these fractions, not at 1/2
 # or 1/3: a point within tol of an eigenvalue moves its hit by up to tol/2,
 # and symmetric graphs put eigenvalues at simple fractions of the gap between
@@ -70,13 +71,6 @@ def assemble_secular(graph: MetricGraph, k: float) -> np.ndarray:
     if k < 0:
         raise ValueError("k must be nonnegative")
     return next(kernels.vertex_matrices(eo, et, ln, len(graph.vertices), [float(k)]))[1][0]
-
-
-def sigma_min(graph: MetricGraph, ks) -> np.ndarray:
-    """sigma_min of Lambda(k) of the split graph, its smallest |mu_j|, at
-    each k in ks >= 0 (`kernels.scan_sigma_min`)."""
-    eo, et, ln, _ = _edge_arrays(graph)
-    return kernels.scan_sigma_min(eo, et, ln, len(graph.vertices), ks)
 
 
 def _theta(k, jump, mu, dmu):
@@ -199,7 +193,7 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
         return n, mu, dmu
 
     k_s = np.array([st[0] for st in steps])
-    s_lo, s_hi = k_s * (1 - REFINE_TOL / 2), k_s * (1 + REFINE_TOL / 2)
+    s_lo, s_hi = k_s * STEP_BRACKET[0], k_s * STEP_BRACKET[1]
     ends = np.sort(np.concatenate([[k0], s_lo, s_hi,
                                    [kmax] if kmax > s_hi.max(initial=k0) else []]))
     # one column per open bracket; row 0 its lower end, row 1 its upper end

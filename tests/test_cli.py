@@ -574,21 +574,24 @@ def test_theta_slope_overflow_exit_0(capsys, tmp_path, command):
     assert len(out.splitlines()) == 1 + 1 + 6366
 
 
-def test_sigma_min_only_for_the_spectrum_table(paths, capsys, monkeypatch):
-    # visibility factors each hit's Lambda(k) once, in the residue; the
-    # spectrum command's column is `spectral.sigma_min` at the hits' k
-    from qglab import kernels, spectral
-    scan, calls = kernels.scan_sigma_min, []
-    monkeypatch.setattr(kernels, "scan_sigma_min", lambda *a: calls.append(a) or scan(*a))
-    g = parse_graph(paths["dumbbell"])
-    assert qglab.visibility_report(g, qglab.select_vertices(g), 45).rows
+def test_spectrum_columns_without_per_hit_factorization(paths, capsys, monkeypatch):
+    # spectrum prints lambda, k and multiplicity in every format and factors
+    # Lambda(k) only in the count; visibility's residues take the stacks
+    from qglab import kernels
+    stacks, calls = kernels.vertex_matrices, []
+    monkeypatch.setattr(kernels, "vertex_matrices",
+                        lambda *a: calls.append(a) or stacks(*a))
+    cols = ["lambda", "k", "multiplicity"]
+    argv = ["spectrum", paths["dumbbell"], "--lambda-max", "45"]
+    code, out, _ = run(capsys, argv)
+    assert code == OK and out.splitlines()[0].split() == cols
+    code, out, _ = run(capsys, [*argv, "--format", "csv"])
+    assert code == OK and out.splitlines()[0] == ",".join(cols)
+    code, out, _ = run(capsys, [*argv, "--format", "json"])
+    rows = json.loads(out)["rows"]
+    assert code == OK and len(rows) > 1 and all(list(r) == cols for r in rows)
     assert not calls
-    code, out, _ = run(capsys, ["spectrum", paths["dumbbell"], "--lambda-max", "45",
-                                "--format", "json"])
-    assert code == OK and len(calls) == 1
-    ks = [h.k for h in qglab.eigenvalues_in(g, 45).eigenvalues[1:]]
-    assert [r["sigma_min"] for r in json.loads(out)["rows"]] == [
-        "0", *(f"{x:.3g}" for x in spectral.sigma_min(g, ks))]
+    assert run(capsys, ["visibility", *argv[1:]])[0] == OK and calls
 
 
 def test_step_pair_cap_is_exact(paths, monkeypatch):

@@ -205,26 +205,6 @@ def test_count_over_point_chunks(dumbbell):
     assert peak < 3 * size
 
 
-def test_batched_scan_matches_per_point_eigvalsh(dumbbell, loop_pendant):
-    for graph in (dumbbell, loop_pendant):
-        eo, et, ln, nv = arrays(graph)
-        ks = points(ln)[0]
-        act = kernels.scan_sigma_min(eo, et, ln, nv, ks)
-        for k, sig in zip(ks.tolist(), act.tolist()):
-            ref, size, _ = reference_lambda(eo, et, ln, nv, k)
-            assert abs(sig - np.min(np.abs(np.linalg.eigvalsh(ref)))) <= 1e-13 * size
-
-
-def test_scan_values_positive(interval_pi):
-    eo, et, ln, nv = arrays(interval_pi)
-    ks = np.array([0.5, 1.0, 1.5])
-    sig = np.asarray(kernels.scan_sigma_min(eo, et, ln, nv, ks))
-    assert np.all(sig >= 0)
-    # k = 1 is an eigenvalue of the length-pi interval, the others are not
-    assert sig[1] < 1e-8
-    assert sig[0] > 1e-3 and sig[2] > 1e-3
-
-
 # The vertex count against the eigenphase count.
 
 def counts(graph, ks):

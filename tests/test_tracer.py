@@ -11,6 +11,7 @@ import pytest
 
 import qglab
 import qglab.cli
+import qglab.kernels
 import qglab.lengths
 import qglab.spectral
 
@@ -37,6 +38,7 @@ def test_no_command_calls_a_tracer_only_alias(monkeypatch, capsys):
 
     monkeypatch.setattr(qglab.lengths, "simple_cycles", called)
     monkeypatch.setattr(qglab.spectral, "_golden_min", called)
+    monkeypatch.setattr(qglab.kernels, "scan_sigma_min", called)
     path = str(qglab.bundled_graph_path("dumbbell.qg"))
     for argv in (["spectrum", path, "--lambda-max", "45"],
                  ["visibility", path, "--lambda-max", "45"],

@@ -21,14 +21,18 @@ checkout's `src/`, on:
   with --output a file (CSV, JSON for `basis`);
 - inputs outside the model's hypotheses: `spectrum`, `visibility` and
   `resonances` on a circle of one edge in unit `a` and one in unit `b`,
-  where b = 2a, and each subcommand on a graph with a vertex named `auto`.
+  where b = 2a, and each subcommand on a graph with a vertex named `auto`;
+- two flagged faults of the count (ROADMAP items 9 and 2): `spectrum` and
+  `visibility` at --lambda-max 200 on a circle of two edges, 1 and 1/100003
+  in one unit, and `spectrum` at --lambda-max 12 on the 10 x 10 grid of
+  `tests/conftest.random_length_grid` drawn with `random.Random(0)`.
 
 Prints one line per call: its names and arguments, then the sha1 of its
 stdout and of its stderr and its exit code, and the sha1 of the file it
 wrote, if any, with the bundled and the temporary directory replaced by
 <bundled> and <work>.  `diff` of the output on two checkouts shows every
-call whose output or exit code changed.  Only imports from `perfbench/`,
-which it does not change.
+call whose output or exit code changed.  Only imports from `perfbench/`
+and `tests/`, which it does not change.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import sys
 import tempfile
 from itertools import chain
@@ -46,13 +51,14 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import gen  # noqa: E402
 import workloads  # noqa: E402
+from conftest import random_length_grid  # noqa: E402
 import qglab  # noqa: E402
 import qglab.cli  # noqa: E402
-from qglab.graphfile import parse_graph  # noqa: E402
+from qglab.graphfile import parse_graph, serialize_graph  # noqa: E402
 from qglab.lengths import step_table  # noqa: E402
 
 WORKLOADS = ("spectrum", "visibility", "exact")
@@ -138,6 +144,22 @@ def hypothesis_calls(work: Path):
         yield "auto-vertex", [command, str(auto), *args, *selection]
 
 
+def fault_calls(work: Path):
+    """(name, argv) of two flagged faults of the count, on graphs written
+    under `work`: a circle of length 1 + 1/100003 in two edges, whose
+    double eigenvalues split into simple rows (ROADMAP item 9), and the
+    10 x 10 random-length grid, whose right count warns "not certified"
+    (ROADMAP item 2)."""
+    short = work / "short-edge.qg"
+    short.write_text("unit one 1.0\nvertex x\nvertex y\n"
+                     "edge e1 x y 1 one\nedge e2 y x 1/100003 one\n")
+    for command in ("spectrum", "visibility"):
+        yield "short-edge", [command, str(short), "--lambda-max", "200"]
+    grid = work / "random-grid.qg"
+    grid.write_text(serialize_graph(random_length_grid(10, random.Random(0))))
+    yield "random-grid", ["spectrum", str(grid), "--lambda-max", "12"]
+
+
 def digest(argv, dirs, written: Path) -> str:
     """sha1 of stdout and of stderr, and the exit code, of one call, then
     the sha1 of `written` if the call wrote it, which is then removed."""
@@ -168,7 +190,8 @@ def main():
         dirs = [(tmp, "<work>"), (bundled, "<bundled>")]
         # lazily: each seed's graph files overwrite the last seed's
         calls = chain(workload_calls(args.seeds, bundled, Path(tmp)), bundled_calls(bundled),
-                      write_path_calls(bundled, Path(tmp)), hypothesis_calls(Path(tmp)))
+                      write_path_calls(bundled, Path(tmp)), hypothesis_calls(Path(tmp)),
+                      fault_calls(Path(tmp)))
         for name, argv in calls:
             shown = " ".join(a.replace(tmp, "<work>").replace(bundled, "<bundled>")
                              for a in argv)
