@@ -86,10 +86,10 @@ def _dense(place, vals, n) -> np.ndarray:
     return out.reshape(m, n, n)
 
 
-def split_graph(eo, et, lengths, n_vertices, ks, tol=SPLIT_TOL):
+def split_graph(eo, et, lengths, n_vertices, ks):
     """The graph at each k in ks with each edge on a pole of Lambda(k),
-    |sin kL_e| < tol and kL_e >= pi/2, split at t L_e by a vertex of degree
-    2, which leaves the spectrum as it is (Berkolaiko & Kuchment,
+    |sin kL_e| < SPLIT_TOL and kL_e >= pi/2, split at t L_e by a vertex of
+    degree 2, which leaves the spectrum as it is (Berkolaiko & Kuchment,
     Introduction to Quantum Graphs, 2013, 1.4); t is the one of SPLITS that
     keeps |sin n pi t|, both pieces' |sin| at kL_e = n pi, largest.  Complex
     k is tested by |Re k|, since |sin kL| >= |sin(Re k L)|.
@@ -105,7 +105,7 @@ def split_graph(eo, et, lengths, n_vertices, ks, tol=SPLIT_TOL):
     """
     kl = np.multiply.outer(np.abs(ks.real), lengths)
     turns = kl / np.pi
-    split = (np.abs(np.sin(kl)) < tol) & (turns > 0.5)     # round(turns) > 0
+    split = (np.abs(np.sin(kl)) < SPLIT_TOL) & (turns > 0.5)   # round(turns) > 0
     if not split.any():
         return eo, et, lengths, None, np.full(kl.shape[0], n_vertices)
     cut = np.flatnonzero(split.any(axis=0))
@@ -157,10 +157,10 @@ def vertex_matrices(eo, et, lengths, n_vertices, ks):
             yield index[at][rows], mats[0], size[rows], *mats[1:]
 
 
-def vertex_count(eo, et, lengths, n_vertices, ks, tol=SPLIT_TOL):
+def vertex_count(eo, et, lengths, n_vertices, ks):
     """Number of eigenvalues lambda < k^2, lambda = 0 included, at each k in
     ks > 0, with the eigenvalues mu_j(k) of Lambda(k) of the split graph
-    (`split_graph`, at tol) in ascending order and their derivatives
+    (`split_graph`, at SPLIT_TOL) in ascending order and their derivatives
     d mu_j / dk, shape (len(ks), V + E), each row V + |split| of them, then
     NaN.  The points are taken in chunks of CHUNK_BYTES of mu_j.
 
@@ -175,7 +175,7 @@ def vertex_count(eo, et, lengths, n_vertices, ks, tol=SPLIT_TOL):
     mu, dmu = np.full((2, ks.size, n_vertices + len(eo)), np.nan)
     for at in _points(ks, mu.shape[1]):
         k, mu_k, dmu_k = ks[at], mu[at], dmu[at]
-        org, ter, ell, on, dim = split_graph(eo, et, lengths, n_vertices, k, tol)
+        org, ter, ell, on, dim = split_graph(eo, et, lengths, n_vertices, k)
         d, o, dd, do = dtn_entries(k[:, None], ell)
         # Lambda(k) at each k, then Lambda'(k)
         vals = [np.concatenate([a, a, b, b], axis=1) for a, b in ((d, o), (dd, do))]

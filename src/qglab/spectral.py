@@ -144,8 +144,7 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
     sqrt(lambda_max) and at every point of the refinement.  It is certified
     when each mu_j within eigh's rounding, n eps max|mu|, of 0 lies within
     REFINE_TOL*max(1, k)/2 of its root, |mu_j / (d mu_j/dk)|, where the
-    refinement leaves its sign open anyway.  An uncertified count and one
-    outside its bracket's, then recounted with every edge split, are warnings.
+    refinement leaves its sign open anyway.  An uncertified count is a warning.
 
     Every candidate step s (`lengths.step_table`: pi^2/s^2 <= lambda_max),
     whose table the result carries, is a bracket of its own, REFINE_TOL*k_s wide
@@ -159,7 +158,9 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
     merge into one hit at their midpoint, whose multiplicity is the jump of
     N across it; a hit holding two steps is a warning and takes neither.
     N does not decrease, so a bracket across which it falls is a warning,
-    and a hit of multiplicity below 1 is not reported.
+    and a hit of multiplicity below 1 is not reported.  This is the one
+    monotonicity check: a point counted below its bracket's lower end or
+    above its upper end leaves a done bracket with a negative jump.
     """
     table = step_table(graph, lambda_max)
     eo, et, ln, _ = _edge_arrays(graph)
@@ -169,19 +170,14 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
     steps = sorted(((math.pi / s, lam, step)
                     for (lam, s, _), step in zip(table.rows, table.steps())),
                    key=lambda st: st[0])    # ascending k_s, also where lambdas round equal
-    outside: list[tuple[float, int]] = []
     uncertified: list[float] = []
     eps = np.finfo(float).eps
 
-    def count(ks: np.ndarray, n_lo=0, n_hi=math.inf):
+    def count(ks: np.ndarray):
         """N and the vertex eigenvalues and their slopes, V + E per row with
         NaN after each row's V + |split| (`kernels.vertex_count`), at each k
-        in ks, inside brackets whose ends count n_lo, n_hi."""
+        in ks."""
         n, mu, dmu = kernels.vertex_count(eo, et, ln, nv, ks)
-        bad = (n < n_lo) | (n > n_hi)
-        if bad.any():
-            outside.extend(zip(ks[bad].tolist(), n[bad].tolist()))
-            n[bad], mu[bad], dmu[bad] = kernels.vertex_count(eo, et, ln, nv, ks[bad], math.inf)
         size = np.abs(mu)               # V + |split| of them per row, then NaN
         small = size <= ((size >= 0).sum(axis=1) * eps * np.fmax.reduce(size, 1))[:, None]
         near = small.any(axis=1)
@@ -224,7 +220,7 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
         if not jump.size:
             break
         x = np.concatenate(_split(k, width, theta, slope, root, forced, tol))
-        n_x, mu_x, dmu_x = count(x, np.concatenate([n[0], n[0]]), np.concatenate([n[1], n[1]]))
+        n_x, mu_x, dmu_x = count(x)
         # ends lo, a, b, hi of each bracket; of its children [lo, a], [a, b]
         # and [b, hi] those across which N jumps stay open
         m = jump.size
@@ -257,11 +253,6 @@ def eigenvalues_in(graph: MetricGraph, lambda_max: float) -> Spectrum:
                             f"count bracket at k={a:.12g}: no step assigned")
         c = (a + b) / 2 if math.isnan(root) else root
         hits.append((*held[0], m) if len(held) == 1 else (c, c ** 2, None, m))
-    if outside:
-        k_out, n_out = outside[0]
-        warnings.append(f"vertex count outside its bracket's counts at {len(outside)} "
-                        f"points, e.g. N({k_out:.12g}) = {n_out}: recounted with every "
-                        f"edge split")
     if uncertified:
         warnings.append(f"vertex count not certified at {len(uncertified)} points, e.g. "
                         f"k={uncertified[0]:.12g}: a vertex eigenvalue within rounding of 0 "

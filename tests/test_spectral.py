@@ -265,11 +265,10 @@ def test_uncertified_count_warns(interval_pi, monkeypatch):
         assert qglab.cli.main(["spectrum", path, "--lambda-max", "10"]) == 2
 
 
-def test_vertex_count_outside_its_bracket_is_recounted(dumbbell, monkeypatch):
-    # a count above its bracket's upper end must show and be replaced by the
-    # count with every edge split, which leaves the spectrum as it was; the
-    # fault hits the first refinement call, after the bracket ends are counted
-    want = eigenvalues_in(dumbbell, 45)
+def test_out_of_bracket_count_is_a_falling_count(dumbbell, monkeypatch):
+    # a count above its bracket's upper end leaves a child bracket across
+    # which N falls, and the falling-count check reports it; the fault hits
+    # the first refinement call, after the bracket ends are counted
     exact = kernels.vertex_count
     calls = []
 
@@ -280,11 +279,12 @@ def test_vertex_count_outside_its_bracket_is_recounted(dumbbell, monkeypatch):
 
     monkeypatch.setattr(kernels, "vertex_count", overcounting)
     spec = eigenvalues_in(dumbbell, 45)
-    assert len(spec.warnings) == 1 and "vertex count outside" in spec.warnings[0]
-    assert [(h.multiplicity, h.step) for h in spec.eigenvalues] == [
-        (h.multiplicity, h.step) for h in want.eigenvalues]
-    for got, ref in zip(spec.eigenvalues, want.eigenvalues):
-        assert got.lam == pytest.approx(ref.lam, rel=1e-11)
+    assert len(spec.warnings) == 1
+    assert spec.warnings[0].startswith("vertex count falls across")
+    calls.clear()
+    path = str(qglab.bundled_graph_path("dumbbell.qg"))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert qglab.cli.main(["spectrum", path, "--lambda-max", "45"]) == 2
 
 
 def test_refinement_counts_the_same_points(dumbbell, monkeypatch):

@@ -24,7 +24,8 @@ checkout's `src/`, on:
   where b = 2a, and each subcommand on a graph with a vertex named `auto`;
 - two flagged faults of the count (ROADMAP items 9 and 2): `spectrum` and
   `visibility` at --lambda-max 200 on a circle of two edges, 1 and 1/100003
-  in one unit, and `spectrum` at --lambda-max 12 on the 10 x 10 grid of
+  in one unit, and on one of edges 1 and 1/1000003, where the count falls,
+  and `spectrum` at --lambda-max 12 on the 10 x 10 grid of
   `tests/conftest.random_length_grid` drawn with `random.Random(0)`.
 
 Prints one line per call: its names and arguments, then the sha1 of its
@@ -146,15 +147,17 @@ def hypothesis_calls(work: Path):
 
 def fault_calls(work: Path):
     """(name, argv) of two flagged faults of the count, on graphs written
-    under `work`: a circle of length 1 + 1/100003 in two edges, whose
-    double eigenvalues split into simple rows (ROADMAP item 9), and the
-    10 x 10 random-length grid, whose right count warns "not certified"
-    (ROADMAP item 2)."""
-    short = work / "short-edge.qg"
-    short.write_text("unit one 1.0\nvertex x\nvertex y\n"
-                     "edge e1 x y 1 one\nedge e2 y x 1/100003 one\n")
-    for command in ("spectrum", "visibility"):
-        yield "short-edge", [command, str(short), "--lambda-max", "200"]
+    under `work`: circles of length 1 + 1/100003 and 1 + 1/1000003 in two
+    edges, whose double eigenvalues split into simple rows, and on the
+    second of which the count falls (ROADMAP item 9), and the 10 x 10
+    random-length grid, whose right count warns "not certified" (ROADMAP
+    item 2)."""
+    for name, short in (("short-edge", "1/100003"), ("shorter-edge", "1/1000003")):
+        graph = work / f"{name}.qg"
+        graph.write_text("unit one 1.0\nvertex x\nvertex y\n"
+                         f"edge e1 x y 1 one\nedge e2 y x {short} one\n")
+        for command in ("spectrum", "visibility"):
+            yield name, [command, str(graph), "--lambda-max", "200"]
     grid = work / "random-grid.qg"
     grid.write_text(serialize_graph(random_length_grid(10, random.Random(0))))
     yield "random-grid", ["spectrum", str(grid), "--lambda-max", "12"]
